@@ -1,12 +1,12 @@
 """Benchmarks of the parallel evaluation harness.
 
 Measures the wall-clock of a reduced (configuration x workload) matrix run
-serially and through the :class:`~repro.harness.parallel.
-ParallelEvaluationRunner`, plus the trace-shipping overhead of the pool path
-(packed traces shipped once per workload through shared memory; workers
-receive a ~100-byte handle per pair instead of a pickled record-object
-trace).  The reduced matrix keeps the suite fast while still exercising
-trace reuse, worker dispatch and result collection;
+by the :class:`~repro.harness.parallel.ParallelEvaluationRunner` in process
+(``jobs=1``) and on the worker pool, plus the trace-shipping overhead of the
+pool path (packed traces shipped once per workload through shared memory;
+workers receive a ~100-byte handle per pair instead of a pickled
+record-object trace).  The reduced matrix keeps the suite fast while still
+exercising trace reuse, worker dispatch and result collection;
 `scripts/bench_regression.py` runs the same comparison and records it --
 including the ``matrix_dispatch_seconds`` overhead metric -- in
 ``BENCH_replay.json``.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.harness.experiments import EvaluationMatrix, ExperimentScale
 from repro.harness.parallel import ParallelEvaluationRunner, available_cpus
-from repro.harness.runner import EvaluationRunner
 
 #: Small but non-trivial: 2 configurations x the 4 synthetic workloads.
 _BENCH_SCALE = ExperimentScale(synthetic_requests=3_000)
@@ -36,7 +35,7 @@ def _bench_matrix() -> EvaluationMatrix:
 
 
 def _run_serial():
-    runner = EvaluationRunner(matrix=_bench_matrix())
+    runner = ParallelEvaluationRunner(matrix=_bench_matrix(), jobs=1)
     return runner.run()
 
 
@@ -61,7 +60,7 @@ def test_matrix_parallel_all_cores(benchmark):
 
 
 def test_matrix_parallel_matches_serial(benchmark):
-    """The parallel runner must be a drop-in: identical results, any jobs."""
+    """The pool must reproduce the in-process run: identical results."""
     serial = _run_serial()
 
     def parallel():

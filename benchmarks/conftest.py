@@ -5,7 +5,7 @@ so it is run exactly once per benchmark session at the quick scale and shared
 through a session-scoped fixture.  The matrix is fanned across worker
 processes (``REPRO_BENCH_JOBS`` processes; default: every available CPU),
 which divides its wall-clock by the core count while producing results
-bit-identical to the serial runner.  Table benchmarks and micro-benchmarks do
+bit-identical to the in-process run.  Table benchmarks and micro-benchmarks do
 not need it and stay fast.
 """
 
@@ -30,8 +30,7 @@ def evaluation_results(evaluation_matrix):
     """Results of running the full matrix once (shared by all figure benches).
 
     ``REPRO_BENCH_JOBS`` overrides the worker count (0 = all CPUs, 1 =
-    serial in-process); either way the results match the serial runner
-    bit for bit.
+    in process); the results are bit-identical either way.
     """
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "0"))
     runner = ParallelEvaluationRunner(matrix=evaluation_matrix, jobs=jobs)

@@ -50,7 +50,6 @@ from repro.harness.parallel import (  # noqa: E402
     ParallelEvaluationRunner,
     available_cpus,
 )
-from repro.harness.runner import EvaluationRunner  # noqa: E402
 from repro.trace.synthetic import uniform_workload  # noqa: E402
 
 DEFAULT_BENCH_PATH = REPO_ROOT / "BENCH_replay.json"
@@ -140,7 +139,7 @@ def measure(rounds: int = 3, smoke: bool = False) -> Dict[str, float]:
     metrics["replay_xbar_ocm_coherent_requests_per_s"] = requests / seconds
 
     pairs = _matrix(smoke).run_count()
-    serial_runner = EvaluationRunner(matrix=_matrix(smoke))
+    serial_runner = ParallelEvaluationRunner(matrix=_matrix(smoke), jobs=1)
     started = time.perf_counter()
     serial_runner.run()
     serial_seconds = time.perf_counter() - started

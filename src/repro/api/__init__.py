@@ -12,8 +12,9 @@ programmatically.  Three pieces:
   with an exact ``to_dict``/``from_dict`` JSON round-trip and validation
   errors that name the offending field.
 * **``run()``** (:mod:`repro.api.run`) -- the single entry point: resolves a
-  scenario against the registries, routes it through the serial or parallel
-  runner, streams per-pair results, and writes the markdown/JSON/CSV sinks.
+  scenario against the registries, runs its matrix (in process or on a
+  worker pool), streams per-pair results, and writes the markdown/JSON/CSV
+  sinks.
 
 Quickstart::
 

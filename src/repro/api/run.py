@@ -3,13 +3,15 @@
 Everything the CLI (and user code) runs goes through here: the scenario's
 names are resolved against the registries, a matrix implementing the
 :class:`~repro.harness.experiments.EvaluationMatrix` protocol is built, and
-the pairs are replayed by the serial or parallel runner -- the *same*
-runners the legacy ``evaluate`` path uses, so a scenario translated from
+its pairs are replayed by
+:class:`~repro.harness.parallel.ParallelEvaluationRunner` -- the one matrix
+runner, in process at ``jobs=1`` and on a worker pool otherwise, and the
+same one the legacy ``evaluate`` path uses, so a scenario translated from
 legacy flags reproduces its results bit-identically.
 
 Per-pair :class:`~repro.core.results.WorkloadResult`\\ s stream to the
-``on_result`` callback as they finish (serial order), and the finished run
-is exported to every sink the scenario's ``output`` block names: the
+``on_result`` callback as they finish (submission order), and the finished
+run is exported to every sink the scenario's ``output`` block names: the
 markdown report plus JSON/CSV result files carrying every stored field.
 """
 
@@ -32,6 +34,7 @@ from repro.core.results import (
 )
 from repro.faults import FaultSpec
 from repro.harness.experiments import ExperimentScale
+from repro.harness.parallel import ParallelEvaluationRunner
 from repro.obs.spec import ObservabilitySpec
 from repro.harness.report import ReproductionReport
 from repro.harness.resilience import PairFailure, RetryPolicy
@@ -43,7 +46,7 @@ RESULTS_FORMAT = "corona-results/1"
 class ScenarioMatrix:
     """A scenario resolved into the evaluation-matrix protocol.
 
-    Implements the interface :class:`~repro.harness.runner.EvaluationRunner`,
+    Implements the interface
     :class:`~repro.harness.parallel.ParallelEvaluationRunner` and
     :class:`~repro.harness.report.ReproductionReport` consume (``scale``,
     ``coherence``, ``corona_config``, ``configuration_names``,
@@ -338,18 +341,19 @@ def run(
 ) -> ScenarioResult:
     """Execute ``scenario`` and return its results, report and sinks.
 
-    ``jobs`` overrides the scenario's worker count (``1`` = serial in
-    process, ``0`` = every CPU).  ``on_result`` receives each pair's
-    :class:`WorkloadResult` the moment it completes, in serial order --
+    ``jobs`` overrides the scenario's worker count (``1`` = in process,
+    ``0`` = every CPU).  ``on_result`` receives each pair's
+    :class:`WorkloadResult` the moment it completes, in submission order --
     the streaming hook for dashboards and long sweeps.  Results are
-    bit-identical between serial and parallel execution.
+    bit-identical for every ``jobs`` value.
 
     ``policy`` is the resilience contract
     (:class:`~repro.harness.resilience.RetryPolicy`): per-pair timeouts
-    (parallel runs), bounded retries with backoff, and -- under
+    (pool runs), bounded retries with backoff, and -- under
     ``allow_failures`` -- partial results with the failed pairs recorded
     on :attr:`ScenarioResult.failures` instead of an exception.  ``None``
-    keeps the historical fail-fast behavior.
+    is the default policy: crashes are recovered and the first pair that
+    stays broken aborts the run.
     """
     scenario.import_modules()
     # Experiment names are checked before the (long) matrix run so a typo
@@ -376,37 +380,23 @@ def run(
             label="run",
         )
     started = time.perf_counter()
-    if effective_jobs == 1:
-        from repro.harness.runner import EvaluationRunner
-
-        runner = EvaluationRunner(
-            matrix=matrix,
-            progress=progress,
-            on_result=on_result,
-            policy=policy,
-            heartbeat=heartbeat,
-        )
-    else:
-        from repro.harness.parallel import ParallelEvaluationRunner
-
-        runner = ParallelEvaluationRunner(
-            matrix=matrix,
-            jobs=effective_jobs,
-            progress=progress,
-            on_result=on_result,
-            setup_modules=tuple(scenario.modules),
-            policy=policy,
-            heartbeat=heartbeat,
-        )
+    runner = ParallelEvaluationRunner(
+        matrix=matrix,
+        jobs=effective_jobs,
+        progress=progress,
+        on_result=on_result,
+        setup_modules=tuple(scenario.modules),
+        policy=policy,
+        heartbeat=heartbeat,
+    )
     try:
         runner.run()
     finally:
         if heartbeat is not None:
             heartbeat.finish()
     wall_clock = time.perf_counter() - started
-    failures = list(getattr(runner, "failures", []) or [])
     report_results = list(runner.results)
-    if failures:
+    if runner.failures:
         # Partial matrix: figures normalize per workload against a baseline
         # configuration, so workloads missing any configuration's result are
         # dropped from the *report* (the result list and sinks keep every
@@ -426,12 +416,10 @@ def run(
         wall_clock_seconds=runner.total_wall_clock_seconds(),
     )
     timings: Dict[str, object] = {}
-    phases = dict(getattr(runner, "phase_seconds", None) or {})
-    if phases:
-        timings["phases"] = phases
-    workers = dict(getattr(runner, "worker_seconds", None) or {})
-    if workers:
-        timings["workers"] = workers
+    if runner.phase_seconds:
+        timings["phases"] = dict(runner.phase_seconds)
+    if runner.worker_seconds:
+        timings["workers"] = dict(runner.worker_seconds)
     if runner.run_seconds:
         timings["pairs"] = [
             {"configuration": pair[0], "workload": pair[1], "seconds": seconds}
@@ -442,7 +430,7 @@ def run(
         results=list(runner.results),
         report=report,
         wall_clock_seconds=wall_clock,
-        failures=failures,
+        failures=list(runner.failures),
         timings=timings,
     )
     context = ExperimentContext(
@@ -485,12 +473,11 @@ def _coherence_sweep_experiment(
 
     Defaults mirror ``evaluate --coherence``: the LMesh/ECM / HMesh/ECM /
     XBar/OCM trio restricted to the scenario's configurations, at the
-    scenario scale's synthetic request count and seed.  Re-expressed as a
+    scenario scale's synthetic request count and seed.  Expressed as a
     declarative sweep spec (:func:`repro.sweeps.coherence_sweep_spec`) and
-    executed by the sweep engine -- the numbers are exactly the legacy
-    :func:`~repro.harness.experiments.coherence_sweep` numbers
-    (equivalence-tested), and ``json``/``csv`` params additionally emit the
-    long-form per-point records the report section cannot carry.
+    executed by the sweep engine (its per-pair results are pinned by golden
+    digests), and ``json``/``csv`` params additionally emit the long-form
+    per-point records the report section cannot carry.
     """
     from repro.harness.experiments import (
         COHERENCE_SWEEP_CONFIGURATIONS,

@@ -1,12 +1,12 @@
 """Experiment harness: regenerate every table and figure of the paper.
 
 * :mod:`repro.harness.experiments` -- the evaluation matrix (5 configurations
-  x 15 workloads) and the scaling knobs that keep a pure-Python replay
+  x 17 workloads) and the scaling knobs that keep a pure-Python replay
   tractable.
-* :mod:`repro.harness.runner` -- runs the matrix and collects
-  :class:`~repro.core.results.WorkloadResult` objects.
-* :mod:`repro.harness.parallel` -- the multiprocessing matrix runner
-  (bit-identical results, matrix wall-clock divided by the worker count).
+* :mod:`repro.harness.parallel` -- the matrix runner and the one pair
+  replay loop beneath it: in process at ``jobs=1``, a supervised worker
+  pool otherwise (bit-identical results, matrix wall-clock divided by the
+  worker count).
 * :mod:`repro.harness.tables` -- Tables 1-4 as data plus text renderers.
 * :mod:`repro.harness.figures` -- Figures 8-11 as data series plus ASCII bar
   charts, and the geometric-mean summary quoted in Section 5.
@@ -27,7 +27,6 @@ from repro.harness.figures import (
     speedup_summary,
 )
 from repro.harness.parallel import ParallelEvaluationRunner, available_cpus
-from repro.harness.runner import EvaluationRunner
 from repro.harness.tables import (
     format_table,
     table1_resource_configuration,
@@ -41,7 +40,6 @@ __all__ = [
     "EvaluationMatrix",
     "default_matrix",
     "quick_matrix",
-    "EvaluationRunner",
     "ParallelEvaluationRunner",
     "available_cpus",
     "table1_resource_configuration",

@@ -12,14 +12,14 @@ scale is a command-line/benchmark knob, not a hidden constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.coherence import CoherenceConfig, SharingProfile
+from repro.coherence import CoherenceConfig
 from repro.core.config import CoronaConfig
 from repro.core.configs import CONFIGURATION_ORDER, all_configurations
 from repro.core.results import WorkloadResult
 from repro.trace.splash2 import SPLASH2_ORDER, splash2_workloads
-from repro.trace.synthetic import synthetic_workloads, uniform_workload
+from repro.trace.synthetic import synthetic_workloads
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,8 @@ def quick_matrix() -> EvaluationMatrix:
 
 # --------------------------------------------------------------------------
 # Sharing-fraction sweep: the photonic-vs-electrical coherence cost axis.
+# The grid itself is repro.sweeps.coherence_sweep_spec; these are its
+# defaults and its report section.
 # --------------------------------------------------------------------------
 
 #: Configurations the sweep compares by default: the all-electrical baseline,
@@ -194,73 +196,6 @@ class CoherenceSweepPoint:
 
     sharing_fraction: float
     results: Sequence[WorkloadResult]
-
-
-def coherence_sweep(
-    fractions: Sequence[float] = COHERENCE_SWEEP_FRACTIONS,
-    configuration_names: Sequence[str] = COHERENCE_SWEEP_CONFIGURATIONS,
-    num_requests: int = 8_000,
-    seed: int = 1,
-    coherence: Optional[CoherenceConfig] = None,
-    sharing_kwargs: Optional[Dict] = None,
-    jobs: int = 1,
-    progress=None,
-    corona_config: Optional[CoronaConfig] = None,
-    modules: Sequence[str] = (),
-) -> List[CoherenceSweepPoint]:
-    """Sweep the sharing fraction of a Uniform workload across configurations.
-
-    For each fraction a sharing-tagged Uniform trace is generated once and
-    replayed (coherence-enabled) on every configuration, so the only variable
-    between configurations is how the interconnect delivers the coherence
-    traffic -- most visibly whether invalidations ride the optical broadcast
-    bus or fan out as per-sharer unicasts.  ``jobs`` > 1 fans the
-    (fraction, configuration) pairs over worker processes exactly like the
-    evaluation matrix; results are bit-identical to the serial sweep.
-
-    ``corona_config`` re-parameterizes the architecture (the sweep traces are
-    generated at its cluster count) and ``modules`` are imported in workers
-    before configuration names resolve -- both supplied by the Scenario API
-    when a scenario carries system overrides or user registrations.
-    """
-    from repro.harness.parallel import run_pairs  # local: avoids module cycle
-
-    coherence = coherence or CoherenceConfig()
-    sharing_kwargs = dict(sharing_kwargs or {})
-    workload_kwargs = (
-        {"num_clusters": corona_config.num_clusters} if corona_config else {}
-    )
-    pairs = []
-    labels = []
-    for fraction in fractions:
-        workload = uniform_workload(
-            name=f"Uniform s={fraction:g}",
-            sharing=SharingProfile(fraction=fraction, **sharing_kwargs),
-            description=f"Uniform with sharing fraction {fraction:g}",
-            **workload_kwargs,
-        )
-        trace = workload.generate(seed=seed, num_requests=num_requests)
-        for name in configuration_names:
-            pairs.append(
-                (name, trace, workload.window, coherence, corona_config,
-                 tuple(modules))
-            )
-            labels.append(fraction)
-
-    results = run_pairs(pairs, jobs=jobs, progress=progress)
-    points: List[CoherenceSweepPoint] = []
-    for fraction in fractions:
-        points.append(
-            CoherenceSweepPoint(
-                sharing_fraction=fraction,
-                results=tuple(
-                    result
-                    for label, result in zip(labels, results)
-                    if label == fraction
-                ),
-            )
-        )
-    return points
 
 
 def coherence_sweep_report(points: Sequence[CoherenceSweepPoint]) -> str:

@@ -1,29 +1,32 @@
-"""Parallel evaluation of the (configuration x workload) matrix.
+"""The one replay loop of the harness, and the matrix runner built on it.
 
 The (configuration, workload) pairs of the evaluation (85 in the full
 matrix: 5 configurations x 17 workloads) are fully independent: each pair
 builds its own network/memory/hub state from the configuration name and
-replays an immutable trace.  The :class:`ParallelEvaluationRunner` therefore
-fans the pairs across a supervised pool of worker processes and achieves
-near-linear matrix wall-clock speedup on multicore hosts.
+replays an immutable trace.  :func:`run_pairs` replays such pairs -- in
+process at ``jobs=1``, across a supervised pool of worker processes
+otherwise, with near-linear wall-clock speedup on multicore hosts -- and
+turns every outcome into a result or a
+:class:`~repro.harness.resilience.PairFailure`.  The
+:class:`ParallelEvaluationRunner` feeds it a matrix and the sweep engine the
+pairs of a grid.
 
 Zero-copy trace shipping
 ------------------------
-Each workload's trace is generated once in the parent, in packed columnar
-form (:class:`~repro.trace.packed.PackedTrace`), and *shipped by reference*:
-the columns are laid out in one ``multiprocessing.shared_memory`` block and
-the workers receive only the block's name plus a small shape header.  A
-worker maps the block and replays ``memoryview`` casts over the parent's
-pages -- no per-pair pickling, no per-worker copy, constant dispatch cost per
-pair regardless of trace size, which is what makes the ``full`` and ``paper``
-scale tiers practical.  Where shared memory is unavailable the shipment falls
-back to fork-inherited traces (a parent-side registry the forked workers can
-read) and, failing that, to pickling the packed columns -- still far smaller
-than the old per-pair record-object pickle.
+Traces are packed columns (:class:`~repro.trace.packed.PackedTrace`).  On
+the pool path each distinct trace is *shipped by reference*: the columns are
+laid out in one ``multiprocessing.shared_memory`` block and the workers
+receive only the block's name plus a small shape header.  A worker maps the
+block and replays ``memoryview`` casts over the parent's pages -- no
+per-pair pickling, no per-worker copy, constant dispatch cost per pair
+regardless of trace size, which is what makes the ``full`` and ``paper``
+scale tiers practical.  Where shared memory is unavailable the packed
+columns are pickled by value with each task instead (24 B/record).
 
-Generation overlaps replay: the pair stream is consumed lazily during pool
-submission, so while workers replay workload *k*'s pairs the parent is
-already generating (and shipping) workload *k+1*.
+Generation overlaps replay: the matrix runner generates each workload's
+trace as the fan-out consumes its pair stream, so while workers replay
+workload *k*'s pairs the parent is already generating (and shipping)
+workload *k+1*.
 
 Supervision and resilience
 --------------------------
@@ -40,23 +43,19 @@ mode in which pairs that stay broken become structured
 :class:`~repro.harness.resilience.PairFailure` records instead of aborting
 the run.
 
-Determinism and equivalence
----------------------------
-Results are bit-identical to the serial
-:class:`~repro.harness.runner.EvaluationRunner`:
+Determinism
+-----------
+Results are bit-identical for every ``jobs`` value:
 
 * Trace generation happens once per workload **in the parent** (same seed,
-  same generator state) and workers replay exactly those packed columns.
-* Each worker constructs a fresh ``SystemSimulator`` from the configuration
-  name -- exactly what ``EvaluationRunner.run_pair`` does -- so no state
-  leaks between pairs in either runner, and a retried pair reproduces its
+  same generator state), and every replay -- in process or in a worker --
+  reads exactly those packed columns.
+* Each replay constructs a fresh ``SystemSimulator`` from the configuration
+  name, so no state leaks between pairs and a retried pair reproduces its
   first attempt exactly.
-* Results are collected in submission order (workloads outer, configurations
-  inner), which is the serial runner's iteration order, so ``results`` lists
-  compare equal element by element even when completions arrive out of order.
-
-``jobs=1`` (or a single-CPU host) falls back to an in-process loop with no
-pool and no shipping, still producing the same results.
+* Results are collected in submission order (workloads outer,
+  configurations inner for a matrix), so ``results`` lists compare equal
+  element by element even when pool completions arrive out of order.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ import atexit
 import importlib
 import multiprocessing
 import os
-import secrets
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -98,8 +96,7 @@ from repro.obs.artifacts import resolve_pair_spec, write_pair_artifacts
 from repro.obs.log import configure_worker_logging, get_logger
 from repro.obs.progress import ProgressReporter
 from repro.obs.spec import ObservabilitySpec
-from repro.trace.packed import PackedTrace, as_packed, generate_packed_trace
-from repro.trace.record import TraceStream
+from repro.trace.packed import PackedTrace, generate_packed_trace
 
 _log = get_logger(__name__)
 
@@ -115,6 +112,12 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # pragma: no cover - non-Linux fallback
         return os.cpu_count() or 1
+
+
+def _effective_jobs(jobs: int, count: int) -> int:
+    """Workers a fan-out of ``count`` pairs uses: ``jobs`` (every available
+    CPU when ``jobs`` <= 0), at most one per pair, at least one."""
+    return min(jobs if jobs and jobs > 0 else available_cpus(), count) or 1
 
 
 class WorkerSetupError(RuntimeError):
@@ -166,38 +169,10 @@ def _resolve_configuration(name: str, modules: Sequence[str] = ()):
 # Trace shipping
 # ---------------------------------------------------------------------------
 
-#: Parent-side registry backing the fork-inherited fallback: forked workers
-#: see a snapshot of this dict and resolve shipped keys from it directly.
-#: Entries must therefore be registered *before* the pool forks (the matrix
-#: runner pre-ships every trace when this fallback is in play).  Respawned
-#: workers re-fork from the parent, so entries registered before the original
-#: pool start stay visible to replacements too.
-_FORK_REGISTRY: Dict[str, PackedTrace] = {}
-
-_SHM_PROBE: Optional[bool] = None
-
-
-def _shm_available() -> bool:
-    """Whether this host can create POSIX shared-memory blocks at all
-    (probed once; e.g. containers without a usable /dev/shm cannot)."""
-    global _SHM_PROBE
-    if _SHM_PROBE is None:
-        if _shared_memory is None:
-            _SHM_PROBE = False
-        else:
-            try:
-                probe = _shared_memory.SharedMemory(create=True, size=1)
-                probe.close()
-                probe.unlink()
-                _SHM_PROBE = True
-            except OSError:
-                _SHM_PROBE = False
-    return _SHM_PROBE
-
-#: Worker-side cache of resolved shipments, keyed by shipment token, so a
-#: worker maps each workload's block once no matter how many configurations
-#: it replays against it.  Values are ``(packed_trace, shm_or_None)``; the
-#: shared-memory handle is kept alive for as long as the views exist.
+#: Worker-side cache of mapped shipments, keyed by shared-memory block name,
+#: so a worker maps each trace's block once no matter how many
+#: configurations it replays against it.  Values are ``(packed_trace,
+#: shm)``; the block handle is kept alive for as long as the views exist.
 _WORKER_CACHE: Dict[str, Tuple[PackedTrace, object]] = {}
 
 
@@ -211,13 +186,12 @@ def _release_worker_cache() -> None:
     alive and raise an ignored ``BufferError`` at shutdown.
     """
     while _WORKER_CACHE:
-        _token, (trace, shm) = _WORKER_CACHE.popitem()
+        _name, (trace, shm) = _WORKER_CACHE.popitem()
         del trace
-        if shm is not None:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - views still referenced
-                pass
+        try:
+            shm.close()
+        except BufferError:  # pragma: no cover - views still referenced
+            pass
 
 
 def _attach_shared_memory(name: str):
@@ -225,76 +199,44 @@ def _attach_shared_memory(name: str):
 
     Python < 3.13 registers every attachment with the resource tracker
     (bpo-39959); ``track=False`` (3.13+) avoids that.  On older interpreters
-    the fix depends on the start method: forked workers share the parent's
-    tracker, where the duplicate registration is idempotent and the parent's
-    ``unlink`` balances it, so nothing further is needed; spawned workers run
-    their *own* tracker, which must be told to forget the block or it will
-    unlink the parent's storage when the worker exits.
+    the registration is harmless: the pool starts the parent's tracker
+    before its workers, so every start method shares it, the duplicate
+    registration is idempotent and the parent's ``unlink`` balances it.
     """
     try:
         return _shared_memory.SharedMemory(name=name, track=False)
     except TypeError:
-        shm = _shared_memory.SharedMemory(name=name)
-        if multiprocessing.get_start_method(allow_none=True) != "fork":
-            try:  # pragma: no cover - spawn/forkserver platforms
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
-        return shm
+        return _shared_memory.SharedMemory(name=name)
 
 
 class TraceShipment:
     """Parent-side handle of one packed trace shipped to worker processes.
 
-    The parent keeps the storage alive for the duration of the fan-out and
-    releases it in :meth:`close`; workers only ever receive the picklable
-    :attr:`handle` tuple.
+    Workers receive only :attr:`handle`: ``(block_name, header)`` of a
+    shared-memory block holding the columns, or -- on hosts that cannot
+    create one -- the :class:`~repro.trace.packed.PackedTrace` itself,
+    pickled by value with every task.  The parent keeps the block alive for
+    the duration of the fan-out and releases it in :meth:`close`.
     """
 
-    __slots__ = ("packed", "handle", "_shm", "_registry_key")
+    __slots__ = ("packed", "handle", "_shm")
 
-    def __init__(self, packed: PackedTrace, fork_ok: bool = True) -> None:
-        """``fork_ok`` must be False once the pool has forked: a registry
-        entry added after the fork is invisible to the workers' snapshot, so
-        a late shm failure must fall through to by-value shipping instead."""
+    def __init__(self, packed: PackedTrace) -> None:
         self.packed = packed
         self._shm = None
-        self._registry_key: Optional[str] = None
-        header = packed.header()
         if _shared_memory is not None:
             try:
-                shm = _shared_memory.SharedMemory(
+                self._shm = _shared_memory.SharedMemory(
                     create=True, size=max(packed.nbytes(), 1)
                 )
             except OSError:
-                shm = None
-            if shm is not None:
-                packed.copy_into(shm.buf)
-                self._shm = shm
-                self.handle = ("shm", shm.name, header)
-                return
-        if fork_ok and multiprocessing.get_start_method(allow_none=True) in (
-            None,
-            "fork",
-        ):
-            _log.info(
-                "shared memory unavailable; shipping trace via the "
-                "fork-inherited registry"
-            )
-            key = f"trace-{secrets.token_hex(8)}"
-            _FORK_REGISTRY[key] = packed
-            self._registry_key = key
-            self.handle = ("fork", key, header)
-            return
-        # Last resort (no shm, or shm ran out after the pool forked): ship
-        # the packed columns by value -- one pickle per worker task, but
-        # 24 B/record instead of record objects.
-        _log.info(
-            "shared memory unavailable; shipping packed trace by value"
-        )
-        self.handle = packed
+                pass
+        if self._shm is None:
+            _log.info("shared memory unavailable; shipping packed trace by value")
+            self.handle = packed
+        else:
+            packed.copy_into(self._shm.buf)
+            self.handle = (self._shm.name, packed.header())
 
     def close(self) -> None:
         """Release the parent-side storage (workers hold their own maps)."""
@@ -305,27 +247,19 @@ class TraceShipment:
             except FileNotFoundError:  # pragma: no cover - already unlinked
                 pass
             self._shm = None
-        if self._registry_key is not None:
-            _FORK_REGISTRY.pop(self._registry_key, None)
-            self._registry_key = None
 
 
 def _resolve_trace(trace) -> PackedTrace:
-    """Worker-side: turn whatever was shipped into a replayable trace."""
-    if isinstance(trace, (PackedTrace, TraceStream)):
+    """Worker-side: a by-value trace as is, a shared-memory handle mapped
+    (once per worker) into a view over the parent's block."""
+    if isinstance(trace, PackedTrace):
         return trace
-    kind, token, header = trace
-    cached = _WORKER_CACHE.get(token)
-    if cached is not None:
-        return cached[0]
-    if kind == "shm":
-        shm = _attach_shared_memory(token)
-        packed = PackedTrace.from_buffer(header, shm.buf)
-        _WORKER_CACHE[token] = (packed, shm)
-    else:
-        packed = _FORK_REGISTRY[token]
-        _WORKER_CACHE[token] = (packed, None)
-    return packed
+    name, header = trace
+    cached = _WORKER_CACHE.get(name)
+    if cached is None:
+        shm = _attach_shared_memory(name)
+        cached = _WORKER_CACHE[name] = (PackedTrace.from_buffer(header, shm.buf), shm)
+    return cached[0]
 
 
 def _replay_pair(
@@ -337,16 +271,15 @@ def _replay_pair(
     modules: Sequence[str] = (),
     faults: Optional[FaultSpec] = None,
     observability: Optional[ObservabilitySpec] = None,
-) -> Tuple[WorkloadResult, float]:
-    """Worker body: replay one (configuration, workload) pair.
+) -> Tuple[WorkloadResult, float, float]:
+    """Replay one (configuration, workload) pair, in process or in a worker.
 
     Module-level so it pickles under every multiprocessing start method.
-    ``trace`` is either an in-memory trace (in-process path) or a shipment
-    handle resolved against this worker's cache.  Returns the result plus
-    the replay wall-clock seconds measured in the worker.  ``coherence`` (a
-    picklable frozen dataclass) enables the timed MOESI directory in the
-    worker's simulator, so coherence statistics flow through the parallel
-    path exactly as through the serial one; ``corona_config`` likewise ships
+    ``trace`` is a :class:`~repro.trace.packed.PackedTrace` or a
+    :class:`TraceShipment` handle resolved against this worker's cache.
+    Returns the result, the replay wall-clock seconds and the seconds spent
+    writing telemetry artifacts.  ``coherence`` (a picklable frozen
+    dataclass) enables the timed MOESI directory, ``corona_config`` carries
     scenario system overrides and ``faults`` the scenario's deterministic
     fault spec.  ``configuration_name`` resolves through the Scenario API
     registry (seeded with the five paper systems), with ``modules`` imported
@@ -354,10 +287,10 @@ def _replay_pair(
 
     ``observability`` (when active) is a *pair-resolved*
     :class:`~repro.obs.spec.ObservabilitySpec` -- its sink paths were
-    already specialized for this pair in the parent -- so the worker writes
-    the metrics/timeline artifacts directly and the outcome shape stays
-    ``(result, seconds)``.  The artifact write happens after the replay
-    timer stops, so telemetry never pollutes the recorded replay seconds.
+    already specialized for this pair in the parent -- so the replaying
+    process writes the metrics/timeline/samples artifacts directly.  The
+    write happens after the replay timer stops, so telemetry never pollutes
+    the recorded replay seconds.
     """
     configuration = _resolve_configuration(configuration_name, modules)
     trace = _resolve_trace(trace)
@@ -372,9 +305,12 @@ def _replay_pair(
     started = time.perf_counter()
     result = simulator.run(trace)
     seconds = time.perf_counter() - started
+    sink_seconds = 0.0
     if observability is not None and observability.simulation_active:
-        write_pair_artifacts(simulator, configuration_name, result.workload)
-    return result, seconds
+        _written, sink_seconds = write_pair_artifacts(
+            simulator, configuration_name, result.workload
+        )
+    return result, seconds, sink_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +321,8 @@ def _replay_pair(
 class _RawFailure(NamedTuple):
     """One pair's terminal failure before names are attached.
 
-    ``payload`` is the worker's exception object when it pickled (so strict
-    mode re-raises the original), otherwise a message string.
+    ``payload`` is the exception object when it pickled (so strict mode can
+    re-raise the original), otherwise a message string.
     """
 
     kind: str
@@ -400,25 +336,32 @@ def _raw_message(raw: _RawFailure) -> str:
 
 
 def _raise_strict(raw: _RawFailure, failure: PairFailure) -> None:
-    """Abort a strict (``allow_failures=False``) run for one failed pair."""
+    """Abort a strict (``allow_failures=False``) run for one failed pair.
+
+    The same rule for every ``jobs`` value: a setup error re-raises clean,
+    an error on the pair's only attempt re-raises the original exception,
+    and anything that was retried (or is not an exception: crashes,
+    timeouts) raises :class:`PairFailureError`.
+    """
     if raw.kind == "setup":
         # Re-raise clean: the remote traceback (pool internals plus the
         # worker's frames) adds nothing to this actionable message.
         raise WorkerSetupError(str(raw.payload)) from None
-    if isinstance(raw.payload, BaseException):
-        raise raw.payload
-    raise PairFailureError([failure])
+    cause = raw.payload if isinstance(raw.payload, BaseException) else None
+    if cause is not None and failure.attempts == 1:
+        raise cause
+    raise PairFailureError([failure]) from cause
 
 
 def _pool_worker(conn) -> None:
     """Worker loop: receive ``(index, attempt, args)`` tasks, send outcomes.
 
     Runs until the parent sends ``None`` or the pipe closes.  Outcomes are
-    ``(index, "ok", (result, seconds))`` or ``(index, kind, payload)`` where
-    ``kind`` is ``"setup"``/``"error"`` and ``payload`` the exception (or its
-    rendering, when the exception does not pickle).  Crashes and hangs send
-    nothing -- the parent detects them through the process sentinel and the
-    per-pair deadline.
+    ``(index, "ok", (result, seconds, sink_seconds))`` or ``(index, kind,
+    payload)`` where ``kind`` is ``"setup"``/``"error"`` and ``payload`` the
+    exception (or its rendering, when the exception does not pickle).
+    Crashes and hangs send nothing -- the parent detects them through the
+    process sentinel and the per-pair deadline.
     """
     configure_worker_logging()
     while True:
@@ -493,8 +436,8 @@ def _retire_worker(worker: _Worker, kill: bool = False) -> None:
 
 def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
                   policy: RetryPolicy):
-    """Supervised fan-out: yield ``(result, seconds, raw_failure, attempts,
-    worker_name)`` per pair, in submission order.
+    """Supervised fan-out: yield ``(result, seconds, sink_seconds,
+    raw_failure, attempts, worker_name)`` per pair, in submission order.
 
     The parent multiplexes worker pipes and process sentinels through
     ``multiprocessing.connection.wait``: a sentinel firing while its pipe is
@@ -503,8 +446,16 @@ def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
     respawned, and the pair retried).  Retries obey the policy's bounds and
     exponential backoff; pairs that stay broken yield a :class:`_RawFailure`
     instead of a result.  Completions arriving out of submission order are
-    buffered so the yield order matches the serial runner exactly.
+    buffered so the yield order matches :func:`_serial_fan_out` exactly.
     """
+    if os.name == "posix":
+        # Traces are shipped lazily, after the workers start, so start the
+        # resource tracker first: workers must share it, because a tracker
+        # a worker starts on its own unlinks the parent's shared-memory
+        # blocks when that worker exits.
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
     ctx = multiprocessing.get_context()
     workers: List[_Worker] = [_spawn_worker(ctx) for _ in range(jobs)]
     iterator = iter(pairs)
@@ -527,7 +478,7 @@ def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
             heappush(retry_heap, (eligible, index, attempt + 1, args))
         else:
             outcomes[index] = (
-                None, 0.0, _RawFailure(kind, payload), attempt + 1,
+                None, 0.0, 0.0, _RawFailure(kind, payload), attempt + 1,
                 worker_name,
             )
 
@@ -640,9 +591,9 @@ def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
                     worker.deadline = None
                     _index, kind, payload = message
                     if kind == "ok":
-                        result, seconds = payload
+                        result, seconds, sink_seconds = payload
                         outcomes[index] = (
-                            result, seconds, None, attempt + 1,
+                            result, seconds, sink_seconds, None, attempt + 1,
                             worker.process.name,
                         )
                     else:
@@ -689,166 +640,135 @@ def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
 def _serial_fan_out(pairs: Iterable[tuple], policy: RetryPolicy):
     """In-process fan-out with the same outcome shape as the pool.
 
-    Crashes and hangs cannot occur in-process; deterministic errors follow
-    the policy's ``retry_errors``/``allow_failures`` treatment (``timeout_s``
-    is ignored -- a replay cannot be preempted from its own thread).
+    Crashes and hangs cannot occur in-process; errors are retried per the
+    policy's ``retry_errors`` (``timeout_s`` is ignored -- a replay cannot be
+    preempted from its own thread) and then yielded as failures, exactly
+    like the pool's.
     """
     for index, args in enumerate(pairs):
         attempt = 0
         while True:
+            replayed, raw = (None, 0.0, 0.0), None
             try:
                 _chaos.maybe_sabotage(index, attempt, in_process=True)
-                result, seconds = _replay_pair(*args)
-            except WorkerSetupError:
-                raise
+                replayed = _replay_pair(*args)
+            except WorkerSetupError as exc:
+                raw = _RawFailure("setup", str(exc))
             except Exception as exc:  # noqa: BLE001 - policy decides
                 if attempt < policy.retries_for("error"):
-                    delay = policy.retry_delay_s(attempt + 1)
+                    attempt += 1
+                    _log.info("pair %d failed in process; retry %d", index, attempt)
+                    delay = policy.retry_delay_s(attempt)
                     if delay > 0:
                         time.sleep(delay)
-                    attempt += 1
                     continue
-                if policy.allow_failures:
-                    yield (
-                        None, 0.0, _RawFailure("error", exc), attempt + 1,
-                        "in-process",
-                    )
-                    break
-                raise
-            else:
-                yield (result, seconds, None, attempt + 1, "in-process")
-                break
-
-
-def _fan_out_pairs(
-    pairs: Iterable[tuple],
-    jobs: int,
-    count: int,
-    policy: Optional[RetryPolicy] = None,
-):
-    """Replay ``_replay_pair`` argument tuples, yielding
-    ``(result, seconds, raw_failure, attempts, worker_name)`` in submission
-    order.
-
-    The single fan-out implementation behind both the matrix runner and
-    :func:`run_pairs`.  ``jobs`` <= 1 (after the caller clamps to the pair
-    count and available CPUs) runs in-process with no pool overhead.
-    Otherwise the pairs are dispatched to the supervised pool *as the
-    iterable produces them* -- lazy trace generation therefore overlaps the
-    earliest replays -- and results are collected in submission order,
-    bit-identical to the serial loop.  ``raw_failure`` is None for pairs
-    that succeeded (possibly after retries) and a :class:`_RawFailure` for
-    pairs that exhausted the policy's retries.
-    """
-    if policy is None:
-        policy = DEFAULT_POLICY
-    jobs = min(jobs if jobs and jobs > 0 else available_cpus(), count) or 1
-    if jobs <= 1:
-        yield from _serial_fan_out(pairs, policy)
-        return
-    yield from _pool_fan_out(pairs, jobs, count, policy)
+                raw = _RawFailure("error", exc)
+            yield (*replayed, raw, attempt + 1, "in-process")
+            break
 
 
 def run_pairs(
-    pairs: List[tuple],
+    pairs: Iterable[tuple],
     jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     on_result: Optional[Callable[[WorkloadResult], None]] = None,
     policy: Optional[RetryPolicy] = None,
-    on_outcome: Optional[
-        Callable[
-            [int, Optional[WorkloadResult], Optional[PairFailure], int, float],
-            None,
-        ]
-    ] = None,
+    on_outcome: Optional[Callable[..., None]] = None,
+    count: Optional[int] = None,
 ) -> List[Optional[WorkloadResult]]:
     """Replay ``(configuration_name, trace, window, coherence[,
-    corona_config, modules, faults, observability])`` tuples.
+    corona_config, modules, faults, observability])`` tuples -- the one
+    replay loop behind the matrix runner, the sweeps and ad-hoc pair lists.
 
-    The helper behind the coherence and parameter sweeps (and usable for any
-    ad-hoc pair list); see :func:`_fan_out_pairs` for the jobs semantics.
-    When a pool is used, each distinct trace is packed once and shipped
-    through a :class:`TraceShipment` (shared memory first), exactly like the
-    matrix runner.  The optional trailing elements ship scenario system
-    overrides, worker setup modules and the fault spec, exactly like the
-    matrix runner's pair stream.  ``on_result`` receives each pair's result
-    the moment it is collected (submission = serial order) -- the streaming
-    hook the sweep engine uses to checkpoint completed points as soon as
-    their last pair lands.
+    ``trace`` is a :class:`~repro.trace.packed.PackedTrace`; the optional
+    trailing elements carry scenario system overrides, worker setup modules,
+    the fault spec and a pair-resolved telemetry spec.  ``pairs`` may be any
+    iterable, with ``count`` its length when it has no ``len``.  It is
+    consumed as pairs are dispatched, so a stream that generates each trace
+    on first use overlaps generation with the earlier pairs' replays.
+
+    ``jobs`` is the worker count (``0`` = every available CPU), clamped to
+    the pair count.  At 1 the pairs replay in this process with no pool and
+    no shipping; otherwise each distinct trace is shipped once through a
+    :class:`TraceShipment` and the pairs fan out over the supervised pool.
+    Either way results come back in submission order, bit-identical.
+    ``on_result`` receives each result the moment it is collected -- the
+    streaming hook of the Scenario API and the sweep checkpoints -- and
+    ``progress`` one line per finished pair.
 
     ``policy`` governs retries/timeouts/partial results (default:
     :data:`~repro.harness.resilience.DEFAULT_POLICY` -- crashes recovered,
-    failures abort).  Under ``allow_failures`` the returned list holds
-    ``None`` at failed pairs' positions, and ``on_outcome(position, result,
-    failure, attempts, seconds)`` reports every pair's fate, successes
-    included -- ``seconds`` is the pair's replay wall-clock measured where
-    it ran (the per-point timing the sweep engine checkpoints).
+    failures abort as :func:`_raise_strict` describes).  Under
+    ``allow_failures`` the returned list holds ``None`` at failed pairs'
+    positions.  ``on_outcome(position, result, failure, attempts, seconds,
+    worker, sink_seconds)`` reports every pair's fate, successes included:
+    ``seconds`` is the replay wall clock measured where the pair ran,
+    ``worker`` that process's name (``"in-process"`` at ``jobs=1``) and
+    ``sink_seconds`` the time spent writing its telemetry artifacts.
     """
     if policy is None:
         policy = DEFAULT_POLICY
-    effective = min(jobs if jobs and jobs > 0 else available_cpus(), len(pairs)) or 1
+    if count is None:
+        count = len(pairs)
+    jobs = _effective_jobs(jobs, count)
+    labels: List[Tuple[str, str]] = []
     shipments: Dict[int, TraceShipment] = {}
-    results: List[Optional[WorkloadResult]] = []
-    labels: List[Tuple[str, str]] = [
-        (pair[0], getattr(pair[1], "name", "?")) for pair in pairs
-    ]
-    outcomes = None
-    try:
-        calls = []
-        if effective > 1:
-            # Shipments are created here, before _fan_out_pairs forks the
-            # pool, so the fork-registry fallback is safe (fork_ok default).
-            for configuration_name, trace, *rest in pairs:
+
+    def calls():
+        for configuration_name, trace, *rest in pairs:
+            labels.append((configuration_name, trace.name))
+            if jobs > 1:
                 shipment = shipments.get(id(trace))
                 if shipment is None:
-                    shipment = TraceShipment(as_packed(trace))
-                    shipments[id(trace)] = shipment
-                calls.append((configuration_name, shipment.handle, *rest))
-        else:
-            # In-process: still pack each distinct trace exactly once, so a
-            # stream replayed against K configurations is not re-packed K
-            # times by SystemSimulator.run.
-            packed_by_trace: Dict[int, PackedTrace] = {}
-            for configuration_name, trace, *rest in pairs:
-                packed = packed_by_trace.get(id(trace))
-                if packed is None:
-                    packed = as_packed(trace)
-                    packed_by_trace[id(trace)] = packed
-                calls.append((configuration_name, packed, *rest))
-        outcomes = _fan_out_pairs(calls, effective, len(calls), policy)
-        for position, (result, seconds, raw, attempts, _worker) in enumerate(
-            outcomes
-        ):
-            if raw is None:
-                results.append(result)
-                if on_outcome is not None:
-                    on_outcome(position, result, None, attempts, seconds)
-                if on_result is not None:
-                    on_result(result)
-                if progress is not None:
-                    progress(f"{result.workload} {result.configuration} done")
-                continue
-            configuration_name, workload_name = labels[position]
-            failure = PairFailure(
-                configuration=configuration_name,
-                workload=workload_name,
-                kind=raw.kind,
-                message=_raw_message(raw),
-                attempts=attempts,
-            )
-            if not policy.allow_failures:
-                _raise_strict(raw, failure)
-            results.append(None)
+                    shipment = shipments[id(trace)] = TraceShipment(trace)
+                trace = shipment.handle
+            yield (configuration_name, trace, *rest)
+
+    outcomes = (
+        _serial_fan_out(calls(), policy)
+        if jobs == 1
+        else _pool_fan_out(calls(), jobs, count, policy)
+    )
+    results: List[Optional[WorkloadResult]] = []
+    try:
+        for position, outcome in enumerate(outcomes):
+            result, seconds, sink_seconds, raw, attempts, worker = outcome
+            failure = None
+            if raw is not None:
+                configuration_name, workload_name = labels[position]
+                failure = PairFailure(
+                    configuration=configuration_name,
+                    workload=workload_name,
+                    kind=raw.kind,
+                    message=_raw_message(raw),
+                    attempts=attempts,
+                )
+                if not policy.allow_failures:
+                    _raise_strict(raw, failure)
+            results.append(result)
             if on_outcome is not None:
-                on_outcome(position, None, failure, attempts, seconds)
+                on_outcome(
+                    position, result, failure, attempts, seconds, worker,
+                    sink_seconds,
+                )
+            if failure is not None:
+                if progress is not None:
+                    progress(
+                        f"{workload_name:<10} {configuration_name:<10} "
+                        f"FAILED ({raw.kind} after {attempts} attempt(s))"
+                    )
+                continue
+            if on_result is not None:
+                on_result(result)
             if progress is not None:
                 progress(
-                    f"{workload_name} {configuration_name} FAILED "
-                    f"({raw.kind} after {attempts} attempt(s))"
+                    f"{result.workload:<10} {result.configuration:<10} "
+                    f"exec={result.execution_time_s * 1e6:9.2f} us "
+                    f"bw={result.achieved_bandwidth_tbps:6.3f} TB/s "
+                    f"lat={result.average_latency_ns:8.1f} ns"
                 )
     finally:
-        if outcomes is not None:
-            outcomes.close()
+        outcomes.close()
         for shipment in shipments.values():
             shipment.close()
     return results
@@ -856,7 +776,9 @@ def run_pairs(
 
 @dataclass
 class ParallelEvaluationRunner:
-    """Runs every (configuration, workload) pair of a matrix in parallel.
+    """Runs every (configuration, workload) pair of a matrix through
+    :func:`run_pairs`: in process at ``jobs=1``, on the worker pool
+    otherwise, with bit-identical results.
 
     Parameters
     ----------
@@ -864,13 +786,14 @@ class ParallelEvaluationRunner:
         The evaluation matrix to run.
     jobs:
         Worker process count.  ``0`` (the default) uses every available CPU;
-        ``1`` runs in-process without a pool.
+        ``1`` replays in process without a pool.
     progress:
         Optional callback receiving one line per finished pair (reported in
-        serial order).
+        submission order).
     on_result:
         Optional callback receiving each pair's :class:`WorkloadResult` as
-        it completes (serial order) -- the Scenario API's streaming hook.
+        it completes (submission order) -- the Scenario API's streaming
+        hook.
     setup_modules:
         Modules every worker imports before resolving configuration names
         (a scenario's ``modules`` list); required for user-registered
@@ -894,209 +817,99 @@ class ParallelEvaluationRunner:
     results: List[WorkloadResult] = field(default_factory=list)
     failures: List[PairFailure] = field(default_factory=list)
     run_seconds: Dict[tuple, float] = field(default_factory=dict)
-    #: Wall-clock seconds per harness phase (trace_generation, shipping,
-    #: replay = summed worker replay seconds, dispatch = fan-out wall clock
-    #: beyond replay/jobs -- submission, pipes, result collection).
+    #: Wall-clock seconds per harness phase: trace_generation, replay
+    #: (summed per-pair replay seconds), sink_write (telemetry artifacts,
+    #: when enabled) and dispatch (the fan-out wall clock beyond generation
+    #: and each worker's share of replays and sink writes -- simulator
+    #: construction, trace shipping, pipes, result collection).
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Replay seconds attributed to each worker process by name.
     worker_seconds: Dict[str, float] = field(default_factory=dict)
-    _traces: Dict[str, PackedTrace] = field(default_factory=dict, repr=False)
-    _shipments: Dict[str, TraceShipment] = field(default_factory=dict, repr=False)
-
-    def resolved_jobs(self) -> int:
-        """The actual worker count this runner will use."""
-        if self.jobs and self.jobs > 0:
-            return self.jobs
-        return available_cpus()
-
-    def _report(self, result: WorkloadResult) -> None:
-        if self.progress is not None:
-            self.progress(
-                f"{result.workload:<10} {result.configuration:<10} "
-                f"exec={result.execution_time_s * 1e6:9.2f} us "
-                f"bw={result.achieved_bandwidth_tbps:6.3f} TB/s "
-                f"lat={result.average_latency_ns:8.1f} ns"
-            )
 
     def _phase(self, name: str, seconds: float) -> None:
         self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
 
-    def _trace_for(self, workload) -> PackedTrace:
-        """The workload's packed trace, generated once and cached."""
-        packed = self._traces.get(workload.name)
-        if packed is None:
+    def _pairs(self):
+        """Lazily yield the matrix's :func:`run_pairs` tuples, workloads
+        outer and configurations inner, generating each workload's trace
+        when its first pair is requested."""
+        corona_config = getattr(self.matrix, "corona_config", None)
+        faults = getattr(self.matrix, "faults", None)
+        observability = getattr(self.matrix, "observability", None)
+        multi = self.matrix.run_count() > 1
+        names = [configuration.name for configuration in self.matrix.configurations()]
+        for workload in self.matrix.workloads():
             started = time.perf_counter()
-            packed = generate_packed_trace(
+            trace = generate_packed_trace(
                 workload,
                 seed=self.matrix.scale.seed,
                 num_requests=self.matrix.requests_for(workload),
             )
             self._phase("trace_generation", time.perf_counter() - started)
-            self._traces[workload.name] = packed
             _log.debug("generated trace for workload %s", workload.name)
-        return packed
-
-    def _shipped(self, workload, fork_ok: bool) -> object:
-        """The workload's shipment handle (creating the shipment on first
-        use), for pool runs.  ``fork_ok`` is False once the pool has forked
-        (the lazy streaming path)."""
-        shipment = self._shipments.get(workload.name)
-        if shipment is None:
-            trace = self._trace_for(workload)
-            started = time.perf_counter()
-            shipment = TraceShipment(trace, fork_ok=fork_ok)
-            self._phase("shipping", time.perf_counter() - started)
-            self._shipments[workload.name] = shipment
-        return shipment.handle
-
-    def _close_shipments(self) -> None:
-        for shipment in self._shipments.values():
-            shipment.close()
-        self._shipments.clear()
-
-    def _pair_stream(self, ship: bool, only_workload: Optional[str] = None):
-        """Lazily yield ``(configuration_name, workload_name, trace, window,
-        coherence)`` in the serial runner's iteration order (workloads outer,
-        configurations inner).
-
-        Traces are generated (and shipped) as the stream is consumed, which
-        is what lets generation overlap the replay of earlier workloads'
-        pairs during pool submission.
-        """
-        configurations = self.matrix.configurations()
-        for workload in self.matrix.workloads():
-            if only_workload is not None and workload.name != only_workload:
-                continue
-            trace = (
-                # Consumed during pool submission, i.e. after the fork: a
-                # shipment created here must not rely on the fork registry.
-                self._shipped(workload, fork_ok=False)
-                if ship
-                else self._trace_for(workload)
-            )
             window = getattr(workload, "window", 4)
-            for configuration in configurations:
+            for name in names:
                 yield (
-                    configuration.name,
-                    workload.name,
+                    name,
                     trace,
                     window,
                     self.matrix.coherence,
-                )
-
-    def _corona_config(self) -> Optional[CoronaConfig]:
-        """Scenario system overrides to ship to workers (None = default)."""
-        return getattr(self.matrix, "corona_config", None)
-
-    def _execute(
-        self, count: int, only_workload: Optional[str] = None
-    ) -> List[WorkloadResult]:
-        """Run ``count`` pairs; append to (and return) new results."""
-        policy = self.policy if self.policy is not None else DEFAULT_POLICY
-        effective = min(self.resolved_jobs(), count) or 1
-        stream = self._pair_stream(ship=effective > 1, only_workload=only_workload)
-        submitted: List[Tuple[str, str]] = []
-
-        corona_config = self._corona_config()
-        fault_spec = getattr(self.matrix, "faults", None)
-        obs_spec = getattr(self.matrix, "observability", None)
-        multi = self.matrix.run_count() > 1
-
-        def calls():
-            for configuration_name, workload_name, trace, window, coherence in stream:
-                submitted.append((configuration_name, workload_name))
-                yield (
-                    configuration_name,
-                    trace,
-                    window,
-                    coherence,
                     corona_config,
                     self.setup_modules,
-                    fault_spec,
+                    faults,
                     # Per-pair sink paths are resolved here in the parent;
-                    # the worker just writes to them.
-                    resolve_pair_spec(
-                        obs_spec, configuration_name, workload_name, multi
-                    ),
+                    # the replaying process just writes to them.
+                    resolve_pair_spec(observability, name, workload.name, multi),
                 )
 
-        produced: List[WorkloadResult] = []
-        replay_sum = 0.0
-        fan_started = time.perf_counter()
-        outcomes = _fan_out_pairs(calls(), effective, count, policy)
+    def _record(
+        self, position, result, failure, attempts, seconds, worker, sink_seconds
+    ) -> None:
+        """The per-pair bookkeeping (:func:`run_pairs`' ``on_outcome``)."""
+        self._phase("replay", seconds)
+        if sink_seconds:
+            self._phase("sink_write", sink_seconds)
+        if self.heartbeat is not None:
+            self.heartbeat.pair_done(
+                failed=failure is not None, retries=attempts - 1
+            )
+        if failure is not None:
+            self.failures.append(failure)
+            return
+        self.results.append(result)
+        self.run_seconds[(result.configuration, result.workload)] = seconds
+        self.worker_seconds[worker] = self.worker_seconds.get(worker, 0.0) + seconds
+
+    def run(self) -> List[WorkloadResult]:
+        """Run the whole matrix; returns all results (also kept on self)."""
+        count = self.matrix.run_count()
+        jobs = _effective_jobs(self.jobs, count)
+        started = time.perf_counter()
         try:
-            if effective > 1 and not _shm_available():
-                # The fork-inherited fallback only sees traces registered
-                # before the pool forks, so give up generation/replay overlap
-                # and ship everything up front (pre-fork: fork_ok).
-                for workload in self.matrix.workloads():
-                    if only_workload is None or workload.name == only_workload:
-                        self._shipped(workload, fork_ok=True)
-            for position, (result, seconds, raw, attempts, worker) in enumerate(
-                outcomes
-            ):
-                configuration_name, workload_name = submitted[position]
-                if raw is not None:
-                    failure = PairFailure(
-                        configuration=configuration_name,
-                        workload=workload_name,
-                        kind=raw.kind,
-                        message=_raw_message(raw),
-                        attempts=attempts,
-                    )
-                    if not policy.allow_failures:
-                        _raise_strict(raw, failure)
-                    self.failures.append(failure)
-                    if self.heartbeat is not None:
-                        self.heartbeat.pair_done(
-                            failed=True, retries=attempts - 1
-                        )
-                    if self.progress is not None:
-                        self.progress(
-                            f"{workload_name:<10} {configuration_name:<10} "
-                            f"FAILED ({raw.kind} after {attempts} attempt(s))"
-                        )
-                    continue
-                self.run_seconds[(configuration_name, workload_name)] = seconds
-                replay_sum += seconds
-                if worker:
-                    self.worker_seconds[worker] = (
-                        self.worker_seconds.get(worker, 0.0) + seconds
-                    )
-                self.results.append(result)
-                produced.append(result)
-                if self.heartbeat is not None:
-                    self.heartbeat.pair_done(failed=False, retries=attempts - 1)
-                if self.on_result is not None:
-                    self.on_result(result)
-                self._report(result)
+            run_pairs(
+                self._pairs(),
+                jobs=jobs,
+                progress=self.progress,
+                on_result=self.on_result,
+                policy=self.policy,
+                on_outcome=self._record,
+                count=count,
+            )
         finally:
-            outcomes.close()
-            self._close_shipments()
-            self._phase("replay", replay_sum)
-            # What the fan-out wall clock spent beyond the replays' fair
-            # share: submission, pipe traffic, result collection, stalls.
+            # Generation runs lazily inside the fan-out window, and each
+            # worker spends its share of the replays and sink writes there
+            # too; dispatch is the rest.
+            phases = self.phase_seconds
+            busy = (phases.get("replay", 0.0) + phases.get("sink_write", 0.0)) / jobs
             self._phase(
                 "dispatch",
                 max(
                     0.0,
-                    time.perf_counter() - fan_started - replay_sum / effective,
+                    time.perf_counter() - started - busy
+                    - phases.get("trace_generation", 0.0),
                 ),
             )
-        return produced
-
-    def run(self) -> List[WorkloadResult]:
-        """Run the whole matrix; returns all results (also kept on self)."""
-        self._execute(self.matrix.run_count())
         return self.results
-
-    def run_workload(self, workload_name: str) -> List[WorkloadResult]:
-        """Run one workload across every configuration of the matrix."""
-        if workload_name not in self.matrix.workload_names():
-            known = sorted(self.matrix.workload_names())
-            raise KeyError(f"unknown workload {workload_name!r}; known: {known}")
-        count = len(self.matrix.configurations())
-        return self._execute(count, only_workload=workload_name)
 
     def total_simulated_requests(self) -> int:
         return sum(result.num_requests for result in self.results)
@@ -1107,7 +920,6 @@ class ParallelEvaluationRunner:
         ``run_seconds`` is keyed in worker *completion* order, which varies
         run to run; summing floats in that order would make the total
         order-dependent at the ulp level.  Summing in sorted-value order
-        makes it a pure function of the per-pair timings (and identical to
-        the serial runner's total for equal timing multisets).
+        makes it a pure function of the per-pair timings, whatever ``jobs``.
         """
         return sum(sorted(self.run_seconds.values()))

@@ -26,7 +26,7 @@ from repro.harness.figures import (
     render_figure,
     speedup_summary,
 )
-from repro.harness.runner import EvaluationRunner
+from repro.harness.parallel import ParallelEvaluationRunner
 from repro.harness.tables import render_all_tables
 
 
@@ -187,16 +187,11 @@ def build_report(
 ) -> ReproductionReport:
     """Run the matrix and return a report object ready to render or write.
 
-    ``jobs`` > 1 fans the matrix across worker processes via
-    :class:`~repro.harness.parallel.ParallelEvaluationRunner`; the results
-    (and therefore the report) are bit-identical to the serial run.
+    ``jobs`` > 1 fans the matrix across worker processes (``0`` = every
+    CPU); the results (and therefore the report) are bit-identical to the
+    in-process ``jobs=1`` run.
     """
-    if jobs == 1:
-        runner = EvaluationRunner(matrix=matrix, progress=progress)
-    else:
-        from repro.harness.parallel import ParallelEvaluationRunner
-
-        runner = ParallelEvaluationRunner(matrix=matrix, jobs=jobs, progress=progress)
+    runner = ParallelEvaluationRunner(matrix=matrix, jobs=jobs, progress=progress)
     runner.run()
     return ReproductionReport(
         matrix=matrix,

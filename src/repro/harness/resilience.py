@@ -1,7 +1,8 @@
 """Resilience policy and failure records for the execution harness.
 
-A :class:`RetryPolicy` tells the supervised worker pool (and the serial
-runner) how to treat misbehaving pairs: how long one pair may run, how many
+A :class:`RetryPolicy` tells :func:`~repro.harness.parallel.run_pairs` (the
+worker pool and the in-process ``jobs=1`` loop alike) how to treat
+misbehaving pairs: how long one pair may run, how many
 times to retry after a crash/timeout, how the backoff between attempts
 grows, and whether the run as a whole tolerates pairs that stay broken.
 A :class:`PairFailure` is the structured record of one pair that exhausted
@@ -48,8 +49,8 @@ class RetryPolicy:
         When True, pairs that exhaust retries become :class:`PairFailure`
         records and the run continues (partial-results mode).  When False,
         the first exhausted pair aborts the run with
-        :class:`PairFailureError` (or the original exception, for
-        deterministic errors).
+        :class:`PairFailureError` -- or with the original exception when
+        the pair failed on its only attempt.
     """
 
     timeout_s: Optional[float] = None

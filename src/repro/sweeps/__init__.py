@@ -3,7 +3,7 @@
 One :class:`SweepSpec` -- a base scenario plus named axes writing value
 lists into its field paths -- expands into an explicit grid of
 ``(point_id, axis_values, Scenario)`` points, executes through the
-existing serial/parallel pair runners (bit-identical across ``--jobs``),
+harness's pair loop (bit-identical across ``--jobs``),
 checkpoints each completed point to an on-disk manifest (so a killed run
 resumes without re-executing anything), and emits every result as a
 long-form record into JSON/CSV sinks.

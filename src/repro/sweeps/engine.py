@@ -1,9 +1,9 @@
 """The sweep execution engine: expand, replay, checkpoint, resume.
 
-:func:`run_sweep` drives an expanded grid through the *existing* pair
-runners (:func:`repro.harness.parallel.run_pairs`, the machinery behind the
-evaluation matrix and the coherence sweep), so a sweep is bit-identical
-between ``--jobs 1`` and ``--jobs N`` for free.  Three things make it a
+:func:`run_sweep` drives an expanded grid through the harness's one pair
+loop (:func:`repro.harness.parallel.run_pairs`, which also runs the
+evaluation matrix), so a sweep is bit-identical between ``--jobs 1`` and
+``--jobs N`` for free.  Three things make it a
 study engine rather than a loop:
 
 * **Trace reuse** -- packed traces are generated once per *distinct
@@ -303,7 +303,7 @@ def _point_pairs(
     cache: TraceCache,
     observability: Optional[ObservabilitySpec] = None,
 ) -> List[tuple]:
-    """The ``run_pairs`` argument tuples of one point, in the serial
+    """The ``run_pairs`` argument tuples of one point, in the matrix
     runner's order (workloads outer, configurations inner).
 
     ``observability`` overrides the point scenario's own spec (the CLI's
@@ -651,6 +651,8 @@ def run_sweep(
             failure: Optional[PairFailure],
             attempts: int,
             seconds: float,
+            _worker: str,
+            _sink_seconds: float,
         ) -> None:
             nonlocal span_index, buffer_retries, retried_total, buffer_seconds
             buffer.append(result)

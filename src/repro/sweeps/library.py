@@ -2,12 +2,10 @@
 
 Importing :mod:`repro.sweeps` registers these under ``@register_sweep``, so
 ``corona-repro sweep run coherence-sweep`` (or ``sensitivity``) runs them by
-name.  They are also the re-expression of the two seed *experiments*: the
-``coherence-sweep`` experiment now builds :func:`coherence_sweep_spec` and
-executes it through the sweep engine, reproducing the legacy
-:func:`~repro.harness.experiments.coherence_sweep` numbers exactly
-(equivalence-tested) while additionally emitting the long-form JSON/CSV
-records a report section cannot carry.
+name.  They also back the two seed *experiments*: the ``coherence-sweep``
+experiment builds :func:`coherence_sweep_spec` and executes it through the
+sweep engine (its per-pair results are pinned by golden digests), emitting
+the long-form JSON/CSV records a report section cannot carry.
 """
 
 from __future__ import annotations
@@ -48,17 +46,15 @@ def coherence_sweep_spec(
     """The sharing-fraction sweep as a declarative grid.
 
     One point per (sharing fraction, configuration) pair -- the fraction
-    axis zips with a label axis renaming the workload ``Uniform s=<f>``
-    exactly like the legacy sweep, and the configuration axis rewrites
-    ``system.configurations`` one name at a time.  Points sharing a
-    fraction share a workload signature, so the engine generates each
-    fraction's trace once, like the legacy loop did.
+    axis zips with a label axis renaming the workload ``Uniform s=<f>``,
+    and the configuration axis rewrites ``system.configurations`` one name
+    at a time.  Points sharing a fraction share a workload signature, so
+    the engine generates each fraction's trace once.
     """
     overrides = dict(overrides or {})
     params: dict = {"name": f"Uniform s={fractions[0]:g}"}
     if overrides:
-        # Trace shape follows the overridden architecture, exactly like the
-        # legacy sweep's workload_kwargs.
+        # Trace shape follows the overridden architecture.
         params["num_clusters"] = CORONA_DEFAULT.with_overrides(
             overrides
         ).num_clusters

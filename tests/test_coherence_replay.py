@@ -2,8 +2,9 @@
 
 Covers the sharing-aware trace generation, the timed MOESI directory engine
 (broadcast vs unicast invalidation delivery, cache-to-cache forwards, dirty
-writebacks), the bit-identical guarantee of the coherence-free path, and the
-serial/parallel equivalence of coherence-enabled replays.
+writebacks), the bit-identical guarantee of the coherence-free path, the
+in-process/pool equivalence of coherence-enabled replays, and the sweep
+engine's sharing-fraction grid against golden digests.
 """
 
 from __future__ import annotations
@@ -21,18 +22,20 @@ from repro.coherence import (
 )
 from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator, simulate_workload
-from repro.harness.experiments import (
-    EvaluationMatrix,
-    ExperimentScale,
-    coherence_sweep,
-    coherence_sweep_report,
-)
+from repro.harness.experiments import CoherenceSweepPoint, coherence_sweep_report
 from repro.harness.parallel import ParallelEvaluationRunner, run_pairs
-from repro.harness.runner import EvaluationRunner
 from repro.network.broadcast import OpticalBroadcastBus
 from repro.network.mesh import low_performance_mesh
 from repro.network.message import Message, MessageType
+from repro.sweeps import coherence_sweep_spec, run_sweep
 from repro.trace.synthetic import uniform_workload
+from tests.golden import (
+    COHERENT_UNIFORM,
+    SWEEP_1500,
+    SWEEP_2000,
+    coherent_uniform_matrix,
+    digests,
+)
 
 REQUESTS = 3_000
 
@@ -216,7 +219,7 @@ class TestSerialParallelCoherence:
         """One coherence-enabled (configuration, workload) pair must replay
         bit-identically in a worker process and in-process."""
         workload = _sharing_workload(fraction=0.3)
-        trace = workload.generate(seed=1, num_requests=2_000)
+        trace = workload.generate_packed(seed=1, num_requests=2_000)
         pairs = [
             ("XBar/OCM", trace, workload.window, CoherenceConfig()),
             ("LMesh/ECM", trace, workload.window, CoherenceConfig()),
@@ -229,24 +232,44 @@ class TestSerialParallelCoherence:
                 assert getattr(s, field.name) == getattr(p, field.name), field.name
 
     def test_matrix_coherence_plumbs_through_both_runners(self):
-        matrix = EvaluationMatrix(
-            scale=ExperimentScale(synthetic_requests=600),
-            configuration_names=["XBar/OCM"],
-            include_splash=False,
-            workload_filter=["Uniform"],
-            coherence=CoherenceConfig(),
-        )
-        serial = EvaluationRunner(matrix=matrix).run()
-        parallel = ParallelEvaluationRunner(matrix=matrix, jobs=2).run()
-        assert serial == parallel
+        """The matrix's coherence config reaches the replay in process and
+        in a worker alike, reproducing the golden digest."""
+        serial = ParallelEvaluationRunner(matrix=coherent_uniform_matrix(), jobs=1).run()
+        pooled = ParallelEvaluationRunner(matrix=coherent_uniform_matrix(), jobs=2).run()
+        assert serial == pooled
         assert all(result.coherence_enabled for result in serial)
+        assert digests(serial) == COHERENT_UNIFORM
+
+
+def _coherence_sweep(fractions, configurations, num_requests, jobs=1):
+    """The sharing-fraction grid through the sweep engine, grouped into
+    report points like the ``coherence-sweep`` experiment does."""
+    outcome = run_sweep(
+        coherence_sweep_spec(
+            fractions=fractions,
+            configurations=configurations,
+            num_requests=num_requests,
+        ),
+        jobs=jobs,
+    )
+    return [
+        CoherenceSweepPoint(
+            sharing_fraction=fraction,
+            results=tuple(
+                record.result
+                for record in outcome.records
+                if record.axis_values["fraction"] == fraction
+            ),
+        )
+        for fraction in fractions
+    ]
 
 
 class TestCoherenceSweep:
     def test_sweep_points_and_report(self):
-        points = coherence_sweep(
+        points = _coherence_sweep(
             fractions=(0.0, 0.3),
-            configuration_names=("LMesh/ECM", "XBar/OCM"),
+            configurations=("LMesh/ECM", "XBar/OCM"),
             num_requests=2_000,
         )
         assert [p.sharing_fraction for p in points] == [0.0, 0.3]
@@ -255,6 +278,7 @@ class TestCoherenceSweep:
                 "LMesh/ECM",
                 "XBar/OCM",
             ]
+        assert digests(r for p in points for r in p.results) == SWEEP_2000
         zero, shared = points
         assert all(r.invalidations_sent == 0 for r in zero.results)
         by_config = {r.configuration: r for r in shared.results}
@@ -269,9 +293,9 @@ class TestCoherenceSweep:
     def test_sweep_parallel_matches_serial(self):
         kwargs = dict(
             fractions=(0.2,),
-            configuration_names=("XBar/OCM", "LMesh/ECM"),
+            configurations=("XBar/OCM", "LMesh/ECM"),
             num_requests=1_500,
         )
-        assert coherence_sweep(jobs=1, **kwargs)[0].results == coherence_sweep(
-            jobs=2, **kwargs
-        )[0].results
+        serial = _coherence_sweep(jobs=1, **kwargs)[0].results
+        assert serial == _coherence_sweep(jobs=2, **kwargs)[0].results
+        assert digests(serial) == SWEEP_1500

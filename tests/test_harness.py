@@ -1,5 +1,7 @@
 """Tests for the experiment harness: matrices, runner, tables and figures."""
 
+import dataclasses
+
 import pytest
 
 from repro.harness.experiments import (
@@ -19,7 +21,7 @@ from repro.harness.figures import (
     render_figure,
     speedup_summary,
 )
-from repro.harness.runner import EvaluationRunner
+from repro.harness.parallel import ParallelEvaluationRunner
 from repro.harness.tables import (
     format_table,
     render_all_tables,
@@ -28,6 +30,7 @@ from repro.harness.tables import (
     table3_benchmarks,
     table4_memory_interconnects,
 )
+from tests.golden import TINY_MATRIX, digests, tiny_matrix
 
 
 class TestExperimentScale:
@@ -109,47 +112,37 @@ class TestEvaluationMatrix:
         assert matrix.run_count() == 0
 
 
-def _tiny_matrix():
-    """A matrix small enough to run inside a unit test."""
-    matrix = EvaluationMatrix(
-        scale=ExperimentScale(
-            synthetic_requests=800,
-            splash_fraction=1e-6,
-            splash_min_requests=800,
-            splash_max_requests=800,
-        ),
-        configuration_names=["LMesh/ECM", "XBar/OCM"],
-        include_splash=False,
-    )
-    return matrix
-
-
 class TestEvaluationRunner:
+    """The matrix runner end to end on the tiny matrix: in process and on
+    the pool, against the golden digests."""
+
     def test_run_produces_all_pairs(self):
-        runner = EvaluationRunner(matrix=_tiny_matrix())
+        runner = ParallelEvaluationRunner(matrix=tiny_matrix(), jobs=1)
         results = runner.run()
         assert len(results) == 12  # 2 configurations x 6 synthetic workloads
         assert runner.total_simulated_requests() == 12 * 800
         assert runner.total_wall_clock_seconds() > 0
+        assert digests(results) == TINY_MATRIX
+        pooled = ParallelEvaluationRunner(matrix=tiny_matrix(), jobs=2).run()
+        assert pooled == results
 
     def test_run_workload_by_name(self):
-        runner = EvaluationRunner(matrix=_tiny_matrix())
-        results = runner.run_workload("Uniform")
+        matrix = dataclasses.replace(tiny_matrix(), workload_filter=["Uniform"])
+        results = ParallelEvaluationRunner(matrix=matrix, jobs=1).run()
         assert [r.configuration for r in results] == ["LMesh/ECM", "XBar/OCM"]
-
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(KeyError):
-            EvaluationRunner(matrix=_tiny_matrix()).run_workload("Linpack")
+        assert digests(results) == {
+            key: TINY_MATRIX[key] for key in ("LMesh/ECM/Uniform", "XBar/OCM/Uniform")
+        }
 
     def test_progress_callback(self):
         messages = []
-        runner = EvaluationRunner(matrix=_tiny_matrix(), progress=messages.append)
-        runner.run_workload("Uniform")
+        matrix = dataclasses.replace(tiny_matrix(), workload_filter=["Uniform"])
+        ParallelEvaluationRunner(matrix=matrix, jobs=1, progress=messages.append).run()
         assert len(messages) == 2
         assert "Uniform" in messages[0]
 
     def test_figures_extractable_from_runner_results(self):
-        runner = EvaluationRunner(matrix=_tiny_matrix())
+        runner = ParallelEvaluationRunner(matrix=tiny_matrix(), jobs=1)
         results = runner.run()
         speedups = figure8_speedup(results, workload_order=runner.matrix.workload_names())
         assert set(speedups) == {

@@ -256,6 +256,22 @@ class TestHarnessTimings:
         phases = result.timings["phases"]
         assert "dispatch" in phases and "replay" in phases
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_telemetry_writes_are_charged_to_sink_write(self, tmp_path, jobs):
+        """Per-pair artifact writes land in sink_write wherever the pair
+        replayed (no report/CSV sink here, so nothing else can)."""
+        result = run(
+            _scenario(
+                configurations=("XBar/OCM", "HMesh/ECM"),
+                observability=ObservabilitySpec(
+                    samples_path=str(tmp_path / "samples.json")
+                ),
+                num_requests=300,
+                jobs=jobs,
+            )
+        )
+        assert result.timings["phases"]["sink_write"] > 0
+
     def test_timings_survive_the_json_sink(self, tmp_path):
         from repro.api import OutputSpec
 

@@ -1,8 +1,9 @@
 """Tests for the resilient execution harness: retry policies and failure
 records, the chaos injection hooks, crash/hang/error recovery in the
-supervised worker pool (bit-identical retried results), the serial retry
-path, sweep failure checkpoints with retry-only resume, `sweep status`
-resilience counters, the failure CSV sink, and the CLI exit codes."""
+supervised worker pool (bit-identical retried results), the in-process
+retry path and the strict-failure rule shared by every ``jobs`` value, sweep
+failure checkpoints with retry-only resume, `sweep status` resilience
+counters, the failure CSV sink, and the CLI exit codes."""
 
 from __future__ import annotations
 
@@ -244,25 +245,23 @@ class TestSerialRetryPath:
         assert not outcome.failures
         assert outcome.results == clean_run.results
 
-    def test_exhausted_serial_retries_raise(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exhausted_serial_retries_raise(self, monkeypatch, jobs):
+        """A pair that was retried and still fails raises PairFailureError
+        (CLI exit 3) whatever the jobs value -- never the worker's own
+        exception."""
         monkeypatch.setenv("CORONA_CHAOS", "error=1.0,attempts=99,seed=7")
-        with pytest.raises(PairFailureError):
-            run(_scenario(), jobs=1, policy=FAST_STRICT)
+        with pytest.raises(PairFailureError) as err:
+            run(_scenario(), jobs=jobs, policy=FAST_STRICT)
+        assert all(f.attempts == 2 for f in err.value.failures)
 
-    def test_serial_allow_failures_records_errors(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_serial_allow_failures_records_errors(self, monkeypatch, jobs):
         monkeypatch.setenv("CORONA_CHAOS", "error=1.0,attempts=99,seed=7")
-        outcome = run(_scenario(), jobs=1, policy=FAST_LENIENT)
+        outcome = run(_scenario(), jobs=jobs, policy=FAST_LENIENT)
         assert outcome.results == []
         assert {f.kind for f in outcome.failures} == {"error"}
         assert all(f.attempts == 2 for f in outcome.failures)
-
-    def test_no_policy_serial_path_ignores_chaos(self, monkeypatch, clean_run):
-        """Without a policy the serial runner keeps its historic loop, which
-        never consults the chaos hooks -- production serial runs are immune
-        to a stray CORONA_CHAOS."""
-        monkeypatch.setenv("CORONA_CHAOS", "error=1.0,attempts=99,seed=7")
-        outcome = run(_scenario(), jobs=1)
-        assert outcome.results == clean_run.results
 
 
 class TestSweepFailureCheckpoints:

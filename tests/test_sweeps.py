@@ -28,7 +28,6 @@ from repro.core.results import (
     long_form_columns,
     long_form_row,
 )
-from repro.harness.experiments import coherence_sweep
 from repro.sweeps import (
     SweepAxis,
     SweepError,
@@ -42,6 +41,7 @@ from repro.sweeps import (
     sweep_status,
 )
 from repro.sweeps.engine import MANIFEST_NAME, POINTS_NAME
+from tests.golden import SWEEP_1000, digests
 
 
 def _base(num_requests: int = 500) -> Scenario:
@@ -479,22 +479,17 @@ class TestEngine:
 
 class TestReexpressedExperiments:
     def test_coherence_sweep_spec_reproduces_legacy_numbers_exactly(self):
-        fractions = (0.0, 0.3)
-        configurations = ("LMesh/ECM", "XBar/OCM")
-        legacy = coherence_sweep(
-            fractions=fractions,
-            configuration_names=configurations,
+        """The golden digests were recorded from the loop-based sweep the
+        spec replaced; both job counts must reproduce them in order."""
+        spec = coherence_sweep_spec(
+            fractions=(0.0, 0.3),
+            configurations=("LMesh/ECM", "XBar/OCM"),
             num_requests=1_000,
         )
-        legacy_flat = [result for point in legacy for result in point.results]
-        outcome = run_sweep(
-            coherence_sweep_spec(
-                fractions=fractions,
-                configurations=configurations,
-                num_requests=1_000,
-            )
-        )
-        assert [r.result for r in outcome.records] == legacy_flat
+        for jobs in (1, 2):
+            outcome = run_sweep(spec, jobs=jobs)
+            flat = digests(r.result for r in outcome.records)
+            assert list(flat.items()) == list(SWEEP_1000.items())
 
     def test_coherence_experiment_emits_sinks_and_section(self, tmp_path):
         json_path = tmp_path / "sweep.json"

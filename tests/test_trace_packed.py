@@ -35,6 +35,7 @@ from repro.trace.packed import (
 from repro.trace.record import AccessKind, TraceRecord, TraceStream
 from repro.trace.splash2 import splash2_workload
 from repro.trace.synthetic import uniform_workload
+from tests.golden import TINY_MATRIX, digests, tiny_matrix
 
 
 def _record_tuples(records):
@@ -217,19 +218,25 @@ class TestBufferShipping:
             shipment.close()
 
     def test_post_fork_shipment_never_uses_fork_registry(self, monkeypatch):
-        """A shipment created after the pool forked (fork_ok=False) whose
-        shared-memory allocation fails must ship by value: a registry entry
-        added post-fork is invisible to the workers' snapshot."""
+        """Without shared memory, the traces a pool run ships after its
+        workers started travel by value -- and still replay to the golden
+        digests."""
         from repro.harness import parallel
 
-        packed = uniform_workload().generate_packed(seed=1, num_requests=256)
+        shipped = []
+
+        class RecordingShipment(TraceShipment):
+            def __init__(self, packed):
+                super().__init__(packed)
+                shipped.append(self)
+
         monkeypatch.setattr(parallel, "_shared_memory", None)
-        shipment = TraceShipment(packed, fork_ok=False)
-        try:
-            assert shipment.handle is packed
-            assert parallel._FORK_REGISTRY == {}
-        finally:
-            shipment.close()
+        monkeypatch.setattr(parallel, "TraceShipment", RecordingShipment)
+        matrix = tiny_matrix()
+        results = parallel.ParallelEvaluationRunner(matrix=matrix, jobs=2).run()
+        assert len(shipped) == len(matrix.workloads())
+        assert all(shipment.handle is shipment.packed for shipment in shipped)
+        assert digests(results) == TINY_MATRIX
 
     def test_buffer_backed_replay_matches_array_backed(self):
         workload = uniform_workload()
