@@ -24,7 +24,7 @@ REQUESTS = 16000
 
 
 def _uniform_trace(num_requests=REQUESTS, seed=1):
-    return uniform_workload().generate(seed=seed, num_requests=num_requests)
+    return uniform_workload().generate_packed(seed=seed, num_requests=num_requests)
 
 
 def test_ablation_thread_window(benchmark):

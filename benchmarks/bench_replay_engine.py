@@ -20,30 +20,20 @@ def _run(configuration_name, trace, window):
 
 def test_replay_rate_corona(benchmark):
     workload = uniform_workload()
-    trace = workload.generate(seed=1, num_requests=5000)
+    trace = workload.generate_packed(seed=1, num_requests=5000)
     result = benchmark.pedantic(_run, args=("XBar/OCM", trace, workload.window), rounds=2, iterations=1)
     assert result.num_requests == 5000
 
 
 def test_replay_rate_electrical_baseline(benchmark):
     workload = uniform_workload()
-    trace = workload.generate(seed=1, num_requests=5000)
+    trace = workload.generate_packed(seed=1, num_requests=5000)
     result = benchmark.pedantic(_run, args=("LMesh/ECM", trace, workload.window), rounds=2, iterations=1)
     assert result.num_requests == 5000
 
 
-def test_replay_rate_packed_trace(benchmark):
-    """Replay straight off the packed columns (the production path)."""
-    workload = uniform_workload()
-    packed = workload.generate_packed(seed=1, num_requests=5000)
-    result = benchmark.pedantic(
-        _run, args=("XBar/OCM", packed, workload.window), rounds=2, iterations=1
-    )
-    assert result.num_requests == 5000
-
-
 def test_packed_generation_rate(benchmark):
-    """Chunk-wise packed generation (no record objects), 20k requests."""
+    """Chunk-wise packed generation, 20k requests."""
     workload = uniform_workload()
     packed = benchmark.pedantic(
         workload.generate_packed,

@@ -9,7 +9,7 @@ stand-in for the paper's COTSon trace-collection stage.
 
 from repro.harness.tables import format_table, table3_benchmarks
 from repro.trace.splash2 import SPLASH2_PROFILES, splash2_workload
-from repro.trace.synthetic import synthetic_workloads, uniform_workload
+from repro.trace.synthetic import synthetic_workloads
 
 #: SPLASH-2 rows of Table 3: dataset and network request count.
 PAPER_TABLE3_SPLASH = {
@@ -45,16 +45,13 @@ def test_table3_matches_paper(benchmark):
     ))
 
 
-def test_synthetic_trace_generation_rate(benchmark):
-    """Benchmark the synthetic trace generator (records per second)."""
-    workload = uniform_workload()
-    trace = benchmark(workload.generate, 1, 20_000)
-    assert trace.total_requests == 20_000
-
-
 def test_splash_trace_generation_rate(benchmark):
-    """Benchmark the SPLASH-2 statistical trace generator."""
+    """Benchmark the SPLASH-2 statistical trace generator.
+
+    The synthetic generator's rate is ``bench_replay_engine.py::
+    test_packed_generation_rate``.
+    """
     workload = splash2_workload("Ocean")
-    trace = benchmark(workload.generate, 1, 20_000)
+    trace = benchmark(workload.generate_packed, 1, 20_000)
     assert trace.total_requests == 20_000
-    assert trace.mean_gap_cycles() > 0
+    assert sum(trace.gaps) > 0

@@ -43,7 +43,7 @@ from repro.api import (
 )
 from repro.core.configs import SystemConfiguration, crossbar_network, ecm_memory
 from repro.trace.gaps import draw_gap
-from repro.trace.record import AccessKind, TraceRecord, TraceStream
+from repro.trace.packed import PackedTrace, PackedTraceBuilder
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +73,9 @@ class ShuffleWorkload:
     """Perfect-shuffle permutation traffic (butterfly-stage communication).
 
     Implements the small protocol the harness expects from a workload:
-    ``name``, ``window``, ``is_synthetic`` and ``generate(seed,
-    num_requests)``; packing to columns is handled by the harness via
-    ``repro.trace.packed.as_packed``.
+    ``name``, ``window``, ``is_synthetic`` and ``generate_packed(seed,
+    num_requests)``, which appends each miss straight into the packed
+    trace columns through a :class:`PackedTraceBuilder`.
     """
 
     def __init__(
@@ -108,9 +108,11 @@ class ShuffleWorkload:
         high = (cluster >> (self._bits - 1)) & 1
         return ((cluster << 1) & (self.num_clusters - 1)) | high
 
-    def generate(self, seed: int = 1, num_requests: int = 10_000) -> TraceStream:
+    def generate_packed(
+        self, seed: int = 1, num_requests: int = 10_000
+    ) -> PackedTrace:
         rng = random.Random(seed)
-        stream = TraceStream(
+        builder = PackedTraceBuilder(
             name=self.name,
             num_clusters=self.num_clusters,
             threads_per_cluster=self.threads_per_cluster,
@@ -121,25 +123,16 @@ class ShuffleWorkload:
         stagger = 8.0 * self.mean_gap_cycles
         line = 0
         for thread_id in range(total_threads):
-            cluster = thread_id // self.threads_per_cluster
-            home = self.destination(cluster)
+            home = self.destination(thread_id // self.threads_per_cluster)
             for index in range(base + (1 if thread_id < remainder else 0)):
                 gap = draw_gap(rng, self.mean_gap_cycles)
                 if index == 0:
                     gap += rng.uniform(0.0, stagger)
                 is_write = rng.random() < self.write_fraction
-                stream.add(
-                    TraceRecord(
-                        thread_id=thread_id,
-                        cluster_id=cluster,
-                        home_cluster=home,
-                        kind=AccessKind.WRITE if is_write else AccessKind.READ,
-                        address=(home << 26) | ((line & 0xFFFFF) << 6),
-                        gap_cycles=gap,
-                    )
-                )
+                address = (home << 26) | ((line & 0xFFFFF) << 6)
+                builder.append(thread_id, home, is_write, False, address, gap)
                 line += 1
-        return stream
+        return builder.build()
 
 
 register_workload("Shuffle")(ShuffleWorkload)

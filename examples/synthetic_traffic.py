@@ -2,9 +2,10 @@
 """Synthetic traffic stress test: crossbar vs meshes under adversarial patterns.
 
 Replays the paper's four synthetic patterns (Uniform, Hot Spot, Tornado,
-Transpose) and reports, per interconnect, the achieved memory bandwidth,
-average latency and network power -- the data behind Figures 8-11 for the
-synthetic half of the evaluation.  It also prints the per-channel /
+Transpose) plus the Bit Reversal and Neighbor extensions, and reports, per
+interconnect, the achieved memory bandwidth, average latency and network
+power -- the data behind Figures 8-11 for the synthetic half of the
+evaluation.  It also prints the per-channel /
 per-link hot spots so the structural difference between a serpentine crossbar
 channel and a dimension-order mesh is visible.
 
@@ -27,7 +28,7 @@ def main() -> None:
     num_requests = int(sys.argv[1]) if len(sys.argv) > 1 else 20_000
 
     for workload in synthetic_workloads():
-        trace = workload.generate(seed=1, num_requests=num_requests)
+        trace = workload.generate_packed(seed=1, num_requests=num_requests)
         print(f"\n=== {workload.name} ({num_requests:,} requests) ===")
         print(f"{'config':<12}{'bw (TB/s)':>12}{'latency (ns)':>14}{'power (W)':>12}")
         for name in CONFIGS:

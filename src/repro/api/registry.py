@@ -162,9 +162,12 @@ def register_workload(
 ):
     """Register a ``(**params) -> workload`` factory by name.
 
-    The built object must offer ``generate(seed, num_requests)`` (and
-    ideally ``generate_packed``), a ``name`` and a ``window`` -- the same
-    protocol the stock synthetic and SPLASH-2 workloads implement.
+    The built object must offer ``generate_packed(seed, num_requests)``
+    returning a :class:`~repro.trace.packed.PackedTrace`, a ``name`` and a
+    ``window`` -- the same protocol the stock synthetic and SPLASH-2
+    workloads implement.  A scenario naming a workload without
+    ``generate_packed`` fails with a ``ScenarioError`` on
+    ``workloads[i].name``.
     ``explicit_only`` entries (parameter-requiring wrappers like
     ``trace-file``) are skipped when a scenario's empty ``workloads`` list
     expands to every registered workload.

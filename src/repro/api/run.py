@@ -5,9 +5,7 @@ names are resolved against the registries, a matrix implementing the
 :class:`~repro.harness.experiments.EvaluationMatrix` protocol is built, and
 its pairs are replayed by
 :class:`~repro.harness.parallel.ParallelEvaluationRunner` -- the one matrix
-runner, in process at ``jobs=1`` and on a worker pool otherwise, and the
-same one the legacy ``evaluate`` path uses, so a scenario translated from
-legacy flags reproduces its results bit-identically.
+runner, in process at ``jobs=1`` and on a worker pool otherwise.
 
 Per-pair :class:`~repro.core.results.WorkloadResult`\\ s stream to the
 ``on_result`` callback as they finish (submission order), and the finished
@@ -126,6 +124,12 @@ class ScenarioMatrix:
             raise ScenarioError(f"workloads[{index}].name", str(exc)) from None
         except (TypeError, ValueError, KeyError) as exc:
             raise ScenarioError(f"workloads[{index}].params", str(exc)) from None
+        if not callable(getattr(workload, "generate_packed", None)):
+            raise ScenarioError(
+                f"workloads[{index}].name",
+                f"workload {spec.name!r} built a {type(workload).__name__} "
+                f"without generate_packed(seed, num_requests)",
+            )
         expected_clusters = (
             self.corona_config.num_clusters if self.corona_config else None
         )
@@ -471,13 +475,13 @@ def _coherence_sweep_experiment(
 ):
     """The sharing-fraction sweep (photonic vs electrical coherence cost).
 
-    Defaults mirror ``evaluate --coherence``: the LMesh/ECM / HMesh/ECM /
-    XBar/OCM trio restricted to the scenario's configurations, at the
-    scenario scale's synthetic request count and seed.  Expressed as a
-    declarative sweep spec (:func:`repro.sweeps.coherence_sweep_spec`) and
-    executed by the sweep engine (its per-pair results are pinned by golden
-    digests), and ``json``/``csv`` params additionally emit the long-form
-    per-point records the report section cannot carry.
+    Defaults: the LMesh/ECM / HMesh/ECM / XBar/OCM trio restricted to the
+    scenario's configurations, at the scenario scale's synthetic request
+    count and seed.  Expressed as a declarative sweep spec
+    (:func:`repro.sweeps.coherence_sweep_spec`) and executed by the sweep
+    engine (its per-pair results are pinned by golden digests), and
+    ``json``/``csv`` params additionally emit the long-form per-point
+    records the report section cannot carry.
     """
     from repro.harness.experiments import (
         COHERENCE_SWEEP_CONFIGURATIONS,

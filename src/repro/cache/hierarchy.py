@@ -3,8 +3,8 @@
 The hierarchy can be driven with raw (address, read/write) accesses and
 produces the stream of L2 misses -- exactly the records the network replay
 consumes -- so an external address trace (or a synthetic address-level
-workload) can be converted into a :class:`~repro.trace.record.TraceStream`
-without a full-system simulator.
+workload) can be converted into a packed miss trace
+(:class:`~repro.trace.packed.PackedTrace`) without a full-system simulator.
 """
 
 from __future__ import annotations

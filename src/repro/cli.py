@@ -35,32 +35,21 @@ Installed as ``corona-repro`` (see ``pyproject.toml``).  Subcommands:
 ``power``
     Print the chip-level power/area roll-up and the memory-interconnect power
     comparison.
-``simulate``
-    Replay one workload on one or more configurations and print the results.
-``evaluate``
-    Run the full evaluation matrix and print (or write) the markdown report.
 ``sensitivity``
     Print the physical-design sensitivity sweeps (waveguide loss, ring loss,
     laser power).
-
-``simulate`` and ``evaluate`` are thin translators: each builds a
-:class:`~repro.api.scenario.Scenario` from its flags and executes it through
-:func:`repro.api.run`, so the legacy flags and a hand-written scenario file
-drive the exact same machinery (and produce bit-identical results --
-equivalence-tested).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.api import (
     CONFIGURATIONS,
     EXPERIMENTS,
     WORKLOADS,
-    ExperimentSpec,
     OutputSpec,
     ScaleSpec,
     Scenario,
@@ -72,10 +61,6 @@ from repro.api import (
 from repro import __version__
 from repro.api import run as run_scenario
 from repro.core.configs import CONFIGURATION_ORDER
-from repro.harness.experiments import (
-    COHERENCE_SWEEP_CONFIGURATIONS,
-    COHERENCE_SWEEP_FRACTIONS,
-)
 from repro.harness.parallel import WorkerSetupError
 from repro.harness.resilience import (
     PairFailureError,
@@ -89,7 +74,6 @@ from repro.photonics.inventory import corona_inventory
 from repro.power.chip import corona_chip_power
 from repro.power.electrical import electrical_memory_interconnect_power_w
 from repro.power.optical import optical_memory_interconnect_power_w
-from repro.trace.splash2 import SPLASH2_ORDER
 
 
 def _workload_name(name: str) -> str:
@@ -144,146 +128,6 @@ def _cmd_power(_args: argparse.Namespace) -> int:
 
 def _cmd_sensitivity(_args: argparse.Namespace) -> int:
     print(physical_design_sweeps_text())
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Legacy translators: simulate / evaluate -> Scenario (deprecated)
-# ---------------------------------------------------------------------------
-
-def _warn_deprecated(command: str, replacement: str) -> None:
-    """Flag a legacy subcommand: DeprecationWarning for programmatic callers
-    plus a stderr pointer for humans.  Results and stdout are unchanged (the
-    translators stay equivalence-tested until removal)."""
-    import warnings
-
-    message = (
-        f"`corona-repro {command}` is deprecated; use {replacement} "
-        f"(see README: \"Migrating from simulate/evaluate\")"
-    )
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-    print(f"note: {message}", file=sys.stderr)
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    """One workload across configurations, as a streamed scenario run."""
-    _warn_deprecated("simulate", "`corona-repro run <scenario.json>`")
-    workload = _workload_name(args.workload)
-    configurations = tuple(args.configurations or CONFIGURATION_ORDER)
-    scenario = Scenario(
-        name=f"simulate-{workload}",
-        system=SystemSpec(configurations=configurations),
-        workloads=(WorkloadSpec(name=workload, num_requests=args.requests),),
-        scale=ScaleSpec(seed=args.seed),
-    )
-    print(
-        f"{'configuration':<12}{'speedup':>9}{'bw (TB/s)':>11}"
-        f"{'latency (ns)':>14}{'power (W)':>11}"
-    )
-    baseline_time: List[float] = []
-
-    def stream(result) -> None:
-        if not baseline_time:
-            baseline_time.append(result.execution_time_s)
-        print(
-            f"{result.configuration:<12}"
-            f"{baseline_time[0] / result.execution_time_s:>9.2f}"
-            f"{result.achieved_bandwidth_tbps:>11.3f}"
-            f"{result.average_latency_ns:>14.1f}"
-            f"{result.network_power_w:>11.2f}"
-        )
-
-    run_scenario(scenario, on_result=stream)
-    return 0
-
-
-def _filter_configurations(terms: Optional[List[str]]) -> List[str]:
-    """Configuration names matching any of the substring ``terms``."""
-    if not terms:
-        return list(CONFIGURATION_ORDER)
-    matched = [
-        name
-        for name in CONFIGURATION_ORDER
-        if any(term.lower() in name.lower() for term in terms)
-    ]
-    if not matched:
-        raise SystemExit(
-            f"no configuration matches {terms!r}; known: {CONFIGURATION_ORDER}"
-        )
-    return matched
-
-
-def _evaluate_workload_names(args: argparse.Namespace) -> List[str]:
-    """The matrix's workload names after --skip-splash/--workloads."""
-    names = [
-        name
-        for name in WORKLOADS.default_names()
-        if not (args.skip_splash and name in SPLASH2_ORDER)
-    ]
-    if args.workloads:
-        terms = [term.lower() for term in args.workloads]
-        names = [
-            name
-            for name in names
-            if any(term in name.lower() for term in terms)
-        ]
-        if not names:
-            raise SystemExit(
-                f"no workload matches {args.workloads!r}; known: "
-                f"{WORKLOADS.names()}"
-            )
-    return names
-
-
-def _scenario_from_evaluate(args: argparse.Namespace) -> Scenario:
-    """Translate the legacy ``evaluate`` flags into a scenario."""
-    configuration_names = _filter_configurations(args.configs)
-    experiments = ()
-    if args.coherence:
-        # The sweep honors --configs: restrict the default sweep trio to the
-        # filtered configurations, falling back to the filtered set itself
-        # (never to configurations the user excluded).
-        sweep_configurations = [
-            name
-            for name in COHERENCE_SWEEP_CONFIGURATIONS
-            if name in configuration_names
-        ] or configuration_names
-        experiments = (
-            ExperimentSpec(
-                name="coherence-sweep",
-                params={
-                    "fractions": list(args.sharing_fractions),
-                    "configurations": list(sweep_configurations),
-                },
-            ),
-        )
-    return Scenario(
-        name=f"evaluate-{args.scale}",
-        description="translated from the legacy `evaluate` flags",
-        system=SystemSpec(configurations=tuple(configuration_names)),
-        workloads=tuple(
-            WorkloadSpec(name=name) for name in _evaluate_workload_names(args)
-        ),
-        scale=ScaleSpec(tier=args.scale),
-        experiments=experiments,
-        jobs=args.jobs,
-        output=OutputSpec(report=args.output),
-    )
-
-
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    _warn_deprecated(
-        "evaluate",
-        "`corona-repro run <scenario.json>` (write one with "
-        "`corona-repro scenario init`) or `corona-repro sweep run`",
-    )
-    scenario = _scenario_from_evaluate(args)
-    progress = print if args.verbose else None
-    result = run_scenario(scenario, jobs=args.jobs, progress=progress)
-    if args.output:
-        print(f"report written to {result.written['report']}")
-    else:
-        print(result.to_markdown())
     return 0
 
 
@@ -786,7 +630,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
 
 def _cmd_trace_convert(args: argparse.Namespace) -> int:
     from repro.trace.io import (
-        read_trace_packed,
+        read_trace,
         sniff_trace_format,
         write_trace,
         write_trace_binary,
@@ -794,7 +638,7 @@ def _cmd_trace_convert(args: argparse.Namespace) -> int:
 
     try:
         source_format = sniff_trace_format(args.input)
-        packed = read_trace_packed(args.input)
+        packed = read_trace(args.input)
     except (OSError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     target = args.to
@@ -1322,99 +1166,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     power = subparsers.add_parser("power", help="print the chip power roll-up")
     power.set_defaults(handler=_cmd_power)
-
-    simulate = subparsers.add_parser(
-        "simulate", help="replay one workload on the evaluated configurations"
-    )
-    simulate.add_argument("workload", help="e.g. Uniform, 'Hot Spot', FFT, LU")
-    simulate.add_argument("--requests", type=int, default=20_000)
-    simulate.add_argument("--seed", type=int, default=1)
-    simulate.add_argument(
-        "--configurations",
-        nargs="+",
-        choices=CONFIGURATION_ORDER,
-        help="subset of configurations (default: all five)",
-    )
-    simulate.set_defaults(handler=_cmd_simulate)
-
-    evaluate = subparsers.add_parser(
-        "evaluate",
-        help="run the full matrix and emit a markdown report",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "performance:\n"
-            "  The 85 (configuration, workload) pairs of the full matrix are\n"
-            "  independent, so --jobs N fans them across N worker processes\n"
-            "  and divides the matrix wall-clock by roughly N on a multicore\n"
-            "  host.  Traces are generated once per workload in the parent\n"
-            "  (in packed binary form, overlapping the earliest replays) and\n"
-            "  shipped to workers through shared memory -- a ~100-byte handle\n"
-            "  per pair instead of a per-pair pickle -- and the results are\n"
-            "  bit-identical to a serial run (--jobs 1).  --jobs 0 uses every\n"
-            "  CPU.  --configs/--workloads cut the matrix down to matching\n"
-            "  pairs (substring match), e.g. --configs XBar --workloads\n"
-            "  Uniform runs a single pair.  See scripts/bench_regression.py\n"
-            "  for the tracked replay-throughput and matrix wall-clock\n"
-            "  numbers (BENCH_replay.json).\n"
-            "coherence:\n"
-            "  --coherence appends the sharing-fraction sweep to the report:\n"
-            "  a sharing-tagged Uniform workload replayed with the timed\n"
-            "  MOESI directory on "
-            + ", ".join(COHERENCE_SWEEP_CONFIGURATIONS)
-            + ",\n"
-            "  comparing broadcast-bus invalidation delivery (photonic)\n"
-            "  against per-sharer unicasts (electrical meshes).\n"
-            "scenario api:\n"
-            "  evaluate is a thin translator now: the flags build a Scenario\n"
-            "  and execute it through repro.api.run, bit-identically to a\n"
-            "  scenario file with the same content (corona-repro run)."
-        ),
-    )
-    evaluate.add_argument(
-        "--scale",
-        choices=("quick", "default", "full", "paper"),
-        default="quick",
-        help=(
-            "request-count tier: quick (12k/workload), default (60k), full "
-            "(200k+), paper (the paper's own 1M synthetic counts; hours of "
-            "CPU -- combine with --jobs 0)"
-        ),
-    )
-    evaluate.add_argument("--skip-splash", action="store_true")
-    evaluate.add_argument("--output", help="write the report to this path")
-    evaluate.add_argument("--verbose", action="store_true")
-    evaluate.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the matrix (1 = serial, 0 = all CPUs)",
-    )
-    evaluate.add_argument(
-        "--configs",
-        nargs="+",
-        metavar="SUBSTRING",
-        help="keep only configurations whose name contains a given substring",
-    )
-    evaluate.add_argument(
-        "--workloads",
-        nargs="+",
-        metavar="SUBSTRING",
-        help="keep only workloads whose name contains a given substring",
-    )
-    evaluate.add_argument(
-        "--coherence",
-        action="store_true",
-        help="append the coherence sharing-fraction sweep to the report",
-    )
-    evaluate.add_argument(
-        "--sharing-fractions",
-        nargs="+",
-        type=float,
-        default=list(COHERENCE_SWEEP_FRACTIONS),
-        metavar="FRACTION",
-        help="sharing fractions for the --coherence sweep",
-    )
-    evaluate.set_defaults(handler=_cmd_evaluate)
 
     sensitivity = subparsers.add_parser(
         "sensitivity", help="print the photonic-design sensitivity sweeps"

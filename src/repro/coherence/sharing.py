@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from typing import List
 
 #: Address bit marking the shared region (above every private synthetic
-#: address, which occupies bits [6, 32) -- see ``SyntheticWorkload.generate``).
+#: address, which occupies bits [6, 32) -- see
+#: ``SyntheticWorkload._emit_records``).
 SHARED_REGION_BIT = 1 << 40
 
 #: Cache-line size used for shared-line addresses (Table 1).

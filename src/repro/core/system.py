@@ -43,11 +43,10 @@ issuing cluster skip both the message and the :class:`TransferResult`
 entirely.
 
 The replay consumes traces in packed columnar form
-(:class:`~repro.trace.packed.PackedTrace`): each stage reads plain ints and
-floats straight out of the trace's flat columns (one ``uint64`` meta word,
-one address, one gap per record), so the hot path allocates no per-record
-objects at all -- a :class:`~repro.trace.record.TraceStream` handed to
-:meth:`SystemSimulator.run` is packed once up front.
+(:class:`~repro.trace.packed.PackedTrace`, the only trace representation):
+each stage reads plain ints and floats straight out of the trace's flat
+columns (one ``uint64`` meta word, one address, one gap per record), so the
+hot path allocates no per-record objects at all.
 """
 
 from __future__ import annotations
@@ -79,9 +78,7 @@ from repro.trace.packed import (
     KIND_BIT,
     SHARED_BIT,
     SIZE_SHIFT,
-    AnyTrace,
     PackedTrace,
-    generate_packed_trace,
 )
 
 
@@ -426,18 +423,8 @@ class SystemSimulator:
             self._stage_memory = self._on_memory
 
     # ------------------------------------------------------------------ replay
-    def run(self, trace: AnyTrace) -> WorkloadResult:
-        """Replay ``trace`` to completion and return the workload result.
-
-        Accepts either representation; a :class:`~repro.trace.record.
-        TraceStream` is packed up front (exactly, field for field), so both
-        inputs replay bit-identically.
-        """
-        packed = (
-            trace
-            if isinstance(trace, PackedTrace)
-            else PackedTrace.from_stream(trace)
-        )
+    def run(self, trace: PackedTrace) -> WorkloadResult:
+        """Replay ``trace`` to completion and return the workload result."""
         self._simulator = Simulator()
         self._threads = {}
         self._makespan = 0.0
@@ -446,8 +433,8 @@ class SystemSimulator:
         # timestamped at their scheduled *arrival* instant and sojourn
         # (queueing behind the issue window plus service) is reported
         # alongside the closed-loop latency statistics.
-        self._open_loop = packed.arrival_process not in ("", "closed")
-        self._offered_rps = packed.offered_rps if self._open_loop else 0.0
+        self._open_loop = trace.arrival_process not in ("", "closed")
+        self._offered_rps = trace.offered_rps if self._open_loop else 0.0
         self._sojourns = [] if self._open_loop else None
         # Direct push into the event calendar: every stage time is derived
         # from ``now`` plus non-negative delays, so the schedule_at past-time
@@ -458,15 +445,15 @@ class SystemSimulator:
         self._eheap = self._equeue._heap
 
         clock = self._clock
-        gaps = packed.gaps
-        for thread_id, cluster_id, start, stop in packed.thread_segments():
+        gaps = trace.gaps
+        for thread_id, cluster_id, start, stop in trace.thread_segments():
             if start == stop:
                 continue
             state = _ThreadState(
                 thread_id=thread_id,
                 cluster_id=cluster_id,
-                meta=packed.meta,
-                addresses=packed.addresses,
+                meta=trace.meta,
+                addresses=trace.addresses,
                 gaps=gaps,
                 base=start,
                 count=stop - start,
@@ -493,7 +480,7 @@ class SystemSimulator:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        return self._build_result(packed, self._makespan)
+        return self._build_result(trace, self._makespan)
 
     def _install_observability(self, spec: ObservabilitySpec) -> None:
         """Build and install the sampler/recorder on the fresh calendar.
@@ -1060,16 +1047,14 @@ def simulate_workload(
 ) -> WorkloadResult:
     """Convenience wrapper: generate a workload's trace and replay it.
 
-    ``workload`` is any object with ``generate(seed, num_requests)`` and a
-    ``window`` attribute (both synthetic and SPLASH-2 workloads qualify);
-    workloads that also offer ``generate_packed`` stream straight into the
-    packed columns, skipping record-object construction entirely.  Pass a
-    :class:`~repro.coherence.engine.CoherenceConfig` to enable the timed
-    MOESI directory for shared-tagged records, and/or a
+    ``workload`` is any object with ``generate_packed(seed, num_requests)``
+    and a ``window`` attribute (both synthetic and SPLASH-2 workloads
+    qualify).  Pass a :class:`~repro.coherence.engine.CoherenceConfig` to
+    enable the timed MOESI directory for shared-tagged records, and/or a
     :class:`~repro.faults.spec.FaultSpec` to replay on deterministically
     degraded hardware.
     """
-    trace = generate_packed_trace(workload, seed=seed, num_requests=num_requests)
+    trace = workload.generate_packed(seed=seed, num_requests=num_requests)
     depth = window_depth if window_depth is not None else getattr(workload, "window", 4)
     simulator = SystemSimulator(
         configuration=configuration,

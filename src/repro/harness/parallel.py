@@ -61,6 +61,7 @@ Results are bit-identical for every ``jobs`` value:
 from __future__ import annotations
 
 import atexit
+import gc
 import importlib
 import multiprocessing
 import os
@@ -96,7 +97,7 @@ from repro.obs.artifacts import resolve_pair_spec, write_pair_artifacts
 from repro.obs.log import configure_worker_logging, get_logger
 from repro.obs.progress import ProgressReporter
 from repro.obs.spec import ObservabilitySpec
-from repro.trace.packed import PackedTrace, generate_packed_trace
+from repro.trace.packed import PackedTrace
 
 _log = get_logger(__name__)
 
@@ -183,8 +184,14 @@ def _release_worker_cache() -> None:
     Registered atexit (inherited by forked workers) so shared-memory handles
     are closed while interpreter teardown order is still deterministic --
     otherwise a block's ``__del__`` can run while a trace's memoryviews are
-    alive and raise an ignored ``BufferError`` at shutdown.
+    alive and raise an ignored ``BufferError`` at shutdown.  Reference
+    cycles can keep the last replay's per-thread views of the columns alive
+    until a collection runs, so collect first.  Only pool workers fill the
+    cache; every other process returns at once.
     """
+    if not _WORKER_CACHE:
+        return
+    gc.collect()
     while _WORKER_CACHE:
         _name, (trace, shm) = _WORKER_CACHE.popitem()
         del trace
@@ -840,8 +847,7 @@ class ParallelEvaluationRunner:
         names = [configuration.name for configuration in self.matrix.configurations()]
         for workload in self.matrix.workloads():
             started = time.perf_counter()
-            trace = generate_packed_trace(
-                workload,
+            trace = workload.generate_packed(
                 seed=self.matrix.scale.seed,
                 num_requests=self.matrix.requests_for(workload),
             )

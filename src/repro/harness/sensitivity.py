@@ -19,7 +19,7 @@ from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator
 from repro.network.crossbar import OpticalCrossbar
 from repro.photonics.power_budget import PowerBudget, crossbar_worst_case_budget
-from repro.trace.record import TraceStream
+from repro.trace.packed import PackedTrace
 from repro.trace.synthetic import uniform_workload
 
 
@@ -114,14 +114,14 @@ def required_laser_power_sensitivity(
 
 
 def channel_bandwidth_sensitivity(
-    trace: Optional[TraceStream] = None,
+    trace: Optional[PackedTrace] = None,
     channel_bandwidths_bytes_per_s: Sequence[float] = (80e9, 160e9, 320e9, 640e9),
     num_requests: int = 8000,
     window_depth: int = 8,
 ) -> List[SweepPoint]:
     """Achieved bandwidth of XBar/OCM vs per-channel crossbar bandwidth."""
     if trace is None:
-        trace = uniform_workload().generate(seed=1, num_requests=num_requests)
+        trace = uniform_workload().generate_packed(seed=1, num_requests=num_requests)
     points: List[SweepPoint] = []
     for bandwidth in channel_bandwidths_bytes_per_s:
         network = OpticalCrossbar(channel_bandwidth_bytes_per_s=bandwidth)
@@ -140,14 +140,14 @@ def channel_bandwidth_sensitivity(
 
 
 def window_depth_sensitivity(
-    trace: Optional[TraceStream] = None,
+    trace: Optional[PackedTrace] = None,
     depths: Sequence[int] = (1, 2, 4, 8, 16),
     num_requests: int = 8000,
     configuration_name: str = "XBar/OCM",
 ) -> List[SweepPoint]:
     """Achieved bandwidth vs per-thread outstanding-miss window."""
     if trace is None:
-        trace = uniform_workload().generate(seed=1, num_requests=num_requests)
+        trace = uniform_workload().generate_packed(seed=1, num_requests=num_requests)
     points: List[SweepPoint] = []
     for depth in depths:
         simulator = SystemSimulator(

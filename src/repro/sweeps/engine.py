@@ -53,7 +53,7 @@ from repro.obs.log import get_logger
 from repro.obs.progress import ProgressReporter
 from repro.obs.spec import ObservabilitySpec
 from repro.sweeps.spec import SweepError, SweepPoint, SweepSpec, expand
-from repro.trace.packed import PackedTrace, generate_packed_trace
+from repro.trace.packed import PackedTrace
 
 _log = get_logger(__name__)
 
@@ -92,9 +92,7 @@ class TraceCache:
         """The packed trace for ``signature``, generating on first use."""
         packed = self._traces.get(signature)
         if packed is None:
-            packed = generate_packed_trace(
-                workload, seed=seed, num_requests=num_requests
-            )
+            packed = workload.generate_packed(seed=seed, num_requests=num_requests)
             self.generations += 1
             self._traces[signature] = packed
             if self.on_generate is not None:

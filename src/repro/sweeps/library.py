@@ -111,7 +111,7 @@ def coherence_sweep_spec(
 
 @register_sweep("coherence-sweep")
 def _registered_coherence_sweep(**params) -> SweepSpec:
-    """Sharing-fraction coherence-cost grid (see ``evaluate --coherence``)."""
+    """Sharing-fraction coherence-cost grid (see :func:`coherence_sweep_spec`)."""
     return coherence_sweep_spec(**params)
 
 

@@ -5,7 +5,8 @@ L2-miss traces of 1024-thread runs, and a network simulator replayed them.
 This package is the reproduction's stand-in for that first stage.  It
 provides:
 
-* :mod:`repro.trace.record` -- the L2-miss trace record format and streams.
+* :mod:`repro.trace.record` -- the L2-miss trace record (one miss as an
+  object, for inspection and the cache hierarchy).
 * :mod:`repro.trace.synthetic` -- the paper's four synthetic traffic patterns
   (Uniform, Hot Spot, Tornado, Transpose) plus the Bit Reversal and Neighbor
   extensions, with optional sharing-tagged addresses for coherence-enabled
@@ -14,8 +15,8 @@ provides:
   SPLASH-2 applications, calibrated to the paper's per-benchmark request
   counts and bandwidth classes.
 * :mod:`repro.trace.packed` -- the packed columnar trace representation
-  (24 bytes per record, zero per-record objects) the replay engine and the
-  shared-memory worker pipeline consume.
+  (24 bytes per record, zero per-record objects): the only trace form the
+  generators build and the replay engine and worker pipeline consume.
 * :mod:`repro.trace.io` -- text and packed-binary serialization of traces so
   generated traces can be cached on disk and replayed.
 * :mod:`repro.trace.file` -- :class:`TraceFileWorkload`, wrapping an on-disk
@@ -23,14 +24,8 @@ provides:
   traces are scenario- and sweep-addressable (registered as ``trace-file``).
 """
 
-from repro.trace.packed import (
-    AnyTrace,
-    PackedTrace,
-    PackedTraceBuilder,
-    as_packed,
-    generate_packed_trace,
-)
-from repro.trace.record import AccessKind, TraceRecord, TraceStream, ThreadTrace
+from repro.trace.packed import PackedTrace, PackedTraceBuilder
+from repro.trace.record import AccessKind, TraceRecord
 from repro.trace.synthetic import (
     SyntheticPattern,
     SyntheticWorkload,
@@ -63,14 +58,9 @@ from repro.trace.file import (
 
 __all__ = [
     "AccessKind",
-    "AnyTrace",
     "PackedTrace",
     "PackedTraceBuilder",
-    "as_packed",
-    "generate_packed_trace",
     "TraceRecord",
-    "TraceStream",
-    "ThreadTrace",
     "SyntheticPattern",
     "SyntheticWorkload",
     "uniform_workload",

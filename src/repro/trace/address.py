@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.trace.record import TraceStream
+from repro.trace.packed import PackedTrace, PackedTraceBuilder
 
 
 class AccessPattern(enum.Enum):
@@ -118,13 +119,13 @@ class AddressWorkload:
         seed: int = 1,
         clusters: Optional[int] = None,
         hierarchy_kwargs: Optional[Dict] = None,
-    ) -> Tuple[TraceStream, List[CacheHierarchy]]:
+    ) -> Tuple[PackedTrace, List[CacheHierarchy]]:
         """Run the address streams through per-cluster cache hierarchies.
 
-        Returns the L2-miss :class:`TraceStream` (ready for the replay engine)
-        and the hierarchies themselves (so callers can inspect miss rates).
-        Only the first ``clusters`` clusters are populated when given, which
-        keeps tests and examples fast.
+        Returns the L2-miss :class:`PackedTrace` (ready for the replay
+        engine) and the hierarchies themselves (so callers can inspect miss
+        rates).  Only the first ``clusters`` clusters are populated when
+        given, which keeps tests and examples fast.
         """
         rng = random.Random(seed)
         populated = clusters if clusters is not None else self.num_clusters
@@ -135,7 +136,7 @@ class AddressWorkload:
         hierarchy_kwargs = dict(hierarchy_kwargs or {})
         hierarchy_kwargs.setdefault("num_clusters", self.num_clusters)
 
-        stream = TraceStream(
+        builder = PackedTraceBuilder(
             name=self.name,
             num_clusters=self.num_clusters,
             threads_per_cluster=self.threads_per_cluster,
@@ -166,17 +167,27 @@ class AddressWorkload:
                     )
                     if result.l2_miss_generated:
                         pending_gap = 0.0
+            # Threads run one after another, so each thread's misses are
+            # contiguous, as the builder requires.
             for record in hierarchy.l2_misses:
-                stream.add(record)
+                builder.append(
+                    record.thread_id,
+                    record.home_cluster,
+                    record.is_write,
+                    record.shared,
+                    record.address,
+                    record.gap_cycles,
+                    record.size_bytes,
+                )
             hierarchy.l2_misses.clear()
-        return stream, hierarchies
+        return builder.build(), hierarchies
 
 
 @dataclass
 class AddressTraceWorkload:
     """An :class:`AddressWorkload` adapted to the harness workload protocol.
 
-    The harness protocol (``name``/``window``/``generate(seed,
+    The harness protocol (``name``/``window``/``generate_packed(seed,
     num_requests)``) is what the registries, matrices and the sweep engine
     speak; the native :meth:`AddressWorkload.generate` signature predates
     it.  ``num_requests`` bounds the *raw accesses* driven through the
@@ -203,33 +214,38 @@ class AddressTraceWorkload:
     def name(self) -> str:
         return self.workload.name
 
-    def generate(
+    def generate_packed(
         self, seed: int = 1, num_requests: Optional[int] = None
-    ) -> TraceStream:
+    ) -> PackedTrace:
         base = self.workload
         if num_requests is not None:
             total_threads = base.num_clusters * base.threads_per_cluster
             per_thread = max(1, -(-int(num_requests) // total_threads))
             if per_thread != base.accesses_per_thread:
-                from dataclasses import replace
-
                 base = replace(base, accesses_per_thread=per_thread)
-        stream, _hierarchies = base.generate(seed=seed)
-        if num_requests is not None and stream.total_requests > num_requests:
-            truncated = TraceStream(
-                name=stream.name,
-                num_clusters=stream.num_clusters,
-                threads_per_cluster=stream.threads_per_cluster,
-                description=stream.description,
-            )
-            remaining = int(num_requests)
-            for record in stream.all_records():
-                if remaining == 0:
-                    break
-                truncated.add(record)
-                remaining -= 1
-            stream = truncated
-        return stream
+        trace, _hierarchies = base.generate(seed=seed)
+        if num_requests is None or trace.total_requests <= num_requests:
+            return trace
+        # Keep the first ``num_requests`` records in stored order.
+        keep = int(num_requests)
+        thread_ids = array("q")
+        offsets = array("q", [0])
+        for thread_id, _cluster, start, stop in trace.thread_segments():
+            if start >= keep:
+                break
+            thread_ids.append(thread_id)
+            offsets.append(min(stop, keep))
+        return PackedTrace(
+            name=trace.name,
+            num_clusters=trace.num_clusters,
+            threads_per_cluster=trace.threads_per_cluster,
+            thread_ids=thread_ids,
+            offsets=offsets,
+            meta=trace.meta[:keep],
+            addresses=trace.addresses[:keep],
+            gaps=trace.gaps[:keep],
+            description=trace.description,
+        )
 
 
 _ADDRESS_FACTORIES = {}

@@ -5,7 +5,7 @@ traces -- ``corona-repro trace convert/info`` exposes the text and packed
 binary formats on disk -- but only through hand-written code.
 :class:`TraceFileWorkload` closes the gap: it wraps a trace file (either
 format) in the small workload protocol the harness expects (``name``,
-``window``, ``is_synthetic``, ``generate``/``generate_packed``), so a
+``window``, ``is_synthetic``, ``generate_packed``), so a
 COTSon-style external trace is addressable from scenario files and sweep
 specs exactly like the synthetic and SPLASH-2 generators::
 
@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.trace.packed import PackedTrace
-from repro.trace.record import TraceStream
 
 
 def truncate_packed(packed: PackedTrace, num_requests: int) -> PackedTrace:
@@ -134,10 +133,10 @@ class TraceFileWorkload:
 
     def _load(self) -> PackedTrace:
         if self._packed is None:
-            from repro.trace.io import read_trace_packed
+            from repro.trace.io import read_trace
 
             try:
-                self._packed = read_trace_packed(self.path)
+                self._packed = read_trace(self.path)
             except OSError as exc:
                 raise ValueError(f"cannot read trace file: {exc}") from None
         return self._packed
@@ -189,12 +188,6 @@ class TraceFileWorkload:
                 description=packed.description,
             )
         return packed
-
-    def generate(
-        self, seed: int = 1, num_requests: Optional[int] = None
-    ) -> TraceStream:
-        """The trace as record objects (same truncation rules)."""
-        return self.generate_packed(seed=seed, num_requests=num_requests).to_stream()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

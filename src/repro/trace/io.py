@@ -12,7 +12,9 @@ produced by an external full-system simulator if real SPLASH-2 traces become
 available, in which case they drop straight into the replay engine.  A
 trailing ``S`` marks the record as a shared line for coherence-enabled
 replays; records without it (including every pre-existing trace file) are
-private.  Note that the text format rounds gaps to 4 decimals.
+private.  A thread's records may interleave with other threads' (as in a
+time-ordered external trace); the reader groups them per thread in order of
+first appearance.  Note that the text format rounds gaps to 4 decimals.
 
 **Binary (corona-trace bin2)** stores the :class:`~repro.trace.packed.
 PackedTrace` columns verbatim (little-endian, 24 bytes per record): a magic
@@ -32,8 +34,16 @@ from array import array
 from pathlib import Path
 from typing import Union
 
-from repro.trace.packed import KIND_BIT, AnyTrace, PackedTrace, as_packed
-from repro.trace.record import AccessKind, TraceRecord, TraceStream
+from repro.trace.packed import (
+    HOME_MASK,
+    HOME_SHIFT,
+    KIND_BIT,
+    SHARED_BIT,
+    SIZE_SHIFT,
+    PackedTrace,
+    PackedTraceBuilder,
+)
+from repro.trace.record import AccessKind
 
 _HEADER_PREFIX = "# corona-trace v1"
 
@@ -43,24 +53,29 @@ _BINARY_MAGIC = b"# corona-trace bin2\n"
 _BINARY_HEADER = struct.Struct("<IIQQII")
 
 
-def write_trace(stream: AnyTrace, path: Union[str, Path]) -> None:
-    """Write a trace to ``path`` in the corona-trace v1 text format."""
-    if isinstance(stream, PackedTrace):
-        stream = stream.to_stream()
+def write_trace(trace: PackedTrace, path: Union[str, Path]) -> None:
+    """Write a trace to ``path`` in the corona-trace v1 text format
+    (threads in ascending id order)."""
+    meta = trace.meta
+    addresses = trace.addresses
+    gaps = trace.gaps
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
         handle.write(
-            f"{_HEADER_PREFIX} name={stream.name!r} "
-            f"clusters={stream.num_clusters} "
-            f"threads_per_cluster={stream.threads_per_cluster}\n"
+            f"{_HEADER_PREFIX} name={trace.name!r} "
+            f"clusters={trace.num_clusters} "
+            f"threads_per_cluster={trace.threads_per_cluster}\n"
         )
-        for record in stream.all_records():
-            shared = " S" if record.shared else ""
-            handle.write(
-                f"{record.thread_id} {record.home_cluster} {record.kind.value} "
-                f"{record.address:x} {record.gap_cycles:.4f} {record.size_bytes}"
-                f"{shared}\n"
-            )
+        for thread_id, _cluster, start, stop in sorted(trace.thread_segments()):
+            for index in range(start, stop):
+                word = meta[index]
+                kind = "W" if word & KIND_BIT else "R"
+                shared = " S" if word & SHARED_BIT else ""
+                handle.write(
+                    f"{thread_id} {(word >> HOME_SHIFT) & HOME_MASK} {kind} "
+                    f"{addresses[index]:x} {gaps[index]:.4f} "
+                    f"{word >> SIZE_SHIFT}{shared}\n"
+                )
 
 
 #: ``key=value`` header tokens; quoted values may contain spaces (the name
@@ -68,77 +83,91 @@ def write_trace(stream: AnyTrace, path: Union[str, Path]) -> None:
 _HEADER_TOKEN = re.compile(r"(\w+)=('[^']*'|\"[^\"]*\"|\S+)")
 
 
-def _parse_header(line: str) -> dict:
-    if not line.startswith(_HEADER_PREFIX):
-        raise ValueError(
-            f"not a corona-trace v1 file (header is {line[:40]!r}...)"
-        )
+def _parse_header(line: str, path: Path) -> dict:
+    """``name``, ``num_clusters`` and ``threads_per_cluster`` of a text
+    header line (errors name ``path:1``).  :func:`sniff_trace_format` has
+    already checked the prefix."""
     fields = {}
     for key, value in _HEADER_TOKEN.findall(line[len(_HEADER_PREFIX):]):
         fields[key] = value
     required = {"name", "clusters", "threads_per_cluster"}
     missing = required - set(fields)
     if missing:
-        raise ValueError(f"trace header missing fields: {sorted(missing)}")
-    return fields
-
-
-def read_trace(path: Union[str, Path]) -> TraceStream:
-    """Read a trace file (either format) back into a :class:`TraceStream`.
-
-    The binary format is detected by its magic bytes; use
-    :func:`read_trace_binary` directly to keep the packed representation.
-    """
-    path = Path(path)
-    with path.open("rb") as probe:
-        is_binary = probe.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC
-    if is_binary:
-        return read_trace_binary(path).to_stream()
-    with path.open("r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        fields = _parse_header(header)
-        name = fields["name"].strip("'\"")
+        raise ValueError(f"{path}:1: trace header missing fields: {sorted(missing)}")
+    try:
         num_clusters = int(fields["clusters"])
         threads_per_cluster = int(fields["threads_per_cluster"])
-        stream = TraceStream(
-            name=name,
-            num_clusters=num_clusters,
-            threads_per_cluster=threads_per_cluster,
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
+    if num_clusters < 1 or threads_per_cluster < 1:
+        raise ValueError(f"{path}:1: clusters and threads_per_cluster must be >= 1")
+    return {
+        "name": fields["name"].strip("'\""),
+        "num_clusters": num_clusters,
+        "threads_per_cluster": threads_per_cluster,
+    }
+
+
+def _parse_record(parts, num_clusters: int):
+    """``(thread_id, PackedTraceBuilder.append arguments)`` of one text
+    record line."""
+    if len(parts) not in (6, 7):
+        raise ValueError(f"expected 6 or 7 fields, got {len(parts)}")
+    if len(parts) == 7 and parts[6] != "S":
+        raise ValueError(f"unknown record flag {parts[6]!r}")
+    home_cluster = int(parts[1])
+    if not 0 <= home_cluster < num_clusters:
+        raise ValueError(
+            f"home cluster {home_cluster} out of range for {num_clusters} clusters"
         )
+    is_write = AccessKind.from_code(parts[2]) is AccessKind.WRITE
+    address = int(parts[3], 16)
+    return int(parts[0]), (
+        home_cluster, is_write, len(parts) == 7, address, float(parts[4]), int(parts[5])
+    )
+
+
+def _read_text(path: Path) -> PackedTrace:
+    """Parse a corona-trace v1 text file straight into packed columns.
+
+    A thread's records may be interleaved with other threads' (e.g. an
+    externally produced, time-ordered trace); they are grouped per thread in
+    order of first appearance, each thread keeping its own record order.
+    """
+    threads = {}
+    with path.open("r", encoding="utf-8") as handle:
+        header = _parse_header(handle.readline().rstrip("\n"), path)
         for line_number, line in enumerate(handle, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) not in (6, 7):
-                raise ValueError(
-                    f"{path}:{line_number}: expected 6 or 7 fields, got {len(parts)}"
-                )
-            if len(parts) == 7 and parts[6] != "S":
-                raise ValueError(
-                    f"{path}:{line_number}: unknown record flag {parts[6]!r}"
-                )
-            thread_id = int(parts[0])
-            home_cluster = int(parts[1])
-            kind = AccessKind.from_code(parts[2])
-            address = int(parts[3], 16)
-            gap_cycles = float(parts[4])
-            size_bytes = int(parts[5])
-            cluster = thread_id // threads_per_cluster
-            stream.add(
-                TraceRecord(
-                    thread_id=thread_id,
-                    cluster_id=cluster,
-                    home_cluster=home_cluster,
-                    kind=kind,
-                    address=address,
-                    gap_cycles=gap_cycles,
-                    size_bytes=size_bytes,
-                    shared=len(parts) == 7,
-                )
-            )
-    stream.validate()
-    return stream
+            try:
+                thread_id, row = _parse_record(line.split(), header["num_clusters"])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_number}: {exc}") from None
+            threads.setdefault(thread_id, []).append((line_number, row))
+    builder = PackedTraceBuilder(
+        header["name"], header["num_clusters"], header["threads_per_cluster"]
+    )
+    for thread_id, rows in threads.items():
+        for line_number, row in rows:
+            try:
+                builder.append(thread_id, *row)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_number}: {exc}") from None
+    return builder.build()
+
+
+def read_trace(path: Union[str, Path]) -> PackedTrace:
+    """Read a trace file in either format (sniffed by its magic bytes).
+
+    The binary format loads without per-record parsing; text parse errors
+    name the offending ``path:line``.
+    """
+    path = Path(path)
+    if sniff_trace_format(path) == "binary":
+        return read_trace_binary(path)
+    return _read_text(path)
 
 
 # ---------------------------------------------------------------------------
@@ -154,25 +183,23 @@ def _native_to_little(column: array) -> array:
     return swapped  # pragma: no cover - BE hosts
 
 
-def write_trace_binary(trace: AnyTrace, path: Union[str, Path]) -> None:
+def write_trace_binary(trace: PackedTrace, path: Union[str, Path]) -> None:
     """Write a trace to ``path`` in the packed binary format.
 
-    Accepts either representation; a :class:`TraceStream` is packed first.
     Every field round-trips exactly, including the shared-``S`` flag (bit 1
     of each packed meta word) and full-precision gaps.
     """
-    packed = as_packed(trace)
-    name = packed.name.encode("utf-8")
-    description = packed.description.encode("utf-8")
+    name = trace.name.encode("utf-8")
+    description = trace.description.encode("utf-8")
     path = Path(path)
     with path.open("wb") as handle:
         handle.write(_BINARY_MAGIC)
         handle.write(
             _BINARY_HEADER.pack(
-                packed.num_clusters,
-                packed.threads_per_cluster,
-                len(packed.thread_ids),
-                len(packed.meta),
+                trace.num_clusters,
+                trace.threads_per_cluster,
+                len(trace.thread_ids),
+                len(trace.meta),
                 len(name),
                 len(description),
             )
@@ -180,11 +207,11 @@ def write_trace_binary(trace: AnyTrace, path: Union[str, Path]) -> None:
         handle.write(name)
         handle.write(description)
         for code, column in (
-            ("q", packed.thread_ids),
-            ("q", packed.offsets),
-            ("Q", packed.meta),
-            ("Q", packed.addresses),
-            ("d", packed.gaps),
+            ("q", trace.thread_ids),
+            ("q", trace.offsets),
+            ("Q", trace.meta),
+            ("Q", trace.addresses),
+            ("d", trace.gaps),
         ):
             if not isinstance(column, array):
                 column = array(code, column)
@@ -204,14 +231,6 @@ def sniff_trace_format(path: Union[str, Path]) -> str:
         f"{path}: neither a corona-trace v1 text file nor a bin2 binary "
         f"(starts with {head[:20]!r})"
     )
-
-
-def read_trace_packed(path: Union[str, Path]) -> PackedTrace:
-    """Read either trace format into a :class:`PackedTrace` (the binary
-    format loads without per-record parsing)."""
-    if sniff_trace_format(path) == "binary":
-        return read_trace_binary(path)
-    return as_packed(read_trace(path))
 
 
 def read_trace_metadata(path: Union[str, Path]) -> dict:
@@ -246,13 +265,8 @@ def read_trace_metadata(path: Union[str, Path]) -> dict:
             "num_records": num_records,
         }
     with path.open("r", encoding="utf-8") as handle:
-        fields = _parse_header(handle.readline().rstrip("\n"))
-    return {
-        "name": fields["name"].strip("'\""),
-        "num_clusters": int(fields["clusters"]),
-        "threads_per_cluster": int(fields["threads_per_cluster"]),
-        "num_records": None,
-    }
+        header = _parse_header(handle.readline().rstrip("\n"), path)
+    return {**header, "num_records": None}
 
 
 def trace_summary(path: Union[str, Path]) -> dict:
@@ -260,7 +274,7 @@ def trace_summary(path: Union[str, Path]) -> dict:
     first-order statistics of a trace file."""
     path = Path(path)
     fmt = sniff_trace_format(path)
-    packed = read_trace_packed(path)
+    packed = read_trace(path)
     total = packed.total_requests
     writes = sum(1 for word in packed.meta if word & KIND_BIT)
     return {

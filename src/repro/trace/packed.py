@@ -1,13 +1,12 @@
-"""Packed binary trace representation.
+"""Packed columnar trace representation -- the only trace form the
+generators build, the I/O layer reads and writes, and the replay engine
+consumes.
 
-A :class:`~repro.trace.record.TraceStream` materializes every L2 miss as a
-frozen dataclass instance -- convenient for construction and inspection, but
-at paper scale (1 M-240 M requests per workload) the object overhead
-dominates: ~200 bytes and one allocation per record, re-pickled once per
-(configuration, workload) pair by the parallel harness.
-
-:class:`PackedTrace` stores the same information in three flat fixed-width
-columns -- 24 bytes per record, zero per-record objects:
+At paper scale (1 M-240 M requests per workload) per-record objects would
+dominate: ~200 bytes and one allocation per record, re-pickled once per
+(configuration, workload) pair by the parallel harness.  :class:`PackedTrace`
+instead stores every L2 miss in three flat fixed-width columns -- 24 bytes
+per record, zero per-record objects:
 
 * ``meta`` -- one ``uint64`` word per record packing the small fields::
 
@@ -22,9 +21,9 @@ columns -- 24 bytes per record, zero per-record objects:
 
 Records are stored contiguously per thread in replay order, with a thread
 table (``thread_ids`` + ``offsets``) delimiting each thread's segment, so the
-replay engine iterates fields directly out of the columns.  Every field
-round-trips exactly (integers are stored verbatim, gaps as IEEE float64), so
-a packed replay is bit-identical to an object-trace replay.
+replay engine iterates fields directly out of the columns.
+:meth:`PackedTrace.records` decodes them into
+:class:`~repro.trace.record.TraceRecord` objects for inspection.
 
 The columns are plain buffers, which is what makes the zero-copy pipeline
 work: :meth:`PackedTrace.copy_into` lays them out in one
@@ -33,21 +32,15 @@ reconstructs a trace as ``memoryview`` casts over that block -- workers index
 the parent's pages directly instead of unpickling a private copy.
 
 :class:`PackedTraceBuilder` appends records chunk-wise (one array append per
-column), which is how the workload generators emit packed traces without ever
-materializing :class:`~repro.trace.record.TraceRecord` objects.
+column), which is how the workload generators emit their traces.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
 
-from repro.trace.record import (
-    CACHE_LINE_BYTES,
-    AccessKind,
-    TraceRecord,
-    TraceStream,
-)
+from repro.trace.record import CACHE_LINE_BYTES, AccessKind, TraceRecord
 
 # Bit layout of the packed meta word (uint64).
 KIND_BIT = 1 << 0
@@ -229,49 +222,6 @@ class PackedTrace:
             histogram[home] = histogram.get(home, 0) + 1
         return histogram
 
-    # ---------------------------------------------------------- conversion
-    @classmethod
-    def from_stream(cls, stream: TraceStream) -> "PackedTrace":
-        """Pack a :class:`TraceStream`, preserving its replay (insertion)
-        order so a packed replay schedules events exactly like the stream."""
-        builder = PackedTraceBuilder(
-            name=stream.name,
-            num_clusters=stream.num_clusters,
-            threads_per_cluster=stream.threads_per_cluster,
-            description=stream.description,
-        )
-        append = builder.append
-        for thread_id, thread in stream.threads.items():
-            expected = thread_id // stream.threads_per_cluster
-            if thread.cluster_id != expected:
-                raise ValueError(
-                    f"thread {thread_id} claims cluster {thread.cluster_id}, "
-                    f"expected {expected}"
-                )
-            for record in thread.records:
-                append(
-                    record.thread_id,
-                    record.home_cluster,
-                    record.kind is _WRITE,
-                    record.shared,
-                    record.address,
-                    record.gap_cycles,
-                    record.size_bytes,
-                )
-        return builder.build()
-
-    def to_stream(self) -> TraceStream:
-        """Materialize the packed records back into a :class:`TraceStream`."""
-        stream = TraceStream(
-            name=self.name,
-            num_clusters=self.num_clusters,
-            threads_per_cluster=self.threads_per_cluster,
-            description=self.description,
-        )
-        for record in self.records():
-            stream.add(record)
-        return stream
-
     # ------------------------------------------------------ buffer shipping
     def header(self) -> PackedTraceHeader:
         return PackedTraceHeader(
@@ -451,26 +401,3 @@ class PackedTraceBuilder:
             offered_rps=self.offered_rps,
         )
 
-
-#: Either trace representation; the replay engine accepts both.
-AnyTrace = Union[TraceStream, PackedTrace]
-
-
-def as_packed(trace: AnyTrace) -> PackedTrace:
-    """Coerce either trace representation to packed form."""
-    if isinstance(trace, PackedTrace):
-        return trace
-    return PackedTrace.from_stream(trace)
-
-
-def generate_packed_trace(workload, seed: int, num_requests) -> PackedTrace:
-    """Generate ``workload``'s trace in packed form.
-
-    Uses the workload's native ``generate_packed`` (zero record objects)
-    when it has one, packing the ``generate`` stream otherwise -- the single
-    dispatch point for every harness entry that needs a packed trace.
-    """
-    generate = getattr(workload, "generate_packed", None)
-    if generate is not None:
-        return generate(seed=seed, num_requests=num_requests)
-    return as_packed(workload.generate(seed=seed, num_requests=num_requests))

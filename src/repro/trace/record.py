@@ -1,8 +1,12 @@
-"""L2-miss trace records and streams.
+"""The L2-miss trace record.
 
-A trace is a collection of per-thread sequences of L2-miss records.  Each
-record describes one miss the thread's cluster must satisfy from main memory
-(or a remote cluster's memory controller):
+A trace is a collection of per-thread sequences of L2 misses, stored in
+packed columns (:class:`~repro.trace.packed.PackedTrace`).
+:class:`TraceRecord` is one miss as an object: the record the functional
+cache hierarchy (:mod:`repro.cache.hierarchy`) emits, and the decode type
+behind :meth:`PackedTrace.records`.  Each record describes one miss the
+thread's cluster must satisfy from main memory (or a remote cluster's
+memory controller):
 
 * ``gap_cycles`` -- core clock cycles of computation between the *issue* of
   the previous miss by this thread and the issue of this one.  The replay
@@ -25,8 +29,7 @@ two-phase methodology.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List
+from dataclasses import dataclass
 
 #: Size of a cache line transferred per miss (Table 1).
 CACHE_LINE_BYTES = 64
@@ -81,147 +84,3 @@ class TraceRecord:
     def is_write(self) -> bool:
         return self.kind is AccessKind.WRITE
 
-
-@dataclass
-class ThreadTrace:
-    """The ordered miss sequence of one hardware thread."""
-
-    thread_id: int
-    cluster_id: int
-    records: List[TraceRecord] = field(default_factory=list)
-
-    def append(self, record: TraceRecord) -> None:
-        if record.thread_id != self.thread_id:
-            raise ValueError(
-                f"record thread {record.thread_id} does not match trace thread "
-                f"{self.thread_id}"
-            )
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-
-@dataclass
-class TraceStream:
-    """A complete workload trace: every thread's miss sequence plus metadata."""
-
-    name: str
-    num_clusters: int
-    threads_per_cluster: int
-    threads: Dict[int, ThreadTrace] = field(default_factory=dict)
-    description: str = ""
-
-    def thread(self, thread_id: int) -> ThreadTrace:
-        """Get (or lazily create) the trace of ``thread_id``."""
-        if thread_id not in self.threads:
-            cluster = thread_id // self.threads_per_cluster
-            if cluster >= self.num_clusters:
-                raise ValueError(
-                    f"thread {thread_id} maps to cluster {cluster}, beyond "
-                    f"{self.num_clusters} clusters"
-                )
-            self.threads[thread_id] = ThreadTrace(
-                thread_id=thread_id, cluster_id=cluster
-            )
-        return self.threads[thread_id]
-
-    def add(self, record: TraceRecord) -> None:
-        self.thread(record.thread_id).append(record)
-
-    @property
-    def total_threads(self) -> int:
-        return self.num_clusters * self.threads_per_cluster
-
-    @property
-    def total_requests(self) -> int:
-        return sum(len(t) for t in self.threads.values())
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(
-            record.size_bytes
-            for thread in self.threads.values()
-            for record in thread.records
-        )
-
-    def all_records(self) -> Iterator[TraceRecord]:
-        """Iterate over every record, grouped by thread."""
-        for thread_id in sorted(self.threads):
-            yield from self.threads[thread_id].records
-
-    def destination_histogram(self) -> Dict[int, int]:
-        """Requests per home cluster -- useful for verifying traffic patterns."""
-        histogram: Dict[int, int] = {}
-        for record in self.all_records():
-            histogram[record.home_cluster] = histogram.get(record.home_cluster, 0) + 1
-        return histogram
-
-    def shared_fraction(self) -> float:
-        """Fraction of records tagged as coherence-visible shared lines."""
-        total = self.total_requests
-        if total == 0:
-            return 0.0
-        shared = sum(1 for record in self.all_records() if record.shared)
-        return shared / total
-
-    def read_fraction(self) -> float:
-        total = self.total_requests
-        if total == 0:
-            return 0.0
-        reads = sum(
-            1 for record in self.all_records() if record.kind is AccessKind.READ
-        )
-        return reads / total
-
-    def mean_gap_cycles(self) -> float:
-        total = self.total_requests
-        if total == 0:
-            return 0.0
-        return sum(r.gap_cycles for r in self.all_records()) / total
-
-    def validate(self) -> None:
-        """Raise if any record is inconsistent with the stream's shape."""
-        for thread_id, thread in self.threads.items():
-            expected_cluster = thread_id // self.threads_per_cluster
-            if thread.cluster_id != expected_cluster:
-                raise ValueError(
-                    f"thread {thread_id} claims cluster {thread.cluster_id}, "
-                    f"expected {expected_cluster}"
-                )
-            for record in thread.records:
-                if record.cluster_id != expected_cluster:
-                    raise ValueError(
-                        f"record in thread {thread_id} claims cluster "
-                        f"{record.cluster_id}, expected {expected_cluster}"
-                    )
-                if record.home_cluster >= self.num_clusters:
-                    raise ValueError(
-                        f"record home cluster {record.home_cluster} out of range"
-                    )
-
-
-def merge_streams(name: str, streams: Iterable[TraceStream]) -> TraceStream:
-    """Concatenate several traces (same shape) thread by thread."""
-    streams = list(streams)
-    if not streams:
-        raise ValueError("cannot merge zero streams")
-    first = streams[0]
-    merged = TraceStream(
-        name=name,
-        num_clusters=first.num_clusters,
-        threads_per_cluster=first.threads_per_cluster,
-        description=f"merge of {[s.name for s in streams]}",
-    )
-    for stream in streams:
-        if (
-            stream.num_clusters != first.num_clusters
-            or stream.threads_per_cluster != first.threads_per_cluster
-        ):
-            raise ValueError("cannot merge streams with different shapes")
-        for record in stream.all_records():
-            merged.add(record)
-    return merged

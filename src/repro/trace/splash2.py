@@ -40,7 +40,6 @@ from repro.coherence.sharing import (
 from repro.trace.arrival import ArrivalSpec, arrival_streams
 from repro.trace.gaps import draw_gap
 from repro.trace.packed import PackedTrace, PackedTraceBuilder
-from repro.trace.record import AccessKind, TraceRecord, TraceStream
 
 
 @dataclass(frozen=True)
@@ -373,17 +372,16 @@ class Splash2Workload:
             f"of the paper's {profile.paper_requests:,}-request trace"
         )
 
-    def _emit_records(self, emit, seed: int, total: int) -> None:
-        """Drive the generation loop, calling
-        ``emit(thread_id, cluster, home, is_write, address, gap, shared)``
-        per miss.
+    def _emit_records(
+        self, builder: PackedTraceBuilder, seed: int, total: int
+    ) -> None:
+        """Drive the generation loop, appending each miss to ``builder``.
 
-        Shared by :meth:`generate` and :meth:`generate_packed`; the rng draw
-        sequence depends only on the profile, the sharing profile and
-        ``seed``, so both representations carry field-identical records.
-        With no sharing profile the draw sequence is exactly the historical
-        one, keeping sharing-free traces bit-identical.
+        The rng draw sequence depends only on the profile, the sharing
+        profile and ``seed``.  With no sharing profile it is exactly the
+        historical one, keeping sharing-free traces bit-identical.
         """
+        append = builder.append
         profile = self.profile
         if total < 1:
             raise ValueError(f"request count must be >= 1, got {total}")
@@ -432,52 +430,22 @@ class Splash2Workload:
                     home = home_for_line(line, self.num_clusters)
                     address = shared_line_address(line, self.num_clusters)
                     is_write = rng.random() < sharing.write_fraction
-                    emit(thread_id, cluster, home, is_write, address, gap, True)
+                    append(thread_id, home, is_write, True, address, gap)
                     continue
                 is_write = rng.random() < profile.write_fraction
                 home = self._destination(cluster, rng, in_burst, burst_home)
                 address = (home << 26) | ((line_counter & 0xFFFFF) << 6)
                 line_counter += 1
-                emit(thread_id, cluster, home, is_write, address, gap, False)
-
-    def generate(
-        self, seed: int = 1, num_requests: Optional[int] = None
-    ) -> TraceStream:
-        """Generate the miss trace as a :class:`TraceStream`.
-
-        ``num_requests`` scales the paper's Table 3 request count down (or up)
-        while keeping the per-thread statistics unchanged.
-        """
-        total = num_requests if num_requests is not None else self.num_requests
-        stream = TraceStream(
-            name=self.name,
-            num_clusters=self.num_clusters,
-            threads_per_cluster=self.threads_per_cluster,
-            description=self._description(),
-        )
-        add = stream.add
-
-        def emit(thread_id, cluster, home, is_write, address, gap, shared):
-            add(
-                TraceRecord(
-                    thread_id=thread_id,
-                    cluster_id=cluster,
-                    home_cluster=home,
-                    kind=AccessKind.WRITE if is_write else AccessKind.READ,
-                    address=address,
-                    gap_cycles=gap,
-                    shared=shared,
-                )
-            )
-
-        self._emit_records(emit, seed, total)
-        return stream
+                append(thread_id, home, is_write, False, address, gap)
 
     def generate_packed(
         self, seed: int = 1, num_requests: Optional[int] = None
     ) -> PackedTrace:
-        """Generate the miss trace directly in packed columnar form
-        (field-identical to :meth:`generate`, no per-record objects)."""
+        """Generate the miss trace in packed columnar form.
+
+        ``num_requests`` scales the paper's Table 3 request count down (or up)
+        while keeping the per-thread statistics unchanged.
+        """
         total = num_requests if num_requests is not None else self.num_requests
         arrival = self.arrival if self.arrival and self.arrival.enabled else None
         builder = PackedTraceBuilder(
@@ -488,12 +456,7 @@ class Splash2Workload:
             arrival_process=arrival.process if arrival else "closed",
             offered_rps=arrival.offered_rps() if arrival else 0.0,
         )
-        append = builder.append
-
-        def emit(thread_id, _cluster, home, is_write, address, gap, shared):
-            append(thread_id, home, is_write, shared, address, gap)
-
-        self._emit_records(emit, seed, total)
+        self._emit_records(builder, seed, total)
         return builder.build()
 
 

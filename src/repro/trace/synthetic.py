@@ -24,7 +24,7 @@ Two further classic patterns extend the paper's set:
   pattern, useful as a low-contention control.
 
 Each pattern is wrapped in a :class:`SyntheticWorkload` that produces a
-:class:`~repro.trace.record.TraceStream` with per-thread gaps drawn from an
+:class:`~repro.trace.packed.PackedTrace` with per-thread gaps drawn from an
 exponential distribution, so the offered load is tunable with one intensity
 parameter.  A :class:`~repro.coherence.sharing.SharingProfile` additionally
 tags a configurable fraction of misses as *shared* lines, which is what the
@@ -49,7 +49,6 @@ from repro.coherence.sharing import (
 from repro.trace.arrival import ArrivalSpec, arrival_streams
 from repro.trace.gaps import draw_gap
 from repro.trace.packed import PackedTrace, PackedTraceBuilder
-from repro.trace.record import AccessKind, TraceRecord, TraceStream
 
 #: Default request count from Table 3 of the paper.
 PAPER_SYNTHETIC_REQUESTS = 1_000_000
@@ -213,16 +212,15 @@ class SyntheticWorkload:
             return neighbor_destination(cluster, self.num_clusters)
         raise ValueError(f"unknown pattern {self.pattern}")
 
-    def _emit_records(self, emit, seed: int, total: int) -> None:
-        """Drive the generation loop, calling
-        ``emit(thread_id, cluster, home, is_write, address, gap, shared)``
-        once per record.
+    def _emit_records(
+        self, builder: PackedTraceBuilder, seed: int, total: int
+    ) -> None:
+        """Drive the generation loop, appending each record to ``builder``.
 
-        The single loop behind both trace representations: the rng draw
-        sequence depends only on the workload parameters and ``seed``, so
-        :meth:`generate` and :meth:`generate_packed` produce field-identical
-        records.
+        The rng draw sequence depends only on the workload parameters and
+        ``seed``, so a trace is reproducible from them alone.
         """
+        append = builder.append
         rng = random.Random(seed)
         total_threads = self.num_clusters * self.threads_per_cluster
         base, remainder = divmod(total, total_threads)
@@ -269,51 +267,19 @@ class SyntheticWorkload:
                     address = (home << 26) | ((line_counter & 0xFFFFF) << 6)
                     line_counter += 1
                     shared = False
-                emit(thread_id, cluster, home, is_write, address, gap, shared)
-
-    def generate(
-        self, seed: int = 1, num_requests: Optional[int] = None
-    ) -> TraceStream:
-        """Generate the trace as a :class:`TraceStream` of record objects.
-
-        ``num_requests`` overrides the configured total, which is how the
-        harness scales the paper's 1 M-request runs down to something a pure
-        Python replay can finish quickly.
-        """
-        total = num_requests if num_requests is not None else self.num_requests
-        stream = TraceStream(
-            name=self.name,
-            num_clusters=self.num_clusters,
-            threads_per_cluster=self.threads_per_cluster,
-            description=self.description or f"synthetic {self.pattern.value}",
-        )
-        add = stream.add
-
-        def emit(thread_id, cluster, home, is_write, address, gap, shared):
-            add(
-                TraceRecord(
-                    thread_id=thread_id,
-                    cluster_id=cluster,
-                    home_cluster=home,
-                    kind=AccessKind.WRITE if is_write else AccessKind.READ,
-                    address=address,
-                    gap_cycles=gap,
-                    shared=shared,
-                )
-            )
-
-        self._emit_records(emit, seed, total)
-        return stream
+                append(thread_id, home, is_write, shared, address, gap)
 
     def generate_packed(
         self, seed: int = 1, num_requests: Optional[int] = None
     ) -> PackedTrace:
-        """Generate the trace directly in packed columnar form.
+        """Generate the trace in packed columnar form.
 
         Streams records chunk-wise into the packed columns (three array
-        appends per miss, no :class:`TraceRecord` objects), which is what
-        makes paper-scale request counts practical.  Field-identical to
-        :meth:`generate` for the same seed.
+        appends per miss, no per-record objects), which is what makes
+        paper-scale request counts practical.  ``num_requests`` overrides
+        the configured total, which is how the harness scales the paper's
+        1 M-request runs down to something a pure Python replay can finish
+        quickly.
         """
         total = num_requests if num_requests is not None else self.num_requests
         arrival = self.arrival if self.arrival and self.arrival.enabled else None
@@ -325,12 +291,7 @@ class SyntheticWorkload:
             arrival_process=arrival.process if arrival else "closed",
             offered_rps=arrival.offered_rps() if arrival else 0.0,
         )
-        append = builder.append
-
-        def emit(thread_id, _cluster, home, is_write, address, gap, shared):
-            append(thread_id, home, is_write, shared, address, gap)
-
-        self._emit_records(emit, seed, total)
+        self._emit_records(builder, seed, total)
         return builder.build()
 
 

@@ -6,19 +6,26 @@ Each value is :func:`repro.analysis.runtime.result_digest` of one pair's
 matrix runner and the loop-based coherence sweep that the single
 ``run_pairs`` path replaced, so a test comparing today's results against
 them checks that every ``jobs`` value still reproduces those numbers bit
-for bit.  The matrices and sweeps they describe are built by the helpers
-below; change one and its digests must be re-recorded.
+for bit.  The address-level, trace-file and open-loop pairs were recorded
+before packed columns became the only trace representation, when those
+pairs still went through record-object traces or readers.  The matrices,
+scenarios and sweeps they describe are built by the helpers below; change
+one and its digests must be re-recorded.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable
+from pathlib import Path
+from typing import Dict, Iterable, Tuple
 
 from repro.analysis.runtime import result_digest
+from repro.api import ScaleSpec, Scenario, SystemSpec, WorkloadSpec
 from repro.coherence import CoherenceConfig
 from repro.core.results import WorkloadResult
 from repro.harness.experiments import EvaluationMatrix, ExperimentScale, quick_matrix
+from repro.trace.io import write_trace, write_trace_binary
+from repro.trace.synthetic import uniform_workload
 
 
 def digests(results: Iterable[WorkloadResult]) -> Dict[str, str]:
@@ -63,6 +70,63 @@ def coherent_uniform_matrix() -> EvaluationMatrix:
         include_splash=False,
         workload_filter=["Uniform"],
         coherence=CoherenceConfig(),
+    )
+
+
+def _one_configuration(configuration: str, *workloads: WorkloadSpec) -> Scenario:
+    return Scenario(
+        system=SystemSpec(configurations=(configuration,)),
+        workloads=workloads,
+        scale=ScaleSpec(seed=1),
+    )
+
+
+def addr_streaming_scenario() -> Scenario:
+    """XBar/OCM x ``addr-streaming`` at 1,500 requests: the cache
+    hierarchy's miss stream, cut to its first 1,500 records."""
+    return _one_configuration(
+        "XBar/OCM", WorkloadSpec(name="addr-streaming", num_requests=1_500)
+    )
+
+
+def write_trace_files(directory: Path) -> Tuple[Path, Path]:
+    """A seed-7, 1,000-request Uniform trace written as text and binary."""
+    trace = uniform_workload().generate_packed(seed=7, num_requests=1_000)
+    text_path = Path(directory) / "uniform.trace"
+    binary_path = Path(directory) / "uniform.trace.bin"
+    write_trace(trace, text_path)
+    write_trace_binary(trace, binary_path)
+    return text_path, binary_path
+
+
+def trace_file_scenario(text_path: Path, binary_path: Path) -> Scenario:
+    """LMesh/ECM x the two ``trace-file`` workloads of
+    :func:`write_trace_files` (window 8)."""
+    return _one_configuration(
+        "LMesh/ECM",
+        *(
+            WorkloadSpec(
+                name="trace-file",
+                params={"path": str(path), "name": name, "window": 8},
+            )
+            for name, path in (("text-file", text_path), ("binary-file", binary_path))
+        ),
+    )
+
+
+def poisson_uniform_scenario() -> Scenario:
+    """XBar/OCM x open-loop (Poisson, 2e10 req/s) Uniform at 3,000
+    requests, window 8."""
+    return _one_configuration(
+        "XBar/OCM",
+        WorkloadSpec(
+            name="Uniform",
+            params={
+                "arrival": {"process": "poisson", "rate_rps": 2e10},
+                "window": 8,
+            },
+            num_requests=3_000,
+        ),
     )
 
 
@@ -198,4 +262,20 @@ SWEEP_2000 = {
 SWEEP_1500 = {
     "XBar/OCM/Uniform s=0.2": "6011ae9b281c378db8d11095243ea3b4a0d1855607d7236dae494b6cc750c20a",
     "LMesh/ECM/Uniform s=0.2": "9a30a3f2cba6093e53e9a9479cbb67ade90978aa103f59fd31b8cc125018012e",
+}
+
+#: :func:`addr_streaming_scenario`.
+ADDR_STREAMING = {
+    "XBar/OCM/AddressStreaming": "e27144611d38eb092aaaca148344cbae513a93be581ddeb840d738731c464e3b",
+}
+
+#: :func:`trace_file_scenario` over :func:`write_trace_files`.
+TRACE_FILES = {
+    "LMesh/ECM/text-file": "ef50779eee22292ff4be01e6c677e1adc8aa79e36d0e69cf518e9f778f456417",
+    "LMesh/ECM/binary-file": "32554847acb4e3a00db7a6ae99b5a0d90bb2515122553cffc2bfea44c7986d8f",
+}
+
+#: :func:`poisson_uniform_scenario`.
+POISSON_UNIFORM = {
+    "XBar/OCM/Uniform": "6244c0641bbe88ee636a7e5a59448b094594716ffc4816f8bbca41324fa00cb9",
 }

@@ -518,6 +518,35 @@ class TestRuntimeDeterminism:
         assert check.pairs == 1
         assert "deterministic" in check.summary()
 
+    def test_spawned_pool_workers_exit_quietly(self, tmp_path):
+        """The replicas run pool workers under ``spawn``; closing their
+        shared-memory blocks at exit must not print ignored
+        ``BufferError``s."""
+        import os
+        import subprocess
+        import sys
+
+        from repro.api import Scenario, SystemSpec, WorkloadSpec
+
+        path = tmp_path / "scenario.json"
+        Scenario(
+            name="quiet-exit",
+            system=SystemSpec(configurations=("LMesh/ECM", "XBar/OCM")),
+            workloads=(
+                WorkloadSpec(name="Uniform", num_requests=400),
+                WorkloadSpec(name="Hot Spot", num_requests=400),
+            ),
+        ).save(path)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", str(path),
+             "--check-determinism", "--jobs", "2"],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert done.returncode == 0, done.stderr
+        assert "deterministic" in done.stdout
+        assert "BufferError" not in done.stderr
+
 
 class TestLintCli:
     def write_tree(self, tmp_path, source):

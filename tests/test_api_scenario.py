@@ -4,7 +4,6 @@ errors, the run() entry point, and the parallel worker resolution errors."""
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -29,13 +28,11 @@ from repro.coherence.engine import CoherenceConfig
 from repro.coherence.sharing import SharingProfile
 from repro.core.configs import CONFIGURATION_ORDER, SystemConfiguration
 from repro.core.results import RESULT_CSV_COLUMNS, WorkloadResult
-from repro.harness.experiments import EvaluationMatrix, QUICK_SCALE
 from repro.harness.parallel import (
     WorkerSetupError,
     _replay_pair,
     run_pairs,
 )
-from repro.harness.report import build_report
 from repro.trace.splash2 import (
     SPLASH2_SHARING_PROFILES,
     splash2_workload,
@@ -289,31 +286,35 @@ class TestRegistry:
         with pytest.raises(ScenarioError, match="names must match"):
             build_matrix(scenario)
 
+    def test_workload_without_generate_packed_rejected(self, monkeypatch):
+        class RecordsOnly:
+            name = "Test/RecordsOnly"
+            window = 4
 
-def _small_scale_kwargs():
-    return dict(
-        synthetic_requests=800, splash_min_requests=800, splash_max_requests=800
-    )
+            def generate(self, seed=1, num_requests=None):
+                return []
+
+        # Register into copies of the process-wide tables, which monkeypatch
+        # puts back afterwards, so later tests never see this entry.
+        monkeypatch.setattr(WORKLOADS, "_entries", dict(WORKLOADS._entries))
+        monkeypatch.setattr(
+            WORKLOADS, "_explicit_only", set(WORKLOADS._explicit_only)
+        )
+        WORKLOADS.register(RecordsOnly.name)(RecordsOnly)
+        scenario = Scenario(
+            system=SystemSpec(configurations=("XBar/OCM",)),
+            workloads=(
+                WorkloadSpec(name="Uniform", num_requests=400),
+                WorkloadSpec(name=RecordsOnly.name, num_requests=400),
+            ),
+        )
+        with pytest.raises(
+            ScenarioError, match=r"workloads\[1\].name: .*generate_packed"
+        ):
+            build_matrix(scenario)
 
 
 class TestRunEntryPoint:
-    def test_run_matches_legacy_evaluate_bit_identically(self):
-        """The acceptance criterion: a scenario translated from the legacy
-        evaluate flags reproduces the quick-scale matrix bit-identically."""
-        legacy = build_report(
-            EvaluationMatrix(
-                scale=replace(QUICK_SCALE, **_small_scale_kwargs()),
-                configuration_names=["LMesh/ECM", "XBar/OCM"],
-                workload_filter=["Uniform", "Barnes"],
-            )
-        )
-        scenario = Scenario(
-            system=SystemSpec(configurations=("LMesh/ECM", "XBar/OCM")),
-            workloads=(WorkloadSpec(name="Uniform"), WorkloadSpec(name="Barnes")),
-            scale=ScaleSpec(tier="quick", **_small_scale_kwargs()),
-        )
-        assert run(scenario).results == legacy.results
-
     def test_parallel_run_matches_serial(self):
         scenario = Scenario(
             system=SystemSpec(configurations=("LMesh/ECM", "XBar/OCM")),
@@ -471,19 +472,26 @@ class TestSplash2Sharing:
         assert sorted(SPLASH2_SHARING_PROFILES) == sorted(SPLASH2_ORDER)
 
     def test_stream_and_packed_agree_with_sharing(self):
-        from repro.trace.packed import as_packed
+        """The packed generator reproduces the record-object generator's
+        trace (meta + addresses + gaps digest, recorded before the packed
+        columns became the only representation)."""
+        import hashlib
 
         workload = splash2_workload("LU", sharing="default")
-        stream = as_packed(workload.generate(seed=5, num_requests=2000))
         packed = workload.generate_packed(seed=5, num_requests=2000)
-        assert stream.meta == packed.meta
-        assert stream.addresses == packed.addresses
-        assert stream.gaps == packed.gaps
+        digest = hashlib.sha256()
+        for column in (packed.meta, packed.addresses, packed.gaps):
+            digest.update(column.tobytes())
+        assert digest.hexdigest() == (
+            "92dc61802c521576a86fcfaf0f07b9265cd66317d48a4b8275997c0a2bdb5be8"
+        )
 
     def test_label_renames_the_workload(self):
         workload = splash2_workload("FFT", label="FFT shared")
         assert workload.name == "FFT shared"
-        assert workload.generate(seed=1, num_requests=1200).name == "FFT shared"
+        assert workload.generate_packed(seed=1, num_requests=1200).name == (
+            "FFT shared"
+        )
 
     def test_bad_sharing_string_rejected(self):
         with pytest.raises(ValueError, match="default"):

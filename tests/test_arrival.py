@@ -3,7 +3,7 @@ scenario round-trip, deterministic trace materialization (with bit-identity
 to pre-arrival traces when disabled), the simulator's open-loop replay and
 sojourn statistics, knee detection, the latency-throughput stock sweep
 (serial/parallel equivalence included), the public field-path writers, and
-the deprecated `simulate`/`evaluate` CLI shims."""
+the CLI's shared execution flags."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from repro.trace.arrival import (
     ArrivalSpec,
     arrival_streams,
 )
-from repro.trace.packed import generate_packed_trace
 
 #: Column digests of seed-1, 2000-request traces at the commit before the
 #: arrival layer existed (meta + addresses + gaps, in that order).  Closed-
@@ -56,7 +55,7 @@ def _digest(trace) -> str:
 
 
 def _replay(workload, configuration="XBar/OCM", seed=1, num_requests=2000):
-    trace = generate_packed_trace(workload, seed=seed, num_requests=num_requests)
+    trace = workload.generate_packed(seed=seed, num_requests=num_requests)
     simulator = SystemSimulator(
         build_configuration(configuration), window_depth=workload.window
     )
@@ -173,20 +172,16 @@ class TestScenarioArrival:
 
 class TestTraceMaterialization:
     def test_closed_loop_uniform_matches_golden(self):
-        trace = generate_packed_trace(
-            build_workload("Uniform"), seed=1, num_requests=2000
-        )
+        trace = build_workload("Uniform").generate_packed(seed=1, num_requests=2000)
         assert _digest(trace) == GOLDEN_UNIFORM_SHA
 
     def test_closed_loop_splash_matches_golden(self):
-        trace = generate_packed_trace(
-            build_workload("Barnes"), seed=1, num_requests=2000
-        )
+        trace = build_workload("Barnes").generate_packed(seed=1, num_requests=2000)
         assert _digest(trace) == GOLDEN_BARNES_SHA
 
     def test_arrival_none_is_bit_identical(self):
-        explicit = generate_packed_trace(
-            build_workload("Uniform", arrival=None), seed=1, num_requests=2000
+        explicit = build_workload("Uniform", arrival=None).generate_packed(
+            seed=1, num_requests=2000
         )
         assert _digest(explicit) == GOLDEN_UNIFORM_SHA
 
@@ -194,7 +189,7 @@ class TestTraceMaterialization:
         workload = build_workload(
             "Uniform", arrival=ArrivalSpec(process="poisson", rate_rps=1e10)
         )
-        trace = generate_packed_trace(workload, seed=1, num_requests=2000)
+        trace = workload.generate_packed(seed=1, num_requests=2000)
         assert trace.arrival_process == "poisson"
         assert trace.offered_rps == 1e10
         header = trace.header()
@@ -207,7 +202,7 @@ class TestTraceMaterialization:
                 "Uniform",
                 arrival=ArrivalSpec(process="poisson", rate_rps=1e10, seed=3),
             )
-            return generate_packed_trace(workload, seed=1, num_requests=2000)
+            return workload.generate_packed(seed=1, num_requests=2000)
 
         assert _digest(build()) == _digest(build())
 
@@ -219,7 +214,7 @@ class TestTraceMaterialization:
                     process="poisson", rate_rps=1e10, seed=arrival_seed
                 ),
             )
-            return generate_packed_trace(workload, seed=1, num_requests=2000)
+            return workload.generate_packed(seed=1, num_requests=2000)
 
         assert _digest(build(0)) != _digest(build(1))
 
@@ -228,7 +223,7 @@ class TestTraceMaterialization:
         workload = build_workload(
             "Uniform", arrival=ArrivalSpec(process="poisson", rate_rps=rate)
         )
-        trace = generate_packed_trace(workload, seed=1, num_requests=20_000)
+        trace = workload.generate_packed(seed=1, num_requests=20_000)
         gaps = list(trace.gaps)
         threads = len({t for t, _c, s, e in trace.thread_segments() if e > s})
         expected = GAP_CLOCK_HZ * threads / rate
@@ -307,7 +302,7 @@ class TestOpenLoopReplay:
         workload = build_workload(
             "Uniform", arrival=ArrivalSpec(process="poisson", rate_rps=1e10)
         )
-        trace = generate_packed_trace(workload, seed=1, num_requests=2000)
+        trace = workload.generate_packed(seed=1, num_requests=2000)
         simulator = SystemSimulator(
             build_configuration("XBar/OCM"),
             window_depth=workload.window,
@@ -323,7 +318,7 @@ class TestOpenLoopReplay:
 
     def test_metrics_sampler_closed_loop_has_no_load_track(self, tmp_path):
         workload = build_workload("Uniform")
-        trace = generate_packed_trace(workload, seed=1, num_requests=2000)
+        trace = workload.generate_packed(seed=1, num_requests=2000)
         simulator = SystemSimulator(
             build_configuration("XBar/OCM"),
             window_depth=workload.window,
@@ -334,6 +329,20 @@ class TestOpenLoopReplay:
         simulator.run(trace)
         resources = {row[1] for row in simulator._obs_metrics.rows}
         assert "load" not in resources
+
+
+class TestOpenLoopGolden:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_open_loop_pair_matches_golden(self, jobs):
+        """The arrival metadata rides the packed trace through the harness
+        (and through worker shipping), so the open-loop pair replays with
+        open-loop semantics and reproduces its pinned digest."""
+        from repro.analysis.runtime import scenario_digests
+        from tests.golden import POISSON_UNIFORM, poisson_uniform_scenario
+
+        assert scenario_digests(poisson_uniform_scenario(), jobs=jobs) == (
+            POISSON_UNIFORM
+        )
 
 
 class TestKneeDetection:
@@ -431,26 +440,6 @@ class TestLatencyThroughputSweep:
 
 
 class TestDeprecatedCommands:
-    def test_simulate_warns_but_works(self, capsys):
-        with pytest.warns(DeprecationWarning, match="simulate.*deprecated"):
-            code = main(
-                ["simulate", "Uniform", "--requests", "300",
-                 "--configurations", "XBar/OCM"]
-            )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "configuration" in captured.out  # the results table printed
-        assert "deprecated" in captured.err
-
-    def test_evaluate_warns_but_works(self, capsys):
-        with pytest.warns(DeprecationWarning, match="evaluate.*deprecated"):
-            code = main(
-                ["evaluate", "--scale", "quick", "--configs", "XBar",
-                 "--workloads", "Uniform"]
-            )
-        assert code == 0
-        assert "Figure 8" in capsys.readouterr().out
-
     def test_run_does_not_warn(self, tmp_path, recwarn):
         path = tmp_path / "s.json"
         Scenario(

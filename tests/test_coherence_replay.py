@@ -76,10 +76,9 @@ class TestSharingProfile:
 
     def test_trace_tagging_fraction_and_homes(self):
         workload = _sharing_workload(fraction=0.4)
-        trace = workload.generate(seed=1, num_requests=6_000)
-        trace.validate()
+        trace = workload.generate_packed(seed=1, num_requests=6_000)
         assert trace.shared_fraction() == pytest.approx(0.4, abs=0.05)
-        for record in trace.all_records():
+        for record in trace.records():
             if record.shared:
                 assert record.address & SHARED_REGION_BIT
                 line = (record.address & ~SHARED_REGION_BIT & ~(0x3F << 26)) // 64
@@ -88,11 +87,11 @@ class TestSharingProfile:
                 assert not record.address & SHARED_REGION_BIT
 
     def test_fraction_zero_generates_identical_trace(self):
-        plain = uniform_workload().generate(seed=5, num_requests=2_000)
+        plain = uniform_workload().generate_packed(seed=5, num_requests=2_000)
         zero = uniform_workload(
             sharing=SharingProfile(fraction=0.0)
-        ).generate(seed=5, num_requests=2_000)
-        assert list(plain.all_records()) == list(zero.all_records())
+        ).generate_packed(seed=5, num_requests=2_000)
+        assert plain == zero
 
 
 class TestCoherenceConfig:
@@ -179,7 +178,7 @@ class TestCoherentReplay:
             configuration=configuration_by_name("HMesh/ECM"),
             coherence=CoherenceConfig(broadcast_threshold=2),
         )
-        trace = workload.generate(seed=1, num_requests=REQUESTS)
+        trace = workload.generate_packed(seed=1, num_requests=REQUESTS)
         simulator.run(trace)
         assert simulator.broadcast_bus is None
         assert all(
@@ -194,7 +193,7 @@ class TestCoherentReplay:
             configuration=configuration_by_name("XBar/OCM"),
             coherence=CoherenceConfig(),
         )
-        simulator.run(workload.generate(seed=1, num_requests=REQUESTS))
+        simulator.run(workload.generate_packed(seed=1, num_requests=REQUESTS))
         histogram = simulator.coherence.sharer_histogram()
         assert sum(histogram.values()) > 0
         # Read-mostly sharing must produce multi-sharer lines.

@@ -4,22 +4,15 @@ import pytest
 
 from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator, simulate_workload
-from repro.trace.record import AccessKind, TraceRecord, TraceStream
+from repro.trace.packed import PackedTraceBuilder
 
 
 def _single_request_trace(num_clusters=16, src=0, home=5, is_write=False):
-    trace = TraceStream("single", num_clusters=num_clusters, threads_per_cluster=2)
-    trace.add(
-        TraceRecord(
-            thread_id=src * 2,
-            cluster_id=src,
-            home_cluster=home,
-            kind=AccessKind.WRITE if is_write else AccessKind.READ,
-            address=(home << 26) | 0x40,
-            gap_cycles=10.0,
-        )
+    builder = PackedTraceBuilder(
+        "single", num_clusters=num_clusters, threads_per_cluster=2
     )
-    return trace
+    builder.append(src * 2, home, is_write, False, (home << 26) | 0x40, 10.0)
+    return builder.build()
 
 
 class TestSingleTransaction:
@@ -196,7 +189,7 @@ class TestWorkloadReplay:
             corona_config=small_config,
             window_depth=4,
         )
-        trace = small_uniform_workload.generate(seed=1, num_requests=2000)
+        trace = small_uniform_workload.generate_packed(seed=1, num_requests=2000)
         result = simulator.run(trace)
         stats = simulator.stats
         assert stats.requests == 2000
@@ -211,7 +204,7 @@ class TestWorkloadReplay:
         simulator = SystemSimulator(
             configuration_by_name("XBar/OCM"), corona_config=small_config
         )
-        trace = small_uniform_workload.generate(seed=1, num_requests=1000)
+        trace = small_uniform_workload.generate_packed(seed=1, num_requests=1000)
         simulator.run(trace)
         # No transaction can complete faster than the 20 ns DRAM access.
         assert simulator.stats.latency.minimum >= 20e-9

@@ -3,7 +3,7 @@
 Each example is executed as a real subprocess (fresh interpreter, the same
 ``PYTHONPATH=src`` entry point a user types), so import errors, stale APIs
 and crashing demos fail the suite rather than the next reader.  Request
-counts are passed/kept small so both scripts finish in seconds.
+counts are passed/kept small so every script finishes in seconds.
 """
 
 from __future__ import annotations
@@ -75,3 +75,18 @@ class TestExampleSmoke:
         # The timed replay comparison added with the coherence subsystem.
         assert "Timed coherent replay" in result.stdout
         assert "XBar/OCM" in result.stdout and "LMesh/ECM" in result.stdout
+
+    def test_synthetic_traffic_runs_end_to_end(self):
+        result = _run_example("synthetic_traffic.py", "1024")
+        assert result.returncode == 0, result.stderr
+        for pattern in ("Uniform", "Hot Spot", "Neighbor"):
+            assert f"=== {pattern} (1,024 requests) ===" in result.stdout
+        assert "busiest crossbar channels" in result.stdout
+        assert "hottest mesh links" in result.stdout
+
+    def test_address_level_pipeline_runs_end_to_end(self):
+        result = _run_example("address_level_pipeline.py", "4", "200")
+        assert result.returncode == 0, result.stderr
+        assert "=== AddressStreaming ===" in result.stdout
+        assert "=== AddressResident ===" in result.stdout
+        assert "XBar/OCM" in result.stdout

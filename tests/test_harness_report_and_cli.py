@@ -62,24 +62,6 @@ class TestReport:
         assert parallel.results == serial.results
         assert parallel.to_markdown().splitlines()[0] == "# Corona reproduction report"
 
-    def test_evaluate_parser_accepts_jobs(self):
-        import argparse
-
-        parser = build_parser()
-        args = parser.parse_args(["evaluate", "--jobs", "4"])
-        assert args.jobs == 4
-        args = parser.parse_args(["evaluate"])
-        assert args.jobs == 1
-        # --jobs is documented in the evaluate --help epilog.
-        subparsers = next(
-            action
-            for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-        help_text = subparsers.choices["evaluate"].format_help()
-        assert "--jobs" in help_text
-        assert "bit-identical" in help_text
-
 
 class TestSensitivity:
     def test_waveguide_loss_sweep_shows_feasibility_cliff(self):
@@ -190,51 +172,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "waveguide loss" in out
 
-    def test_simulate_command(self, capsys):
-        code = main([
-            "simulate", "Uniform", "--requests", "800",
-            "--configurations", "LMesh/ECM", "XBar/OCM",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "XBar/OCM" in out
-
-    def test_evaluate_parser_accepts_filters_and_coherence(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            [
-                "evaluate",
-                "--configs", "XBar", "LMesh",
-                "--workloads", "Uniform",
-                "--coherence",
-                "--sharing-fractions", "0", "0.3",
-            ]
-        )
-        assert args.configs == ["XBar", "LMesh"]
-        assert args.workloads == ["Uniform"]
-        assert args.coherence
-        assert args.sharing_fractions == [0.0, 0.3]
-        # Defaults: no filters, no sweep.
-        args = parser.parse_args(["evaluate"])
-        assert args.configs is None and args.workloads is None
-        assert not args.coherence
-
-    def test_evaluate_rejects_unknown_filters(self):
-        with pytest.raises(SystemExit):
-            main(["evaluate", "--configs", "NoSuchNetwork"])
-        with pytest.raises(SystemExit):
-            main(["evaluate", "--workloads", "NoSuchWorkload"])
-
-    def test_simulate_splash_workload(self, capsys):
-        assert main([
-            "simulate", "Barnes", "--requests", "800",
-            "--configurations", "XBar/OCM",
-        ]) == 0
-
-    def test_simulate_unknown_workload(self):
-        with pytest.raises(SystemExit):
-            main(["simulate", "NotAWorkload"])
-
 
 class TestScenarioCli:
     """The Scenario API subcommands: run / scenario init|validate|list /
@@ -310,7 +247,7 @@ class TestScenarioCli:
 
         text_path = tmp_path / "uni.trace"
         write_trace(
-            uniform_workload().generate(seed=1, num_requests=600), text_path
+            uniform_workload().generate_packed(seed=1, num_requests=600), text_path
         )
         assert main(["trace", "info", str(text_path)]) == 0
         out = capsys.readouterr().out
@@ -334,4 +271,14 @@ class TestScenarioCli:
         path = tmp_path / "garbage.bin"
         path.write_bytes(b"not a trace at all")
         with pytest.raises(SystemExit, match="neither"):
+            main(["trace", "info", str(path)])
+
+    def test_trace_info_names_the_bad_line(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_text(
+            "# corona-trace v1 name='x' clusters=4 threads_per_cluster=2\n"
+            "0 1 R 40 1.0 64\n"
+            "1 9 R 80 1.0 64\n"
+        )
+        with pytest.raises(SystemExit, match=r"bad\.trace:3: home cluster 9"):
             main(["trace", "info", str(path)])

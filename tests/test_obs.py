@@ -348,8 +348,8 @@ class TestAddressWorkloadRegistry:
     def test_builds_and_generates_bounded_stream(self):
         workload = build_workload("addr-streaming")
         assert workload.is_synthetic
-        stream = workload.generate(seed=2, num_requests=300)
-        assert 0 < stream.total_requests <= 300
+        trace = workload.generate_packed(seed=2, num_requests=300)
+        assert 0 < trace.total_requests <= 300
 
     def test_unknown_kind_rejected(self):
         from repro.trace.address import registered_address_workload
@@ -368,3 +368,9 @@ class TestAddressWorkloadRegistry:
         result = run(scenario).results[0]
         assert result.workload == "AddressResident"
         assert result.num_requests > 0
+
+    def test_streaming_pair_matches_golden(self):
+        from repro.analysis.runtime import scenario_digests
+        from tests.golden import ADDR_STREAMING, addr_streaming_scenario
+
+        assert scenario_digests(addr_streaming_scenario(), jobs=1) == ADDR_STREAMING

@@ -5,7 +5,8 @@ import pytest
 
 from repro.trace.gaps import draw_gap
 from repro.trace.io import read_trace, write_trace
-from repro.trace.record import AccessKind, TraceRecord, TraceStream, merge_streams
+from repro.trace.packed import KIND_BIT, PackedTraceBuilder
+from repro.trace.record import AccessKind, TraceRecord
 from repro.trace.splash2 import (
     SPLASH2_ORDER,
     SPLASH2_PROFILES,
@@ -52,59 +53,29 @@ class TestTraceRecord:
             AccessKind.from_code("X")
 
 
-class TestTraceStream:
-    def _record(self, thread_id, home=0, kind=AccessKind.READ):
-        return TraceRecord(
-            thread_id=thread_id,
-            cluster_id=thread_id // 16,
-            home_cluster=home,
-            kind=kind,
-            address=0x40 * thread_id,
-            gap_cycles=5.0,
-        )
+class TestPackedTrace:
+    def _builder(self):
+        return PackedTraceBuilder("t", num_clusters=64, threads_per_cluster=16)
 
     def test_threads_created_lazily(self):
-        stream = TraceStream("t", num_clusters=64, threads_per_cluster=16)
-        stream.add(self._record(17))
-        assert stream.threads[17].cluster_id == 1
-        assert stream.total_requests == 1
+        builder = self._builder()
+        builder.append(17, 0, False, False, 0x40 * 17, 5.0)
+        trace = builder.build()
+        assert list(trace.thread_segments()) == [(17, 1, 0, 1)]
+        assert trace.total_requests == 1
 
     def test_destination_histogram(self):
-        stream = TraceStream("t", num_clusters=64, threads_per_cluster=16)
-        stream.add(self._record(0, home=3))
-        stream.add(self._record(1, home=3))
-        stream.add(self._record(2, home=9))
-        assert stream.destination_histogram() == {3: 2, 9: 1}
-
-    def test_read_fraction(self):
-        stream = TraceStream("t", num_clusters=64, threads_per_cluster=16)
-        stream.add(self._record(0, kind=AccessKind.READ))
-        stream.add(self._record(1, kind=AccessKind.WRITE))
-        assert stream.read_fraction() == pytest.approx(0.5)
-
-    def test_validate_passes_for_consistent_stream(self):
-        stream = TraceStream("t", num_clusters=64, threads_per_cluster=16)
-        stream.add(self._record(0))
-        stream.validate()
+        builder = self._builder()
+        for thread_id, home in ((0, 3), (1, 3), (2, 9)):
+            builder.append(thread_id, home, False, False, 0x40 * thread_id, 5.0)
+        assert builder.build().destination_histogram() == {3: 2, 9: 1}
 
     def test_thread_beyond_cluster_count_rejected(self):
-        stream = TraceStream("t", num_clusters=2, threads_per_cluster=2)
-        with pytest.raises(ValueError):
-            stream.thread(10)
-
-    def test_merge_streams(self):
-        a = TraceStream("a", num_clusters=64, threads_per_cluster=16)
-        b = TraceStream("b", num_clusters=64, threads_per_cluster=16)
-        a.add(self._record(0))
-        b.add(self._record(0))
-        merged = merge_streams("ab", [a, b])
-        assert merged.total_requests == 2
-
-    def test_merge_rejects_mismatched_shapes(self):
-        a = TraceStream("a", num_clusters=64, threads_per_cluster=16)
-        b = TraceStream("b", num_clusters=16, threads_per_cluster=16)
-        with pytest.raises(ValueError):
-            merge_streams("ab", [a, b])
+        builder = PackedTraceBuilder("t", num_clusters=2, threads_per_cluster=2)
+        builder.append(3, 0, False, False, 0x40, 5.0)
+        with pytest.raises(ValueError, match="thread 4 maps to cluster 2"):
+            builder.append(4, 0, False, False, 0x80, 5.0)
+        assert list(builder.build().thread_segments()) == [(3, 1, 0, 1)]
 
 
 class TestGapDistribution:
@@ -167,8 +138,7 @@ class TestSyntheticPatterns:
 
     def test_new_patterns_generate_valid_traces(self):
         for workload in (bit_reversal_workload(), neighbor_workload()):
-            trace = workload.generate(seed=1, num_requests=2048)
-            trace.validate()
+            trace = workload.generate_packed(seed=1, num_requests=2048)
             assert trace.total_requests == 2048
             # Permutation patterns hit every cluster's memory controller.
             assert len(trace.destination_histogram()) == 64
@@ -190,53 +160,54 @@ class TestSyntheticWorkloads:
         assert all(w.num_requests == 1_000_000 for w in synthetic_workloads())
 
     def test_generation_respects_request_count(self):
-        trace = uniform_workload().generate(seed=1, num_requests=4096)
+        trace = uniform_workload().generate_packed(seed=1, num_requests=4096)
         assert trace.total_requests == 4096
-        trace.validate()
+        assert max(trace.destination_histogram()) < trace.num_clusters
 
     def test_every_thread_gets_requests(self):
-        trace = uniform_workload().generate(seed=1, num_requests=2048)
-        assert len(trace.threads) == 1024
-        assert all(len(t) == 2 for t in trace.threads.values())
+        trace = uniform_workload().generate_packed(seed=1, num_requests=2048)
+        segments = list(trace.thread_segments())
+        assert len(segments) == 1024
+        assert all(stop - start == 2 for _t, _c, start, stop in segments)
 
     def test_hot_spot_targets_single_cluster(self):
-        trace = hot_spot_workload(hot_cluster=7).generate(seed=1, num_requests=2048)
+        trace = hot_spot_workload(hot_cluster=7).generate_packed(seed=1, num_requests=2048)
         assert set(trace.destination_histogram()) == {7}
 
     def test_uniform_spreads_destinations(self):
-        trace = uniform_workload().generate(seed=1, num_requests=8192)
+        trace = uniform_workload().generate_packed(seed=1, num_requests=8192)
         histogram = trace.destination_histogram()
         assert len(histogram) == 64
         assert max(histogram.values()) < 4 * min(histogram.values())
 
     def test_transpose_trace_destinations_match_permutation(self):
-        trace = transpose_workload().generate(seed=1, num_requests=2048)
-        for record in trace.all_records():
+        trace = transpose_workload().generate_packed(seed=1, num_requests=2048)
+        for record in trace.records():
             assert record.home_cluster == transpose_destination(record.cluster_id, 64)
 
     def test_write_fraction_controls_mix(self):
-        trace = uniform_workload(write_fraction=0.0).generate(seed=1, num_requests=2048)
-        assert trace.read_fraction() == 1.0
+        trace = uniform_workload(write_fraction=0.0).generate_packed(
+            seed=1, num_requests=2048
+        )
+        assert not any(word & KIND_BIT for word in trace.meta)
 
     def test_seed_determinism(self):
-        first = uniform_workload().generate(seed=5, num_requests=1024)
-        second = uniform_workload().generate(seed=5, num_requests=1024)
-        assert [r.address for r in first.all_records()] == [
-            r.address for r in second.all_records()
-        ]
+        first = uniform_workload().generate_packed(seed=5, num_requests=1024)
+        second = uniform_workload().generate_packed(seed=5, num_requests=1024)
+        assert first == second
 
     def test_different_seeds_differ(self):
-        first = uniform_workload().generate(seed=5, num_requests=1024)
-        second = uniform_workload().generate(seed=6, num_requests=1024)
-        assert [r.home_cluster for r in first.all_records()] != [
-            r.home_cluster for r in second.all_records()
+        first = uniform_workload().generate_packed(seed=5, num_requests=1024)
+        second = uniform_workload().generate_packed(seed=6, num_requests=1024)
+        assert [r.home_cluster for r in first.records()] != [
+            r.home_cluster for r in second.records()
         ]
 
     def test_small_system_shape(self):
         workload = uniform_workload(num_clusters=16, threads_per_cluster=2)
-        trace = workload.generate(seed=1, num_requests=512)
+        trace = workload.generate_packed(seed=1, num_requests=512)
         assert trace.num_clusters == 16
-        assert max(r.home_cluster for r in trace.all_records()) < 16
+        assert max(r.home_cluster for r in trace.records()) < 16
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
@@ -270,22 +241,20 @@ class TestSplash2Workloads:
             assert profile.burst_length > 0
 
     def test_generation_shape(self):
-        trace = splash2_workload("Barnes").generate(seed=1, num_requests=4096)
+        trace = splash2_workload("Barnes").generate_packed(seed=1, num_requests=4096)
         assert trace.total_requests == 4096
-        trace.validate()
+        assert max(trace.destination_histogram()) < trace.num_clusters
 
     def test_locality_fraction_reflected_in_destinations(self):
         workload = splash2_workload("Water-Sp")
-        trace = workload.generate(seed=1, num_requests=16384)
-        local = sum(
-            1 for r in trace.all_records() if r.home_cluster == r.cluster_id
-        )
+        trace = workload.generate_packed(seed=1, num_requests=16384)
+        local = sum(1 for r in trace.records() if r.home_cluster == r.cluster_id)
         fraction = local / trace.total_requests
         expected = workload.profile.local_fraction
         assert fraction == pytest.approx(expected + (1 - expected) / 64, abs=0.05)
 
     def test_burst_concentration_creates_hot_destinations(self):
-        trace = splash2_workload("LU").generate(seed=1, num_requests=30000)
+        trace = splash2_workload("LU").generate_packed(seed=1, num_requests=30000)
         histogram = trace.destination_histogram()
         hottest = max(histogram.values())
         coolest = min(histogram.values())
@@ -304,37 +273,37 @@ class TestSplash2Workloads:
 
 class TestTraceIo:
     def test_roundtrip(self, tmp_path):
-        trace = uniform_workload().generate(seed=3, num_requests=1024)
+        trace = uniform_workload().generate_packed(seed=3, num_requests=1024)
         path = tmp_path / "uniform.trace"
         write_trace(trace, path)
         loaded = read_trace(path)
         assert loaded.total_requests == trace.total_requests
         assert loaded.num_clusters == trace.num_clusters
-        original = list(trace.all_records())
-        restored = list(loaded.all_records())
+        original = list(trace.records())
+        restored = list(loaded.records())
         assert [r.address for r in original] == [r.address for r in restored]
         assert [r.kind for r in original] == [r.kind for r in restored]
         assert [r.home_cluster for r in original] == [r.home_cluster for r in restored]
 
     def test_gap_precision_preserved_to_4_decimals(self, tmp_path):
-        trace = uniform_workload().generate(seed=3, num_requests=256)
+        trace = uniform_workload().generate_packed(seed=3, num_requests=256)
         path = tmp_path / "t.trace"
         write_trace(trace, path)
         loaded = read_trace(path)
-        for original, restored in zip(trace.all_records(), loaded.all_records()):
-            assert restored.gap_cycles == pytest.approx(original.gap_cycles, abs=1e-3)
+        for original, restored in zip(trace.gaps, loaded.gaps):
+            assert restored == pytest.approx(original, abs=1e-3)
 
     def test_shared_flag_roundtrip(self, tmp_path):
         from repro.coherence import SharingProfile
 
         workload = uniform_workload(sharing=SharingProfile(fraction=0.4))
-        trace = workload.generate(seed=3, num_requests=2048)
+        trace = workload.generate_packed(seed=3, num_requests=2048)
         assert trace.shared_fraction() > 0
         path = tmp_path / "shared.trace"
         write_trace(trace, path)
         loaded = read_trace(path)
-        assert [r.shared for r in loaded.all_records()] == [
-            r.shared for r in trace.all_records()
+        assert [r.shared for r in loaded.records()] == [
+            r.shared for r in trace.records()
         ]
 
     def test_reject_non_trace_file(self, tmp_path):
@@ -349,5 +318,69 @@ class TestTraceIo:
             "# corona-trace v1 name='x' clusters=64 threads_per_cluster=16\n"
             "0 1 R deadbeef\n"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"bad\.trace:2: expected 6 or 7 fields"):
             read_trace(path)
+
+
+class TestTextTraceErrors:
+    """Every text parse error names the offending ``path:line``."""
+
+    HEADER = "# corona-trace v1 name='x' clusters=4 threads_per_cluster=2\n"
+
+    def _read(self, tmp_path, *lines):
+        path = tmp_path / "bad.trace"
+        path.write_text(self.HEADER + "".join(line + "\n" for line in lines))
+        return read_trace(path)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            pytest.param(
+                ["0 1 R 40 1.0 64", "1 9 R 80 1.0 64"],
+                r"bad\.trace:3: home cluster 9 out of range for 4 clusters",
+                id="home-out-of-range",
+            ),
+            pytest.param(
+                ["0 1 R zz 1.0 64"],
+                r"bad\.trace:2: invalid literal .* base 16: 'zz'",
+                id="bad-hex-address",
+            ),
+            pytest.param(
+                ["8 1 R 40 1.0 64"],
+                r"bad\.trace:2: thread 8 maps to cluster 4",
+                id="thread-beyond-header",
+            ),
+            pytest.param(
+                ["0 1 R 40 -1.0 64"], r"bad\.trace:2: gap cycles", id="negative-gap"
+            ),
+            pytest.param(
+                ["0 1 X 40 1.0 64"], r"bad\.trace:2: unknown access kind", id="bad-kind"
+            ),
+        ],
+    )
+    def test_errors_name_path_and_line(self, tmp_path, lines, message):
+        with pytest.raises(ValueError, match=message):
+            self._read(tmp_path, *lines)
+
+    def test_bad_header(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_text("# corona-trace v1 name='x' clusters=four threads_per_cluster=2\n")
+        with pytest.raises(ValueError, match=r"bad\.trace:1: "):
+            read_trace(path)
+
+    def test_interleaved_threads_group_by_first_appearance(self, tmp_path):
+        from repro.core.configs import configuration_by_name
+        from repro.core.system import SystemSimulator
+
+        grouped = ["3 1 R 40 1.0 64", "3 2 W 80 2.0 64", "0 3 R c0 1.5 64 S"]
+        interleaved = [grouped[0], grouped[2], grouped[1]]
+        loaded = self._read(tmp_path, *interleaved)
+        assert list(loaded.thread_ids) == [3, 0]
+        assert [r.address for r in loaded.records()] == [0x40, 0x80, 0xC0]
+        assert loaded == self._read(tmp_path, *grouped)
+        configuration = configuration_by_name("XBar/OCM")
+        replays = [
+            SystemSimulator(configuration).run(self._read(tmp_path, *lines))
+            for lines in (grouped, interleaved)
+        ]
+        assert replays[0] == replays[1]

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.runtime import scenario_digests
 from repro.api import Scenario, ScenarioError, SystemSpec, WorkloadSpec, run
 from repro.api.run import ScenarioMatrix
 from repro.core.configs import configuration_by_name
@@ -15,6 +16,7 @@ from repro.sweeps import SweepAxis, SweepSpec, run_sweep
 from repro.trace.file import TraceFileWorkload, truncate_packed
 from repro.trace.io import write_trace, write_trace_binary
 from repro.trace.synthetic import uniform_workload
+from tests.golden import TRACE_FILES, trace_file_scenario, write_trace_files
 
 
 @pytest.fixture
@@ -92,7 +94,7 @@ class TestTraceFileWorkload:
         workload = TraceFileWorkload(binary_path, name="External")
         assert workload.name == "External"
         assert workload.generate_packed().name == "External"
-        assert workload.generate(num_requests=500).name == "External"
+        assert workload.generate_packed(num_requests=500).name == "External"
 
     def test_seed_is_ignored(self, binary_path):
         workload = TraceFileWorkload(binary_path)
@@ -203,3 +205,13 @@ class TestScenarioIntegration:
         outcome = run_sweep(spec)
         assert len(outcome.records) == 4
         assert {r.result.num_requests for r in outcome.records} == {600}
+
+
+class TestGoldenReplay:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_text_and_binary_files_match_goldens(self, tmp_path, jobs):
+        """A text file (gaps rounded to 4 decimals) and a binary file of
+        the same trace each replay to their pinned digests."""
+        text_path, binary_path = write_trace_files(tmp_path)
+        scenario = trace_file_scenario(text_path, binary_path)
+        assert scenario_digests(scenario, jobs=jobs) == TRACE_FILES

@@ -1,16 +1,15 @@
 """Tests for the packed trace pipeline.
 
-Covers the packed columnar representation (bit layout, builders, stream
+Covers the packed columnar representation (bit layout, builders, record
 round-trips), the binary trace file format, the shared-memory shipping layer,
-and -- most importantly -- the bit-identity guarantees: packed generation
-matches object generation field for field, and a packed replay produces
-exactly the same :class:`WorkloadResult` as replaying the equivalent
-:class:`TraceStream`, coherence fields included.
+and -- most importantly -- the bit-identity guarantees: packed generation and
+packed replay reproduce, bit for bit, the traces and results the record-object
+path produced (pinned as digests), coherence fields included.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import hashlib
 
 import pytest
 
@@ -24,34 +23,72 @@ from repro.trace.io import (
     write_trace,
     write_trace_binary,
 )
+from repro.analysis.runtime import result_digest
 from repro.trace.packed import (
     KIND_BIT,
     SHARED_BIT,
     PackedTrace,
     PackedTraceBuilder,
-    as_packed,
     pack_meta,
 )
-from repro.trace.record import AccessKind, TraceRecord, TraceStream
 from repro.trace.splash2 import splash2_workload
 from repro.trace.synthetic import uniform_workload
 from tests.golden import TINY_MATRIX, digests, tiny_matrix
 
+#: :func:`_trace_digest` of the record-object generator's output (packed),
+#: recorded before the packed columns became the only representation.
+GOLDEN_TRACES = {
+    "uniform-s0.3-seed2-2048": (
+        "7cf81ac5cde7b897e6742e31f609dc43c62c71dc8a5c3f1c9844c99bc2142db3"
+    ),
+    "lu-seed4-3000": (
+        "f582ad2cf399ec1c8575bd5ceca37d768092d86c878a2660c45de1c9389ccc96"
+    ),
+}
 
-def _record_tuples(records):
-    return [
-        (
-            r.thread_id,
-            r.cluster_id,
-            r.home_cluster,
-            r.kind,
-            r.address,
-            r.gap_cycles,
-            r.size_bytes,
-            r.shared,
+#: ``result_digest`` of record-object replays of the seed-1, 1,500-request
+#: Uniform traces (``coherent``: sharing fraction 0.3 with a
+#: :class:`CoherenceConfig`), recorded at the same commit.
+GOLDEN_REPLAYS = {
+    "plain/XBar/OCM": (
+        "741394a3405a73d5a7aff3f2ab8e3bb8588ab153eb802410084ce895ee19937c"
+    ),
+    "plain/LMesh/ECM": (
+        "3bd2a64275f1d59237a347f1c9a65ee33a67afa29d0857fd6adcc317acf60f25"
+    ),
+    "coherent/XBar/OCM": (
+        "ab44f1ea1fa21f4d1e6a3c66aa3cd582473d251dd6bf58167eec4a6f001e27b5"
+    ),
+    "coherent/LMesh/ECM": (
+        "288817d35991953386c4c6d855ea65d14f4a92bd9526a84118def6caba7648b3"
+    ),
+}
+
+
+def _trace_digest(trace: PackedTrace) -> str:
+    """SHA-256 over a trace's header and all five columns."""
+    digest = hashlib.sha256(repr(tuple(trace.header())).encode("utf-8"))
+    for column in (
+        trace.thread_ids, trace.offsets, trace.meta, trace.addresses, trace.gaps
+    ):
+        digest.update(bytes(memoryview(column)))
+    return digest.hexdigest()
+
+
+def _rebuild(trace: PackedTrace) -> PackedTrace:
+    """``trace`` decoded into records and packed again record by record."""
+    builder = PackedTraceBuilder(
+        trace.name,
+        num_clusters=trace.num_clusters,
+        threads_per_cluster=trace.threads_per_cluster,
+        description=trace.description,
+    )
+    for r in trace.records():
+        builder.append(
+            r.thread_id, r.home_cluster, r.is_write, r.shared, r.address,
+            r.gap_cycles, r.size_bytes,
         )
-        for r in records
-    ]
+    return builder.build()
 
 
 class TestPackedMetaWord:
@@ -96,50 +133,42 @@ class TestPackedTraceBuilder:
 
 
 class TestPackedStreamRoundTrip:
-    def test_from_stream_to_stream_is_exact(self):
+    def test_records_round_trip_is_exact(self):
         workload = uniform_workload(sharing=SharingProfile(fraction=0.4))
-        stream = workload.generate(seed=3, num_requests=2048)
-        packed = as_packed(stream)
-        assert packed.total_requests == stream.total_requests
-        assert _record_tuples(packed.to_stream().all_records()) == _record_tuples(
-            stream.all_records()
-        )
+        packed = workload.generate_packed(seed=3, num_requests=2048)
+        assert _rebuild(packed) == packed
 
     def test_shared_flag_survives_packing(self):
         workload = uniform_workload(sharing=SharingProfile(fraction=0.5))
-        stream = workload.generate(seed=7, num_requests=1024)
-        packed = as_packed(stream)
-        assert [r.shared for r in packed.records()] == [
-            r.shared for r in stream.all_records()
-        ]
-        assert packed.shared_fraction() == pytest.approx(stream.shared_fraction())
+        packed = workload.generate_packed(seed=7, num_requests=1024)
+        flags = [r.shared for r in packed.records()]
+        assert flags == [bool(word & SHARED_BIT) for word in packed.meta]
+        assert 0 < sum(flags) < len(flags)
+        assert packed.shared_fraction() == pytest.approx(sum(flags) / len(flags))
+        assert [r.shared for r in _rebuild(packed).records()] == flags
 
     def test_gaps_are_exact_float64(self):
-        stream = uniform_workload().generate(seed=5, num_requests=512)
-        packed = as_packed(stream)
+        packed = uniform_workload().generate_packed(seed=5, num_requests=512)
         # Bit-exact, not approximately equal: the replay divides these.
-        assert [r.gap_cycles for r in packed.records()] == [
-            r.gap_cycles for r in stream.all_records()
-        ]
+        assert [r.gap_cycles for r in packed.records()] == list(packed.gaps)
+        assert _rebuild(packed).gaps == packed.gaps
 
     def test_generate_packed_matches_generate_synthetic(self):
         workload = uniform_workload(sharing=SharingProfile(fraction=0.3))
-        assert workload.generate_packed(seed=2, num_requests=2048) == as_packed(
-            workload.generate(seed=2, num_requests=2048)
-        )
+        packed = workload.generate_packed(seed=2, num_requests=2048)
+        assert _trace_digest(packed) == GOLDEN_TRACES["uniform-s0.3-seed2-2048"]
 
     def test_generate_packed_matches_generate_splash_bursty(self):
-        workload = splash2_workload("LU")
-        assert workload.generate_packed(seed=4, num_requests=3000) == as_packed(
-            workload.generate(seed=4, num_requests=3000)
-        )
+        packed = splash2_workload("LU").generate_packed(seed=4, num_requests=3000)
+        assert _trace_digest(packed) == GOLDEN_TRACES["lu-seed4-3000"]
 
     def test_destination_histogram_matches_stream(self):
-        workload = uniform_workload()
-        stream = workload.generate(seed=1, num_requests=2048)
-        assert as_packed(stream).destination_histogram() == (
-            stream.destination_histogram()
-        )
+        packed = uniform_workload().generate_packed(seed=1, num_requests=2048)
+        histogram = {}
+        for record in packed.records():
+            home = record.home_cluster
+            histogram[home] = histogram.get(home, 0) + 1
+        assert packed.destination_histogram() == histogram
 
 
 class TestBinaryTraceFormat:
@@ -158,23 +187,16 @@ class TestBinaryTraceFormat:
         packed = uniform_workload().generate_packed(seed=1, num_requests=512)
         path = tmp_path / "trace.bin"
         write_trace_binary(packed, path)
-        stream = read_trace(path)
-        assert isinstance(stream, TraceStream)
-        assert _record_tuples(stream.all_records()) == _record_tuples(
-            packed.to_stream().all_records()
-        )
-
-    def test_accepts_stream_input(self, tmp_path):
-        stream = uniform_workload().generate(seed=2, num_requests=256)
-        path = tmp_path / "trace.bin"
-        write_trace_binary(stream, path)
-        assert read_trace_binary(path) == as_packed(stream)
+        assert read_trace(path) == packed
 
     def test_text_format_still_reads(self, tmp_path):
-        stream = uniform_workload().generate(seed=2, num_requests=256)
+        packed = uniform_workload().generate_packed(seed=2, num_requests=256)
         path = tmp_path / "trace.txt"
-        write_trace(stream, path)
-        assert read_trace(path).total_requests == 256
+        write_trace(packed, path)
+        loaded = read_trace(path)
+        assert loaded.total_requests == 256
+        assert loaded.meta == packed.meta
+        assert loaded.addresses == packed.addresses
 
     def test_rejects_non_binary_file(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -255,56 +277,33 @@ class TestBufferShipping:
 
 
 class TestPackedReplayEquivalence:
-    """run(stream) and run(packed) must agree bit for bit."""
-
-    def _assert_identical(self, stream_result, packed_result):
-        for field in dataclasses.fields(stream_result):
-            assert getattr(stream_result, field.name) == getattr(
-                packed_result, field.name
-            ), field.name
+    """Packed replays reproduce the record-object replays bit for bit."""
 
     @pytest.mark.parametrize("configuration", ["XBar/OCM", "LMesh/ECM"])
     def test_plain_replay_identical(self, configuration):
         workload = uniform_workload()
-        stream = workload.generate(seed=1, num_requests=1500)
         packed = workload.generate_packed(seed=1, num_requests=1500)
         config = configuration_by_name(configuration)
-        from_stream = SystemSimulator(config, window_depth=workload.window).run(
-            stream
-        )
-        from_packed = SystemSimulator(config, window_depth=workload.window).run(
-            packed
-        )
-        self._assert_identical(from_stream, from_packed)
+        result = SystemSimulator(config, window_depth=workload.window).run(packed)
+        assert result_digest(result) == GOLDEN_REPLAYS[f"plain/{configuration}"]
 
     @pytest.mark.parametrize("configuration", ["XBar/OCM", "LMesh/ECM"])
     def test_coherent_replay_identical_including_coherence_fields(
         self, configuration
     ):
         workload = uniform_workload(sharing=SharingProfile(fraction=0.3))
-        stream = workload.generate(seed=1, num_requests=1500)
         packed = workload.generate_packed(seed=1, num_requests=1500)
         config = configuration_by_name(configuration)
-        from_stream = SystemSimulator(
-            config, window_depth=workload.window, coherence=CoherenceConfig()
-        ).run(stream)
-        from_packed = SystemSimulator(
+        result = SystemSimulator(
             config, window_depth=workload.window, coherence=CoherenceConfig()
         ).run(packed)
-        assert from_stream.coherence_enabled and from_stream.shared_requests > 0
-        self._assert_identical(from_stream, from_packed)
+        assert result.coherence_enabled and result.shared_requests > 0
+        assert result_digest(result) == GOLDEN_REPLAYS[f"coherent/{configuration}"]
 
     def test_hand_built_stream_replays(self):
-        trace = TraceStream("hand", num_clusters=16, threads_per_cluster=2)
-        trace.add(
-            TraceRecord(
-                thread_id=0,
-                cluster_id=0,
-                home_cluster=5,
-                kind=AccessKind.READ,
-                address=(5 << 26) | 0x40,
-                gap_cycles=10.0,
-            )
+        builder = PackedTraceBuilder("hand", num_clusters=16, threads_per_cluster=2)
+        builder.append(0, 5, False, False, (5 << 26) | 0x40, 10.0)
+        result = SystemSimulator(configuration_by_name("XBar/OCM")).run(
+            builder.build()
         )
-        result = SystemSimulator(configuration_by_name("XBar/OCM")).run(trace)
         assert result.num_requests == 1
