@@ -1,11 +1,13 @@
 """Replay-performance regression tracker.
 
 Runs the replay micro-benchmarks (single-run events/sec on each interconnect
-family, plus a coherence-enabled replay with the timed MOESI directory and
-broadcast-bus invalidations) and the reduced evaluation-matrix comparison
-(serial vs parallel wall-clock), writes the numbers to ``BENCH_replay.json``
-at the repository root, and -- when a committed baseline exists -- **fails
-(exit 1) if any throughput metric regressed by more than 20%**.
+family, a coherence-enabled replay with the timed MOESI directory and
+broadcast-bus invalidations, and a Hot Spot replay whose cost is admission
+to one saturated memory-controller queue) and the reduced evaluation-matrix
+comparison (serial vs parallel wall-clock), writes the numbers to
+``BENCH_replay.json`` at the repository root, and -- when a committed
+baseline exists -- **fails (exit 1) if any throughput metric regressed by
+more than 20%**.
 
 Usage::
 
@@ -50,7 +52,7 @@ from repro.harness.parallel import (  # noqa: E402
     ParallelEvaluationRunner,
     available_cpus,
 )
-from repro.trace.synthetic import uniform_workload  # noqa: E402
+from repro.trace.synthetic import hot_spot_workload, uniform_workload  # noqa: E402
 
 DEFAULT_BENCH_PATH = REPO_ROOT / "BENCH_replay.json"
 
@@ -60,6 +62,10 @@ REGRESSION_TOLERANCE = 0.20
 #: Replay micro-benchmark: requests per single run (full / smoke mode).
 REPLAY_REQUESTS = 5_000
 SMOKE_REPLAY_REQUESTS = 800
+
+#: Hot Spot replay on LMesh/ECM: requests per single run (full / smoke mode).
+HOTSPOT_REQUESTS = 2_000
+SMOKE_HOTSPOT_REQUESTS = 400
 
 #: Reduced matrix mirroring benchmarks/bench_parallel_runner.py.
 MATRIX_SCALE = ExperimentScale(synthetic_requests=3_000)
@@ -137,6 +143,20 @@ def measure(rounds: int = 3, smoke: bool = False) -> Dict[str, float]:
     )
     metrics["replay_xbar_ocm_coherent_events_per_s"] = events / seconds
     metrics["replay_xbar_ocm_coherent_requests_per_s"] = requests / seconds
+
+    # Hot Spot on the electrical baseline: every thread targets one home
+    # controller, whose queue books far more departures than it has slots,
+    # so the memory-controller admission path sets the replay's cost.
+    hotspot_requests = SMOKE_HOTSPOT_REQUESTS if smoke else HOTSPOT_REQUESTS
+    hotspot_workload = hot_spot_workload()
+    hotspot_trace = hotspot_workload.generate_packed(
+        seed=1, num_requests=hotspot_requests
+    )
+    seconds, events = _replay_best_seconds(
+        "LMesh/ECM", hotspot_trace, hotspot_workload.window, rounds
+    )
+    metrics["replay_lmesh_ecm_hotspot_events_per_s"] = events / seconds
+    metrics["replay_lmesh_ecm_hotspot_requests_per_s"] = hotspot_requests / seconds
 
     pairs = _matrix(smoke).run_count()
     serial_runner = ParallelEvaluationRunner(matrix=_matrix(smoke), jobs=1)

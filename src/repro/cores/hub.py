@@ -62,10 +62,6 @@ class Hub:
 
         ``departure_time`` is when the message will have left for the
         interconnect (it frees its queue slot then).
-
-        Note: the replay hot path (``SystemSimulator._on_issue``) carries its
-        own inline transcription of this admission logic; this method is the
-        readable reference for other callers.
         """
         admit = self.injection_queue.admit(now, max(departure_time, now))
         self.messages_routed += 1

@@ -9,7 +9,6 @@ the effect that dominates the Hot Spot results in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush, nsmallest
 from typing import List, NamedTuple
 
 from repro.memory.channel import MemoryChannel
@@ -124,23 +123,9 @@ class MemoryController:
             raise ValueError(f"access size must be positive, got {size_bytes}")
 
         # Finite controller queue: requests that arrive while the queue is
-        # full are admitted only when an earlier request departs.  The
-        # BoundedQueue admission/registration pair is transcribed inline
-        # (reference: BoundedQueue.admission_time / admit), saving two calls
-        # per access.
-        queue = self.queue
-        departures = queue._departures
-        while departures and departures[0] <= now:
-            heappop(departures)
-        resident = len(departures)
-        if resident < queue.capacity:
-            admit_estimate = now
-        else:
-            overflow = resident - queue.capacity
-            if overflow == 0:
-                admit_estimate = departures[0]
-            else:
-                admit_estimate = nsmallest(overflow + 1, departures)[-1]
+        # full are admitted only when an earlier request departs.
+        heaps = self.queue.heaps
+        admit_estimate = heaps.admission(now)
         queue_wait = admit_estimate - now
         start = admit_estimate
 
@@ -194,10 +179,7 @@ class MemoryController:
 
         # Register the stay in the queue; the admission estimate above already
         # accounted for back-pressure, so the entry is committed directly.
-        heappush(departures, completion)
-        queue.total_admitted += 1
-        if len(departures) > queue.max_occupancy_seen:
-            queue.max_occupancy_seen = len(departures)
+        heaps.push(completion)
 
         channel_delay = (channel_done - start) + (
             (completion - data_ready - chain_delay) if not is_write else 0.0

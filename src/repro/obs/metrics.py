@@ -51,9 +51,8 @@ class MetricsSampler:
 
     Built per replay (its deltas are per-run) and installed by the system
     simulator after the event calendar and thread states exist.  All reads
-    are non-mutating: pool/queue occupancies are counted by scanning the
-    release/departure heaps instead of calling the (pruning) accessors, so
-    sampling perturbs nothing.
+    are non-mutating (``BoundedQueue.occupancy`` and ``TokenPool.in_use``
+    expire nothing), so sampling perturbs nothing.
     """
 
     __slots__ = (
@@ -168,7 +167,8 @@ class MetricsSampler:
                     delta_busy / (dt * len(link_resources)),
                 )
 
-        # DRAM controllers: queue depth (instantaneous) and bytes moved.
+        # DRAM controllers: queue depth (booked entries, resident or waiting
+        # for a slot) and bytes moved.
         controllers = system._controllers
         controller_list = (
             controllers if isinstance(controllers, list) else list(controllers.values())
@@ -176,10 +176,7 @@ class MetricsSampler:
         depth = 0
         dram_bytes = 0.0
         for controller in controller_list:
-            departures = controller.queue._departures
-            for departure in departures:
-                if departure > now:
-                    depth += 1
+            depth += controller.queue.occupancy(now)
             dram_bytes += controller.bytes_transferred
         add(rows, t_ns, "dram", "queue_depth", depth)
         add(rows, t_ns, "dram", "bytes_total", dram_bytes)
@@ -192,9 +189,7 @@ class MetricsSampler:
         mshr_wait = 0.0
         for hub in system.hubs.values():
             pool = hub.mshr_pool
-            for release in pool._releases:
-                if release > now:
-                    in_use += 1
+            in_use += pool.in_use(now)
             mshr_wait += pool.total_wait
         add(rows, t_ns, "mshr", "in_use", in_use)
         add(rows, t_ns, "mshr", "wait_s_total", mshr_wait)

@@ -13,7 +13,8 @@ order (for example a data-return reserved 20 ns ahead of commands that arrive
 in between).
 
 :class:`BoundedQueue` adds finite capacity (back-pressure) on top, and
-:class:`TokenPool` models a counted resource such as MSHRs.
+:class:`TokenPool` models a counted resource such as MSHRs; both book their
+entries in one :class:`AdmissionHeaps`.
 """
 
 from __future__ import annotations
@@ -314,51 +315,121 @@ class SerialResource:
         return f"SerialResource({self.name!r}, servers={self.servers})"
 
 
+class AdmissionHeaps:
+    """Departure times booked against ``capacity`` slots, with O(log n)
+    admission.
+
+    An entry books a slot until its departure time.  A new entry is
+    admitted at the ``capacity``-th latest booked departure still after
+    ``now`` (``now`` itself while fewer than ``capacity`` are booked): from
+    then on at most ``capacity - 1`` earlier entries remain.  Two min-heaps
+    keep that departure at a heap top:
+
+    * ``latest`` holds the ``capacity`` latest departures;
+    * ``earlier`` holds the rest, none later than ``latest[0]``.
+
+    So ``earlier`` is non-empty only while ``latest`` is full, admission
+    reads ``latest[0]``, and expiry drains ``earlier`` before ``latest``.
+    Booking runs ahead of admission: entries still waiting for a slot are
+    booked too (see :class:`BoundedQueue`).
+    """
+
+    __slots__ = ("capacity", "latest", "earlier", "pushes", "peak")
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.latest: List[float] = []
+        self.earlier: List[float] = []
+        #: Departures booked so far, and the most booked at one time.
+        self.pushes: int = 0
+        self.peak: int = 0
+
+    def __len__(self) -> int:
+        return len(self.latest) + len(self.earlier)
+
+    def admission(self, now: float) -> float:
+        """Drop departures at or before ``now``; return the earliest time
+        at or after ``now`` at which a new entry gets a slot."""
+        earlier = self.earlier
+        while earlier and earlier[0] <= now:
+            heapq.heappop(earlier)
+        latest = self.latest
+        if not earlier:
+            while latest and latest[0] <= now:
+                heapq.heappop(latest)
+            if len(latest) < self.capacity:
+                return now
+        return latest[0]
+
+    def push(self, departure: float) -> None:
+        """Book an entry that departs at ``departure``."""
+        latest = self.latest
+        earlier = self.earlier
+        if len(latest) < self.capacity:
+            heapq.heappush(latest, departure)
+        elif departure > latest[0]:
+            heapq.heappush(earlier, heapq.heapreplace(latest, departure))
+        else:
+            heapq.heappush(earlier, departure)
+        self.pushes += 1
+        booked = len(latest) + len(earlier)
+        if booked > self.peak:
+            self.peak = booked
+
+    def count_after(self, now: float) -> int:
+        """Booked departures later than ``now``.  Expires nothing: a later
+        admission may ask at an earlier ``now``."""
+        return sum(1 for departure in self.latest + self.earlier if departure > now)
+
+    def clear(self) -> None:
+        self.latest.clear()
+        self.earlier.clear()
+        self.pushes = 0
+        self.peak = 0
+
+
 class BoundedQueue:
     """A finite-capacity FIFO used to model buffers with back-pressure.
 
-    The queue tracks occupancy as a function of time analytically: an entry
-    occupies a slot from its enqueue time until its announced departure time.
-    ``admission_time`` computes when a new entry could be admitted given the
-    capacity limit, which is how upstream senders experience back-pressure.
+    The queue is analytic: an entry books a slot from the moment it is
+    pushed until its announced departure time, and ``admission_time`` says
+    when a new entry gets a slot (:class:`AdmissionHeaps`), which is how
+    upstream senders experience back-pressure.  The rule is the same as an
+    explicit FIFO waiting room in front of ``capacity`` slots, and the
+    booked entries are that room's resident *and* waiting ones: so
+    :meth:`occupancy` and ``max_occupancy_seen`` can exceed ``capacity``
+    while no more than ``capacity`` entries are ever resident.
     """
 
-    __slots__ = ("name", "capacity", "_departures", "total_admitted", "max_occupancy_seen")
+    __slots__ = ("name", "heaps")
 
     def __init__(self, name: str, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.name = name
-        self.capacity = capacity
-        # Departure times of entries currently considered "in the queue",
-        # kept as a min-heap so expiry is amortized O(1) per entry.
-        self._departures: List[float] = []
-        self.total_admitted: int = 0
-        self.max_occupancy_seen: int = 0
+        self.heaps = AdmissionHeaps(capacity)
 
-    def _expire(self, now: float) -> None:
-        departures = self._departures
-        while departures and departures[0] <= now:
-            heapq.heappop(departures)
+    @property
+    def capacity(self) -> int:
+        return self.heaps.capacity
+
+    @property
+    def total_admitted(self) -> int:
+        return self.heaps.pushes
+
+    @property
+    def max_occupancy_seen(self) -> int:
+        """The most entries booked at one time, resident or waiting."""
+        return self.heaps.peak
 
     def occupancy(self, now: float) -> int:
-        """Number of entries resident at time ``now``."""
-        self._expire(now)
-        return len(self._departures)
+        """Entries booked to depart after ``now``: those resident at ``now``
+        plus those still waiting for a slot.  Expires nothing."""
+        return self.heaps.count_after(now)
 
     def admission_time(self, now: float) -> float:
         """Earliest time at which a new entry could be admitted."""
-        self._expire(now)
-        departures = self._departures
-        resident = len(departures)
-        if resident < self.capacity:
-            return now
-        # Must wait for enough departures among resident entries: the entry is
-        # admitted when the queue first has a free slot.
-        overflow = resident - self.capacity
-        if overflow == 0:
-            return departures[0]
-        return heapq.nsmallest(overflow + 1, departures)[-1]
+        return self.heaps.admission(now)
 
     def admit(self, now: float, departure_time: float) -> float:
         """Admit an entry that will depart at ``departure_time``.
@@ -366,21 +437,17 @@ class BoundedQueue:
         Returns the actual admission time (>= ``now``) after back-pressure.
         ``departure_time`` must be no earlier than the admission time.
         """
-        admit_at = self.admission_time(now)
+        heaps = self.heaps
+        admit_at = heaps.admission(now)
         if departure_time < admit_at:
             raise ValueError(
                 f"departure {departure_time} precedes admission {admit_at}"
             )
-        heapq.heappush(self._departures, departure_time)
-        self.total_admitted += 1
-        if len(self._departures) > self.max_occupancy_seen:
-            self.max_occupancy_seen = len(self._departures)
+        heaps.push(departure_time)
         return admit_at
 
     def reset(self) -> None:
-        self._departures = []
-        self.total_admitted = 0
-        self.max_occupancy_seen = 0
+        self.heaps.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BoundedQueue({self.name!r}, capacity={self.capacity})"
@@ -390,30 +457,25 @@ class TokenPool:
     """A counted resource (e.g. MSHRs): acquire blocks until a token frees up.
 
     Like :class:`BoundedQueue`, the pool is analytic: each outstanding token is
-    represented by its release time, and acquisitions made when the pool is
-    exhausted are granted at the earliest release time.
+    booked until its release time in an :class:`AdmissionHeaps`, and an
+    acquisition made when the pool is exhausted is granted when enough
+    booked tokens have been released.
     """
 
-    __slots__ = ("name", "tokens", "_releases", "acquisitions", "total_wait")
+    __slots__ = ("name", "tokens", "heaps", "acquisitions", "total_wait")
 
     def __init__(self, name: str, tokens: int) -> None:
         if tokens < 1:
             raise ValueError(f"tokens must be >= 1, got {tokens}")
         self.name = name
         self.tokens = tokens
-        # Outstanding release times as a min-heap (amortized O(1) expiry).
-        self._releases: List[float] = []
+        self.heaps = AdmissionHeaps(tokens)
         self.acquisitions: int = 0
         self.total_wait: float = 0.0
 
-    def _expire(self, now: float) -> None:
-        releases = self._releases
-        while releases and releases[0] <= now:
-            heapq.heappop(releases)
-
     def in_use(self, now: float) -> int:
-        self._expire(now)
-        return len(self._releases)
+        """Tokens booked to be released after ``now``.  Expires nothing."""
+        return self.heaps.count_after(now)
 
     def acquire(self, now: float, release_time_hint: Optional[float] = None) -> float:
         """Acquire a token at or after ``now``; returns the grant time.
@@ -422,17 +484,7 @@ class TokenPool:
         known.  If omitted, the token must be released later via
         :meth:`release_at`.
         """
-        self._expire(now)
-        releases = self._releases
-        outstanding = len(releases)
-        if outstanding < self.tokens:
-            grant = now
-        else:
-            overflow = outstanding - self.tokens
-            if overflow == 0:
-                grant = releases[0]
-            else:
-                grant = heapq.nsmallest(overflow + 1, releases)[-1]
+        grant = self.heaps.admission(now)
         self.acquisitions += 1
         self.total_wait += grant - now
         if release_time_hint is not None:
@@ -440,12 +492,12 @@ class TokenPool:
                 raise ValueError(
                     f"release {release_time_hint} precedes grant {grant}"
                 )
-            heapq.heappush(releases, release_time_hint)
+            self.heaps.push(release_time_hint)
         return grant
 
     def release_at(self, release_time: float) -> None:
         """Register the release time for a token acquired without a hint."""
-        heapq.heappush(self._releases, release_time)
+        self.heaps.push(release_time)
 
     def average_wait(self) -> float:
         if self.acquisitions == 0:
@@ -453,7 +505,7 @@ class TokenPool:
         return self.total_wait / self.acquisitions
 
     def reset(self) -> None:
-        self._releases = []
+        self.heaps.clear()
         self.acquisitions = 0
         self.total_wait = 0.0
 

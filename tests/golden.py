@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Tuple
 
 from repro.analysis.runtime import result_digest
 from repro.api import ScaleSpec, Scenario, SystemSpec, WorkloadSpec
-from repro.coherence import CoherenceConfig
+from repro.coherence import CoherenceConfig, SharingProfile
 from repro.core.results import WorkloadResult
 from repro.harness.experiments import EvaluationMatrix, ExperimentScale, quick_matrix
 from repro.trace.io import write_trace, write_trace_binary
@@ -127,6 +127,33 @@ def poisson_uniform_scenario() -> Scenario:
             },
             num_requests=3_000,
         ),
+    )
+
+
+def hotspot_overflow_scenario() -> Scenario:
+    """LMesh/ECM x Hot Spot at 4,000 requests: every thread targets one
+    home, so that controller books up to 3,408 departures against a queue
+    capacity of 64 and almost every access waits for admission."""
+    return _one_configuration(
+        "LMesh/ECM", WorkloadSpec(name="Hot Spot", num_requests=4_000)
+    )
+
+
+def coherent_mshr_overflow_scenario() -> Scenario:
+    """Coherent LMesh/ECM x Uniform at 12,000 requests, half the misses
+    shared and half of those writes, default :class:`CoherenceConfig`:
+    hubs book more MSHR releases than they have tokens (the pool's
+    overflow admission), which no smaller pinned pair reaches."""
+    return dataclasses.replace(
+        _one_configuration(
+            "LMesh/ECM",
+            WorkloadSpec(
+                name="Uniform",
+                sharing=SharingProfile(fraction=0.5, write_fraction=0.5),
+                num_requests=12_000,
+            ),
+        ),
+        coherence=CoherenceConfig(),
     )
 
 
@@ -278,4 +305,14 @@ TRACE_FILES = {
 #: :func:`poisson_uniform_scenario`.
 POISSON_UNIFORM = {
     "XBar/OCM/Uniform": "6244c0641bbe88ee636a7e5a59448b094594716ffc4816f8bbca41324fa00cb9",
+}
+
+#: :func:`hotspot_overflow_scenario`.
+HOTSPOT_OVERFLOW = {
+    "LMesh/ECM/Hot Spot": "69892ad1ad819eae75812419fde4a650904610078313e501ac97b075d8c3236c",
+}
+
+#: :func:`coherent_mshr_overflow_scenario`.
+COHERENT_MSHR_OVERFLOW = {
+    "LMesh/ECM/Uniform": "4bda940f181996065eedda6b7c72ea2a20fc6d2163b929eb75910720a4ec5f55",
 }

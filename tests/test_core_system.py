@@ -237,3 +237,26 @@ class TestWorkloadReplay:
         assert stats.queueing.mean == pytest.approx(1e-9)
         assert stats.network_latency.mean == pytest.approx(2e-9)
         assert stats.memory_latency.mean == pytest.approx(3e-9)
+
+
+class TestAdmissionOverflowGoldens:
+    """Pairs whose admissions wait behind more bookings than slots, pinned
+    to the digests the list-and-scan admission rule produced."""
+
+    def test_hotspot_controller_queue_matches_golden(self):
+        from repro.analysis.runtime import scenario_digests
+        from tests.golden import HOTSPOT_OVERFLOW, hotspot_overflow_scenario
+
+        assert scenario_digests(hotspot_overflow_scenario(), jobs=1) == HOTSPOT_OVERFLOW
+
+    def test_coherent_mshr_pools_match_golden(self):
+        from repro.analysis.runtime import scenario_digests
+        from tests.golden import (
+            COHERENT_MSHR_OVERFLOW,
+            coherent_mshr_overflow_scenario,
+        )
+
+        assert (
+            scenario_digests(coherent_mshr_overflow_scenario(), jobs=1)
+            == COHERENT_MSHR_OVERFLOW
+        )

@@ -153,6 +153,34 @@ class TestBitIdentity:
         observed = run(_scenario(observability=spec)).results[0]
         assert observed.to_dict() == baseline.to_dict()
 
+    def test_sampler_on_overflowing_queue_does_not_change_results(
+        self, tmp_path
+    ):
+        """Hot Spot on LMesh/ECM books hundreds of departures at one
+        controller against 64 slots; sampling its depth expires none."""
+
+        def hotspot(observability=None) -> Scenario:
+            return Scenario(
+                system=SystemSpec(configurations=("LMesh/ECM",)),
+                workloads=(WorkloadSpec(name="Hot Spot", num_requests=800),),
+                scale=ScaleSpec(seed=1),
+                observability=observability,
+            )
+
+        baseline = run(hotspot()).results[0]
+        spec = ObservabilitySpec(
+            metrics_path=str(tmp_path / "m.csv"), metrics_interval_ns=100.0
+        )
+        observed = run(hotspot(spec)).results[0]
+        assert observed.to_dict() == baseline.to_dict()
+        with (tmp_path / "m.csv").open() as handle:
+            depths = [
+                float(row["value"])
+                for row in csv.DictReader(handle)
+                if (row["resource"], row["metric"]) == ("dram", "queue_depth")
+            ]
+        assert len(depths) > 10 and max(depths) > 64
+
 
 class TestTimeline:
     @pytest.fixture(scope="class")

@@ -1,19 +1,24 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
+import heapq
 import random
+import time
+from typing import List
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import build_configuration, build_workload
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.coherence import CoherenceController
+from repro.core.system import SystemSimulator
 from repro.network.crossbar import OpticalCrossbar
 from repro.network.mesh import high_performance_mesh
 from repro.network.message import Message, MessageType
 from repro.network.topology import MeshCoordinates
 from repro.photonics.inventory import corona_inventory
 from repro.sim.engine import Simulator
-from repro.sim.resources import SerialResource, TokenPool
+from repro.sim.resources import BoundedQueue, SerialResource, TokenPool
 from repro.sim.stats import RunningStats, geometric_mean
 from repro.trace.synthetic import tornado_destination, transpose_destination
 
@@ -69,6 +74,108 @@ class TestResourceProperties:
             pool.release_at(grant + 1e-7 + rng.random() * 1e-7)
             assert grant >= now
             assert pool.in_use(grant) <= tokens
+
+
+#: Small whole-number times: duplicates, and departures equal to ``now``,
+#: are common.
+_TIMES = st.integers(min_value=0, max_value=24).map(float)
+
+
+def _scan_admission(departures: List[float], capacity: int, now: float) -> float:
+    """The list-and-scan rule :class:`AdmissionHeaps` replaced: expire, then
+    wait for the (booked - capacity + 1)-th earliest departure."""
+    departures[:] = [departure for departure in departures if departure > now]
+    overflow = len(departures) - capacity
+    if overflow < 0:
+        return now
+    return heapq.nsmallest(overflow + 1, departures)[-1]
+
+
+class TestAdmissionHeapsProperties:
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.lists(
+            st.tuples(st.sampled_from(("admission", "push", "count")), _TIMES),
+            max_size=120,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_list_and_scan_rule(self, capacity, operations):
+        """Any interleaving of admissions (at non-monotone ``now``), pushes
+        and counts gives the old rule's admission times, sizes and peak."""
+        queue = BoundedQueue("q", capacity=capacity)
+        heaps = queue.heaps
+        oracle: List[float] = []
+        peak = 0
+        for operation, at in operations:
+            if operation == "admission":
+                assert queue.admission_time(at) == _scan_admission(oracle, capacity, at)
+            elif operation == "push":
+                heaps.push(at)
+                oracle.append(at)
+                peak = max(peak, len(oracle))
+            else:
+                assert queue.occupancy(at) == sum(1 for d in oracle if d > at)
+            assert len(heaps) == len(oracle)
+            assert queue.max_occupancy_seen == peak
+            assert len(heaps.latest) <= capacity
+            if heaps.earlier:
+                assert len(heaps.latest) == capacity
+                assert max(heaps.earlier) <= heaps.latest[0]
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3).map(float),
+                st.integers(min_value=0, max_value=12).map(float),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_admission_is_a_fifo_waiting_room(self, capacity, arrivals):
+        """With nondecreasing arrivals the rule is an explicit FIFO waiting
+        room in front of ``capacity`` slots: never more than ``capacity``
+        entries are resident, and the queue's occupancy counts the resident
+        plus the waiting ones."""
+        queue = BoundedQueue("q", capacity=capacity)
+        slot_free = [0.0] * capacity
+        booked = []  # (admission, departure) in the explicit model
+        now = last_admitted = 0.0
+        for gap, hold in arrivals:
+            now += gap
+            slot = min(range(capacity), key=slot_free.__getitem__)
+            admitted = max(now, last_admitted, slot_free[slot])
+            departure = admitted + hold
+            slot_free[slot] = departure
+            last_admitted = admitted
+            booked.append((admitted, departure))
+            assert queue.admit(now, departure) == admitted
+            resident = sum(1 for start, end in booked if start <= now < end)
+            waiting = sum(1 for start, _ in booked if start > now)
+            assert resident <= capacity
+            assert queue.occupancy(now) == resident + waiting
+
+    def test_hotspot_replay_time_grows_linearly(self):
+        """Hot Spot on LMesh/ECM at 8k requests replays in under 8x the
+        process time of 2k: linear is 4x, while a scan over every booked
+        departure per admission made it ~16x."""
+        workload = build_workload("Hot Spot")
+        configuration = build_configuration("LMesh/ECM")
+
+        def best_process_time(num_requests: int, repeats: int) -> float:
+            trace = workload.generate_packed(seed=1, num_requests=num_requests)
+            times = []
+            for _ in range(repeats):
+                simulator = SystemSimulator(configuration, window_depth=workload.window)
+                start = time.process_time()
+                simulator.run(trace)
+                times.append(time.process_time() - start)
+            return min(times)
+
+        assert best_process_time(8_000, 2) < 8 * best_process_time(2_000, 3)
 
 
 class TestStatisticsProperties:

@@ -288,7 +288,7 @@ class TestResourceEdgeCases:
     def test_bounded_queue_admission_overflow_path(self):
         # Occupancy can exceed capacity because admit() books future-time
         # admissions; admission_time must then wait for enough departures
-        # (the heapq.nsmallest overflow branch), not just the earliest one.
+        # (the capacity-th latest one), not just the earliest one.
         queue = BoundedQueue("q", capacity=2)
         queue.admit(0.0, departure_time=10.0)
         queue.admit(0.0, departure_time=20.0)
