@@ -3,7 +3,8 @@
 Runs the replay micro-benchmarks (single-run events/sec on each interconnect
 family, a coherence-enabled replay with the timed MOESI directory and
 broadcast-bus invalidations, and a Hot Spot replay whose cost is admission
-to one saturated memory-controller queue) and the reduced evaluation-matrix
+to one saturated memory-controller queue), the system-construction rate
+(simulators built and dropped per second) and the reduced evaluation-matrix
 comparison (serial vs parallel wall-clock), writes the numbers to
 ``BENCH_replay.json`` at the repository root, and -- when a committed
 baseline exists -- **fails (exit 1) if any throughput metric regressed by
@@ -67,6 +68,10 @@ SMOKE_REPLAY_REQUESTS = 800
 HOTSPOT_REQUESTS = 2_000
 SMOKE_HOTSPOT_REQUESTS = 400
 
+#: Simulators built and dropped per construction round (full / smoke mode).
+BUILD_SYSTEMS = 20
+SMOKE_BUILD_SYSTEMS = 5
+
 #: Reduced matrix mirroring benchmarks/bench_parallel_runner.py.
 MATRIX_SCALE = ExperimentScale(synthetic_requests=3_000)
 SMOKE_MATRIX_SCALE = ExperimentScale(synthetic_requests=600)
@@ -93,6 +98,20 @@ def _replay_best_seconds(
         best = min(best, time.perf_counter() - started)
         events = simulator._simulator.events_executed
     return best, events
+
+
+def _build_best_seconds(configuration_name: str, systems: int, rounds: int) -> float:
+    """Best of ``rounds`` wall-clock times to build and drop ``systems``
+    simulators.  The cyclic collector stays enabled, so the time includes
+    collecting any simulator that reference counting cannot free."""
+    configuration = configuration_by_name(configuration_name)
+    best = float("inf")
+    for _ in range(rounds):
+        started = time.perf_counter()
+        for _ in range(systems):
+            SystemSimulator(configuration)
+        best = min(best, time.perf_counter() - started)
+    return best
 
 
 def _matrix(smoke: bool = False) -> EvaluationMatrix:
@@ -157,6 +176,12 @@ def measure(rounds: int = 3, smoke: bool = False) -> Dict[str, float]:
     )
     metrics["replay_lmesh_ecm_hotspot_events_per_s"] = events / seconds
     metrics["replay_lmesh_ecm_hotspot_requests_per_s"] = hotspot_requests / seconds
+
+    # System construction: the matrix builds one fresh simulator per pair.
+    systems = SMOKE_BUILD_SYSTEMS if smoke else BUILD_SYSTEMS
+    for label, configuration in (("xbar_ocm", "XBar/OCM"), ("lmesh_ecm", "LMesh/ECM")):
+        seconds = _build_best_seconds(configuration, systems, rounds)
+        metrics[f"build_{label}_systems_per_s"] = systems / seconds
 
     pairs = _matrix(smoke).run_count()
     serial_runner = ParallelEvaluationRunner(matrix=_matrix(smoke), jobs=1)

@@ -42,6 +42,16 @@ interconnect models read but never retain them), and misses homed at the
 issuing cluster skip both the message and the :class:`TransferResult`
 entirely.
 
+The evaluation matrix builds a fresh simulator per pair, so construction
+and teardown are kept cheap too.  The memory system's 2,048 DRAM banks live
+in one flat table per OCM module (:mod:`repro.memory.dram`), so a 64-cluster
+simulator is about 6,000 (XBar/OCM) to 8,900 (mesh) GC-tracked objects.  A
+simulator holds no bound method of itself -- the stage handlers are bound
+per event, and :meth:`SystemSimulator._on_memory` hands shared misses to the
+coherent handler -- so, unless the opt-in metrics sampler is installed, it
+is freed by reference counting as soon as its pair ends instead of waiting
+for a full cyclic collection.
+
 The replay consumes traces in packed columnar form
 (:class:`~repro.trace.packed.PackedTrace`, the only trace representation):
 each stage reads plain ints and floats straight out of the trace's flat
@@ -302,7 +312,6 @@ class SystemSimulator:
         "coherence_config",
         "coherence",
         "broadcast_bus",
-        "_stage_memory",
         "fault_spec",
         "fault_injector",
         "observability",
@@ -416,11 +425,9 @@ class SystemSimulator:
                 hub_fwd=self._hub_fwd,
                 broadcast_bus=self.broadcast_bus,
             )
-            self._stage_memory = self._on_memory_coherent
         else:
             self.broadcast_bus = None
             self.coherence = None
-            self._stage_memory = self._on_memory
 
     # ------------------------------------------------------------------ replay
     def run(self, trace: PackedTrace) -> WorkloadResult:
@@ -615,7 +622,7 @@ class SystemSimulator:
         equeue = self._equeue
         heappush(
             self._eheap,
-            (memory_start, equeue._seq, self._stage_memory, (state, transaction)),
+            (memory_start, equeue._seq, self._on_memory, (state, transaction)),
         )
         equeue._seq += 1
 
@@ -624,7 +631,14 @@ class SystemSimulator:
         self._try_schedule_issue(state)
 
     def _on_memory(self, state: _ThreadState, transaction: _Transaction) -> None:
-        """Stage 2: the memory transaction at the home cluster's controller."""
+        """Stage 2: the memory transaction at the home cluster's controller.
+
+        With coherence enabled, a shared miss goes to
+        :meth:`_on_memory_coherent` instead.
+        """
+        if transaction.shared and self.coherence is not None:
+            self._on_memory_coherent(state, transaction)
+            return
         home = transaction.home
         completion, mem_queueing, channel_delay, dram_delay = self._controllers[
             home
@@ -647,8 +661,8 @@ class SystemSimulator:
     def _on_memory_coherent(
         self, state: _ThreadState, transaction: _Transaction
     ) -> None:
-        """Stage 2, coherence-enabled: shared misses consult the home
-        cluster's MOESI directory; private misses take the plain memory path.
+        """Stage 2 of a shared miss with coherence enabled: consult the
+        home cluster's MOESI directory.
 
         The directory resolves the miss's protocol actions analytically
         (invalidation fan-out, cache-to-cache forward, memory access -- see
@@ -657,9 +671,6 @@ class SystemSimulator:
         answer.  A stripped owner's dirty writeback gets its own calendar
         event so its memory reservation is made in global time order.
         """
-        if not transaction.shared:
-            self._on_memory(state, transaction)
-            return
         miss = self.coherence.process_miss(
             home=transaction.home,
             requester=state.cluster_id,

@@ -23,7 +23,7 @@ from repro.memory.channel import (
     OpticalMemoryChannel,
 )
 from repro.memory.controller import MemoryAccessResult, MemoryController
-from repro.memory.dram import DramBank, DramDie, DramTimings, OcmModule
+from repro.memory.dram import DramTimings, OcmModule
 from repro.memory.ecm import ElectricallyConnectedMemory, ecm_interconnect_summary
 from repro.memory.ocm import OpticallyConnectedMemory, ocm_interconnect_summary
 from repro.memory.system import MemorySystem
@@ -35,8 +35,6 @@ __all__ = [
     "MemoryController",
     "MemoryAccessResult",
     "DramTimings",
-    "DramBank",
-    "DramDie",
     "OcmModule",
     "MemorySystem",
     "OpticallyConnectedMemory",

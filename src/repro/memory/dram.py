@@ -1,4 +1,4 @@
-"""DRAM die, mat and bank timing models.
+"""DRAM timing model of an optically connected memory module.
 
 Corona's OCM modules use custom DRAM dies organized so that an entire cache
 line is read from (or written to) a single mat, avoiding the conventional
@@ -14,6 +14,11 @@ study depends on:
 It also tracks activation energy at the mat level, which is what makes the
 OCM's "read only what you need" organization cheaper than a conventional
 page-open DRAM -- the comparison surfaced in the paper's power discussion.
+
+An :class:`OcmModule` keeps all of its dies' banks in one flat, die-major
+table of plain lists rather than one object per die and bank: a 64-cluster
+system has 2,048 banks, and per-bank objects would dominate the cost of
+building a system.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.sim.resources import _EPSILON, _PRUNE_HORIZON, SerialResource
+from repro.sim.resources import _EPSILON, _PRUNE_HORIZON, insert_interval
 
 
 @dataclass(frozen=True)
@@ -57,40 +62,72 @@ class DramTimings:
 
 
 @dataclass
-class DramBank:
-    """A single independently accessible bank/mat."""
+class OcmModule:
+    """A 3D-stacked optically connected memory module.
 
-    bank_id: int
+    One optical die plus several DRAM dies (Figure 6a).  Modules are daisy
+    chained on the fiber loop; because light passes through without buffering
+    or retiming, each additional module adds only a small propagation delay.
+    The paper's OCM DRAM die has four independent quadrants, each of which
+    could itself be four independent dies; what matters to the system model
+    is the number of concurrently accessible banks.
+
+    A line maps to die ``(line // banks_per_die) % num_dram_dies`` and to bank
+    ``line % banks_per_die`` of that die, so consecutive lines interleave
+    across a die's banks first.  The banks live in one table, bank ``b`` of
+    die ``d`` at row ``d * banks_per_die + b`` -- which is ``line %
+    total_banks``.  Per row the table holds the bank's committed busy
+    intervals (sorted ``starts``/``ends``), the latest request time seen (the
+    prune high-water mark) and an access count.
+    """
+
+    module_id: int
+    num_dram_dies: int = 4
+    banks_per_die: int = 8
     timings: DramTimings = field(default_factory=DramTimings)
-    _resource: SerialResource = field(init=False, repr=False)
-    accesses: int = field(default=0, repr=False)
+    pass_through_delay_s: float = 0.1e-9
 
     def __post_init__(self) -> None:
-        self._resource = SerialResource(name=f"bank{self.bank_id}")
+        if self.num_dram_dies < 1:
+            raise ValueError(
+                f"module needs at least one DRAM die, got {self.num_dram_dies}"
+            )
+        if self.banks_per_die < 1:
+            raise ValueError(f"need at least one bank, got {self.banks_per_die}")
+        banks = self._banks = self.total_banks
+        self._starts: List[List[float]] = [[] for _ in range(banks)]
+        self._ends: List[List[float]] = [[] for _ in range(banks)]
+        self._high_water: List[float] = [0.0] * banks
+        #: Accesses served per bank, in table-row order.
+        self.accesses: List[int] = [0] * banks
         self._cycle_time_s = self.timings.cycle_time_s
         self._access_latency_s = self.timings.access_latency_s
 
-    def access(self, now: float) -> float:
-        """Perform one access starting no earlier than ``now``.
+    @property
+    def total_banks(self) -> int:
+        return self.num_dram_dies * self.banks_per_die
 
-        Returns the time at which data is available.  The bank stays busy for
-        its cycle time, which may exceed the data-available point.
+    def access(self, address: int, now: float) -> float:
+        """Access the line at ``address`` no earlier than ``now``; returns the
+        data-ready time.
 
-        The single-server SerialResource.reserve logic is transcribed inline
-        (one bank reservation per replayed miss); SerialResource.reserve is
-        the reference implementation.
+        The bank is a single server busy for its cycle time, which may exceed
+        the data-available point.  The reservation is the single-server
+        :meth:`~repro.sim.resources.SerialResource.reserve` (without its
+        proven-gap window) on the bank's table row.
         """
-        cycle = self._cycle_time_s
-        resource = self._resource
-        if now > resource._high_water_request:
-            resource._high_water_request = now
-        prune_before = resource._high_water_request - _PRUNE_HORIZON
-        starts = resource._starts[0]
-        ends = resource._ends[0]
+        bank = (address >> 6) % self._banks
+        high_water = self._high_water
+        if now > high_water[bank]:
+            high_water[bank] = now
+        prune_before = high_water[bank] - _PRUNE_HORIZON
+        starts = self._starts[bank]
+        ends = self._ends[bank]
         if prune_before > 0 and ends and ends[0] <= prune_before:
             cut = bisect_right(ends, prune_before)
             del ends[:cut]
             del starts[:cut]
+        cycle = self._cycle_time_s
         start = now
         n = len(starts)
         index = bisect_right(ends, start)
@@ -110,109 +147,15 @@ class DramBank:
                 starts.append(start)
                 ends.append(end)
         else:
-            resource._insert(0, start, end)
-        resource.busy_time += cycle
-        resource.reservations += 1
-        self.accesses += 1
+            insert_interval(starts, ends, start, end)
+        self.accesses[bank] += 1
         return start + self._access_latency_s
 
-    @property
-    def busy_time(self) -> float:
-        return self._resource.busy_time
-
-    def energy_j(self) -> float:
-        return self.accesses * self.timings.activate_energy_j
-
-
-@dataclass
-class DramDie:
-    """One DRAM die: a set of independent banks/mats.
-
-    The paper's OCM DRAM die has four independent quadrants, each of which
-    could itself be four independent dies; what matters to the system model is
-    the number of concurrently accessible banks.
-    """
-
-    die_id: int
-    num_banks: int = 64
-    timings: DramTimings = field(default_factory=DramTimings)
-    banks: List[DramBank] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.num_banks < 1:
-            raise ValueError(f"need at least one bank, got {self.num_banks}")
-        if not self.banks:
-            self.banks = [
-                DramBank(bank_id=i, timings=self.timings)
-                for i in range(self.num_banks)
-            ]
-
-    def bank_for_address(self, address: int) -> DramBank:
-        """Address-interleaved bank selection (line-granularity)."""
-        line = address >> 6
-        return self.banks[line % self.num_banks]
-
-    def access(self, address: int, now: float) -> float:
-        return self.bank_for_address(address).access(now)
-
     def total_accesses(self) -> int:
-        return sum(bank.accesses for bank in self.banks)
+        return sum(self.accesses)
 
     def energy_j(self) -> float:
-        return sum(bank.energy_j() for bank in self.banks)
-
-
-@dataclass
-class OcmModule:
-    """A 3D-stacked optically connected memory module.
-
-    One optical die plus several DRAM dies (Figure 6a).  Modules are daisy
-    chained on the fiber loop; because light passes through without buffering
-    or retiming, each additional module adds only a small propagation delay.
-    """
-
-    module_id: int
-    num_dram_dies: int = 4
-    banks_per_die: int = 8
-    timings: DramTimings = field(default_factory=DramTimings)
-    pass_through_delay_s: float = 0.1e-9
-    dies: List[DramDie] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.num_dram_dies < 1:
-            raise ValueError(
-                f"module needs at least one DRAM die, got {self.num_dram_dies}"
-            )
-        if not self.dies:
-            self.dies = [
-                DramDie(die_id=i, num_banks=self.banks_per_die, timings=self.timings)
-                for i in range(self.num_dram_dies)
-            ]
-
-    @property
-    def total_banks(self) -> int:
-        return sum(die.num_banks for die in self.dies)
-
-    def die_for_address(self, address: int) -> DramDie:
-        line = address >> 6
-        return self.dies[(line // self.banks_per_die) % len(self.dies)]
-
-    def access(self, address: int, now: float) -> float:
-        """Access the module; returns the data-ready time.
-
-        The die and bank selection is inlined (same mapping as
-        :meth:`die_for_address` / :meth:`DramDie.bank_for_address`) so the hot
-        path pays one call into the bank instead of three dispatch hops.
-        """
-        line = address >> 6
-        die = self.dies[(line // self.banks_per_die) % len(self.dies)]
-        return die.banks[line % die.num_banks].access(now)
-
-    def total_accesses(self) -> int:
-        return sum(die.total_accesses() for die in self.dies)
-
-    def energy_j(self) -> float:
-        return sum(die.energy_j() for die in self.dies)
+        return self.total_accesses() * self.timings.activate_energy_j
 
 
 def daisy_chain_delay(module_index: int, pass_through_delay_s: float = 0.1e-9) -> float:

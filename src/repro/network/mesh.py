@@ -11,9 +11,11 @@ The transfer model is wormhole-accurate to first order: the head flit advances
 one hop every ``hop latency`` once each successive link is free, each link is
 occupied for the full serialization time of the message, and the message
 arrives once the tail flit has crossed the final link.  Link contention and
-the resulting queueing (and back-pressure through the routers' finite buffers)
-is therefore captured, which is what produces the mesh's collapse under the
-paper's high-bandwidth workloads.
+the resulting queueing are therefore captured, which is what produces the
+mesh's collapse under the paper's high-bandwidth workloads.  Router buffers
+are not modelled: the mesh builds a :class:`MeshRouter` per node, but
+:meth:`ElectricalMesh.transfer` never consults them, so there is no
+back-pressure from finite router buffers.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ class ElectricalMesh(Interconnect):
                     ends.append(end)
             else:
                 # Interior commit at the position the gap search already
-                # found (SerialResource._insert with a known index).
+                # found (insert_interval with a known index).
                 if index > 0 and ends[index - 1] >= start - epsilon:
                     merged = index - 1
                     if end > ends[merged]:

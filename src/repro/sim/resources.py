@@ -33,12 +33,52 @@ _EPSILON = 1e-15
 _PRUNE_HORIZON = 5e-6
 
 
+def insert_interval(
+    starts: List[float], ends: List[float], start: float, end: float
+) -> None:
+    """Commit the busy interval ``[start, end)`` to one server's timeline.
+
+    ``starts``/``ends`` are the server's parallel, sorted interval lists;
+    the new interval is coalesced with any it touches, so they stay
+    disjoint.  Shared by :class:`SerialResource` and the DRAM bank table of
+    :class:`~repro.memory.dram.OcmModule`.
+    """
+    # Tail fast path: most reservations are requested roughly in time
+    # order, so they land after every committed interval.
+    if not starts:
+        starts.append(start)
+        ends.append(end)
+        return
+    if start > starts[-1]:
+        if ends[-1] >= start - _EPSILON:
+            if end > ends[-1]:
+                ends[-1] = end
+        else:
+            starts.append(start)
+            ends.append(end)
+        return
+    index = bisect.bisect_left(starts, start)
+    # Coalesce with the previous interval when contiguous.
+    if index > 0 and ends[index - 1] >= start - _EPSILON:
+        ends[index - 1] = max(ends[index - 1], end)
+        merged_index = index - 1
+    else:
+        starts.insert(index, start)
+        ends.insert(index, end)
+        merged_index = index
+    # Coalesce with following intervals swallowed by the new one.
+    next_index = merged_index + 1
+    while next_index < len(starts) and starts[next_index] <= ends[merged_index] + _EPSILON:
+        ends[merged_index] = max(ends[merged_index], ends[next_index])
+        del starts[next_index]
+        del ends[next_index]
+
+
 class SerialResource:
     """A resource with a fixed number of identical servers and gap backfill.
 
     With ``servers=1`` this is a single channel/link; with ``servers=n`` it is
-    an ``n``-ported resource (for example a DRAM die with several independent
-    banks).
+    an ``n``-ported resource.
     """
 
     __slots__ = (
@@ -139,39 +179,6 @@ class SerialResource:
         else:
             self._skip_hi = self._skip_lo  # empty timeline: no proofs survive
 
-    def _insert(self, server: int, start: float, end: float) -> None:
-        starts = self._starts[server]
-        ends = self._ends[server]
-        # Tail fast path: most reservations are requested roughly in time
-        # order, so they land after every committed interval.
-        if not starts:
-            starts.append(start)
-            ends.append(end)
-            return
-        if start > starts[-1]:
-            if ends[-1] >= start - _EPSILON:
-                if end > ends[-1]:
-                    ends[-1] = end
-            else:
-                starts.append(start)
-                ends.append(end)
-            return
-        index = bisect.bisect_left(starts, start)
-        # Coalesce with the previous interval when contiguous.
-        if index > 0 and ends[index - 1] >= start - _EPSILON:
-            ends[index - 1] = max(ends[index - 1], end)
-            merged_index = index - 1
-        else:
-            starts.insert(index, start)
-            ends.insert(index, end)
-            merged_index = index
-        # Coalesce with following intervals swallowed by the new one.
-        next_index = merged_index + 1
-        while next_index < len(starts) and starts[next_index] <= ends[merged_index] + _EPSILON:
-            ends[merged_index] = max(ends[merged_index], ends[next_index])
-            del starts[next_index]
-            del ends[next_index]
-
     # -- public API ------------------------------------------------------------
     def next_available(self, now: float) -> float:
         """Earliest time a zero-length reservation made at ``now`` could start.
@@ -179,7 +186,7 @@ class SerialResource:
         Mirrors the pruned single-server fast path of :meth:`reserve`:
         expired intervals (older than the prune horizon behind the newest
         reservation request) are dropped first, and because committed
-        intervals are kept disjoint by :meth:`_insert`'s coalescing, a single
+        intervals are kept disjoint by :func:`insert_interval`, a single
         bisect answers the query -- ``now`` itself when no interval covers
         it, otherwise the covering interval's end.  Long-running replays
         previously paid a scan over every interval ever committed on
@@ -227,9 +234,9 @@ class SerialResource:
         prune_before = self._high_water_request - _PRUNE_HORIZON
 
         if self.servers == 1:
-            # Single-server fast path (links, channels, banks): prune only
+            # Single-server fast path (links, channels): prune only
             # when something is actually expired, inline the gap search, and
-            # insert through the tail fast path of :meth:`_insert`.
+            # insert through the tail fast path of :func:`insert_interval`.
             starts = self._starts[0]
             ends = self._ends[0]
             if prune_before > 0 and ends and ends[0] <= prune_before:
@@ -268,7 +275,7 @@ class SerialResource:
                     starts.append(candidate)
                     ends.append(end)
             else:
-                self._insert(0, candidate, end)
+                insert_interval(starts, ends, candidate, end)
             self.busy_time += duration
             self.reservations += 1
             return end
@@ -285,7 +292,9 @@ class SerialResource:
                 if start <= now + _EPSILON:
                     break
         end = best_start + duration
-        self._insert(best_server, best_start, end)
+        insert_interval(
+            self._starts[best_server], self._ends[best_server], best_start, end
+        )
         self.busy_time += duration
         self.reservations += 1
         return end

@@ -1,8 +1,11 @@
 """Integration tests for the trace-driven system simulator."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.core.configs import configuration_by_name
+from repro.core.configs import all_configurations, configuration_by_name
 from repro.core.system import SystemSimulator, simulate_workload
 from repro.trace.packed import PackedTraceBuilder
 
@@ -260,3 +263,69 @@ class TestAdmissionOverflowGoldens:
             scenario_digests(coherent_mshr_overflow_scenario(), jobs=1)
             == COHERENT_MSHR_OVERFLOW
         )
+
+
+class TestSimulatorLifetime:
+    """A replayed simulator is freed by reference counting, and building one
+    stays cheap.
+
+    The one reference cycle left is opt-in and out of scope here: the
+    metrics sampler (``MetricsSampler(self)``, installed on the calendar
+    only when an observability spec asks for metrics) refers back to its
+    simulator.
+    """
+
+    @pytest.mark.parametrize("name", ["XBar/OCM", "LMesh/ECM"])
+    @pytest.mark.parametrize("variant", ["default", "coherent", "faulted"])
+    def test_freed_without_the_cycle_collector(self, name, variant):
+        from repro.coherence.engine import CoherenceConfig
+        from repro.coherence.sharing import SharingProfile
+        from repro.faults.spec import FaultSpec
+        from repro.trace.synthetic import uniform_workload
+
+        options = {
+            "default": {},
+            "coherent": {"coherence": CoherenceConfig()},
+            "faulted": {
+                "faults": FaultSpec(
+                    seed=3,
+                    ring_detuning_fraction=0.1,
+                    token_loss_rate=0.1,
+                    dead_link_fraction=0.2,
+                    dram_timeout_rate=0.1,
+                )
+            },
+        }[variant]
+        workload = uniform_workload(sharing=SharingProfile(fraction=0.5))
+        trace = workload.generate_packed(seed=1, num_requests=400)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            simulator = SystemSimulator(
+                configuration_by_name(name), window_depth=workload.window, **options
+            )
+            simulator.run(trace)
+            memory = weakref.ref(simulator.memory)
+            del simulator
+            assert memory() is None
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def test_construction_allocates_few_tracked_objects(self):
+        """Each of the five configurations builds in under 10,000 GC-tracked
+        objects; one object per DRAM die and bank would add about 12,000."""
+        for configuration in all_configurations():
+            SystemSimulator(configuration)
+            gc.collect()
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                before = len(gc.get_objects())
+                simulator = SystemSimulator(configuration)
+                created = len(gc.get_objects()) - before
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
+            del simulator
+            assert created < 10_000, (configuration.name, created)

@@ -8,13 +8,7 @@ from repro.memory.channel import (
     OpticalMemoryChannel,
 )
 from repro.memory.controller import MemoryController
-from repro.memory.dram import (
-    DramBank,
-    DramDie,
-    DramTimings,
-    OcmModule,
-    daisy_chain_delay,
-)
+from repro.memory.dram import DramTimings, OcmModule, daisy_chain_delay
 from repro.memory.ecm import ElectricallyConnectedMemory, ecm_interconnect_summary
 from repro.memory.ocm import OpticallyConnectedMemory, ocm_interconnect_summary
 
@@ -66,30 +60,30 @@ class TestMemoryChannels:
 
 class TestDram:
     def test_bank_access_latency(self):
-        bank = DramBank(bank_id=0)
-        assert bank.access(0.0) == pytest.approx(20e-9)
+        module = OcmModule(module_id=0)
+        assert module.access(0, 0.0) == pytest.approx(20e-9)
 
     def test_bank_back_to_back_accesses_respect_cycle_time(self):
-        bank = DramBank(bank_id=0)
-        bank.access(0.0)
-        second = bank.access(0.0)
+        module = OcmModule(module_id=0)
+        module.access(0, 0.0)
+        second = module.access(0, 0.0)
         assert second == pytest.approx(40e-9)
 
     def test_bank_energy_accumulates(self):
-        bank = DramBank(bank_id=0)
-        bank.access(0.0)
-        bank.access(0.0)
-        assert bank.energy_j() == pytest.approx(2 * bank.timings.activate_energy_j)
+        module = OcmModule(module_id=0)
+        module.access(0, 0.0)
+        module.access(0, 0.0)
+        assert module.energy_j() == pytest.approx(2 * module.timings.activate_energy_j)
 
     def test_die_interleaves_banks(self):
-        die = DramDie(die_id=0, num_banks=4)
-        addresses = [line << 6 for line in range(4)]
-        banks = {die.bank_for_address(a).bank_id for a in addresses}
-        assert banks == {0, 1, 2, 3}
+        module = OcmModule(module_id=0, num_dram_dies=1, banks_per_die=4)
+        for line in range(4):
+            module.access(line << 6, 0.0)
+        assert module.accesses == [1, 1, 1, 1]
 
     def test_die_parallel_banks_do_not_serialize(self):
-        die = DramDie(die_id=0, num_banks=4)
-        ready_times = [die.access(line << 6, 0.0) for line in range(4)]
+        module = OcmModule(module_id=0, num_dram_dies=1, banks_per_die=4)
+        ready_times = [module.access(line << 6, 0.0) for line in range(4)]
         assert all(t == pytest.approx(20e-9) for t in ready_times)
 
     def test_module_total_banks(self):

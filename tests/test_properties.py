@@ -1,17 +1,20 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
 import heapq
+import math
 import random
 import time
+from bisect import bisect_left, bisect_right
 from typing import List
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import build_configuration, build_workload
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.coherence import CoherenceController
 from repro.core.system import SystemSimulator
+from repro.memory.dram import DramTimings, OcmModule
 from repro.network.crossbar import OpticalCrossbar
 from repro.network.mesh import high_performance_mesh
 from repro.network.message import Message, MessageType
@@ -176,6 +179,187 @@ class TestAdmissionHeapsProperties:
             return min(times)
 
         assert best_process_time(8_000, 2) < 8 * best_process_time(2_000, 3)
+
+
+#: The reference DRAM bank model: one single-server interval timeline per
+#: bank, held by a per-bank object in a per-die list.  ``access`` is the
+#: reservation the object tree ran and ``_insert`` its interior insert,
+#: copied verbatim; :class:`OcmModule` keeps all banks in one flat table and
+#: must return the same data-ready times to the last bit.
+_ORACLE_EPSILON = 1e-15
+_ORACLE_PRUNE_HORIZON = 5e-6
+
+
+class _OracleResource:
+    def __init__(self) -> None:
+        self._starts: List[List[float]] = [[]]
+        self._ends: List[List[float]] = [[]]
+        self._high_water_request = 0.0
+        self.busy_time = 0.0
+        self.reservations = 0
+
+    def _insert(self, server: int, start: float, end: float) -> None:
+        starts = self._starts[server]
+        ends = self._ends[server]
+        if not starts:
+            starts.append(start)
+            ends.append(end)
+            return
+        if start > starts[-1]:
+            if ends[-1] >= start - _ORACLE_EPSILON:
+                if end > ends[-1]:
+                    ends[-1] = end
+            else:
+                starts.append(start)
+                ends.append(end)
+            return
+        index = bisect_left(starts, start)
+        if index > 0 and ends[index - 1] >= start - _ORACLE_EPSILON:
+            ends[index - 1] = max(ends[index - 1], end)
+            merged_index = index - 1
+        else:
+            starts.insert(index, start)
+            ends.insert(index, end)
+            merged_index = index
+        next_index = merged_index + 1
+        while next_index < len(starts) and starts[next_index] <= ends[merged_index] + _ORACLE_EPSILON:
+            ends[merged_index] = max(ends[merged_index], ends[next_index])
+            del starts[next_index]
+            del ends[next_index]
+
+
+class _OracleBank:
+    def __init__(self, timings: DramTimings) -> None:
+        self._resource = _OracleResource()
+        self._cycle_time_s = timings.cycle_time_s
+        self._access_latency_s = timings.access_latency_s
+        self.accesses = 0
+        self.interior_inserts = 0
+        self.prunes = 0
+
+    def access(self, now: float) -> float:
+        cycle = self._cycle_time_s
+        resource = self._resource
+        if now > resource._high_water_request:
+            resource._high_water_request = now
+        prune_before = resource._high_water_request - _ORACLE_PRUNE_HORIZON
+        starts = resource._starts[0]
+        ends = resource._ends[0]
+        if prune_before > 0 and ends and ends[0] <= prune_before:
+            cut = bisect_right(ends, prune_before)
+            del ends[:cut]
+            del starts[:cut]
+            self.prunes += 1
+        start = now
+        n = len(starts)
+        index = bisect_right(ends, start)
+        while index < n:
+            if start + cycle <= starts[index] + _ORACLE_EPSILON:
+                break
+            interval_end = ends[index]
+            if interval_end > start:
+                start = interval_end
+            index += 1
+        end = start + cycle
+        if index >= n:
+            if n and ends[-1] >= start - _ORACLE_EPSILON:
+                if end > ends[-1]:
+                    ends[-1] = end
+            else:
+                starts.append(start)
+                ends.append(end)
+        else:
+            resource._insert(0, start, end)
+            self.interior_inserts += 1
+        resource.busy_time += cycle
+        resource.reservations += 1
+        self.accesses += 1
+        return start + self._access_latency_s
+
+
+class _OracleModule:
+    """Die ``(line // banks_per_die) % dies``, bank ``line % banks_per_die``."""
+
+    def __init__(self, num_dram_dies: int, banks_per_die: int, timings: DramTimings) -> None:
+        self.banks_per_die = banks_per_die
+        self.timings = timings
+        self.dies = [
+            [_OracleBank(timings) for _ in range(banks_per_die)]
+            for _ in range(num_dram_dies)
+        ]
+
+    def access(self, address: int, now: float) -> float:
+        line = address >> 6
+        die = self.dies[(line // self.banks_per_die) % len(self.dies)]
+        return die[line % len(die)].access(now)
+
+    def total_accesses(self) -> int:
+        return sum(bank.accesses for die in self.dies for bank in die)
+
+    def energy_j(self) -> float:
+        return sum(
+            sum(bank.accesses * self.timings.activate_energy_j for bank in die)
+            for die in self.dies
+        )
+
+
+#: One DRAM access: ``(line, offset byte, epoch, slot)``.  The request time
+#: is ``epoch * 6 us + slot * 5 ns``: epochs jump past the 5 us prune
+#: horizon, slots revisit earlier times (out-of-order and equal ``now``),
+#: and lines 0-3 are drawn often so banks repeat.
+_DRAM_ACCESS = st.tuples(
+    st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=95)),
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=40),
+)
+
+#: Bank 0 only: interior inserts (one into a gap exactly one cycle long,
+#: at 80 ns), then a prune, then an interior insert behind the horizon.
+_INTERIOR_THEN_PRUNE = [
+    (0, 0, 0, 20), (0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 0, 10), (0, 0, 0, 16),
+    (0, 0, 2, 0), (0, 0, 2, 1), (0, 0, 0, 30),
+]
+
+
+class TestOcmModuleBankTableProperties:
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from((20e-9, 7e-9, 35e-9)),
+        st.lists(_DRAM_ACCESS, max_size=150),
+    )
+    @example(4, 8, 20e-9, _INTERIOR_THEN_PRUNE)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_bank_object_model(
+        self, num_dram_dies, banks_per_die, cycle_time_s, accesses
+    ):
+        """Same data-ready time for every access, same access count, and the
+        same energy up to summation order."""
+        timings = DramTimings(access_latency_s=20e-9, cycle_time_s=cycle_time_s)
+        module = OcmModule(
+            module_id=0,
+            num_dram_dies=num_dram_dies,
+            banks_per_die=banks_per_die,
+            timings=timings,
+        )
+        oracle = _OracleModule(num_dram_dies, banks_per_die, timings)
+        for line, offset, epoch, slot in accesses:
+            address = (line << 6) | offset
+            now = epoch * 6e-6 + slot * 5e-9
+            assert module.access(address, now) == oracle.access(address, now)
+        assert module.total_accesses() == oracle.total_accesses() == len(accesses)
+        assert math.isclose(module.energy_j(), oracle.energy_j(), rel_tol=1e-12)
+
+    def test_example_runs_the_interior_insert_and_prune_branches(self):
+        """The pinned example above reaches both rare branches of the
+        reservation, so the equality check covers them on every run."""
+        oracle = _OracleModule(4, 8, DramTimings())
+        for line, offset, epoch, slot in _INTERIOR_THEN_PRUNE:
+            oracle.access((line << 6) | offset, epoch * 6e-6 + slot * 5e-9)
+        bank = oracle.dies[0][0]
+        assert bank.interior_inserts >= 2
+        assert bank.prunes >= 1
 
 
 class TestStatisticsProperties:
