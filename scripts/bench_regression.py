@@ -4,8 +4,10 @@ Runs the replay micro-benchmarks (single-run events/sec on each interconnect
 family, a coherence-enabled replay with the timed MOESI directory and
 broadcast-bus invalidations, and a Hot Spot replay whose cost is admission
 to one saturated memory-controller queue), the system-construction rate
-(simulators built and dropped per second) and the reduced evaluation-matrix
-comparison (serial vs parallel wall-clock), writes the numbers to
+(simulators built and dropped per second), the trace-generation rate of the
+default 17-workload matrix at 1,000 requests per trace, and the reduced
+evaluation-matrix comparison (serial vs parallel wall-clock), writes the
+numbers to
 ``BENCH_replay.json`` at the repository root, and -- when a committed
 baseline exists -- **fails (exit 1) if any throughput metric regressed by
 more than 20%**.
@@ -45,6 +47,7 @@ SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from repro.api import WORKLOADS, build_workload  # noqa: E402
 from repro.coherence import CoherenceConfig, SharingProfile  # noqa: E402
 from repro.core.configs import configuration_by_name  # noqa: E402
 from repro.core.system import SystemSimulator  # noqa: E402
@@ -71,6 +74,12 @@ SMOKE_HOTSPOT_REQUESTS = 400
 #: Simulators built and dropped per construction round (full / smoke mode).
 BUILD_SYSTEMS = 20
 SMOKE_BUILD_SYSTEMS = 5
+
+#: Requests per trace when generating the default matrix's workloads (full
+#: / smoke mode).  At 1,000 requests a trace spreads over most of the 1,024
+#: threads, so generation cost is per thread as much as per request.
+GENERATE_REQUESTS = 1_000
+SMOKE_GENERATE_REQUESTS = 300
 
 #: Reduced matrix mirroring benchmarks/bench_parallel_runner.py.
 MATRIX_SCALE = ExperimentScale(synthetic_requests=3_000)
@@ -112,6 +121,19 @@ def _build_best_seconds(configuration_name: str, systems: int, rounds: int) -> f
             SystemSimulator(configuration)
         best = min(best, time.perf_counter() - started)
     return best
+
+
+def _generate_best_seconds(requests: int, rounds: int):
+    """Best of ``rounds`` wall-clock times to generate one trace of each of
+    the default matrix's workloads; returns ``(traces, seconds)``."""
+    workloads = [build_workload(name) for name in WORKLOADS.default_names()]
+    best = float("inf")
+    for _ in range(rounds):
+        started = time.perf_counter()
+        for workload in workloads:
+            workload.generate_packed(seed=1, num_requests=requests)
+        best = min(best, time.perf_counter() - started)
+    return len(workloads), best
 
 
 def _matrix(smoke: bool = False) -> EvaluationMatrix:
@@ -182,6 +204,13 @@ def measure(rounds: int = 3, smoke: bool = False) -> Dict[str, float]:
     for label, configuration in (("xbar_ocm", "XBar/OCM"), ("lmesh_ecm", "LMesh/ECM")):
         seconds = _build_best_seconds(configuration, systems, rounds)
         metrics[f"build_{label}_systems_per_s"] = systems / seconds
+
+    # Trace generation for the default matrix, the cost repro.api.run pays
+    # once per workload before replaying it on every configuration.
+    traces, seconds = _generate_best_seconds(
+        SMOKE_GENERATE_REQUESTS if smoke else GENERATE_REQUESTS, rounds
+    )
+    metrics["generate_matrix_traces_per_s"] = traces / seconds
 
     pairs = _matrix(smoke).run_count()
     serial_runner = ParallelEvaluationRunner(matrix=_matrix(smoke), jobs=1)

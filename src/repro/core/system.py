@@ -44,13 +44,23 @@ entirely.
 
 The evaluation matrix builds a fresh simulator per pair, so construction
 and teardown are kept cheap too.  The memory system's 2,048 DRAM banks live
-in one flat table per OCM module (:mod:`repro.memory.dram`), so a 64-cluster
-simulator is about 6,000 (XBar/OCM) to 8,900 (mesh) GC-tracked objects.  A
+in one flat table per OCM module (:mod:`repro.memory.dram`), and a mesh
+shares one route table per shape and builds no routers, so a 64-cluster
+simulator is about 6,000 (XBar/OCM) to 7,700 (mesh) GC-tracked objects.  A
 simulator holds no bound method of itself -- the stage handlers are bound
 per event, and :meth:`SystemSimulator._on_memory` hands shared misses to the
 coherent handler -- so, unless the opt-in metrics sampler is installed, it
 is freed by reference counting as soon as its pair ends instead of waiting
 for a full cyclic collection.
+
+A short pair (the quick matrix replays 1,000 requests per pair) spreads its
+misses over most of the 1,024 threads, so per-thread and per-sample work
+outside the event loop is kept linear and lean as well:
+:meth:`SystemSimulator.run` builds each thread's state from positional
+arguments and seeds every first issue with one ``heapify``, and the result
+statistics fold their samples in
+:meth:`RunningStats.extend <repro.sim.stats.RunningStats.extend>`'s
+local-variable loop.
 
 The replay consumes traces in packed columnar form
 (:class:`~repro.trace.packed.PackedTrace`, the only trace representation):
@@ -62,8 +72,8 @@ hot path allocates no per-record objects at all.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
-from heapq import heappush
+from dataclasses import dataclass
+from heapq import heapify, heappush
 from typing import Dict, List, Optional
 
 from repro.coherence.engine import CoherenceConfig, CoherenceEngine, CoherentMiss
@@ -256,7 +266,9 @@ class _ThreadState:
     ``meta``/``addresses``/``gaps`` alias the packed trace's whole columns;
     the thread's records occupy ``[base, base + count)`` and the handlers
     index ``base + next_index`` directly, so issuing a miss reads three flat
-    slots instead of touching a record object.
+    slots instead of touching a record object.  Every field is passed
+    positionally (no defaults): :meth:`SystemSimulator.run` builds one per
+    thread.
     """
 
     thread_id: int
@@ -267,21 +279,15 @@ class _ThreadState:
     base: int
     count: int
     window: int
-    next_index: int = 0
-    issue_scheduled: bool = False
-    #: Issue time of the most recently issued miss (gap accounting).
-    last_issue_time: float = 0.0
-    #: Open-loop arrival schedule: cumulative sum of the thread's gaps.
-    arrival_clock: float = 0.0
-    completions: List[Optional[float]] = field(default_factory=list)
     #: The issuing cluster's hub, bound once at replay start.
-    hub: Optional[Hub] = None
-
-    def __post_init__(self) -> None:
-        self.completions = [None] * self.count
-
-    def finished_issuing(self) -> bool:
-        return self.next_index >= self.count
+    hub: Hub
+    next_index: int
+    issue_scheduled: bool
+    #: Issue time of the most recently issued miss (gap accounting).
+    last_issue_time: float
+    #: Open-loop arrival schedule: cumulative sum of the thread's gaps.
+    arrival_clock: float
+    completions: List[Optional[float]]
 
 
 class SystemSimulator:
@@ -451,26 +457,35 @@ class SystemSimulator:
         self._equeue = self._simulator._queue
         self._eheap = self._equeue._heap
 
+        # Seed every thread's first issue in one heapify rather than one
+        # push each.  The (time, seq) keys are unique, so the calendar pops
+        # them in the order per-thread pushes would have.
         clock = self._clock
-        gaps = trace.gaps
+        meta, addresses, gaps = trace.meta, trace.addresses, trace.gaps
+        on_issue = self._on_issue
+        heap = self._eheap
         for thread_id, cluster_id, start, stop in trace.thread_segments():
             if start == stop:
                 continue
+            count = stop - start
+            # The last five: next_index, issue_scheduled (the seed below),
+            # last_issue_time, arrival_clock, completions.
             state = _ThreadState(
-                thread_id=thread_id,
-                cluster_id=cluster_id,
-                meta=trace.meta,
-                addresses=trace.addresses,
-                gaps=gaps,
-                base=start,
-                count=stop - start,
-                window=self.window_depth,
-                hub=self.hubs[cluster_id],
+                thread_id, cluster_id, meta, addresses, gaps, start, count,
+                self.window_depth, self.hubs[cluster_id],
+                0, True, 0.0, 0.0, [None] * count,
             )
             self._threads[thread_id] = state
             first_issue = gaps[start] / clock
-            state.issue_scheduled = True
-            self._simulator.schedule_at(first_issue, self._on_issue, state)
+            if first_issue < 0.0:
+                raise ValueError(
+                    f"thread {thread_id} would first issue at t={first_issue}, "
+                    "before the replay starts"
+                )
+            heap.append((first_issue, len(heap), on_issue, (state,)))
+        heapify(heap)
+        # Later pushes, the metrics sampler's first tick included, number on.
+        self._equeue._seq = len(heap)
 
         observability = self.observability
         if observability is not None and observability.simulation_active:

@@ -7,8 +7,9 @@ Three interconnects are modelled, matching the paper's evaluation:
   distributed optical token arbitration, with an optical broadcast bus on the
   side for invalidations.
 * :class:`~repro.network.mesh.ElectricalMesh` -- the HMesh and LMesh electrical
-  baselines: 8x8 2D meshes with dimension-order wormhole routing and
-  credit-based (finite-buffer) flow control.
+  baselines: 8x8 2D meshes with dimension-order wormhole routing.  Only link
+  contention is modelled; routers have no finite buffers and exert no
+  back-pressure.
 
 All interconnects implement the :class:`~repro.network.topology.Interconnect`
 interface so the system simulator can swap them freely.
@@ -21,7 +22,6 @@ from repro.network.interface import MultiStackFabric, NetworkInterface
 from repro.network.link import Link
 from repro.network.mesh import ElectricalMesh, high_performance_mesh, low_performance_mesh
 from repro.network.message import Message, MessageType, message_size_bytes
-from repro.network.router import MeshRouter
 from repro.network.topology import Interconnect, MeshCoordinates, TransferResult
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "TransferResult",
     "MeshCoordinates",
     "Link",
-    "MeshRouter",
     "ElectricalMesh",
     "high_performance_mesh",
     "low_performance_mesh",

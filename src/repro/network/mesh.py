@@ -12,10 +12,16 @@ one hop every ``hop latency`` once each successive link is free, each link is
 occupied for the full serialization time of the message, and the message
 arrives once the tail flit has crossed the final link.  Link contention and
 the resulting queueing are therefore captured, which is what produces the
-mesh's collapse under the paper's high-bandwidth workloads.  Router buffers
-are not modelled: the mesh builds a :class:`MeshRouter` per node, but
-:meth:`ElectricalMesh.transfer` never consults them, so there is no
-back-pressure from finite router buffers.
+mesh's collapse under the paper's high-bandwidth workloads.  Routers are not
+modelled: there is no router buffering and no back-pressure from finite
+buffers, only contention for the links.
+
+Routes come from a table built once per mesh shape
+(:func:`~repro.network.topology.xy_route_table`, from
+:meth:`~repro.network.topology.MeshCoordinates.dimension_order_route`):
+entry ``src * num_clusters + dst`` lists the route's links as dense
+indices into the mesh's link table, so a transfer walks a tuple instead of
+recomputing the route and looking each link up by its endpoints.
 """
 
 from __future__ import annotations
@@ -25,9 +31,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.network.link import Link
 from repro.network.message import Message
-from repro.network.router import MeshRouter
-from repro.network.topology import Interconnect, MeshCoordinates, TransferResult
-from repro.sim.resources import _EPSILON, _PRUNE_HORIZON
+from repro.network.topology import (
+    Interconnect,
+    MeshCoordinates,
+    TransferResult,
+    xy_route_table,
+)
+from repro.sim.resources import _EPSILON, _PRUNE_HORIZON, SerialResource
 
 
 class ElectricalMesh(Interconnect):
@@ -38,11 +48,10 @@ class ElectricalMesh(Interconnect):
         "_bisection_bandwidth",
         "hop_latency_s",
         "energy_per_hop_j",
-        "flit_bytes",
         "link_bandwidth_bytes_per_s",
         "links",
-        "_link_resources",
-        "routers",
+        "_link_table",
+        "_routes",
         "hop_count_total",
         "_fault_link_slow",
     )
@@ -55,15 +64,12 @@ class ElectricalMesh(Interconnect):
         bisection_bandwidth_bytes_per_s: float = 1.28e12,
         hop_latency_cycles: float = 5.0,
         energy_per_hop_j: float = 196e-12,
-        router_buffer_flits: int = 16,
-        flit_bytes: int = 16,
     ) -> None:
         super().__init__(name=name, num_clusters=num_clusters, clock_hz=clock_hz)
         self.coordinates = MeshCoordinates.square(num_clusters)
         self._bisection_bandwidth = bisection_bandwidth_bytes_per_s
         self.hop_latency_s = hop_latency_cycles / clock_hz
         self.energy_per_hop_j = energy_per_hop_j
-        self.flit_bytes = flit_bytes
 
         # Per-link bandwidth is set so that the links crossing the bisection
         # add up to the configured bisection bandwidth.
@@ -72,6 +78,8 @@ class ElectricalMesh(Interconnect):
             bisection_bandwidth_bytes_per_s / bisection_links
         )
 
+        #: In :meth:`MeshCoordinates.all_links` order, the order the route
+        #: table's link indices refer to.
         self.links: Dict[Tuple[int, int], Link] = {
             (src, dst): Link(
                 src=src,
@@ -81,30 +89,31 @@ class ElectricalMesh(Interconnect):
             )
             for src, dst in self.coordinates.all_links()
         }
-        #: Hot-path view of the links' serial resources, so a transfer does
-        #: not pay a wrapper call per hop (the Link objects stay authoritative
-        #: for reporting -- both views share the same resource instances).
-        #: Keyed by ``src * num_clusters + dst`` so the per-hop lookup hashes
-        #: an int instead of allocating a tuple.
-        self._link_resources = {
-            src * num_clusters + dst: link._resource
-            for (src, dst), link in self.links.items()
-        }
-        self.routers: Dict[int, MeshRouter] = {
-            node: MeshRouter(
-                node_id=node,
-                buffer_flits=router_buffer_flits,
-                flit_bytes=flit_bytes,
-                forwarding_latency_s=self.hop_latency_s,
-                energy_per_hop_j=energy_per_hop_j,
+        #: Hot-path view of the links, by route-table index: each link's
+        #: serial resource, its interval lists and its fault-table key
+        #: ``src * num_clusters + dst``.  The Link objects stay
+        #: authoritative for reporting; both views share the resources, and
+        #: ``SerialResource.reset`` clears the lists in place, so the view
+        #: survives :meth:`reset_statistics`.
+        self._link_table: List[
+            Tuple[SerialResource, List[float], List[float], int]
+        ] = [
+            (
+                link._resource,
+                link._resource._starts[0],
+                link._resource._ends[0],
+                src * num_clusters + dst,
             )
-            for node in range(num_clusters)
-        }
+            for (src, dst), link in self.links.items()
+        ]
+        self._routes = xy_route_table(
+            self.coordinates.radix_x, self.coordinates.radix_y
+        )
         self.hop_count_total = 0
         #: Fault injection hook (:mod:`repro.faults.inject`): serialization
-        #: multipliers for partially dead links, keyed like
-        #: ``_link_resources``.  ``None`` on fault-free builds, so the
-        #: per-hop hot path pays one ``is None`` check and computes
+        #: multipliers for partially dead links, keyed
+        #: ``src * num_clusters + dst``.  ``None`` on fault-free builds, so
+        #: the per-hop hot path pays one ``is None`` check and computes
         #: bit-identical results.
         self._fault_link_slow: Optional[Dict[int, float]] = None
 
@@ -113,30 +122,27 @@ class ElectricalMesh(Interconnect):
         return self._bisection_bandwidth
 
     def transfer(self, message: Message, now: float) -> TransferResult:
-        if message.src >= self.num_clusters or message.dst >= self.num_clusters:
-            raise ValueError(
-                f"message endpoints {message.src}->{message.dst} outside mesh"
-            )
-        if message.is_local:
+        src = message.src
+        dst = message.dst
+        num_clusters = self.num_clusters
+        if src >= num_clusters or dst >= num_clusters:
+            raise ValueError(f"message endpoints {src}->{dst} outside mesh")
+        if src == dst:
             result = TransferResult(now, 0.0, 0.0, 0.0, 0, 0.0)
             self.record_transfer(message, result)
             return result
 
-        # Walk the XY (dimension-order) route inline: same traversal as
-        # MeshCoordinates.dimension_order_route, without materializing the
-        # route list.  The per-hop link reservation is the single hottest
-        # operation of the mesh configurations (tens of thousands of calls per
-        # replay), so the single-server SerialResource.reserve logic is
-        # transcribed here verbatim -- same prune horizon, gap search and
-        # tail-coalescing insert -- operating directly on each link resource's
-        # interval lists.  SerialResource.reserve is the reference
-        # implementation; behavioral changes must be mirrored in both places.
-        serialization = message.size_bytes / self.link_bandwidth_bytes_per_s
-        radix = self.coordinates.radix_x
-        num_clusters = self.num_clusters
-        x, y = message.src % radix, message.src // radix
-        dest_x, dest_y = message.dst % radix, message.dst // radix
-        resources = self._link_resources
+        # The per-hop link reservation is the single hottest operation of
+        # the mesh configurations (tens of thousands of calls per replay),
+        # so the single-server SerialResource.reserve logic is transcribed
+        # here -- same prune horizon, gap search and tail-coalescing
+        # insert -- operating directly on each link's interval lists.
+        # SerialResource.reserve is the reference implementation;
+        # behavioral changes must be mirrored in both places.
+        size = message.size_bytes
+        serialization = size / self.link_bandwidth_bytes_per_s
+        route = self._routes[src * num_clusters + dst]
+        links = self._link_table
         link_slow = self._fault_link_slow
         hop_latency = self.hop_latency_s
         epsilon = _EPSILON
@@ -144,33 +150,37 @@ class ElectricalMesh(Interconnect):
 
         head_time = now
         queueing = 0.0
-        hops = 0
         hop_serialization = serialization
-        node = message.src
-        while node != message.dst:
-            if x != dest_x:
-                x += 1 if dest_x > x else -1
-            else:
-                y += 1 if dest_y > y else -1
-            next_node = y * radix + x
-            link_key = node * num_clusters + next_node
-            resource = resources[link_key]
-            if link_slow is None:
-                hop_serialization = serialization
-            else:
+        for link in route:
+            resource, starts, ends, link_key = links[link]
+            if link_slow is not None:
                 # Partially dead link: survivors carry the message at a
                 # fraction of the bandwidth (degraded, never severed).
                 hop_serialization = serialization * link_slow.get(link_key, 1.0)
-
-            if head_time > resource._high_water_request:
-                resource._high_water_request = head_time
-            prune_before = resource._high_water_request - horizon
-            starts = resource._starts[0]
-            ends = resource._ends[0]
-            if prune_before > 0 and ends and ends[0] <= prune_before:
-                cut = bisect_right(ends, prune_before)
-                del ends[:cut]
-                del starts[:cut]
+            high_water = resource._high_water_request
+            if head_time > high_water:
+                resource._high_water_request = high_water = head_time
+            if ends:
+                prune_before = high_water - horizon
+                if ends[0] <= prune_before and prune_before > 0:
+                    cut = bisect_right(ends, prune_before)
+                    del ends[:cut]
+                    del starts[:cut]
+            if not ends or ends[-1] <= head_time:
+                # Every committed interval ends by the head's arrival: no
+                # gap to search, the hop starts now and commits at the tail.
+                end = head_time + hop_serialization
+                if ends and ends[-1] >= head_time - epsilon:
+                    if end > ends[-1]:
+                        ends[-1] = end
+                else:
+                    starts.append(head_time)
+                    ends.append(end)
+                resource.busy_time += hop_serialization
+                resource.reservations += 1
+                # Head flit crosses this hop; body/tail pipeline behind it.
+                head_time += hop_latency
+                continue
             # Earliest gap of `hop_serialization` seconds at or after head_time.
             start = head_time
             n = len(starts)
@@ -184,7 +194,7 @@ class ElectricalMesh(Interconnect):
                 index += 1
             end = start + hop_serialization
             if index >= n:
-                if n and ends[-1] >= start - epsilon:
+                if ends[-1] >= start - epsilon:
                     if end > ends[-1]:
                         ends[-1] = end
                 else:
@@ -212,21 +222,18 @@ class ElectricalMesh(Interconnect):
                     del ends[following]
             resource.busy_time += hop_serialization
             resource.reservations += 1
-
             queueing += start - head_time
-            # Head flit crosses this hop; body/tail pipeline behind it.
             head_time = start + hop_latency
-            node = next_node
-            hops += 1
         # The tail crosses the final link at that link's (possibly degraded)
         # rate; the reported serialization stays the nominal per-link figure.
+        hops = len(route)
         arrival = head_time + hop_serialization
         energy = hops * self.energy_per_hop_j
         self.hop_count_total += hops
 
         # record_transfer, inlined.
         self.messages_sent += 1
-        self.bytes_sent += message.size_bytes
+        self.bytes_sent += size
         self.total_dynamic_energy_j += energy
         return TransferResult(
             arrival, queueing, serialization, hops * hop_latency, hops, energy
@@ -255,8 +262,6 @@ class ElectricalMesh(Interconnect):
         super().reset_statistics()
         for link in self.links.values():
             link.reset()
-        for router in self.routers.values():
-            router.reset()
         self.hop_count_total = 0
 
 

@@ -11,6 +11,7 @@ exactly mirroring the paper's five-configuration comparison.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
@@ -263,3 +264,23 @@ class MeshCoordinates:
                 total += self.hop_distance(src, dst)
                 pairs += 1
         return total / pairs if pairs else 0.0
+
+
+@functools.lru_cache(maxsize=8)
+def xy_route_table(radix_x: int, radix_y: int) -> Tuple[Tuple[int, ...], ...]:
+    """Every XY route of a ``radix_x`` x ``radix_y`` mesh as dense link indices.
+
+    Entry ``src * num_nodes + dst`` is the route
+    :meth:`MeshCoordinates.dimension_order_route` takes, each hop given as
+    the link's position in :meth:`MeshCoordinates.all_links`.  The table
+    depends only on the mesh shape, so it is built once per shape and
+    process and shared, immutable, by every mesh of that shape.
+    """
+    coordinates = MeshCoordinates(radix_x=radix_x, radix_y=radix_y)
+    position = {link: index for index, link in enumerate(coordinates.all_links())}
+    nodes = range(coordinates.num_nodes)
+    return tuple(
+        tuple(position[link] for link in coordinates.dimension_order_route(src, dst))
+        for src in nodes
+        for dst in nodes
+    )

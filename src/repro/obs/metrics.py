@@ -156,15 +156,15 @@ class MetricsSampler:
                 add(rows, t_ns, "tokens", "grants_total", grants)
 
         # Electrical mesh: link occupancy.
-        link_resources = getattr(network, "_link_resources", None)
-        if link_resources:
-            busy = sum(r.busy_time for r in link_resources.values())
+        links = getattr(network, "links", None)
+        if links:
+            busy = sum(link.busy_time for link in links.values())
             delta_busy = self._delta("mesh.busy", busy)
             add(rows, t_ns, "mesh_links", "busy_s_total", busy)
             if dt > 0:
                 add(
                     rows, t_ns, "mesh_links", "utilization",
-                    delta_busy / (dt * len(link_resources)),
+                    delta_busy / (dt * len(links)),
                 )
 
         # DRAM controllers: queue depth (booked entries, resident or waiting

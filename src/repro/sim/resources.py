@@ -310,8 +310,12 @@ class SerialResource:
         return self.busy_time / (elapsed * self.servers)
 
     def reset(self) -> None:
-        self._starts = [[] for _ in range(self.servers)]
-        self._ends = [[] for _ in range(self.servers)]
+        # In place: the electrical mesh binds each link's interval lists
+        # once, at construction.
+        for starts in self._starts:
+            starts.clear()
+        for ends in self._ends:
+            ends.clear()
         self.busy_time = 0.0
         self.reservations = 0
         self._high_water_request = 0.0

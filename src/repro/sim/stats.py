@@ -62,8 +62,30 @@ class RunningStats:
             self.maximum = value
 
     def extend(self, values: Iterable[float]) -> None:
+        """:meth:`add` each value, with the accumulators held in locals
+        (same operations in the same order, so the same result)."""
+        count = self.count
+        total = self.total
+        mean = self._mean
+        m2 = self._m2
+        minimum = self.minimum
+        maximum = self.maximum
         for value in values:
-            self.add(value)
+            count += 1
+            total += value
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if value < minimum:
+                minimum = value
+            if value > maximum:
+                maximum = value
+        self.count = count
+        self.total = total
+        self._mean = mean
+        self._m2 = m2
+        self.minimum = minimum
+        self.maximum = maximum
 
     @property
     def mean(self) -> float:

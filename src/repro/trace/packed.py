@@ -326,6 +326,7 @@ class PackedTraceBuilder:
         "_addresses",
         "_gaps",
         "_current_thread",
+        "_seen_threads",
     )
 
     def __init__(
@@ -349,6 +350,7 @@ class PackedTraceBuilder:
         self._addresses = array("Q")
         self._gaps = array("d")
         self._current_thread = -1
+        self._seen_threads = set()
 
     def append(
         self,
@@ -362,7 +364,7 @@ class PackedTraceBuilder:
     ) -> None:
         """Append one record to the current (or a new) thread segment."""
         if thread_id != self._current_thread:
-            if thread_id in self._thread_ids:
+            if thread_id in self._seen_threads:
                 raise ValueError(
                     f"thread {thread_id} appended non-contiguously"
                 )
@@ -372,6 +374,7 @@ class PackedTraceBuilder:
                     f"thread {thread_id} maps to cluster {cluster}, beyond "
                     f"{self.num_clusters} clusters"
                 )
+            self._seen_threads.add(thread_id)
             self._thread_ids.append(thread_id)
             self._offsets.append(self._offsets[-1])
             self._current_thread = thread_id

@@ -186,6 +186,16 @@ class TestWorkloadReplay:
                 window_depth=0,
             )
 
+    def test_negative_first_gap_rejected(self, small_config):
+        """A thread's first issue may not precede the replay's start."""
+        trace = _single_request_trace()
+        trace.gaps[0] = -10.0
+        simulator = SystemSimulator(
+            configuration_by_name("XBar/OCM"), corona_config=small_config
+        )
+        with pytest.raises(ValueError):
+            simulator.run(trace)
+
     def test_stats_conservation(self, small_config, small_uniform_workload):
         simulator = SystemSimulator(
             configuration_by_name("XBar/OCM"),

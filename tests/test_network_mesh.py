@@ -43,7 +43,6 @@ class TestMeshConstruction:
     def test_all_links_built(self):
         mesh = high_performance_mesh()
         assert len(mesh.links) == 2 * 2 * 8 * 7
-        assert len(mesh.routers) == 64
 
 
 class TestMeshTransfers:

@@ -1,4 +1,4 @@
-"""Tests for network messages, topology helpers, links and routers."""
+"""Tests for network messages, topology helpers and links."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.network.message import (
     MessageType,
     message_size_bytes,
 )
-from repro.network.router import MeshRouter
 from repro.network.topology import MeshCoordinates, TransferResult
 
 
@@ -149,31 +148,3 @@ class TestLink:
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):
             Link(src=0, dst=1, bandwidth_bytes_per_s=0.0, latency_s=1e-9)
-
-
-class TestMeshRouter:
-    def test_flit_count(self):
-        router = MeshRouter(node_id=0, flit_bytes=16)
-        assert router.flit_count(72) == 5
-        assert router.flit_count(16) == 1
-
-    def test_traversal_energy_is_per_hop_constant(self):
-        router = MeshRouter(node_id=0)
-        assert router.traversal_energy(72) == pytest.approx(196e-12)
-        assert router.traversal_energy(16) == pytest.approx(196e-12)
-
-    def test_admit_counts_messages(self):
-        router = MeshRouter(node_id=0)
-        router.admit("east", now=0.0, size_bytes=72, drain_time=1e-9)
-        assert router.messages_routed == 1
-        assert router.flits_routed == 5
-
-    def test_admit_unknown_port(self):
-        with pytest.raises(ValueError):
-            MeshRouter(node_id=0).admit("up", 0.0, 64, 1e-9)
-
-    def test_reset(self):
-        router = MeshRouter(node_id=0)
-        router.admit("east", now=0.0, size_bytes=72, drain_time=1e-9)
-        router.reset()
-        assert router.messages_routed == 0

@@ -20,9 +20,11 @@ from repro.api import (
     ScenarioError,
     SystemSpec,
     WorkloadSpec,
+    build_configuration,
     build_workload,
     run,
 )
+from repro.core.system import SystemSimulator
 from repro.faults import FaultSpec
 from repro.obs import (
     ObservabilityError,
@@ -180,6 +182,26 @@ class TestBitIdentity:
                 if (row["resource"], row["metric"]) == ("dram", "queue_depth")
             ]
         assert len(depths) > 10 and max(depths) > 64
+
+    def test_mesh_link_series_track_link_busy_time(self, tmp_path):
+        """A mesh replay's sampler emits the link series, and its final
+        ``busy_s_total`` is the links' summed busy time."""
+        simulator = SystemSimulator(
+            build_configuration("LMesh/ECM"),
+            observability=ObservabilitySpec(metrics_path=str(tmp_path / "m.csv")),
+        )
+        workload = build_workload("Uniform")
+        simulator.run(workload.generate_packed(seed=1, num_requests=400))
+        busy = [
+            value
+            for _, resource, metric, value in simulator._obs_metrics.rows
+            if (resource, metric) == ("mesh_links", "busy_s_total")
+        ]
+        assert len(busy) >= 2
+        assert busy[-1] > 0.0
+        assert busy[-1] == sum(
+            link.busy_time for link in simulator.network.links.values()
+        )
 
 
 class TestTimeline:

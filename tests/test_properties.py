@@ -7,6 +7,7 @@ import time
 from bisect import bisect_left, bisect_right
 from typing import List
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,9 +17,9 @@ from repro.cache.coherence import CoherenceController
 from repro.core.system import SystemSimulator
 from repro.memory.dram import DramTimings, OcmModule
 from repro.network.crossbar import OpticalCrossbar
-from repro.network.mesh import high_performance_mesh
+from repro.network.mesh import ElectricalMesh, high_performance_mesh
 from repro.network.message import Message, MessageType
-from repro.network.topology import MeshCoordinates
+from repro.network.topology import MeshCoordinates, TransferResult, xy_route_table
 from repro.photonics.inventory import corona_inventory
 from repro.sim.engine import Simulator
 from repro.sim.resources import BoundedQueue, SerialResource, TokenPool
@@ -360,6 +361,270 @@ class TestOcmModuleBankTableProperties:
         bank = oracle.dies[0][0]
         assert bank.interior_inserts >= 2
         assert bank.prunes >= 1
+
+
+class _ReferenceMesh:
+    """The electrical mesh's transfer as it was before the route table: the
+    XY route is walked inline on every call and each link is resolved
+    through a dict keyed by ``src * num_clusters + dst``.  ``transfer`` is
+    that method copied verbatim, plus two branch counters;
+    :class:`ElectricalMesh` must return the same results and leave every
+    link in the same state, to the last bit.  Mesh parameters (bandwidth,
+    hop latency, energy) are read off the mesh under test; only the
+    routing and reservation logic is the reference's own."""
+
+    def __init__(self, mesh: ElectricalMesh) -> None:
+        self.num_clusters = mesh.num_clusters
+        self.coordinates = mesh.coordinates
+        self.link_bandwidth_bytes_per_s = mesh.link_bandwidth_bytes_per_s
+        self.hop_latency_s = mesh.hop_latency_s
+        self.energy_per_hop_j = mesh.energy_per_hop_j
+        self._link_resources = {
+            src * self.num_clusters + dst: _OracleResource()
+            for src, dst in self.coordinates.all_links()
+        }
+        self._fault_link_slow = None
+        self.hop_count_total = 0
+        self.messages_sent = 0
+        self.bytes_sent = 0.0
+        self.total_dynamic_energy_j = 0.0
+        self.interior_inserts = 0
+        self.prunes = 0
+
+    def record_transfer(self, message: Message, result: TransferResult) -> None:
+        self.messages_sent += 1
+        self.bytes_sent += message.size_bytes
+        self.total_dynamic_energy_j += result.dynamic_energy_j
+
+    def reset_statistics(self) -> None:
+        self.messages_sent = 0
+        self.bytes_sent = 0.0
+        self.total_dynamic_energy_j = 0.0
+        for resource in self._link_resources.values():
+            resource._starts = [[]]
+            resource._ends = [[]]
+            resource.busy_time = 0.0
+            resource.reservations = 0
+            resource._high_water_request = 0.0
+        self.hop_count_total = 0
+
+    def transfer(self, message: Message, now: float) -> TransferResult:
+        if message.src >= self.num_clusters or message.dst >= self.num_clusters:
+            raise ValueError(
+                f"message endpoints {message.src}->{message.dst} outside mesh"
+            )
+        if message.is_local:
+            result = TransferResult(now, 0.0, 0.0, 0.0, 0, 0.0)
+            self.record_transfer(message, result)
+            return result
+
+        serialization = message.size_bytes / self.link_bandwidth_bytes_per_s
+        radix = self.coordinates.radix_x
+        num_clusters = self.num_clusters
+        x, y = message.src % radix, message.src // radix
+        dest_x, dest_y = message.dst % radix, message.dst // radix
+        resources = self._link_resources
+        link_slow = self._fault_link_slow
+        hop_latency = self.hop_latency_s
+        epsilon = _ORACLE_EPSILON
+        horizon = _ORACLE_PRUNE_HORIZON
+
+        head_time = now
+        queueing = 0.0
+        hops = 0
+        hop_serialization = serialization
+        node = message.src
+        while node != message.dst:
+            if x != dest_x:
+                x += 1 if dest_x > x else -1
+            else:
+                y += 1 if dest_y > y else -1
+            next_node = y * radix + x
+            link_key = node * num_clusters + next_node
+            resource = resources[link_key]
+            if link_slow is None:
+                hop_serialization = serialization
+            else:
+                hop_serialization = serialization * link_slow.get(link_key, 1.0)
+
+            if head_time > resource._high_water_request:
+                resource._high_water_request = head_time
+            prune_before = resource._high_water_request - horizon
+            starts = resource._starts[0]
+            ends = resource._ends[0]
+            if prune_before > 0 and ends and ends[0] <= prune_before:
+                cut = bisect_right(ends, prune_before)
+                del ends[:cut]
+                del starts[:cut]
+                self.prunes += 1
+            start = head_time
+            n = len(starts)
+            index = bisect_right(ends, start)
+            while index < n:
+                if start + hop_serialization <= starts[index] + epsilon:
+                    break
+                interval_end = ends[index]
+                if interval_end > start:
+                    start = interval_end
+                index += 1
+            end = start + hop_serialization
+            if index >= n:
+                if n and ends[-1] >= start - epsilon:
+                    if end > ends[-1]:
+                        ends[-1] = end
+                else:
+                    starts.append(start)
+                    ends.append(end)
+            else:
+                self.interior_inserts += 1
+                if index > 0 and ends[index - 1] >= start - epsilon:
+                    merged = index - 1
+                    if end > ends[merged]:
+                        ends[merged] = end
+                else:
+                    starts.insert(index, start)
+                    ends.insert(index, end)
+                    merged = index
+                following = merged + 1
+                while (
+                    following < len(starts)
+                    and starts[following] <= ends[merged] + epsilon
+                ):
+                    if ends[following] > ends[merged]:
+                        ends[merged] = ends[following]
+                    del starts[following]
+                    del ends[following]
+            resource.busy_time += hop_serialization
+            resource.reservations += 1
+
+            queueing += start - head_time
+            head_time = start + hop_latency
+            node = next_node
+            hops += 1
+        arrival = head_time + hop_serialization
+        energy = hops * self.energy_per_hop_j
+        self.hop_count_total += hops
+
+        self.messages_sent += 1
+        self.bytes_sent += message.size_bytes
+        self.total_dynamic_energy_j += energy
+        return TransferResult(
+            arrival, queueing, serialization, hops * hop_latency, hops, energy
+        )
+
+
+def _mesh_under_test(num_clusters: int) -> ElectricalMesh:
+    if num_clusters == 64:
+        return high_performance_mesh()
+    return ElectricalMesh("small", num_clusters=num_clusters)
+
+
+def _assert_same_mesh_state(mesh: ElectricalMesh, reference: _ReferenceMesh) -> None:
+    for src, dst in mesh.coordinates.all_links():
+        real = mesh.links[(src, dst)]._resource
+        oracle = reference._link_resources[src * mesh.num_clusters + dst]
+        assert real._starts[0] == oracle._starts[0], (src, dst)
+        assert real._ends[0] == oracle._ends[0], (src, dst)
+        assert real.busy_time == oracle.busy_time, (src, dst)
+        assert real.reservations == oracle.reservations, (src, dst)
+        assert real._high_water_request == oracle._high_water_request, (src, dst)
+    assert mesh.hop_count_total == reference.hop_count_total
+    assert mesh.total_dynamic_energy_j == reference.total_dynamic_energy_j
+    assert mesh.messages_sent == reference.messages_sent
+    assert mesh.bytes_sent == reference.bytes_sent
+
+
+#: One mesh transfer: ``(src, dst, data, epoch, slot)``.  Endpoints are
+#: taken modulo the mesh size and drawn often from 0-3, so routes share
+#: links; ``data`` picks a 72-byte response over a 16-byte request.  The
+#: request time is ``epoch * 6 us + slot * 0.5 ns``: epochs jump past the
+#: 5 us prune horizon, slots go back in time within an epoch.
+_MESH_ENDPOINT = st.one_of(
+    st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=63)
+)
+_MESH_TRANSFER = st.tuples(
+    _MESH_ENDPOINT,
+    _MESH_ENDPOINT,
+    st.booleans(),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=40),
+)
+
+#: Link 0->1 only: two interior inserts, then a prune, then an interior
+#: insert behind the horizon.
+_MESH_INTERIOR_THEN_PRUNE = [
+    (0, 1, False, 0, 20), (0, 1, False, 0, 0), (0, 1, False, 0, 2),
+    (0, 1, True, 2, 0), (0, 1, False, 0, 30),
+]
+
+
+def _replay_mesh_transfers(mesh, reference, transfers, reset_at=None) -> None:
+    nodes = mesh.num_clusters
+    for position, (src, dst, data, epoch, slot) in enumerate(transfers):
+        if position == reset_at:
+            mesh.reset_statistics()
+            reference.reset_statistics()
+            _assert_same_mesh_state(mesh, reference)
+        kind = MessageType.READ_RESPONSE if data else MessageType.READ_REQUEST
+        message = Message(src=src % nodes, dst=dst % nodes, message_type=kind)
+        now = epoch * 6e-6 + slot * 0.5e-9
+        assert mesh.transfer(message, now) == reference.transfer(message, now)
+    _assert_same_mesh_state(mesh, reference)
+
+
+class TestMeshTransferProperties:
+    @given(
+        st.sampled_from((16, 64)),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=150)),
+        st.lists(_MESH_TRANSFER, max_size=150),
+    )
+    @example(64, False, None, _MESH_INTERIOR_THEN_PRUNE)
+    @example(16, True, 2, _MESH_INTERIOR_THEN_PRUNE + _MESH_INTERIOR_THEN_PRUNE)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_inline_route_walk(
+        self, num_clusters, with_faults, reset_at, transfers
+    ):
+        """Same result for every transfer; same intervals, busy time,
+        reservation count and high-water mark on every link; same hop
+        count, energy and message counters -- with and without a table of
+        degraded links, and across a mid-sequence ``reset_statistics``."""
+        mesh = _mesh_under_test(num_clusters)
+        reference = _ReferenceMesh(mesh)
+        if with_faults:
+            slow = {
+                src * num_clusters + dst: 2.5
+                for position, (src, dst) in enumerate(mesh.coordinates.all_links())
+                if position % 3 == 0
+            }
+            mesh._fault_link_slow = dict(slow)
+            reference._fault_link_slow = dict(slow)
+        _replay_mesh_transfers(mesh, reference, transfers, reset_at)
+
+    @pytest.mark.parametrize("num_clusters", [16, 64])
+    def test_route_table_is_dimension_order_routing(self, num_clusters):
+        mesh = _mesh_under_test(num_clusters)
+        coordinates = mesh.coordinates
+        links = coordinates.all_links()
+        assert list(mesh.links) == links
+        assert mesh._routes is xy_route_table(coordinates.radix_x, coordinates.radix_y)
+        for src in range(num_clusters):
+            for dst in range(num_clusters):
+                route = mesh._routes[src * num_clusters + dst]
+                assert [links[index] for index in route] == (
+                    coordinates.dimension_order_route(src, dst)
+                )
+
+    def test_example_runs_the_interior_insert_and_prune_branches(self):
+        """The pinned examples above reach both rare branches of the
+        per-hop reservation, so the equality check covers them on every
+        run."""
+        for num_clusters in (16, 64):
+            mesh = _mesh_under_test(num_clusters)
+            reference = _ReferenceMesh(mesh)
+            _replay_mesh_transfers(mesh, reference, _MESH_INTERIOR_THEN_PRUNE)
+            assert reference.interior_inserts >= 3
+            assert reference.prunes >= 1
 
 
 class TestStatisticsProperties:

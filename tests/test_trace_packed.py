@@ -10,6 +10,7 @@ path produced (pinned as digests), coherence fields included.
 from __future__ import annotations
 
 import hashlib
+import time
 
 import pytest
 
@@ -130,6 +131,25 @@ class TestPackedTraceBuilder:
         builder = PackedTraceBuilder("t", num_clusters=4, threads_per_cluster=2)
         with pytest.raises(ValueError):
             builder.append(0, 1, False, False, 0x40, -1.0)
+
+    def test_build_time_grows_linearly_with_threads(self):
+        """Building 8,192 one-record threads takes under 16x the process
+        time of 1,024: linear is 8x, while checking each new thread against
+        a scan of every earlier one made it about 64x."""
+
+        def best_process_time(threads: int) -> float:
+            times = []
+            for _ in range(3):
+                builder = PackedTraceBuilder(
+                    "t", num_clusters=64, threads_per_cluster=128
+                )
+                start = time.process_time()
+                for thread_id in range(threads):
+                    builder.append(thread_id, 0, False, False, 0x40, 1.0)
+                times.append(time.process_time() - start)
+            return min(times)
+
+        assert best_process_time(8_192) < 16 * best_process_time(1_024)
 
 
 class TestPackedStreamRoundTrip:
