@@ -19,7 +19,7 @@ from repro.core.configs import (
     configuration_by_name,
     corona_configuration,
 )
-from repro.core.results import ConfigurationResult, WorkloadResult, speedup_table
+from repro.core.results import WorkloadResult, speedup_table
 from repro.core.system import SystemSimulator, TransactionStats
 
 __all__ = [
@@ -32,6 +32,5 @@ __all__ = [
     "SystemSimulator",
     "TransactionStats",
     "WorkloadResult",
-    "ConfigurationResult",
     "speedup_table",
 ]

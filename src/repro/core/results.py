@@ -10,7 +10,7 @@ geometric-mean speedups quoted in Section 5.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from math import ceil
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
@@ -218,27 +218,6 @@ def long_form_row(
         *axis_values,
         *(getattr(result, column) for column in RESULT_CSV_COLUMNS),
     ]
-
-
-@dataclass
-class ConfigurationResult:
-    """All workload results for one system configuration."""
-
-    configuration: str
-    results: Dict[str, WorkloadResult] = field(default_factory=dict)
-
-    def add(self, result: WorkloadResult) -> None:
-        if result.configuration != self.configuration:
-            raise ValueError(
-                f"result for {result.configuration} added to {self.configuration}"
-            )
-        self.results[result.workload] = result
-
-    def workloads(self) -> List[str]:
-        return list(self.results)
-
-    def __getitem__(self, workload: str) -> WorkloadResult:
-        return self.results[workload]
 
 
 def _group(results: Iterable[WorkloadResult]) -> Dict[str, Dict[str, WorkloadResult]]:

@@ -42,11 +42,20 @@ interconnect models read but never retain them), and misses homed at the
 issuing cluster skip both the message and the :class:`TransferResult`
 entirely.
 
+Hoisting stops short of copying shared logic into the handlers: each
+resource model has one implementation, which the hot path calls.  Every
+busy-interval reservation -- mesh link, memory channel, DRAM bank -- is
+:func:`~repro.sim.resources.reserve_interval`; every crossbar grant is
+:meth:`TokenChannelArbiter.acquire
+<repro.network.arbitration.TokenChannelArbiter.acquire>`; and both response
+handlers finish in :meth:`SystemSimulator._complete`, which records through
+:meth:`TransactionStats.record`.
+
 The evaluation matrix builds a fresh simulator per pair, so construction
 and teardown are kept cheap too.  The memory system's 2,048 DRAM banks live
 in one flat table per OCM module (:mod:`repro.memory.dram`), and a mesh
 shares one route table per shape and builds no routers, so a 64-cluster
-simulator is about 6,000 (XBar/OCM) to 7,700 (mesh) GC-tracked objects.  A
+simulator is about 5,800 (XBar/OCM) to 6,900 (mesh) GC-tracked objects.  A
 simulator holds no bound method of itself -- the stage handlers are bound
 per event, and :meth:`SystemSimulator._on_memory` hands shared misses to the
 coherent handler -- so, unless the opt-in metrics sampler is installed, it
@@ -732,17 +741,16 @@ class SystemSimulator:
         cache-to-cache transfers, otherwise the home cluster) answers the
         requester, and completion folds in the coherence legs' costs.
 
-        Mirrors :meth:`_on_response` (same MSHR-release and statistics
-        conventions) with three differences: the response source comes from
-        the directory's action, the response is data-sized whenever a cache
-        line moves (including writes satisfied by a cache-to-cache forward),
-        and queueing/network/hop totals include the forward and invalidation
+        Differs from :meth:`_on_response` in three ways, and ends in the
+        same :meth:`_complete`: the response source comes from the
+        directory's action, the response is data-sized whenever a cache line
+        moves (including writes satisfied by a cache-to-cache forward), and
+        queueing/network/hop totals include the forward and invalidation
         legs resolved in stage 2.
         """
         now = self._simulator.now
         miss = transaction.coherence
         src = state.cluster_id
-        is_write = transaction.is_write
         supplier = miss.response_src
 
         if supplier == src:
@@ -791,42 +799,10 @@ class SystemSimulator:
         network_latency = req_network + miss.extra_network + rsp_network
         hops = req_hops + miss.extra_hops + rsp_hops
         messages = req_messages + miss.extra_messages + rsp_messages
-
-        state.hub.mshr_pool.release_at(completion_time)
-        state.completions[transaction.index] = completion_time
-        if completion_time > self._makespan:
-            self._makespan = completion_time
-
-        # TransactionStats.record, inlined (reference implementation there).
-        stats = self.stats
-        if stats._derived:
-            stats._derived.clear()
-        stats._samples.append(
-            (
-                completion_time - transaction.issue_time,
-                queueing,
-                network_latency,
-                transaction.memory_latency,
-            )
+        self._complete(
+            state, transaction, now, completion_time,
+            queueing, network_latency, hops, messages,
         )
-        stats.requests += 1
-        if is_write:
-            stats.writes += 1
-        else:
-            stats.reads += 1
-        stats.memory_bytes += transaction.size_bytes
-        stats.network_hops += hops
-        stats.network_messages += messages
-
-        sojourns = self._sojourns
-        if sojourns is not None:
-            sojourns.append(completion_time - transaction.arrival_time)
-
-        recorder = self._obs_timeline
-        if recorder is not None:
-            recorder.record_transaction(state, transaction, now, completion_time)
-
-        self._try_schedule_issue(state)
 
     def _on_response(self, state: _ThreadState, transaction: _Transaction) -> None:
         """Stages 3+4: the response message returns to the requesting cluster
@@ -834,11 +810,11 @@ class SystemSimulator:
 
         The response transfer is the last resource reservation of the
         transaction, and it yields the completion time analytically, so the
-        completion bookkeeping (MSHR release, window slot, statistics) is
-        folded into this handler instead of costing a fourth calendar event:
-        the MSHR pool and the issue window both accept future timestamps, and
-        the next miss this completion unblocks cannot be eligible before the
-        completion time it is gated on.
+        completion bookkeeping (:meth:`_complete`: MSHR release, window slot,
+        statistics) runs in this handler instead of costing a fourth
+        calendar event: the MSHR pool and the issue window both accept
+        future timestamps, and the next miss this completion unblocks cannot
+        be eligible before the completion time it is gated on.
 
         MSHR timing note: registering the release here (with the future
         completion time) means a token is visibly held from response
@@ -858,7 +834,6 @@ class SystemSimulator:
         """
         now = self._simulator.now
         src = state.cluster_id
-        is_write = transaction.is_write
         request_result = transaction.request_result
         if request_result is None:
             # Local miss: no interconnect contribution on either leg.
@@ -868,7 +843,7 @@ class SystemSimulator:
             hops = 0
             messages = 0
         else:
-            if is_write:
+            if transaction.is_write:
                 response = self._msg_write_ack
             else:
                 response = self._msg_read_response
@@ -891,32 +866,40 @@ class SystemSimulator:
             )
             hops = req_hops + rsp_hops
             messages = 2
+        self._complete(
+            state, transaction, now, completion_time,
+            queueing, network_latency, hops, messages,
+        )
 
+    def _complete(
+        self,
+        state: _ThreadState,
+        transaction: _Transaction,
+        now: float,
+        completion_time: float,
+        queueing: float,
+        network_latency: float,
+        hops: int,
+        messages: int,
+    ) -> None:
+        """Stage 4, shared by both response handlers: the transaction
+        completes at ``completion_time``.  Books the MSHR release, frees the
+        window slot, and records the transaction's statistics, sojourn and
+        timeline spans."""
         state.hub.mshr_pool.release_at(completion_time)
         state.completions[transaction.index] = completion_time
         if completion_time > self._makespan:
             self._makespan = completion_time
-
-        # TransactionStats.record, inlined (reference implementation there).
-        stats = self.stats
-        if stats._derived:
-            stats._derived.clear()
-        stats._samples.append(
-            (
-                completion_time - transaction.issue_time,
-                queueing,
-                network_latency,
-                transaction.memory_latency,
-            )
+        self.stats.record(
+            completion_time - transaction.issue_time,
+            queueing,
+            network_latency,
+            transaction.memory_latency,
+            transaction.is_write,
+            transaction.size_bytes,
+            hops,
+            messages,
         )
-        stats.requests += 1
-        if is_write:
-            stats.writes += 1
-        else:
-            stats.reads += 1
-        stats.memory_bytes += transaction.size_bytes
-        stats.network_hops += hops
-        stats.network_messages += messages
 
         sojourns = self._sojourns
         if sojourns is not None:

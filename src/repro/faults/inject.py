@@ -7,7 +7,8 @@ memory system:
 * **Optical crossbar** -- per-channel detuned-wavelength draws plus
   dead-bundle draws shrink each channel's usable bandwidth (the
   ``_fault_channel_bw`` table the transfer hot path consults), and a
-  per-grant token-loss draw adds the regeneration timeout to the grant time.
+  per-grant token-loss draw, installed as each channel arbiter's
+  ``token_loss`` hook, adds the regeneration timeout to the grant time.
   The bandwidth a partially detuned channel retains follows the photonic
   channel model (:meth:`~repro.photonics.dwdm.DwdmChannel.
   degraded_bandwidth_bytes_per_s`): surviving wavelengths keep their full
@@ -150,7 +151,10 @@ class FaultInjector:
             self._token_regen_s = (
                 spec.token_regeneration_cycles / network.clock_hz
             )
-            network._fault_injector = self
+            # On the crossbar's channel tokens only: the broadcast bus's
+            # token stays fault-free.
+            for channel_arbiter in network.arbiter.channels.values():
+                channel_arbiter.token_loss = self.token_extra_delay
 
     def _install_mesh(self, network: ElectricalMesh) -> None:
         spec = self.spec
@@ -168,7 +172,7 @@ class FaultInjector:
         if slow:
             network._fault_link_slow = slow
 
-    # -- per-event hooks (called from the transfer/access hot paths) ---------
+    # -- per-event hooks (called from the grant/access hot paths) ------------
     def token_extra_delay(self, channel: int, grant_index: int) -> float:
         """Extra grant delay if this grant's token re-injection was lost."""
         spec = self.spec

@@ -18,16 +18,17 @@ page-open DRAM -- the comparison surfaced in the paper's power discussion.
 An :class:`OcmModule` keeps all of its dies' banks in one flat, die-major
 table of plain lists rather than one object per die and bank: a 64-cluster
 system has 2,048 banks, and per-bank objects would dominate the cost of
-building a system.
+building a system.  An access reserves its bank's row with
+:func:`~repro.sim.resources.reserve_interval`, the reservation behind every
+:class:`~repro.sim.resources.SerialResource`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.sim.resources import _EPSILON, _PRUNE_HORIZON, insert_interval
+from repro.sim.resources import reserve_interval
 
 
 @dataclass(frozen=True)
@@ -112,42 +113,15 @@ class OcmModule:
         data-ready time.
 
         The bank is a single server busy for its cycle time, which may exceed
-        the data-available point.  The reservation is the single-server
-        :meth:`~repro.sim.resources.SerialResource.reserve` (without its
-        proven-gap window) on the bank's table row.
+        the data-available point.
         """
         bank = (address >> 6) % self._banks
-        high_water = self._high_water
-        if now > high_water[bank]:
-            high_water[bank] = now
-        prune_before = high_water[bank] - _PRUNE_HORIZON
-        starts = self._starts[bank]
-        ends = self._ends[bank]
-        if prune_before > 0 and ends and ends[0] <= prune_before:
-            cut = bisect_right(ends, prune_before)
-            del ends[:cut]
-            del starts[:cut]
-        cycle = self._cycle_time_s
-        start = now
-        n = len(starts)
-        index = bisect_right(ends, start)
-        while index < n:
-            if start + cycle <= starts[index] + _EPSILON:
-                break
-            interval_end = ends[index]
-            if interval_end > start:
-                start = interval_end
-            index += 1
-        end = start + cycle
-        if index >= n:
-            if n and ends[-1] >= start - _EPSILON:
-                if end > ends[-1]:
-                    ends[-1] = end
-            else:
-                starts.append(start)
-                ends.append(end)
-        else:
-            insert_interval(starts, ends, start, end)
+        high_water = self._high_water[bank]
+        if now > high_water:
+            self._high_water[bank] = high_water = now
+        start = reserve_interval(
+            self._starts[bank], self._ends[bank], now, self._cycle_time_s, high_water
+        )
         self.accesses[bank] += 1
         return start + self._access_latency_s
 

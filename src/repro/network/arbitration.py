@@ -23,9 +23,7 @@ revolution (8 cycles) for the token to come around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
-
-from repro.sim.stats import RunningStats
+from typing import Callable, Dict, List, Optional
 
 
 @dataclass(slots=True)
@@ -41,6 +39,13 @@ class TokenChannelArbiter:
     release_time: float = 0.0
     grants: int = field(default=0, repr=False)
     total_wait_s: float = field(default=0.0, repr=False)
+    #: Fault injection hook (:mod:`repro.faults.inject`):
+    #: ``token_loss(channel_id, grant_index)`` returns the extra delay of a
+    #: grant whose token was lost.  ``None`` on fault-free builds, so a
+    #: grant pays one ``is None`` check and computes bit-identical results.
+    token_loss: Optional[Callable[[int, int], float]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.num_clusters < 1:
@@ -97,6 +102,12 @@ class TokenChannelArbiter:
             # token hops from the current holder to the next requester, which
             # under heavy contention is nearby on the ring.
             grant = self.release_time + self.contended_handoff_time()
+        token_loss = self.token_loss
+        if token_loss is not None:
+            # Lost token: the home cluster regenerates it after the timeout,
+            # so this grant (keyed by the channel's deterministic grant
+            # counter) completes late instead of deadlocking the channel.
+            grant += token_loss(self.channel_id, self.grants)
         self.grants += 1
         self.total_wait_s += grant - now
         return grant
@@ -153,16 +164,10 @@ class TokenRingArbiter:
             )
             for channel in range(num_channels)
         }
-        self.wait_statistics = RunningStats("token-wait")
 
     def acquire(self, channel: int, cluster: int, now: float) -> float:
         """Acquire the token of ``channel`` for ``cluster``; returns grant time."""
-        arbiter = self.channels.get(channel)
-        if arbiter is None:
-            arbiter = self._channel(channel)
-        grant = arbiter.acquire(cluster, now)
-        self.wait_statistics.add(grant - now)
-        return grant
+        return self._channel(channel).acquire(cluster, now)
 
     def release(self, channel: int, cluster: int, release_time: float) -> None:
         """Release the token of ``channel`` from ``cluster`` at ``release_time``."""
@@ -173,9 +178,7 @@ class TokenRingArbiter:
         return self.ring_round_trip_s
 
     def average_wait_s(self) -> float:
-        """Mean token wait over every grant, derived from the per-channel
-        counters (callers on the hot path grant through the channel arbiters
-        directly, without updating :attr:`wait_statistics`)."""
+        """Mean token wait over every grant, from the per-channel counters."""
         grants = sum(c.grants for c in self.channels.values())
         if grants == 0:
             return 0.0

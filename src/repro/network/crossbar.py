@@ -14,7 +14,9 @@ Exclusive access to a channel is granted by the optical token arbitration of
 :mod:`repro.network.arbitration`: only the token holder modulates, the token
 is re-injected alongside the tail of the message, and the next holder's light
 follows immediately behind -- which is why several messages can be in flight
-on the same bundle at once.
+on the same bundle at once.  Each transfer acquires and releases its
+channel's :class:`~repro.network.arbitration.TokenChannelArbiter`, the same
+arbiter that guards the broadcast bus.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ class OpticalCrossbar(Interconnect):
         "channel_bytes",
         "photonic_channels",
         "_fault_channel_bw",
-        "_fault_injector",
     )
 
     def __init__(
@@ -71,14 +72,13 @@ class OpticalCrossbar(Interconnect):
         #: Per-channel counters: messages and bytes delivered to each home.
         self.channel_messages: Dict[int, int] = {c: 0 for c in range(num_clusters)}
         self.channel_bytes: Dict[int, float] = {c: 0.0 for c in range(num_clusters)}
-        #: Fault injection hooks (:mod:`repro.faults.inject`): a per-channel
+        #: Fault injection hook (:mod:`repro.faults.inject`): a per-channel
         #: bandwidth table replacing the uniform channel bandwidth when rings
-        #: are detuned or a bundle is partially dead, and the injector whose
-        #: per-grant draw models arbitration token loss.  Both stay ``None``
-        #: on fault-free builds, so the transfer hot path pays one ``is
-        #: None`` check each and computes bit-identical results.
+        #: are detuned or a bundle is partially dead.  ``None`` on fault-free
+        #: builds, so the transfer hot path pays one ``is None`` check and
+        #: computes bit-identical results.  Token loss hooks into the
+        #: channel arbiters (``TokenChannelArbiter.token_loss``).
         self._fault_channel_bw: Optional[list] = None
-        self._fault_injector = None
         #: Optional detailed photonic channel models (device-level view).
         self.photonic_channels: Optional[Dict[int, DwdmChannel]] = None
         if build_photonic_channels:
@@ -119,37 +119,8 @@ class OpticalCrossbar(Interconnect):
         channel = message.dst
         src = message.src
         size = message.size_bytes
-        num_clusters = self.num_clusters
-        # Token arbitration, transcribed from TokenChannelArbiter.acquire /
-        # release (the reference implementation) onto the same per-channel
-        # arbiter state; the aggregate wait statistic is derived from the
-        # per-channel counters by TokenRingArbiter.average_wait_s.
         channel_arbiter = self.arbiter.channels[channel]
-        release_time = channel_arbiter.release_time
-        round_trip = channel_arbiter.ring_round_trip_s
-        if now >= release_time:
-            # Uncontested: the token is circulating; it arrives one travel
-            # time after its last release, modulo full revolutions.
-            distance = (src - channel_arbiter.release_position) % num_clusters
-            if distance == 0:
-                distance = num_clusters
-            arrival = release_time + round_trip * distance / num_clusters
-            while arrival < now and round_trip > 0:
-                arrival += round_trip
-            grant_time = arrival if arrival > now else now
-        else:
-            # Contested: the token hops to the next requester downstream.
-            grant_time = release_time + round_trip / num_clusters
-        injector = self._fault_injector
-        if injector is not None:
-            # Lost token: the home cluster regenerates it after the timeout,
-            # so this grant (keyed by the channel's deterministic grant
-            # counter) completes late instead of deadlocking the channel.
-            grant_time += injector.token_extra_delay(
-                channel, channel_arbiter.grants
-            )
-        channel_arbiter.grants += 1
-        channel_arbiter.total_wait_s += grant_time - now
+        grant_time = channel_arbiter.acquire(src, now)
         fault_bw = self._fault_channel_bw
         serialization = size / (
             fault_bw[channel]
@@ -157,10 +128,8 @@ class OpticalCrossbar(Interconnect):
             else self.channel_bandwidth_bytes_per_s
         )
         modulation_done = grant_time + serialization
-        # The token is re-injected with the tail of the message; monotonicity
-        # holds by construction (modulation_done >= grant_time >= last release).
-        channel_arbiter.release_position = src
-        channel_arbiter.release_time = modulation_done
+        # The token is re-injected with the tail of the message.
+        channel_arbiter.release(src, modulation_done)
         # Serpentine flight time, inlined from propagation_delay_s.
         propagation = (
             self.max_propagation_s * ((channel - src) % self.num_clusters)
@@ -206,9 +175,13 @@ class OpticalCrossbar(Interconnect):
         super().reset_statistics()
         self.channel_messages = {c: 0 for c in range(self.num_clusters)}
         self.channel_bytes = {c: 0.0 for c in range(self.num_clusters)}
+        # Fresh tokens, with the installed token-loss hook carried over.
+        token_loss = self.arbiter.channels[0].token_loss
         self.arbiter = TokenRingArbiter(
             num_clusters=self.num_clusters,
             num_channels=self.num_clusters,
             clock_hz=self.clock_hz,
             ring_round_trip_cycles=self.arbiter.ring_round_trip_s * self.clock_hz,
         )
+        for channel_arbiter in self.arbiter.channels.values():
+            channel_arbiter.token_loss = token_loss

@@ -21,12 +21,13 @@ Routes come from a table built once per mesh shape
 :meth:`~repro.network.topology.MeshCoordinates.dimension_order_route`):
 entry ``src * num_clusters + dst`` lists the route's links as dense
 indices into the mesh's link table, so a transfer walks a tuple instead of
-recomputing the route and looking each link up by its endpoints.
+recomputing the route and looking each link up by its endpoints.  Each hop
+reserves its link with :func:`~repro.sim.resources.reserve_interval`, the
+reservation behind every :class:`~repro.sim.resources.SerialResource`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.network.link import Link
@@ -37,7 +38,7 @@ from repro.network.topology import (
     TransferResult,
     xy_route_table,
 )
-from repro.sim.resources import _EPSILON, _PRUNE_HORIZON, SerialResource
+from repro.sim.resources import SerialResource, reserve_interval
 
 
 class ElectricalMesh(Interconnect):
@@ -100,8 +101,8 @@ class ElectricalMesh(Interconnect):
         ] = [
             (
                 link._resource,
-                link._resource._starts[0],
-                link._resource._ends[0],
+                link._resource._starts,
+                link._resource._ends,
                 src * num_clusters + dst,
             )
             for (src, dst), link in self.links.items()
@@ -132,21 +133,13 @@ class ElectricalMesh(Interconnect):
             self.record_transfer(message, result)
             return result
 
-        # The per-hop link reservation is the single hottest operation of
-        # the mesh configurations (tens of thousands of calls per replay),
-        # so the single-server SerialResource.reserve logic is transcribed
-        # here -- same prune horizon, gap search and tail-coalescing
-        # insert -- operating directly on each link's interval lists.
-        # SerialResource.reserve is the reference implementation;
-        # behavioral changes must be mirrored in both places.
         size = message.size_bytes
         serialization = size / self.link_bandwidth_bytes_per_s
         route = self._routes[src * num_clusters + dst]
         links = self._link_table
         link_slow = self._fault_link_slow
         hop_latency = self.hop_latency_s
-        epsilon = _EPSILON
-        horizon = _PRUNE_HORIZON
+        reserve = reserve_interval
 
         head_time = now
         queueing = 0.0
@@ -157,72 +150,17 @@ class ElectricalMesh(Interconnect):
                 # Partially dead link: survivors carry the message at a
                 # fraction of the bandwidth (degraded, never severed).
                 hop_serialization = serialization * link_slow.get(link_key, 1.0)
+            # SerialResource.reserve on the link's bound lists, minus its
+            # argument checks: head_time and the serialization are never
+            # negative here.
             high_water = resource._high_water_request
             if head_time > high_water:
                 resource._high_water_request = high_water = head_time
-            if ends:
-                prune_before = high_water - horizon
-                if ends[0] <= prune_before and prune_before > 0:
-                    cut = bisect_right(ends, prune_before)
-                    del ends[:cut]
-                    del starts[:cut]
-            if not ends or ends[-1] <= head_time:
-                # Every committed interval ends by the head's arrival: no
-                # gap to search, the hop starts now and commits at the tail.
-                end = head_time + hop_serialization
-                if ends and ends[-1] >= head_time - epsilon:
-                    if end > ends[-1]:
-                        ends[-1] = end
-                else:
-                    starts.append(head_time)
-                    ends.append(end)
-                resource.busy_time += hop_serialization
-                resource.reservations += 1
-                # Head flit crosses this hop; body/tail pipeline behind it.
-                head_time += hop_latency
-                continue
-            # Earliest gap of `hop_serialization` seconds at or after head_time.
-            start = head_time
-            n = len(starts)
-            index = bisect_right(ends, start)
-            while index < n:
-                if start + hop_serialization <= starts[index] + epsilon:
-                    break
-                interval_end = ends[index]
-                if interval_end > start:
-                    start = interval_end
-                index += 1
-            end = start + hop_serialization
-            if index >= n:
-                if ends[-1] >= start - epsilon:
-                    if end > ends[-1]:
-                        ends[-1] = end
-                else:
-                    starts.append(start)
-                    ends.append(end)
-            else:
-                # Interior commit at the position the gap search already
-                # found (insert_interval with a known index).
-                if index > 0 and ends[index - 1] >= start - epsilon:
-                    merged = index - 1
-                    if end > ends[merged]:
-                        ends[merged] = end
-                else:
-                    starts.insert(index, start)
-                    ends.insert(index, end)
-                    merged = index
-                following = merged + 1
-                while (
-                    following < len(starts)
-                    and starts[following] <= ends[merged] + epsilon
-                ):
-                    if ends[following] > ends[merged]:
-                        ends[merged] = ends[following]
-                    del starts[following]
-                    del ends[following]
+            start = reserve(starts, ends, head_time, hop_serialization, high_water)
             resource.busy_time += hop_serialization
             resource.reservations += 1
             queueing += start - head_time
+            # Head flit crosses this hop; body/tail pipeline behind it.
             head_time = start + hop_latency
         # The tail crosses the final link at that link's (possibly degraded)
         # rate; the reported serialization stays the nominal per-link figure.

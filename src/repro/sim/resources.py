@@ -2,15 +2,21 @@
 
 The Corona network study is a contention study: requests compete for channel
 bandwidth, mesh links, memory-controller ports and DRAM banks.  Rather than
-simulating each cycle of each wire, the models reserve time on *serial
-resources*.  A serial resource maintains, per server, the set of busy
-intervals already committed; a reservation of ``duration`` seconds requested
-at time ``t`` is granted in the earliest gap of sufficient length starting at
-or after ``t``.  This captures serialization delay, queueing delay and
-utilization, and -- because reservations may *backfill* earlier idle gaps --
-it stays accurate even when reservations are requested slightly out of time
-order (for example a data-return reserved 20 ns ahead of commands that arrive
-in between).
+simulating each cycle of each wire, the models reserve time on single-server
+busy-interval timelines.  A timeline is the set of busy intervals already
+committed, kept as two parallel sorted lists of starts and ends; a
+reservation of ``duration`` seconds requested at time ``t`` is granted in the
+earliest gap of sufficient length starting at or after ``t``.  This captures
+serialization delay, queueing delay and utilization, and -- because
+reservations may *backfill* earlier idle gaps -- it stays accurate even when
+reservations are requested slightly out of time order (for example a
+data-return reserved 20 ns ahead of commands that arrive in between).
+
+:func:`reserve_interval` is the one reservation on such a timeline.
+:class:`SerialResource` (links, channels, ports) wraps one timeline with
+argument checks and counters.  Two hot paths call the kernel directly: each
+hop of the electrical mesh, on its link's lists, and each access to the DRAM
+bank table of :class:`~repro.memory.dram.OcmModule`, on the bank's row.
 
 :class:`BoundedQueue` adds finite capacity (back-pressure) on top, and
 :class:`TokenPool` models a counted resource such as MSHRs; both book their
@@ -19,7 +25,7 @@ entries in one :class:`AdmissionHeaps`.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 import heapq
 from typing import List, Optional
 
@@ -33,190 +39,115 @@ _EPSILON = 1e-15
 _PRUNE_HORIZON = 5e-6
 
 
-def insert_interval(
-    starts: List[float], ends: List[float], start: float, end: float
-) -> None:
-    """Commit the busy interval ``[start, end)`` to one server's timeline.
+def reserve_interval(
+    starts: List[float],
+    ends: List[float],
+    now: float,
+    duration: float,
+    high_water: float,
+) -> float:
+    """Reserve ``duration`` seconds on one single-server timeline, starting
+    no earlier than ``now``; returns the start time.
 
-    ``starts``/``ends`` are the server's parallel, sorted interval lists;
-    the new interval is coalesced with any it touches, so they stay
-    disjoint.  Shared by :class:`SerialResource` and the DRAM bank table of
-    :class:`~repro.memory.dram.OcmModule`.
+    ``starts``/``ends`` are the timeline's parallel, sorted, disjoint
+    interval lists, and ``high_water`` the latest request time the caller
+    has seen (at least ``now``).  Intervals that ended more than
+    :data:`_PRUNE_HORIZON` before ``high_water`` are dropped first.  The
+    reservation takes the earliest gap that fits -- at ``now`` without a
+    search when every interval ends by then -- and is committed coalesced
+    with the intervals it touches, so the lists stay disjoint.
     """
-    # Tail fast path: most reservations are requested roughly in time
-    # order, so they land after every committed interval.
-    if not starts:
-        starts.append(start)
-        ends.append(end)
-        return
-    if start > starts[-1]:
-        if ends[-1] >= start - _EPSILON:
+    if ends:
+        prune_before = high_water - _PRUNE_HORIZON
+        if ends[0] <= prune_before and prune_before > 0:
+            cut = bisect_right(ends, prune_before)
+            del ends[:cut]
+            del starts[:cut]
+    start = now
+    index = n = len(ends)
+    if n and ends[-1] > now:
+        # Earliest gap of ``duration`` seconds at or after ``now``; with
+        # every interval ended by ``now`` there is nothing to search.
+        index = bisect_right(ends, now)
+        while index < n:
+            if start + duration <= starts[index] + _EPSILON:
+                break
+            interval_end = ends[index]
+            if interval_end > start:
+                start = interval_end
+            index += 1
+    end = start + duration
+    if index >= n or start > starts[-1]:
+        # Tail commit: the reservation lands after the last interval's start.
+        if n and ends[-1] >= start - _EPSILON:
             if end > ends[-1]:
                 ends[-1] = end
         else:
             starts.append(start)
             ends.append(end)
-        return
-    index = bisect.bisect_left(starts, start)
-    # Coalesce with the previous interval when contiguous.
+        return start
+    # Interior commit, coalesced with the previous interval when contiguous.
+    index = bisect_left(starts, start)
     if index > 0 and ends[index - 1] >= start - _EPSILON:
-        ends[index - 1] = max(ends[index - 1], end)
-        merged_index = index - 1
+        merged = index - 1
+        if end > ends[merged]:
+            ends[merged] = end
     else:
         starts.insert(index, start)
         ends.insert(index, end)
-        merged_index = index
+        merged = index
     # Coalesce with following intervals swallowed by the new one.
-    next_index = merged_index + 1
-    while next_index < len(starts) and starts[next_index] <= ends[merged_index] + _EPSILON:
-        ends[merged_index] = max(ends[merged_index], ends[next_index])
-        del starts[next_index]
-        del ends[next_index]
+    following = merged + 1
+    while following < len(starts) and starts[following] <= ends[merged] + _EPSILON:
+        if ends[following] > ends[merged]:
+            ends[merged] = ends[following]
+        del starts[following]
+        del ends[following]
+    return start
 
 
 class SerialResource:
-    """A resource with a fixed number of identical servers and gap backfill.
-
-    With ``servers=1`` this is a single channel/link; with ``servers=n`` it is
-    an ``n``-ported resource.
-    """
+    """A single-server resource (a link, a channel, a port) with gap
+    backfill: one :func:`reserve_interval` timeline plus its counters."""
 
     __slots__ = (
         "name",
-        "servers",
         "_starts",
         "_ends",
         "busy_time",
         "reservations",
         "_high_water_request",
-        "scan_steps",
-        "_skip_lo",
-        "_skip_hi",
-        "_skip_len",
     )
 
-    def __init__(self, name: str, servers: int = 1) -> None:
-        if servers < 1:
-            raise ValueError(f"servers must be >= 1, got {servers}")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.servers = servers
-        # Per server: parallel lists of interval starts and ends, sorted.
-        self._starts: List[List[float]] = [[] for _ in range(servers)]
-        self._ends: List[List[float]] = [[] for _ in range(servers)]
+        # Parallel lists of interval starts and ends, sorted.
+        self._starts: List[float] = []
+        self._ends: List[float] = []
         self.busy_time: float = 0.0
         self.reservations: int = 0
         self._high_water_request: float = 0.0
-        #: Interval-test count across all backfill scans (perf regression
-        #: hook: a congested resource must not rescan its whole timeline
-        #: on every reservation).
-        self.scan_steps: int = 0
-        # Proven-gap window for the single-server backfill scan: every free
-        # gap whose start lies in [_skip_lo, _skip_hi) was proven too short
-        # for a reservation of _skip_len seconds (or longer), so a scan for
-        # duration >= _skip_len starting inside the window may jump straight
-        # to _skip_hi.  Sound because committed intervals only shrink gaps;
-        # pruning -- the one operation that merges gaps -- advances _skip_lo
-        # past the merged region (see reserve/next_available).
-        self._skip_lo: float = 0.0
-        self._skip_hi: float = 0.0
-        self._skip_len: float = 0.0
 
-    # -- internal helpers ----------------------------------------------------
-    def _prune(self, server: int, before: float) -> None:
-        ends = self._ends[server]
-        starts = self._starts[server]
-        index = bisect.bisect_right(ends, before)
-        if index:
-            del ends[:index]
-            del starts[:index]
-
-    def _find_gap(self, server: int, now: float, duration: float) -> float:
-        """Earliest start >= ``now`` of a free gap of ``duration`` on ``server``."""
-        starts = self._starts[server]
-        ends = self._ends[server]
-        candidate = now
-        # Skip intervals that end at or before the candidate start.
-        index = bisect.bisect_right(ends, candidate)
-        while index < len(starts):
-            self.scan_steps += 1
-            if candidate + duration <= starts[index] + _EPSILON:
-                return candidate
-            candidate = max(candidate, ends[index])
-            index += 1
-        return candidate
-
-    # -- proven-gap window (single-server backfill scan) ---------------------
-    def _record_skip_window(self, lo: float, hi: float, duration: float) -> None:
-        """A scan for ``duration`` just advanced from ``lo`` to ``hi``: every
-        free gap starting in ``[lo, hi)`` is too short for ``duration``
-        (gap adequacy is monotone in the candidate position, so positions
-        between visited interval ends are covered too)."""
-        old_lo, old_hi, old_len = self._skip_lo, self._skip_hi, self._skip_len
-        if old_hi <= old_lo:
-            # No live window.
-            self._skip_lo, self._skip_hi, self._skip_len = lo, hi, duration
-        elif lo >= old_lo and hi <= old_hi and duration >= old_len:
-            # Already covered by a claim at least as strong.
-            return
-        elif lo <= old_hi and old_lo <= hi:
-            # Overlapping/adjacent: merge.  The union holds only for
-            # durations covered by both claims, hence the max.
-            self._skip_lo = old_lo if old_lo < lo else lo
-            self._skip_hi = old_hi if old_hi > hi else hi
-            self._skip_len = old_len if old_len > duration else duration
-        elif hi > old_hi:
-            # Disjoint and ahead of the old window: scans move forward in
-            # time, so the newer window is the useful one.
-            self._skip_lo, self._skip_hi, self._skip_len = lo, hi, duration
-
-    def _prune_skip_window(self, starts: List[float]) -> None:
-        """Pruning merged every gap before the (new) first interval into one
-        open stretch, voiding proofs there; claims at or beyond the first
-        remaining interval's start are untouched by deleting earlier ones."""
-        if starts:
-            if self._skip_lo < starts[0]:
-                self._skip_lo = starts[0]
-        else:
-            self._skip_hi = self._skip_lo  # empty timeline: no proofs survive
-
-    # -- public API ------------------------------------------------------------
     def next_available(self, now: float) -> float:
         """Earliest time a zero-length reservation made at ``now`` could start.
 
-        Mirrors the pruned single-server fast path of :meth:`reserve`:
-        expired intervals (older than the prune horizon behind the newest
-        reservation request) are dropped first, and because committed
-        intervals are kept disjoint by :func:`insert_interval`, a single
-        bisect answers the query -- ``now`` itself when no interval covers
-        it, otherwise the covering interval's end.  Long-running replays
-        previously paid a scan over every interval ever committed on
-        resources queried through :meth:`queue_delay` but rarely reserved.
+        Expired intervals (older than the prune horizon behind the newest
+        reservation request) are dropped first, as :meth:`reserve` drops
+        them, and because committed intervals are disjoint, a single bisect
+        answers the query -- ``now`` itself when no interval covers it,
+        otherwise the covering interval's end.
         """
         prune_before = self._high_water_request - _PRUNE_HORIZON
-        if self.servers == 1:
-            starts = self._starts[0]
-            ends = self._ends[0]
-            if prune_before > 0 and ends and ends[0] <= prune_before:
-                cut = bisect.bisect_right(ends, prune_before)
-                del ends[:cut]
-                del starts[:cut]
-                self._prune_skip_window(starts)
-            index = bisect.bisect_right(ends, now)
-            if index >= len(starts) or now <= starts[index] + _EPSILON:
-                return now
-            return ends[index]
-        best = None
-        for server in range(self.servers):
-            if prune_before > 0:
-                self._prune(server, prune_before)
-            starts = self._starts[server]
-            ends = self._ends[server]
-            index = bisect.bisect_right(ends, now)
-            if index >= len(starts) or now <= starts[index] + _EPSILON:
-                return now
-            if best is None or ends[index] < best:
-                best = ends[index]
-        return best
+        starts = self._starts
+        ends = self._ends
+        if prune_before > 0 and ends and ends[0] <= prune_before:
+            cut = bisect_right(ends, prune_before)
+            del ends[:cut]
+            del starts[:cut]
+        index = bisect_right(ends, now)
+        if index >= len(starts) or now <= starts[index] + _EPSILON:
+            return now
+        return ends[index]
 
     def reserve(self, now: float, duration: float) -> float:
         """Reserve the resource for ``duration`` seconds starting no earlier than ``now``.
@@ -228,76 +159,14 @@ class SerialResource:
             raise ValueError(f"duration must be non-negative, got {duration}")
         if now < 0:
             raise ValueError(f"time must be non-negative, got {now}")
-
         if now > self._high_water_request:
             self._high_water_request = now
-        prune_before = self._high_water_request - _PRUNE_HORIZON
-
-        if self.servers == 1:
-            # Single-server fast path (links, channels): prune only
-            # when something is actually expired, inline the gap search, and
-            # insert through the tail fast path of :func:`insert_interval`.
-            starts = self._starts[0]
-            ends = self._ends[0]
-            if prune_before > 0 and ends and ends[0] <= prune_before:
-                cut = bisect.bisect_right(ends, prune_before)
-                del ends[:cut]
-                del starts[:cut]
-                self._prune_skip_window(starts)
-            candidate = now
-            index = bisect.bisect_right(ends, candidate)
-            if duration >= self._skip_len and self._skip_lo <= candidate < self._skip_hi:
-                # Every gap starting in the window was already proven too
-                # short for this duration; resume the scan past it.
-                candidate = self._skip_hi
-                index = bisect.bisect_right(ends, candidate)
-            n = len(starts)
-            steps = 0
-            while index < n:
-                if candidate + duration <= starts[index] + _EPSILON:
-                    break
-                interval_end = ends[index]
-                if interval_end > candidate:
-                    candidate = interval_end
-                index += 1
-                steps += 1
-            self.scan_steps += steps
-            if candidate > now:
-                self._record_skip_window(now, candidate, duration)
-            end = candidate + duration
-            if index >= n:
-                # Tail commit, inlined: the reservation lands at or after the
-                # last committed interval.
-                if n and ends[-1] >= candidate - _EPSILON:
-                    if end > ends[-1]:
-                        ends[-1] = end
-                else:
-                    starts.append(candidate)
-                    ends.append(end)
-            else:
-                insert_interval(starts, ends, candidate, end)
-            self.busy_time += duration
-            self.reservations += 1
-            return end
-
-        best_server = 0
-        best_start = None
-        for server in range(self.servers):
-            if prune_before > 0:
-                self._prune(server, prune_before)
-            start = self._find_gap(server, now, duration)
-            if best_start is None or start < best_start:
-                best_server = server
-                best_start = start
-                if start <= now + _EPSILON:
-                    break
-        end = best_start + duration
-        insert_interval(
-            self._starts[best_server], self._ends[best_server], best_start, end
+        start = reserve_interval(
+            self._starts, self._ends, now, duration, self._high_water_request
         )
         self.busy_time += duration
         self.reservations += 1
-        return end
+        return start + duration
 
     def queue_delay(self, now: float) -> float:
         """How long a zero-length reservation made at ``now`` would wait."""
@@ -307,25 +176,19 @@ class SerialResource:
         """Fraction of capacity used over ``elapsed`` seconds of simulated time."""
         if elapsed <= 0:
             return 0.0
-        return self.busy_time / (elapsed * self.servers)
+        return self.busy_time / elapsed
 
     def reset(self) -> None:
         # In place: the electrical mesh binds each link's interval lists
         # once, at construction.
-        for starts in self._starts:
-            starts.clear()
-        for ends in self._ends:
-            ends.clear()
+        self._starts.clear()
+        self._ends.clear()
         self.busy_time = 0.0
         self.reservations = 0
         self._high_water_request = 0.0
-        self.scan_steps = 0
-        self._skip_lo = 0.0
-        self._skip_hi = 0.0
-        self._skip_len = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SerialResource({self.name!r}, servers={self.servers})"
+        return f"SerialResource({self.name!r})"
 
 
 class AdmissionHeaps:

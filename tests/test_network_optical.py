@@ -89,9 +89,10 @@ class TestTokenRingArbiter:
 
     def test_wait_statistics_accumulate(self):
         arbiter = TokenRingArbiter()
-        arbiter.acquire(channel=0, cluster=1, now=0.0)
-        arbiter.acquire(channel=1, cluster=2, now=0.0)
-        assert arbiter.wait_statistics.count == 2
+        first = arbiter.acquire(channel=0, cluster=1, now=0.0)
+        second = arbiter.acquire(channel=1, cluster=2, now=0.0)
+        assert [arbiter.channels[c].grants for c in range(3)] == [1, 1, 0]
+        assert arbiter.average_wait_s() == pytest.approx((first + second) / 2)
         assert len(arbiter.per_channel_waits()) == 64
 
 
