@@ -15,14 +15,13 @@ import os
 
 import pytest
 
-from repro.harness.experiments import quick_matrix
-from repro.harness.parallel import ParallelEvaluationRunner
+from repro.api import Scenario, build_matrix, run
 
 
 @pytest.fixture(scope="session")
 def evaluation_matrix():
-    """The 5-configuration x 15-workload matrix at the quick scale."""
-    return quick_matrix()
+    """The 5-configuration x 17-workload matrix at the quick scale."""
+    return build_matrix(Scenario(name="benchmarks"))
 
 
 @pytest.fixture(scope="session")
@@ -33,9 +32,7 @@ def evaluation_results(evaluation_matrix):
     in process); the results are bit-identical either way.
     """
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "0"))
-    runner = ParallelEvaluationRunner(matrix=evaluation_matrix, jobs=jobs)
-    runner.run()
-    return runner.results
+    return run(evaluation_matrix.scenario, jobs=jobs).results
 
 
 @pytest.fixture(scope="session")

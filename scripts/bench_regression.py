@@ -47,16 +47,24 @@ SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.api import WORKLOADS, build_workload  # noqa: E402
+from repro.api import (  # noqa: E402
+    WORKLOADS,
+    ScaleSpec,
+    Scenario,
+    SystemSpec,
+    WorkloadSpec,
+    build_workload,
+    run,
+)
 from repro.coherence import CoherenceConfig, SharingProfile  # noqa: E402
 from repro.core.configs import configuration_by_name  # noqa: E402
 from repro.core.system import SystemSimulator  # noqa: E402
-from repro.harness.experiments import EvaluationMatrix, ExperimentScale  # noqa: E402
-from repro.harness.parallel import (  # noqa: E402
-    ParallelEvaluationRunner,
-    available_cpus,
+from repro.harness.parallel import available_cpus  # noqa: E402
+from repro.trace.synthetic import (  # noqa: E402
+    hot_spot_workload,
+    synthetic_workloads,
+    uniform_workload,
 )
-from repro.trace.synthetic import hot_spot_workload, uniform_workload  # noqa: E402
 
 DEFAULT_BENCH_PATH = REPO_ROOT / "BENCH_replay.json"
 
@@ -82,8 +90,8 @@ GENERATE_REQUESTS = 1_000
 SMOKE_GENERATE_REQUESTS = 300
 
 #: Reduced matrix mirroring benchmarks/bench_parallel_runner.py.
-MATRIX_SCALE = ExperimentScale(synthetic_requests=3_000)
-SMOKE_MATRIX_SCALE = ExperimentScale(synthetic_requests=600)
+MATRIX_SCALE = ScaleSpec(synthetic_requests=3_000)
+SMOKE_MATRIX_SCALE = ScaleSpec(synthetic_requests=600)
 MATRIX_CONFIGURATIONS = ("LMesh/ECM", "XBar/OCM")
 
 
@@ -136,11 +144,13 @@ def _generate_best_seconds(requests: int, rounds: int):
     return len(workloads), best
 
 
-def _matrix(smoke: bool = False) -> EvaluationMatrix:
-    return EvaluationMatrix(
+def _scenario(smoke: bool = False) -> Scenario:
+    """The reduced matrix: two configurations x the six synthetic workloads."""
+    return Scenario(
+        name="bench-regression",
+        system=SystemSpec(configurations=MATRIX_CONFIGURATIONS),
+        workloads=tuple(WorkloadSpec(name=w.name) for w in synthetic_workloads()),
         scale=SMOKE_MATRIX_SCALE if smoke else MATRIX_SCALE,
-        configuration_names=list(MATRIX_CONFIGURATIONS),
-        include_splash=False,
     )
 
 
@@ -149,7 +159,7 @@ def measure(rounds: int = 3, smoke: bool = False) -> Dict[str, float]:
 
     ``smoke`` shrinks every request count so the full pipeline finishes in
     seconds; smoke numbers are for plumbing verification, not comparison.
-    The matrix runners' per-phase wall-clock breakdown lands in the
+    The matrix runs' per-phase wall-clock breakdown lands in the
     module-level ``LAST_PHASE_TIMINGS`` (serial and parallel sections), so
     the written snapshot can *explain* a regression, not just detect it.
     """
@@ -212,18 +222,17 @@ def measure(rounds: int = 3, smoke: bool = False) -> Dict[str, float]:
     )
     metrics["generate_matrix_traces_per_s"] = traces / seconds
 
-    pairs = _matrix(smoke).run_count()
-    serial_runner = ParallelEvaluationRunner(matrix=_matrix(smoke), jobs=1)
+    scenario = _scenario(smoke)
+    pairs = len(scenario.system.configurations) * len(scenario.workloads)
     started = time.perf_counter()
-    serial_runner.run()
+    serial = run(scenario, jobs=1)
     serial_seconds = time.perf_counter() - started
     metrics["matrix_serial_seconds"] = serial_seconds
     metrics["matrix_serial_pairs_per_s"] = pairs / serial_seconds
 
     jobs = min(4, available_cpus())
-    runner = ParallelEvaluationRunner(matrix=_matrix(smoke), jobs=jobs)
     started = time.perf_counter()
-    runner.run()
+    parallel = run(scenario, jobs=jobs)
     parallel_seconds = time.perf_counter() - started
     metrics["matrix_parallel_seconds"] = parallel_seconds
     metrics["matrix_parallel_jobs"] = jobs
@@ -232,13 +241,13 @@ def measure(rounds: int = 3, smoke: bool = False) -> Dict[str, float]:
     # workers' replay seconds -- trace generation, shipping (a shared-memory
     # handle per pair since the packed pipeline) and result collection.
     metrics["matrix_dispatch_seconds"] = max(
-        0.0, parallel_seconds - runner.total_wall_clock_seconds() / jobs
+        0.0, parallel_seconds - parallel.report.wall_clock_seconds / jobs
     )
     LAST_PHASE_TIMINGS.clear()
     LAST_PHASE_TIMINGS.update(
         {
-            "matrix_serial": dict(serial_runner.phase_seconds),
-            "matrix_parallel": dict(runner.phase_seconds),
+            "matrix_serial": dict(serial.timings["phases"]),
+            "matrix_parallel": dict(parallel.timings["phases"]),
         }
     )
     return metrics

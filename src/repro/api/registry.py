@@ -32,7 +32,7 @@ User modules extend any table without touching repro source::
 A scenario file names such a module in its ``modules`` list and the runtime
 imports it before resolving names -- in the parent *and* (for non-fork start
 methods) in every worker process, so registered entries survive the trip
-through :class:`~repro.harness.parallel.ParallelEvaluationRunner`.
+through :func:`~repro.harness.parallel.run_pairs`' worker pool.
 
 Collisions raise :class:`RegistryCollisionError` (re-registering a name is
 almost always a typo; pass ``replace=True`` to shadow deliberately) and

@@ -1,11 +1,10 @@
 """``run(scenario) -> ScenarioResult``: the one stable execution entry point.
 
 Everything the CLI (and user code) runs goes through here: the scenario's
-names are resolved against the registries, a matrix implementing the
-:class:`~repro.harness.experiments.EvaluationMatrix` protocol is built, and
-its pairs are replayed by
-:class:`~repro.harness.parallel.ParallelEvaluationRunner` -- the one matrix
-runner, in process at ``jobs=1`` and on a worker pool otherwise.
+names are resolved against the registries into a :class:`ScenarioMatrix`,
+and :func:`~repro.harness.parallel.run_pairs` -- the one replay loop, in
+process at ``jobs=1`` and on a worker pool otherwise -- replays the pairs
+the matrix yields.
 
 Per-pair :class:`~repro.core.results.WorkloadResult`\\ s stream to the
 ``on_result`` callback as they finish (submission order), and the finished
@@ -20,7 +19,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.api import registry
 from repro.api.scenario import OutputSpec, Scenario, ScenarioError, WorkloadSpec
@@ -32,24 +31,27 @@ from repro.core.results import (
 )
 from repro.faults import FaultSpec
 from repro.harness.experiments import ExperimentScale
-from repro.harness.parallel import ParallelEvaluationRunner
+from repro.harness.parallel import effective_jobs, run_pairs, timed
+from repro.obs.artifacts import resolve_pair_spec
 from repro.obs.spec import ObservabilitySpec
 from repro.harness.report import ReproductionReport
 from repro.harness.resilience import PairFailure, RetryPolicy
+from repro.trace.packed import PackedTrace
 
 #: Format tag written into JSON result files.
 RESULTS_FORMAT = "corona-results/1"
 
 
 class ScenarioMatrix:
-    """A scenario resolved into the evaluation-matrix protocol.
+    """A scenario resolved against the registries: the (configuration x
+    workload) matrix of one run.
 
-    Implements the interface
-    :class:`~repro.harness.parallel.ParallelEvaluationRunner` and
-    :class:`~repro.harness.report.ReproductionReport` consume (``scale``,
-    ``coherence``, ``corona_config``, ``configuration_names``,
-    ``workloads()``, ``configurations()``, ``requests_for()``...), so the
-    scenario path exercises exactly the machinery the legacy matrix does.
+    Construction builds every configuration and workload (no trace
+    generation), so a bad factory param, a duplicate effective workload
+    name or a cluster-count mismatch fails with a field path before any
+    replay.  :meth:`pairs` yields the :func:`~repro.harness.parallel.run_pairs`
+    argument tuples; :class:`~repro.harness.report.ReproductionReport`
+    reads the names and the scale.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -60,9 +62,9 @@ class ScenarioMatrix:
         #: :class:`~repro.faults.FaultSpec`, installed into every simulator.
         self.faults: Optional[FaultSpec] = scenario.faults
         #: ``None`` (zero-overhead path) or the scenario's telemetry spec;
-        #: the runners resolve per-pair sink paths from it.
+        #: :meth:`pairs` resolves per-pair sink paths from it.
         self.observability: Optional[ObservabilitySpec] = scenario.observability
-        #: None when the scenario carries no overrides, so the runners keep
+        #: None when the scenario carries no overrides, so every replay keeps
         #: building from the CORONA_DEFAULT singleton (bit-identical path).
         self.corona_config: Optional[CoronaConfig] = (
             scenario.system.corona_config() if scenario.system.overrides else None
@@ -148,7 +150,6 @@ class ScenarioMatrix:
             )
         return workload
 
-    # -- EvaluationMatrix protocol ------------------------------------------
     def workloads(self) -> List:
         return list(self._workloads)
 
@@ -195,6 +196,47 @@ class ScenarioMatrix:
 
     def run_count(self) -> int:
         return len(self._configurations) * len(self._workloads)
+
+    def generate(self, workload) -> PackedTrace:
+        """``workload``'s packed trace at this matrix's seed and request
+        count."""
+        return workload.generate_packed(
+            seed=self.scale.seed, num_requests=self.requests_for(workload)
+        )
+
+    def pairs(
+        self,
+        trace_for: Callable[[object], PackedTrace],
+        observability: Optional[ObservabilitySpec],
+        prefix: str = "",
+    ) -> Iterator[tuple]:
+        """Lazily yield the :func:`~repro.harness.parallel.run_pairs`
+        tuples, workloads outer and configurations inner.
+
+        ``trace_for(workload)`` supplies each workload's trace when its
+        first pair is requested.  Per-pair sink paths are resolved here, in
+        the parent, from ``observability``: slugged with ``prefix`` (e.g. a
+        sweep point id) and the pair whenever more than one pair can write
+        to the spec's paths, which a prefix implies.
+        """
+        multi = bool(prefix) or self.run_count() > 1
+        modules = tuple(self.scenario.modules)
+        for workload in self._workloads:
+            trace = trace_for(workload)
+            window = getattr(workload, "window", 4)
+            for name in self.configuration_names:
+                yield (
+                    name,
+                    trace,
+                    window,
+                    self.coherence,
+                    self.corona_config,
+                    modules,
+                    self.faults,
+                    resolve_pair_spec(
+                        observability, name, workload.name, multi, prefix=prefix
+                    ),
+                )
 
 
 def build_matrix(scenario: Scenario) -> ScenarioMatrix:
@@ -305,8 +347,9 @@ def _write_artifact_manifest(
 ) -> None:
     """The ``corona-artifacts/1`` manifest of everything the run left behind:
     result sinks plus each pair's telemetry artifacts, resolved with the same
-    slugging the runners write with -- how `corona-repro diff` finds the raw
-    latency samples of a (configuration, workload) pair."""
+    slugging :meth:`ScenarioMatrix.pairs` wrote them with -- how
+    `corona-repro diff` finds the raw latency samples of a (configuration,
+    workload) pair."""
     from repro.obs.artifacts import (
         DiffableArtifact,
         artifact_manifest_path,
@@ -372,35 +415,71 @@ def run(
                 f"{registry.EXPERIMENTS.names()}",
             )
     matrix = ScenarioMatrix(scenario)
-    effective_jobs = scenario.jobs if jobs is None else jobs
+    jobs = scenario.jobs if jobs is None else jobs
+    count = matrix.run_count()
     heartbeat = None
     obs_spec = matrix.observability
     if obs_spec is not None and obs_spec.progress:
         from repro.obs.progress import ProgressReporter
 
         heartbeat = ProgressReporter(
-            matrix.run_count(),
-            interval_s=obs_spec.progress_interval_s,
-            label="run",
+            count, interval_s=obs_spec.progress_interval_s, label="run"
         )
+    results: List[WorkloadResult] = []
+    failures: List[PairFailure] = []
+    # Wall-clock seconds per harness phase: trace_generation, replay
+    # (summed per-pair replay seconds), sink_write (telemetry artifacts,
+    # when enabled) and dispatch (the fan-out wall clock beyond generation
+    # and each worker's share of replays and sink writes -- simulator
+    # construction, trace shipping, pipes, result collection).
+    phases: Dict[str, float] = {}
+    workers: Dict[str, float] = {}
+    pair_seconds: Dict[tuple, float] = {}
+
+    def record(
+        _position, replayed, failure, attempts, seconds, worker, sink_seconds
+    ) -> None:
+        phases["replay"] = phases.get("replay", 0.0) + seconds
+        if sink_seconds:
+            phases["sink_write"] = phases.get("sink_write", 0.0) + sink_seconds
+        if heartbeat is not None:
+            heartbeat.pair_done(failed=failure is not None, retries=attempts - 1)
+        if failure is not None:
+            failures.append(failure)
+            return
+        results.append(replayed)
+        pair_seconds[(replayed.configuration, replayed.workload)] = seconds
+        workers[worker] = workers.get(worker, 0.0) + seconds
+
     started = time.perf_counter()
-    runner = ParallelEvaluationRunner(
-        matrix=matrix,
-        jobs=effective_jobs,
-        progress=progress,
-        on_result=on_result,
-        setup_modules=tuple(scenario.modules),
-        policy=policy,
-        heartbeat=heartbeat,
-    )
     try:
-        runner.run()
+        run_pairs(
+            matrix.pairs(
+                timed(matrix.generate, phases, "trace_generation"),
+                matrix.observability,
+            ),
+            jobs=jobs,
+            progress=progress,
+            on_result=on_result,
+            policy=policy,
+            on_outcome=record,
+            count=count,
+        )
     finally:
         if heartbeat is not None:
             heartbeat.finish()
     wall_clock = time.perf_counter() - started
-    report_results = list(runner.results)
-    if runner.failures:
+    # Generation runs lazily inside the fan-out window, and each worker
+    # spends its share of the replays and sink writes there too; dispatch
+    # is the rest.
+    busy = (
+        phases.get("replay", 0.0) + phases.get("sink_write", 0.0)
+    ) / effective_jobs(jobs, count)
+    phases["dispatch"] = max(
+        0.0, wall_clock - busy - phases.get("trace_generation", 0.0)
+    )
+    report_results = list(results)
+    if failures:
         # Partial matrix: figures normalize per workload against a baseline
         # configuration, so workloads missing any configuration's result are
         # dropped from the *report* (the result list and sinks keep every
@@ -417,31 +496,31 @@ def run(
     report = ReproductionReport(
         matrix=matrix,
         results=report_results,
-        wall_clock_seconds=runner.total_wall_clock_seconds(),
+        # Summed in sorted order, so the total is a pure function of the
+        # per-pair timings.
+        wall_clock_seconds=sum(sorted(pair_seconds.values())),
     )
-    timings: Dict[str, object] = {}
-    if runner.phase_seconds:
-        timings["phases"] = dict(runner.phase_seconds)
-    if runner.worker_seconds:
-        timings["workers"] = dict(runner.worker_seconds)
-    if runner.run_seconds:
+    timings: Dict[str, object] = {"phases": phases}
+    if workers:
+        timings["workers"] = workers
+    if pair_seconds:
         timings["pairs"] = [
             {"configuration": pair[0], "workload": pair[1], "seconds": seconds}
-            for pair, seconds in runner.run_seconds.items()
+            for pair, seconds in pair_seconds.items()
         ]
     result = ScenarioResult(
         scenario=scenario,
-        results=list(runner.results),
+        results=results,
         report=report,
         wall_clock_seconds=wall_clock,
-        failures=list(runner.failures),
+        failures=failures,
         timings=timings,
     )
     context = ExperimentContext(
         scenario=scenario,
         matrix=matrix,
         results=result.results,
-        jobs=effective_jobs,
+        jobs=jobs,
         progress=progress,
         written=result.written,
     )

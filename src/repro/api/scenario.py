@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.coherence.engine import CoherenceConfig
 from repro.coherence.sharing import SharingProfile
@@ -39,6 +39,9 @@ from repro.harness.experiments import (
     QUICK_SCALE,
     ExperimentScale,
 )
+
+if TYPE_CHECKING:
+    from repro.api.run import ScenarioMatrix
 
 #: Format tag written into scenario files (ignored on read when absent).
 SCENARIO_FORMAT = "corona-scenario/1"
@@ -563,10 +566,10 @@ class Scenario:
                     f"modules[{index}]", f"cannot import {module!r}: {exc}"
                 ) from None
 
-    def validate(self) -> None:
+    def validate(self) -> ScenarioMatrix:
         """Check every name against the registries (after importing
-        ``modules``); structural validation already happened in
-        :meth:`from_dict` / the dataclass constructors."""
+        ``modules``) and return the resolved matrix; structural validation
+        already happened in :meth:`from_dict` / the dataclass constructors."""
         from repro.api import registry
 
         self.import_modules()
@@ -599,7 +602,7 @@ class Scenario:
         # that validates is a scenario that runs.
         from repro.api.run import ScenarioMatrix
 
-        ScenarioMatrix(self)
+        return ScenarioMatrix(self)
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:

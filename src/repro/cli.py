@@ -353,16 +353,15 @@ def _cmd_scenario_init(args: argparse.Namespace) -> int:
 def _cmd_scenario_validate(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.path)
-        scenario.validate()
+        matrix = scenario.validate()
     except ScenarioError as exc:
         raise SystemExit(
             f"INVALID: {_scenario_error_message(args.path, exc)}"
         ) from None
-    workloads = len(scenario.workloads) or len(WORKLOADS)
     print(
-        f"{args.path}: OK ({len(scenario.system.configurations)} "
-        f"configurations x {workloads} workloads = "
-        f"{len(scenario.system.configurations) * workloads} pairs, "
+        f"{args.path}: OK ({len(matrix.configuration_names)} "
+        f"configurations x {len(matrix.workloads())} workloads = "
+        f"{matrix.run_count()} pairs, "
         f"scale {scenario.scale.tier!r}, jobs {scenario.jobs})"
     )
     return 0

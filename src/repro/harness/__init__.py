@@ -1,23 +1,18 @@
 """Experiment harness: regenerate every table and figure of the paper.
 
-* :mod:`repro.harness.experiments` -- the evaluation matrix (5 configurations
-  x 17 workloads) and the scaling knobs that keep a pure-Python replay
-  tractable.
-* :mod:`repro.harness.parallel` -- the matrix runner and the one pair
-  replay loop beneath it: in process at ``jobs=1``, a supervised worker
-  pool otherwise (bit-identical results, matrix wall-clock divided by the
-  worker count).
+* :mod:`repro.harness.experiments` -- the scaling knobs that keep a
+  pure-Python replay of the 5 configurations x 17 workloads tractable.
+* :mod:`repro.harness.parallel` -- the one pair replay loop beneath
+  :func:`repro.api.run` and the sweeps: in process at ``jobs=1``, a
+  supervised worker pool otherwise (bit-identical results, wall-clock
+  divided by the worker count).
+* :mod:`repro.harness.report` -- the markdown report of a scenario run.
 * :mod:`repro.harness.tables` -- Tables 1-4 as data plus text renderers.
 * :mod:`repro.harness.figures` -- Figures 8-11 as data series plus ASCII bar
   charts, and the geometric-mean summary quoted in Section 5.
 """
 
-from repro.harness.experiments import (
-    EvaluationMatrix,
-    ExperimentScale,
-    default_matrix,
-    quick_matrix,
-)
+from repro.harness.experiments import ExperimentScale
 from repro.harness.figures import (
     figure10_latency,
     figure11_power,
@@ -26,7 +21,7 @@ from repro.harness.figures import (
     render_figure,
     speedup_summary,
 )
-from repro.harness.parallel import ParallelEvaluationRunner, available_cpus
+from repro.harness.parallel import available_cpus
 from repro.harness.tables import (
     format_table,
     table1_resource_configuration,
@@ -37,10 +32,6 @@ from repro.harness.tables import (
 
 __all__ = [
     "ExperimentScale",
-    "EvaluationMatrix",
-    "default_matrix",
-    "quick_matrix",
-    "ParallelEvaluationRunner",
     "available_cpus",
     "table1_resource_configuration",
     "table2_optical_inventory",

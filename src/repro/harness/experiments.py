@@ -1,4 +1,4 @@
-"""The evaluation matrix and its scaling knobs.
+"""The scaling knobs of the evaluation, and the coherence sweep's report.
 
 The paper replays 1 M-request synthetic traces and up to 240 M-request
 SPLASH-2 traces on five system configurations.  A pure-Python replay cannot
@@ -16,15 +16,10 @@ claim being checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
-from repro.coherence import CoherenceConfig
-from repro.core.config import CoronaConfig
-from repro.core.configs import CONFIGURATION_ORDER, all_configurations
 from repro.core.results import WorkloadResult
-from repro.trace.splash2 import SPLASH2_ORDER, splash2_workloads
-from repro.trace.synthetic import synthetic_workloads
 
 
 @dataclass(frozen=True)
@@ -55,6 +50,8 @@ class ExperimentScale:
             raise ValueError("synthetic request count must be >= 1")
         if not 0 < self.splash_fraction <= 1:
             raise ValueError("splash fraction must be in (0, 1]")
+        if self.splash_min_requests < 1:
+            raise ValueError("splash_min_requests must be >= 1")
         if self.splash_min_requests > self.splash_max_requests:
             raise ValueError("splash_min_requests exceeds splash_max_requests")
 
@@ -65,7 +62,7 @@ class ExperimentScale:
 
 
 #: Scale used by the pytest benchmarks by default: small enough that the whole
-#: 75-run matrix finishes in minutes, large enough that every hardware thread
+#: 85-pair matrix finishes in minutes, large enough that every hardware thread
 #: issues dozens of misses.
 QUICK_SCALE = ExperimentScale(
     synthetic_requests=12_000,
@@ -94,90 +91,6 @@ PAPER_SCALE = ExperimentScale(
     splash_min_requests=100_000,
     splash_max_requests=1_000_000,
 )
-
-
-@dataclass
-class EvaluationMatrix:
-    """The (configuration x workload) matrix of the paper's evaluation.
-
-    ``workload_filter`` keeps only workloads whose name contains one of the
-    given substrings (case-insensitive) -- the mechanism behind the CLI's
-    ``--workloads`` flag, letting a single (configuration, workload) pair run
-    without the full matrix.  ``coherence`` enables the timed MOESI directory
-    for every replay of the matrix (shared-tagged records only; the stock
-    workloads carry none unless given a sharing profile).  ``corona_config``
-    re-parameterizes the architecture for every simulator of the matrix
-    (``None`` keeps the paper's design point -- the Scenario API sets this
-    from ``system.overrides``).
-    """
-
-    scale: ExperimentScale = field(default_factory=ExperimentScale)
-    configuration_names: Sequence[str] = field(
-        default_factory=lambda: list(CONFIGURATION_ORDER)
-    )
-    include_synthetic: bool = True
-    include_splash: bool = True
-    workload_filter: Optional[Sequence[str]] = None
-    coherence: Optional[CoherenceConfig] = None
-    corona_config: Optional[CoronaConfig] = None
-
-    def _matches_filter(self, name: str) -> bool:
-        if self.workload_filter is None:
-            return True
-        lowered = name.lower()
-        return any(term.lower() in lowered for term in self.workload_filter)
-
-    def workloads(self) -> List:
-        """Workload generators in the paper's plot order."""
-        workloads: List = []
-        if self.include_synthetic:
-            workloads.extend(synthetic_workloads())
-        if self.include_splash:
-            workloads.extend(splash2_workloads())
-        return [w for w in workloads if self._matches_filter(w.name)]
-
-    def workload_names(self) -> List[str]:
-        return [w.name for w in self.workloads()]
-
-    def synthetic_names(self) -> List[str]:
-        if not self.include_synthetic:
-            return []
-        return [
-            w.name for w in synthetic_workloads() if self._matches_filter(w.name)
-        ]
-
-    def splash_names(self) -> List[str]:
-        if not self.include_splash:
-            return []
-        return [name for name in SPLASH2_ORDER if self._matches_filter(name)]
-
-    def requests_for(self, workload) -> int:
-        """Scaled request count for one workload."""
-        fixed = getattr(workload, "fixed_requests", None)
-        if fixed is not None:
-            # Trace-file workloads carry their own record count; the scale
-            # tier cannot grow or shrink fixed on-disk data.
-            return fixed
-        if getattr(workload, "is_synthetic", False):
-            return self.scale.synthetic_requests
-        return self.scale.splash_requests(workload.profile.paper_requests)
-
-    def configurations(self) -> List:
-        by_name = {c.name: c for c in all_configurations()}
-        return [by_name[name] for name in self.configuration_names]
-
-    def run_count(self) -> int:
-        return len(self.configuration_names) * len(self.workloads())
-
-
-def default_matrix(scale: Optional[ExperimentScale] = None) -> EvaluationMatrix:
-    """The full 5 x 17 matrix (6 synthetic + 11 SPLASH-2) at default scale."""
-    return EvaluationMatrix(scale=scale or ExperimentScale())
-
-
-def quick_matrix() -> EvaluationMatrix:
-    """A fast matrix for benchmarks and CI: all workloads, quick scale."""
-    return EvaluationMatrix(scale=QUICK_SCALE)
 
 
 # --------------------------------------------------------------------------

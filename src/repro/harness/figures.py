@@ -1,8 +1,8 @@
 """Figures 8-11 of the paper as data series and ASCII charts.
 
 Each ``figure*`` function consumes the list of
-:class:`~repro.core.results.WorkloadResult` produced by the
-:class:`~repro.harness.parallel.ParallelEvaluationRunner` and returns
+:class:`~repro.core.results.WorkloadResult` produced by
+:func:`repro.api.run` and returns
 ``{workload: {configuration: value}}`` in the paper's plot order.
 ``render_figure`` draws a grouped horizontal bar chart in plain text, and
 ``speedup_summary`` reproduces the geometric-mean claims of Section 5.
@@ -158,8 +158,8 @@ def speedup_summary(
     return summary
 
 
-#: The paper's reference values for the summary keys, used by benchmarks and
-#: EXPERIMENTS.md to report measured-vs-paper side by side.
+#: The paper's reference values for the summary keys, used by the benchmarks
+#: and the report to show measured-vs-paper side by side.
 PAPER_SPEEDUP_SUMMARY = {
     "synthetic_ocm_over_ecm": 3.28,
     "synthetic_xbar_over_hmesh_ocm": 2.36,

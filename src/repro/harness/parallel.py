@@ -1,4 +1,4 @@
-"""The one replay loop of the harness, and the matrix runner built on it.
+"""The one replay loop of the harness.
 
 The (configuration, workload) pairs of the evaluation (85 in the full
 matrix: 5 configurations x 17 workloads) are fully independent: each pair
@@ -7,9 +7,9 @@ replays an immutable trace.  :func:`run_pairs` replays such pairs -- in
 process at ``jobs=1``, across a supervised pool of worker processes
 otherwise, with near-linear wall-clock speedup on multicore hosts -- and
 turns every outcome into a result or a
-:class:`~repro.harness.resilience.PairFailure`.  The
-:class:`ParallelEvaluationRunner` feeds it a matrix and the sweep engine the
-pairs of a grid.
+:class:`~repro.harness.resilience.PairFailure`.  Its callers,
+:func:`repro.api.run` and the sweep engine, build the pairs with
+:meth:`repro.api.run.ScenarioMatrix.pairs`.
 
 Zero-copy trace shipping
 ------------------------
@@ -23,7 +23,7 @@ regardless of trace size, which is what makes the ``full`` and ``paper``
 scale tiers practical.  Where shared memory is unavailable the packed
 columns are pickled by value with each task instead (24 B/record).
 
-Generation overlaps replay: the matrix runner generates each workload's
+Generation overlaps replay: :func:`repro.api.run` generates each workload's
 trace as the fan-out consumes its pair stream, so while workers replay
 workload *k*'s pairs the parent is already generating (and shipping)
 workload *k+1*.
@@ -54,7 +54,7 @@ Results are bit-identical for every ``jobs`` value:
   name, so no state leaks between pairs and a retried pair reproduces its
   first attempt exactly.
 * Results are collected in submission order (workloads outer,
-  configurations inner for a matrix), so ``results`` lists compare equal
+  configurations inner for a scenario), so ``results`` lists compare equal
   element by element even when pool completions arrive out of order.
 """
 
@@ -66,7 +66,6 @@ import importlib
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from multiprocessing import connection as _mp_connection
 from typing import (
@@ -86,16 +85,14 @@ from repro.core.results import WorkloadResult
 from repro.core.system import SystemSimulator
 from repro.faults import chaos as _chaos
 from repro.faults.spec import FaultSpec
-from repro.harness.experiments import EvaluationMatrix
 from repro.harness.resilience import (
     DEFAULT_POLICY,
     PairFailure,
     PairFailureError,
     RetryPolicy,
 )
-from repro.obs.artifacts import resolve_pair_spec, write_pair_artifacts
+from repro.obs.artifacts import write_pair_artifacts
 from repro.obs.log import configure_worker_logging, get_logger
-from repro.obs.progress import ProgressReporter
 from repro.obs.spec import ObservabilitySpec
 from repro.trace.packed import PackedTrace
 
@@ -115,10 +112,25 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _effective_jobs(jobs: int, count: int) -> int:
+def effective_jobs(jobs: int, count: int) -> int:
     """Workers a fan-out of ``count`` pairs uses: ``jobs`` (every available
     CPU when ``jobs`` <= 0), at most one per pair, at least one."""
     return min(jobs if jobs and jobs > 0 else available_cpus(), count) or 1
+
+
+def timed(function: Callable, phases: Dict[str, float], phase: str) -> Callable:
+    """``function``, adding the wall-clock seconds of each call to
+    ``phases[phase]`` -- how :func:`repro.api.run` charges the trace
+    generation its lazy pair stream does inside the fan-out.  Wall-clock
+    reads belong to the harness, not to simulated-time code."""
+
+    def call(*args):
+        started = time.perf_counter()
+        value = function(*args)
+        phases[phase] = phases.get(phase, 0.0) + time.perf_counter() - started
+        return value
+
+    return call
 
 
 class WorkerSetupError(RuntimeError):
@@ -685,7 +697,8 @@ def run_pairs(
 ) -> List[Optional[WorkloadResult]]:
     """Replay ``(configuration_name, trace, window, coherence[,
     corona_config, modules, faults, observability])`` tuples -- the one
-    replay loop behind the matrix runner, the sweeps and ad-hoc pair lists.
+    replay loop behind :func:`repro.api.run`, the sweeps and ad-hoc pair
+    lists.
 
     ``trace`` is a :class:`~repro.trace.packed.PackedTrace`; the optional
     trailing elements carry scenario system overrides, worker setup modules,
@@ -717,7 +730,7 @@ def run_pairs(
         policy = DEFAULT_POLICY
     if count is None:
         count = len(pairs)
-    jobs = _effective_jobs(jobs, count)
+    jobs = effective_jobs(jobs, count)
     labels: List[Tuple[str, str]] = []
     shipments: Dict[int, TraceShipment] = {}
 
@@ -779,153 +792,3 @@ def run_pairs(
         for shipment in shipments.values():
             shipment.close()
     return results
-
-
-@dataclass
-class ParallelEvaluationRunner:
-    """Runs every (configuration, workload) pair of a matrix through
-    :func:`run_pairs`: in process at ``jobs=1``, on the worker pool
-    otherwise, with bit-identical results.
-
-    Parameters
-    ----------
-    matrix:
-        The evaluation matrix to run.
-    jobs:
-        Worker process count.  ``0`` (the default) uses every available CPU;
-        ``1`` replays in process without a pool.
-    progress:
-        Optional callback receiving one line per finished pair (reported in
-        submission order).
-    on_result:
-        Optional callback receiving each pair's :class:`WorkloadResult` as
-        it completes (submission order) -- the Scenario API's streaming
-        hook.
-    setup_modules:
-        Modules every worker imports before resolving configuration names
-        (a scenario's ``modules`` list); required for user-registered
-        configurations under non-``fork`` start methods.
-    policy:
-        Retry/timeout/partial-results policy (None = the default: crashes
-        recovered, persistent failures abort).  Under ``allow_failures``
-        failed pairs are recorded in :attr:`failures` and skipped in
-        :attr:`results`.
-    """
-
-    matrix: EvaluationMatrix
-    jobs: int = 0
-    progress: Optional[Callable[[str], None]] = None
-    on_result: Optional[Callable[[WorkloadResult], None]] = None
-    setup_modules: Tuple[str, ...] = ()
-    policy: Optional[RetryPolicy] = None
-    #: Optional :class:`~repro.obs.progress.ProgressReporter` ticked once
-    #: per finished pair (the ``--progress`` stderr heartbeat).
-    heartbeat: Optional[ProgressReporter] = None
-    results: List[WorkloadResult] = field(default_factory=list)
-    failures: List[PairFailure] = field(default_factory=list)
-    run_seconds: Dict[tuple, float] = field(default_factory=dict)
-    #: Wall-clock seconds per harness phase: trace_generation, replay
-    #: (summed per-pair replay seconds), sink_write (telemetry artifacts,
-    #: when enabled) and dispatch (the fan-out wall clock beyond generation
-    #: and each worker's share of replays and sink writes -- simulator
-    #: construction, trace shipping, pipes, result collection).
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Replay seconds attributed to each worker process by name.
-    worker_seconds: Dict[str, float] = field(default_factory=dict)
-
-    def _phase(self, name: str, seconds: float) -> None:
-        self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
-
-    def _pairs(self):
-        """Lazily yield the matrix's :func:`run_pairs` tuples, workloads
-        outer and configurations inner, generating each workload's trace
-        when its first pair is requested."""
-        corona_config = getattr(self.matrix, "corona_config", None)
-        faults = getattr(self.matrix, "faults", None)
-        observability = getattr(self.matrix, "observability", None)
-        multi = self.matrix.run_count() > 1
-        names = [configuration.name for configuration in self.matrix.configurations()]
-        for workload in self.matrix.workloads():
-            started = time.perf_counter()
-            trace = workload.generate_packed(
-                seed=self.matrix.scale.seed,
-                num_requests=self.matrix.requests_for(workload),
-            )
-            self._phase("trace_generation", time.perf_counter() - started)
-            _log.debug("generated trace for workload %s", workload.name)
-            window = getattr(workload, "window", 4)
-            for name in names:
-                yield (
-                    name,
-                    trace,
-                    window,
-                    self.matrix.coherence,
-                    corona_config,
-                    self.setup_modules,
-                    faults,
-                    # Per-pair sink paths are resolved here in the parent;
-                    # the replaying process just writes to them.
-                    resolve_pair_spec(observability, name, workload.name, multi),
-                )
-
-    def _record(
-        self, position, result, failure, attempts, seconds, worker, sink_seconds
-    ) -> None:
-        """The per-pair bookkeeping (:func:`run_pairs`' ``on_outcome``)."""
-        self._phase("replay", seconds)
-        if sink_seconds:
-            self._phase("sink_write", sink_seconds)
-        if self.heartbeat is not None:
-            self.heartbeat.pair_done(
-                failed=failure is not None, retries=attempts - 1
-            )
-        if failure is not None:
-            self.failures.append(failure)
-            return
-        self.results.append(result)
-        self.run_seconds[(result.configuration, result.workload)] = seconds
-        self.worker_seconds[worker] = self.worker_seconds.get(worker, 0.0) + seconds
-
-    def run(self) -> List[WorkloadResult]:
-        """Run the whole matrix; returns all results (also kept on self)."""
-        count = self.matrix.run_count()
-        jobs = _effective_jobs(self.jobs, count)
-        started = time.perf_counter()
-        try:
-            run_pairs(
-                self._pairs(),
-                jobs=jobs,
-                progress=self.progress,
-                on_result=self.on_result,
-                policy=self.policy,
-                on_outcome=self._record,
-                count=count,
-            )
-        finally:
-            # Generation runs lazily inside the fan-out window, and each
-            # worker spends its share of the replays and sink writes there
-            # too; dispatch is the rest.
-            phases = self.phase_seconds
-            busy = (phases.get("replay", 0.0) + phases.get("sink_write", 0.0)) / jobs
-            self._phase(
-                "dispatch",
-                max(
-                    0.0,
-                    time.perf_counter() - started - busy
-                    - phases.get("trace_generation", 0.0),
-                ),
-            )
-        return self.results
-
-    def total_simulated_requests(self) -> int:
-        return sum(result.num_requests for result in self.results)
-
-    def total_wall_clock_seconds(self) -> float:
-        """Sum of per-pair replay seconds (CPU work, not elapsed time).
-
-        ``run_seconds`` is keyed in worker *completion* order, which varies
-        run to run; summing floats in that order would make the total
-        order-dependent at the ulp level.  Summing in sorted-value order
-        makes it a pure function of the per-pair timings, whatever ``jobs``.
-        """
-        return sum(sorted(self.run_seconds.values()))

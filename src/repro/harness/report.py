@@ -1,21 +1,20 @@
 """Markdown report generation for the reproduction.
 
-``build_report`` turns a finished evaluation run into a self-contained
+:class:`ReproductionReport` renders a finished scenario run
+(:func:`repro.api.run` builds one for every run) as a self-contained
 markdown document with every table, every figure (as a data table plus an
 ASCII chart), the geometric-mean summary against the paper's values, and the
-run's provenance (scale, seed, wall-clock cost).  ``examples/reproduce_paper.py``
-prints the same content; this module writes it to disk so EXPERIMENTS-style
-records can be regenerated mechanically.
+run's provenance (scale, seed, wall-clock cost).  A scenario's
+``output.report`` sink writes it to disk, and ``examples/reproduce_paper.py``
+prints it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 from repro.core.results import WorkloadResult
-from repro.harness.experiments import EvaluationMatrix
 from repro.harness.figures import (
     PAPER_SPEEDUP_SUMMARY,
     figure8_speedup,
@@ -26,8 +25,10 @@ from repro.harness.figures import (
     render_figure,
     speedup_summary,
 )
-from repro.harness.parallel import ParallelEvaluationRunner
 from repro.harness.tables import render_all_tables
+
+if TYPE_CHECKING:
+    from repro.api.run import ScenarioMatrix
 
 
 def _markdown_table(
@@ -88,7 +89,7 @@ class ReproductionReport:
     the standard figures -- the coherence sweep lands there.
     """
 
-    matrix: EvaluationMatrix
+    matrix: ScenarioMatrix
     results: List[WorkloadResult]
     wall_clock_seconds: float = 0.0
     extra_sections: List[str] = field(default_factory=list)
@@ -173,28 +174,3 @@ class ReproductionReport:
             sections.append(extra)
             sections.append("")
         return "\n".join(sections)
-
-    def write(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.write_text(self.to_markdown(), encoding="utf-8")
-        return path
-
-
-def build_report(
-    matrix: EvaluationMatrix,
-    progress: Optional[callable] = None,
-    jobs: int = 1,
-) -> ReproductionReport:
-    """Run the matrix and return a report object ready to render or write.
-
-    ``jobs`` > 1 fans the matrix across worker processes (``0`` = every
-    CPU); the results (and therefore the report) are bit-identical to the
-    in-process ``jobs=1`` run.
-    """
-    runner = ParallelEvaluationRunner(matrix=matrix, jobs=jobs, progress=progress)
-    runner.run()
-    return ReproductionReport(
-        matrix=matrix,
-        results=runner.results,
-        wall_clock_seconds=runner.total_wall_clock_seconds(),
-    )

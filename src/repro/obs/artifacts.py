@@ -1,12 +1,12 @@
 """Writing observability artifacts (metrics CSV/JSON, timeline JSON).
 
-The runners resolve the spec's sink paths per (configuration, workload)
-pair *before* the simulator is built -- in multi-pair runs each pair gets
-``<stem>-<config>-<workload><ext>`` (or substitutes a literal ``{pair}``
-placeholder) so pairs never overwrite each other, and worker processes can
-write their own artifacts without shipping sample arrays back.  After a
-replay, :func:`write_pair_artifacts` drains the simulator's sampler and
-recorder into those files.
+:meth:`repro.api.run.ScenarioMatrix.pairs` resolves the spec's sink paths
+per (configuration, workload) pair *before* the simulator is built -- in
+multi-pair runs each pair gets ``<stem>-<config>-<workload><ext>`` (or
+substitutes a literal ``{pair}`` placeholder) so pairs never overwrite
+each other, and worker processes can write their own artifacts without
+shipping sample arrays back.  After a replay, :func:`write_pair_artifacts`
+drains the simulator's sampler and recorder into those files.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def pair_artifacts(
     prefix: str = "",
 ) -> List[DiffableArtifact]:
     """The telemetry artifacts one pair's replay leaves behind (by path
-    resolution only -- the same rules the runners used to write them)."""
+    resolution only -- the same rules the pairs were written with)."""
     resolved = resolve_pair_spec(
         spec, configuration_name, workload_name, multi, prefix=prefix
     )

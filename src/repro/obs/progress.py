@@ -1,8 +1,8 @@
 """The wall-clock heartbeat: pairs done, pairs/s, ETA on stderr.
 
 A :class:`ProgressReporter` is fed one :meth:`pair_done` per replayed
-(configuration, workload) pair by whichever caller is executing -- the
-matrix runner or the sweep engine -- and rate-limits its own output, so
+(configuration, workload) pair by whichever caller is executing --
+:func:`repro.api.run` or the sweep engine -- and rate-limits its own output, so
 callers just tick it.  It writes to stderr (never stdout) so heartbeats
 interleave safely with piped reports and JSON output.
 """

@@ -1,8 +1,8 @@
 """The sweep execution engine: expand, replay, checkpoint, resume.
 
 :func:`run_sweep` drives an expanded grid through the harness's one pair
-loop (:func:`repro.harness.parallel.run_pairs`, which also runs the
-evaluation matrix), so a sweep is bit-identical between ``--jobs 1`` and
+loop (:func:`repro.harness.parallel.run_pairs`, which also runs every
+scenario), so a sweep is bit-identical between ``--jobs 1`` and
 ``--jobs N`` for free.  Three things make it a
 study engine rather than a loop:
 
@@ -48,7 +48,6 @@ from repro.harness.resilience import (
     PairFailureError,
     RetryPolicy,
 )
-from repro.obs.artifacts import resolve_pair_spec
 from repro.obs.log import get_logger
 from repro.obs.progress import ProgressReporter
 from repro.obs.spec import ObservabilitySpec
@@ -301,20 +300,17 @@ def _point_pairs(
     cache: TraceCache,
     observability: Optional[ObservabilitySpec] = None,
 ) -> List[tuple]:
-    """The ``run_pairs`` argument tuples of one point, in the matrix
-    runner's order (workloads outer, configurations inner).
+    """The ``run_pairs`` argument tuples of one point
+    (:meth:`~repro.api.run.ScenarioMatrix.pairs`), with traces from
+    ``cache``.
 
     ``observability`` overrides the point scenario's own spec (the CLI's
     ``--metrics-out``/``--timeline-out`` flags); per-pair sink paths are
-    resolved here, prefixed with the point id so a grid's artifacts never
-    collide."""
+    prefixed with the point id so a grid's artifacts never collide."""
     point.scenario.import_modules()
     matrix = ScenarioMatrix(point.scenario)
-    obs_spec = (
-        observability if observability is not None else matrix.observability
-    )
-    pairs: List[tuple] = []
-    for workload in matrix.workloads():
+
+    def trace_for(workload) -> PackedTrace:
         spec = matrix.workload_spec(workload.name)
         requests = matrix.requests_for(workload)
         spec_dict = (
@@ -334,31 +330,16 @@ def _point_pairs(
                     if key not in replay_only
                 },
             }
-        signature = workload_signature(
-            spec_dict, matrix.scale.seed, requests
+        signature = workload_signature(spec_dict, matrix.scale.seed, requests)
+        return cache.get(signature, workload, matrix.scale.seed, requests)
+
+    return list(
+        matrix.pairs(
+            trace_for,
+            observability if observability is not None else matrix.observability,
+            prefix=point.point_id,
         )
-        trace = cache.get(signature, workload, matrix.scale.seed, requests)
-        window = getattr(workload, "window", 4)
-        for name in matrix.configuration_names:
-            pairs.append(
-                (
-                    name,
-                    trace,
-                    window,
-                    matrix.coherence,
-                    matrix.corona_config,
-                    tuple(point.scenario.modules),
-                    matrix.faults,
-                    resolve_pair_spec(
-                        obs_spec,
-                        name,
-                        workload.name,
-                        True,
-                        prefix=point.point_id,
-                    ),
-                )
-            )
-    return pairs
+    )
 
 
 def _default_output(spec: SweepSpec, directory: Optional[Path]):

@@ -8,9 +8,9 @@ matrix runner and the loop-based coherence sweep that the single
 them checks that every ``jobs`` value still reproduces those numbers bit
 for bit.  The address-level, trace-file and open-loop pairs were recorded
 before packed columns became the only trace representation, when those
-pairs still went through record-object traces or readers.  The matrices,
-scenarios and sweeps they describe are built by the helpers below; change
-one and its digests must be re-recorded.
+pairs still went through record-object traces or readers.  The scenarios
+and sweeps they describe are built by the helpers below; change one and its
+digests must be re-recorded.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.analysis.runtime import result_digest
 from repro.api import ScaleSpec, Scenario, SystemSpec, WorkloadSpec
 from repro.coherence import CoherenceConfig, SharingProfile
 from repro.core.results import WorkloadResult
-from repro.harness.experiments import EvaluationMatrix, ExperimentScale, quick_matrix
 from repro.trace.io import write_trace, write_trace_binary
 from repro.trace.synthetic import uniform_workload
 
@@ -36,39 +35,39 @@ def digests(results: Iterable[WorkloadResult]) -> Dict[str, str]:
     }
 
 
-def small_quick_matrix() -> EvaluationMatrix:
-    """quick_matrix() shrunk to test-suite request counts (same 85 pairs)."""
-    matrix = quick_matrix()
-    matrix.scale = dataclasses.replace(
-        matrix.scale,
-        synthetic_requests=600,
-        splash_min_requests=400,
-        splash_max_requests=700,
-    )
-    return matrix
+#: The six synthetic workloads, in the paper's plot order.
+SYNTHETIC_WORKLOADS = (
+    "Uniform", "Hot Spot", "Tornado", "Transpose", "Bit Reversal", "Neighbor",
+)
 
 
-def tiny_matrix() -> EvaluationMatrix:
-    """Two configurations x the six synthetic workloads at 800 requests."""
-    return EvaluationMatrix(
-        scale=ExperimentScale(
-            synthetic_requests=800,
-            splash_fraction=1e-6,
-            splash_min_requests=800,
-            splash_max_requests=800,
+def small_quick_scenario() -> Scenario:
+    """The default scenario (all 85 pairs at the quick tier) shrunk to
+    test-suite request counts."""
+    return Scenario(
+        scale=ScaleSpec(
+            synthetic_requests=600,
+            splash_min_requests=400,
+            splash_max_requests=700,
         ),
-        configuration_names=["LMesh/ECM", "XBar/OCM"],
-        include_splash=False,
     )
 
 
-def coherent_uniform_matrix() -> EvaluationMatrix:
+def tiny_scenario() -> Scenario:
+    """Two configurations x the six synthetic workloads at 800 requests."""
+    return Scenario(
+        system=SystemSpec(configurations=("LMesh/ECM", "XBar/OCM")),
+        workloads=tuple(WorkloadSpec(name=name) for name in SYNTHETIC_WORKLOADS),
+        scale=ScaleSpec(synthetic_requests=800),
+    )
+
+
+def coherent_uniform_scenario() -> Scenario:
     """One coherence-enabled pair: XBar/OCM x Uniform at 600 requests."""
-    return EvaluationMatrix(
-        scale=ExperimentScale(synthetic_requests=600),
-        configuration_names=["XBar/OCM"],
-        include_splash=False,
-        workload_filter=["Uniform"],
+    return Scenario(
+        system=SystemSpec(configurations=("XBar/OCM",)),
+        workloads=(WorkloadSpec(name="Uniform"),),
+        scale=ScaleSpec(synthetic_requests=600),
         coherence=CoherenceConfig(),
     )
 
@@ -157,7 +156,7 @@ def coherent_mshr_overflow_scenario() -> Scenario:
     )
 
 
-#: :func:`small_quick_matrix`, all 85 pairs.
+#: :func:`small_quick_scenario`, all 85 pairs.
 SMALL_QUICK_MATRIX = {
     "LMesh/ECM/Uniform": "368a822fd367703cbcbd9eb6454c68ee9aaea69ae671eaca95defcc8d3ea57b6",
     "HMesh/ECM/Uniform": "b6e4dd6cc4e5d2893401f06c874f85f3e706919ac3f635aaa4c97a2beb4f88d8",
@@ -246,7 +245,7 @@ SMALL_QUICK_MATRIX = {
     "XBar/OCM/Water-Sp": "46f5686b43358a963f4a25ebe5f3f3c18c5079d7f70eb37effbb5bd9b71507b0",
 }
 
-#: :func:`tiny_matrix`.
+#: :func:`tiny_scenario`.
 TINY_MATRIX = {
     "LMesh/ECM/Uniform": "4f280c8586f8d97ce772849ba0753f44f4543c110c014e01468cc384d0917182",
     "XBar/OCM/Uniform": "632ece94ad13978d17c04fd0f7b06b96bd79498a9097d47e23a7ffdb0d82e415",
@@ -262,7 +261,7 @@ TINY_MATRIX = {
     "XBar/OCM/Neighbor": "1db8873d8f6519758dd597d22cd9fc11d61becddcbcda27beffe148d82c12226",
 }
 
-#: :func:`coherent_uniform_matrix`.
+#: :func:`coherent_uniform_scenario`.
 COHERENT_UNIFORM = {
     "XBar/OCM/Uniform": "4e0450ef21dc2bbfb259a7abdf9534bb7be42d0de57b1e24e3869efb21658f8c",
 }

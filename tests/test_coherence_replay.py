@@ -13,6 +13,7 @@ import dataclasses
 
 import pytest
 
+from repro.api import run
 from repro.coherence import (
     CoherenceConfig,
     SHARED_REGION_BIT,
@@ -23,7 +24,7 @@ from repro.coherence import (
 from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator, simulate_workload
 from repro.harness.experiments import CoherenceSweepPoint, coherence_sweep_report
-from repro.harness.parallel import ParallelEvaluationRunner, run_pairs
+from repro.harness.parallel import run_pairs
 from repro.network.broadcast import OpticalBroadcastBus
 from repro.network.mesh import low_performance_mesh
 from repro.network.message import Message, MessageType
@@ -33,7 +34,7 @@ from tests.golden import (
     COHERENT_UNIFORM,
     SWEEP_1500,
     SWEEP_2000,
-    coherent_uniform_matrix,
+    coherent_uniform_scenario,
     digests,
 )
 
@@ -231,10 +232,10 @@ class TestSerialParallelCoherence:
                 assert getattr(s, field.name) == getattr(p, field.name), field.name
 
     def test_matrix_coherence_plumbs_through_both_runners(self):
-        """The matrix's coherence config reaches the replay in process and
+        """The scenario's coherence config reaches the replay in process and
         in a worker alike, reproducing the golden digest."""
-        serial = ParallelEvaluationRunner(matrix=coherent_uniform_matrix(), jobs=1).run()
-        pooled = ParallelEvaluationRunner(matrix=coherent_uniform_matrix(), jobs=2).run()
+        serial = run(coherent_uniform_scenario(), jobs=1).results
+        pooled = run(coherent_uniform_scenario(), jobs=2).results
         assert serial == pooled
         assert all(result.coherence_enabled for result in serial)
         assert digests(serial) == COHERENT_UNIFORM

@@ -84,6 +84,15 @@ class TestExampleSmoke:
         assert "busiest crossbar channels" in result.stdout
         assert "hottest mesh links" in result.stdout
 
+    def test_reproduce_paper_runs_end_to_end(self):
+        result = _run_example(
+            "reproduce_paper.py", "--requests", "300", "--skip-splash"
+        )
+        assert result.returncode == 0, result.stderr
+        for figure in ("Figure 8", "Figure 9", "Figure 10", "Figure 11"):
+            assert figure in result.stdout
+        assert "Section 5 geometric-mean summary" in result.stdout
+
     def test_address_level_pipeline_runs_end_to_end(self):
         result = _run_example("address_level_pipeline.py", "4", "200")
         assert result.returncode == 0, result.stderr

@@ -1,16 +1,15 @@
-"""Tests for the experiment harness: matrices, runner, tables and figures."""
+"""Tests for the experiment harness: scales, the scenario matrix, runs,
+tables and figures."""
 
 import dataclasses
 
 import pytest
 
+from repro.api import Scenario, WorkloadSpec, build_matrix, run
 from repro.harness.experiments import (
     FULL_SCALE,
     QUICK_SCALE,
-    EvaluationMatrix,
     ExperimentScale,
-    default_matrix,
-    quick_matrix,
 )
 from repro.harness.figures import (
     PAPER_SPEEDUP_SUMMARY,
@@ -21,7 +20,6 @@ from repro.harness.figures import (
     render_figure,
     speedup_summary,
 )
-from repro.harness.parallel import ParallelEvaluationRunner
 from repro.harness.tables import (
     format_table,
     render_all_tables,
@@ -30,7 +28,15 @@ from repro.harness.tables import (
     table3_benchmarks,
     table4_memory_interconnects,
 )
-from tests.golden import TINY_MATRIX, digests, tiny_matrix
+from tests.golden import SYNTHETIC_WORKLOADS, TINY_MATRIX, digests, tiny_scenario
+
+
+def _explicit(*names: str) -> Scenario:
+    return Scenario(workloads=tuple(WorkloadSpec(name=name) for name in names))
+
+
+def _uniform_only(scenario: Scenario) -> Scenario:
+    return dataclasses.replace(scenario, workloads=(WorkloadSpec(name="Uniform"),))
 
 
 class TestExperimentScale:
@@ -59,17 +65,19 @@ class TestExperimentScale:
             ExperimentScale(splash_fraction=0.0)
         with pytest.raises(ValueError):
             ExperimentScale(splash_min_requests=10, splash_max_requests=5)
+        with pytest.raises(ValueError):
+            ExperimentScale(splash_min_requests=0, splash_max_requests=0)
 
 
-class TestEvaluationMatrix:
-    def test_default_matrix_is_5_by_17(self):
-        matrix = default_matrix()
+class TestScenarioMatrix:
+    def test_default_scenario_is_5_by_17(self):
+        matrix = build_matrix(Scenario())
         assert len(matrix.configurations()) == 5
         assert len(matrix.workloads()) == 17
         assert matrix.run_count() == 85
 
     def test_workload_names_in_paper_order(self):
-        matrix = default_matrix()
+        matrix = build_matrix(Scenario())
         names = matrix.workload_names()
         assert names[:6] == [
             "Uniform",
@@ -84,7 +92,7 @@ class TestEvaluationMatrix:
         assert len(matrix.splash_names()) == 11
 
     def test_requests_for_scales_by_workload_kind(self):
-        matrix = quick_matrix()
+        matrix = build_matrix(Scenario())
         synthetic = matrix.workloads()[0]
         splash = matrix.workloads()[8]  # FFT
         assert matrix.requests_for(synthetic) == matrix.scale.synthetic_requests
@@ -95,40 +103,34 @@ class TestEvaluationMatrix:
         )
 
     def test_subset_matrix(self):
-        matrix = EvaluationMatrix(include_splash=False)
+        matrix = build_matrix(_explicit(*SYNTHETIC_WORKLOADS))
         assert len(matrix.workloads()) == 6
         assert matrix.splash_names() == []
 
-    def test_workload_filter_substring(self):
-        matrix = EvaluationMatrix(workload_filter=["uni", "fft"])
+    def test_explicit_workloads_split_by_kind(self):
+        matrix = build_matrix(_explicit("Uniform", "FFT"))
         assert matrix.workload_names() == ["Uniform", "FFT"]
         assert matrix.synthetic_names() == ["Uniform"]
         assert matrix.splash_names() == ["FFT"]
         assert matrix.run_count() == 10
 
-    def test_workload_filter_no_match_is_empty(self):
-        matrix = EvaluationMatrix(workload_filter=["nosuchworkload"])
-        assert matrix.workloads() == []
-        assert matrix.run_count() == 0
-
 
 class TestEvaluationRunner:
-    """The matrix runner end to end on the tiny matrix: in process and on
+    """``repro.api.run`` end to end on the tiny scenario: in process and on
     the pool, against the golden digests."""
 
     def test_run_produces_all_pairs(self):
-        runner = ParallelEvaluationRunner(matrix=tiny_matrix(), jobs=1)
-        results = runner.run()
+        result = run(tiny_scenario(), jobs=1)
+        results = result.results
         assert len(results) == 12  # 2 configurations x 6 synthetic workloads
-        assert runner.total_simulated_requests() == 12 * 800
-        assert runner.total_wall_clock_seconds() > 0
+        assert sum(r.num_requests for r in results) == 12 * 800
+        assert result.report.wall_clock_seconds > 0
         assert digests(results) == TINY_MATRIX
-        pooled = ParallelEvaluationRunner(matrix=tiny_matrix(), jobs=2).run()
+        pooled = run(tiny_scenario(), jobs=2).results
         assert pooled == results
 
     def test_run_workload_by_name(self):
-        matrix = dataclasses.replace(tiny_matrix(), workload_filter=["Uniform"])
-        results = ParallelEvaluationRunner(matrix=matrix, jobs=1).run()
+        results = run(_uniform_only(tiny_scenario()), jobs=1).results
         assert [r.configuration for r in results] == ["LMesh/ECM", "XBar/OCM"]
         assert digests(results) == {
             key: TINY_MATRIX[key] for key in ("LMesh/ECM/Uniform", "XBar/OCM/Uniform")
@@ -136,15 +138,16 @@ class TestEvaluationRunner:
 
     def test_progress_callback(self):
         messages = []
-        matrix = dataclasses.replace(tiny_matrix(), workload_filter=["Uniform"])
-        ParallelEvaluationRunner(matrix=matrix, jobs=1, progress=messages.append).run()
+        run(_uniform_only(tiny_scenario()), jobs=1, progress=messages.append)
         assert len(messages) == 2
         assert "Uniform" in messages[0]
 
     def test_figures_extractable_from_runner_results(self):
-        runner = ParallelEvaluationRunner(matrix=tiny_matrix(), jobs=1)
-        results = runner.run()
-        speedups = figure8_speedup(results, workload_order=runner.matrix.workload_names())
+        result = run(tiny_scenario(), jobs=1)
+        results = result.results
+        speedups = figure8_speedup(
+            results, workload_order=result.report.matrix.workload_names()
+        )
         assert set(speedups) == {
             "Uniform",
             "Hot Spot",

@@ -1,11 +1,12 @@
 """Tests for the markdown report, the sensitivity sweeps, the address-level
 workloads and the command-line interface."""
 
+import dataclasses
+
 import pytest
 
+from repro.api import OutputSpec, run
 from repro.cli import build_parser, main
-from repro.harness.experiments import EvaluationMatrix, ExperimentScale
-from repro.harness.report import build_report
 from repro.harness.sensitivity import (
     SweepPoint,
     channel_bandwidth_sensitivity,
@@ -22,24 +23,12 @@ from repro.trace.address import (
     resident_workload,
     streaming_workload,
 )
-
-
-def _tiny_matrix():
-    return EvaluationMatrix(
-        scale=ExperimentScale(
-            synthetic_requests=600,
-            splash_fraction=1e-6,
-            splash_min_requests=600,
-            splash_max_requests=600,
-        ),
-        configuration_names=["LMesh/ECM", "XBar/OCM"],
-        include_splash=False,
-    )
+from tests.golden import tiny_scenario
 
 
 class TestReport:
-    def test_build_report_and_render(self):
-        report = build_report(_tiny_matrix())
+    def test_run_report_renders(self):
+        report = run(tiny_scenario()).report
         markdown = report.to_markdown()
         assert "# Corona reproduction report" in markdown
         assert "Figure 8" in markdown and "Figure 11" in markdown
@@ -48,17 +37,20 @@ class TestReport:
         assert "XBar/OCM" in markdown
 
     def test_report_summary_and_write(self, tmp_path):
-        report = build_report(_tiny_matrix())
+        path = tmp_path / "report.md"
+        scenario = dataclasses.replace(
+            tiny_scenario(), output=OutputSpec(report=str(path))
+        )
+        report = run(scenario).report
         summary = report.summary()
         assert "corona_over_baseline_synthetic" in summary
         assert summary["corona_over_baseline_synthetic"] > 0
-        path = report.write(tmp_path / "report.md")
         assert path.exists()
         assert path.read_text().startswith("# Corona reproduction report")
 
-    def test_build_report_parallel_jobs_matches_serial(self):
-        serial = build_report(_tiny_matrix())
-        parallel = build_report(_tiny_matrix(), jobs=2)
+    def test_run_report_parallel_jobs_matches_serial(self):
+        serial = run(tiny_scenario(), jobs=1).report
+        parallel = run(tiny_scenario(), jobs=2).report
         assert parallel.results == serial.results
         assert parallel.to_markdown().splitlines()[0] == "# Corona reproduction report"
 
@@ -225,11 +217,33 @@ class TestScenarioCli:
         assert main(["scenario", "init", str(path), "--force",
                      "--workloads", "Neighbor"]) == 0
 
-    def test_validate_reports_bad_field(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"scale": {"tier": "warp"}}', "scale.tier"),
+            (
+                '{"scale": {"splash_min_requests": 0, "splash_max_requests": 0}}',
+                "scale: splash_min_requests must be >= 1",
+            ),
+        ],
+        ids=["unknown-tier", "zero-splash-minimum"],
+    )
+    def test_validate_reports_bad_field(self, tmp_path, text, field):
         path = tmp_path / "bad.json"
-        path.write_text('{"scale": {"tier": "warp"}}')
-        with pytest.raises(SystemExit, match="scale.tier"):
+        path.write_text(text)
+        with pytest.raises(SystemExit, match=field):
             main(["scenario", "validate", str(path)])
+
+    @pytest.mark.parametrize(
+        "text", ["{}", '{"workloads": []}'], ids=["empty", "no-workloads"]
+    )
+    def test_validate_counts_the_default_workloads(self, tmp_path, capsys, text):
+        """No workloads means the 17 default ones, not the explicit-only
+        registry entries too."""
+        path = tmp_path / "default.json"
+        path.write_text(text)
+        assert main(["scenario", "validate", str(path)]) == 0
+        assert "5 configurations x 17 workloads = 85 pairs" in capsys.readouterr().out
 
     def test_run_rejects_missing_file(self, tmp_path):
         with pytest.raises(SystemExit):

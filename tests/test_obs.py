@@ -135,6 +135,48 @@ class TestPairArtifactPaths:
             is None
         )
 
+    @pytest.mark.parametrize(
+        "configurations, expected",
+        [
+            (("XBar/OCM",), ["m.csv"]),
+            (
+                ("XBar/OCM", "LMesh/ECM"),
+                ["m-LMesh-ECM-Uniform.csv", "m-XBar-OCM-Uniform.csv"],
+            ),
+        ],
+    )
+    def test_run_writes_each_pair_to_its_own_path(
+        self, tmp_path, configurations, expected
+    ):
+        """A one-pair run keeps the path as given; a multi-pair run slugs
+        every pair's file."""
+        spec = ObservabilitySpec(metrics_path=str(tmp_path / "m.csv"))
+        run(
+            _scenario(
+                configurations=configurations,
+                observability=spec,
+                num_requests=300,
+            )
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == expected
+
+    def test_sweep_prefixes_each_pair_path_with_its_point_id(self, tmp_path):
+        spec = SweepSpec(
+            name="paths",
+            base=_scenario(
+                observability=ObservabilitySpec(
+                    metrics_path=str(tmp_path / "m.csv")
+                ),
+                num_requests=300,
+            ),
+            axes=(SweepAxis(name="seed", path="scale.seed", values=(1, 2)),),
+        )
+        run_sweep(spec, jobs=1)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "m-000-seed-1-XBar-OCM-Uniform.csv",
+            "m-001-seed-2-XBar-OCM-Uniform.csv",
+        ]
+
 
 class TestBitIdentity:
     def test_disabled_observability_is_bit_identical(self):

@@ -1,6 +1,6 @@
 """Tests for :class:`repro.trace.file.TraceFileWorkload`: on-disk traces as
 scenario- and sweep-addressable workloads, deterministic truncation, and the
-``fixed_requests`` protocol in both evaluation matrices."""
+``fixed_requests`` protocol of the scenario matrix."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.api import Scenario, ScenarioError, SystemSpec, WorkloadSpec, run
 from repro.api.run import ScenarioMatrix
 from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator
-from repro.harness.experiments import EvaluationMatrix
 from repro.sweeps import SweepAxis, SweepSpec, run_sweep
 from repro.trace.file import TraceFileWorkload, truncate_packed
 from repro.trace.io import write_trace, write_trace_binary
@@ -151,8 +150,6 @@ class TestScenarioIntegration:
         assert result.results[0].num_requests == 800
 
     def test_matrices_honor_fixed_requests(self, binary_path):
-        workload = TraceFileWorkload(binary_path)
-        assert EvaluationMatrix().requests_for(workload) == 3_000
         matrix = ScenarioMatrix(self._scenario(binary_path))
         assert matrix.requests_for(matrix.workloads()[0]) == 3_000
 

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.api import run
 from repro.coherence import CoherenceConfig, SharingProfile
 from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator
@@ -34,7 +35,7 @@ from repro.trace.packed import (
 )
 from repro.trace.splash2 import splash2_workload
 from repro.trace.synthetic import uniform_workload
-from tests.golden import TINY_MATRIX, digests, tiny_matrix
+from tests.golden import TINY_MATRIX, digests, tiny_scenario
 
 #: :func:`_trace_digest` of the record-object generator's output (packed),
 #: recorded before the packed columns became the only representation.
@@ -274,9 +275,9 @@ class TestBufferShipping:
 
         monkeypatch.setattr(parallel, "_shared_memory", None)
         monkeypatch.setattr(parallel, "TraceShipment", RecordingShipment)
-        matrix = tiny_matrix()
-        results = parallel.ParallelEvaluationRunner(matrix=matrix, jobs=2).run()
-        assert len(shipped) == len(matrix.workloads())
+        scenario = tiny_scenario()
+        results = run(scenario, jobs=2).results
+        assert len(shipped) == len(scenario.workloads)
         assert all(shipment.handle is shipment.packed for shipment in shipped)
         assert digests(results) == TINY_MATRIX
 
