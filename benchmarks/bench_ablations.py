@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the design's key modelling and architectural choices.
 
 Each ablation varies one modelling or architectural knob and checks that the
 system responds the way the paper's argument predicts:

@@ -40,7 +40,7 @@ def test_inventory_scaling_ablation(benchmark):
     """Ablation: how the ring budget scales with cluster count.
 
     The crossbar's ring count grows quadratically with the number of clusters,
-    which is the main scalability pressure on the design (DESIGN.md).
+    which is the main scalability pressure on the design.
     """
     def sweep():
         return {

@@ -237,12 +237,7 @@ def measure(rounds: int = 3, smoke: bool = False) -> Dict[str, float]:
     metrics["matrix_parallel_seconds"] = parallel_seconds
     metrics["matrix_parallel_jobs"] = jobs
     metrics["matrix_parallel_pairs_per_s"] = pairs / parallel_seconds
-    # Dispatch overhead: pool wall-clock beyond the ideal division of the
-    # workers' replay seconds -- trace generation, shipping (a shared-memory
-    # handle per pair since the packed pipeline) and result collection.
-    metrics["matrix_dispatch_seconds"] = max(
-        0.0, parallel_seconds - parallel.report.wall_clock_seconds / jobs
-    )
+    metrics["matrix_dispatch_seconds"] = parallel.timings["phases"]["dispatch"]
     LAST_PHASE_TIMINGS.clear()
     LAST_PHASE_TIMINGS.update(
         {

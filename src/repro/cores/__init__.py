@@ -8,9 +8,6 @@ system study needs from them:
 * the :class:`~repro.cores.core.Core` and :class:`~repro.cores.cluster.Cluster`
   structural/configuration view (threads, caches, peak flops, area and power
   estimates scaled from Penryn/Silverthorne as the paper describes);
-* the :class:`~repro.cores.thread.ThreadWindow` timing model -- how an
-  in-order multithreaded core turns L2-miss latency into stall time, which is
-  what converts interconnect performance into execution time;
 * the :class:`~repro.cores.hub.Hub` that routes traffic between the L2,
   directory, memory controller, network interface and the optical interconnect.
 """
@@ -18,7 +15,6 @@ system study needs from them:
 from repro.cores.core import Core, CoreParameters
 from repro.cores.cluster import Cluster, ClusterParameters
 from repro.cores.hub import Hub
-from repro.cores.thread import ThreadWindow
 
 __all__ = [
     "Core",
@@ -26,5 +22,4 @@ __all__ = [
     "Cluster",
     "ClusterParameters",
     "Hub",
-    "ThreadWindow",
 ]

@@ -13,8 +13,8 @@ The package has three layers:
   counts what it did in :class:`FaultStats`.
 * :mod:`repro.faults.chaos` -- *harness* chaos (worker crashes, hangs,
   injected errors) driven by the ``CORONA_CHAOS`` environment variable; used
-  by the resilience tests and the CI ``chaos-smoke`` job, never by the
-  simulation itself.
+  by the resilience tests and ``scripts/smoke.py``'s chaos section, never by
+  the simulation itself.
 
 Every fault decision is a pure function of ``(seed, site, counter)`` via
 :func:`repro.faults.determinism.stable_uniform`, so identical seeds produce

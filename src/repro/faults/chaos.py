@@ -4,9 +4,9 @@ This is the *test* side of the resilience layer -- it never touches the
 simulation.  When the ``CORONA_CHAOS`` environment variable is set, worker
 processes consult it before replaying each pair and may deterministically
 crash (``os._exit``), hang (``time.sleep``) or raise, exercising the
-supervised pool's crash detection, timeouts and retries.  The CI
-``chaos-smoke`` job and the resilience tests drive it; production runs never
-set the variable.
+supervised pool's crash detection, timeouts and retries.  The chaos section
+of ``scripts/smoke.py`` and the resilience tests drive it; production runs
+never set the variable.
 
 Format (comma-separated ``key=value``)::
 

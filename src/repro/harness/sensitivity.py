@@ -4,10 +4,10 @@ The paper's conclusions rest on a handful of technology projections (waveguide
 loss, per-ring through loss, detector sensitivity) and architectural choices
 (crossbar channel width, token-ring latency, per-thread memory-level
 parallelism, memory latency).  Each function here sweeps one knob and returns
-a small table, so the "how much device improvement does Corona actually need"
-question from DESIGN.md can be answered quantitatively.  The ablation
-benchmarks (``benchmarks/bench_ablations.py``) exercise the architectural
-sweeps; ``examples/sensitivity_study.py`` prints the physical ones.
+a small table, so how much device improvement Corona actually needs can be
+answered quantitatively.  The ablation benchmarks
+(``benchmarks/bench_ablations.py``) exercise the architectural sweeps;
+``examples/sensitivity_study.py`` prints the physical ones.
 """
 
 from __future__ import annotations

@@ -10,9 +10,8 @@ links: per-NI bandwidth from wavelength count and signalling rate, fiber
 flight latency from cable length, serialization and contention from a
 :class:`~repro.sim.resources.SerialResource`, and an energy-per-bit figure for
 power accounting.  ``MultiStackFabric`` composes the NIs of several stacks
-into an all-to-all fabric and estimates the remote-access penalty -- the
-extension experiment in ``benchmarks/bench_ablations.py`` and DESIGN.md's
-future-work list.
+into an all-to-all fabric and estimates the remote-access penalty; no
+scenario or benchmark uses it yet, only its unit tests.
 """
 
 from __future__ import annotations

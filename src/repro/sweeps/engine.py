@@ -32,8 +32,11 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.api.run import ScenarioMatrix
 from repro.core.results import (
@@ -299,14 +302,17 @@ def _point_pairs(
     point: SweepPoint,
     cache: TraceCache,
     observability: Optional[ObservabilitySpec] = None,
-) -> List[tuple]:
-    """The ``run_pairs`` argument tuples of one point
+) -> Tuple[int, Iterator[tuple]]:
+    """One point's pair count and its lazy ``run_pairs`` argument tuples
     (:meth:`~repro.api.run.ScenarioMatrix.pairs`), with traces from
     ``cache``.
 
-    ``observability`` overrides the point scenario's own spec (the CLI's
-    ``--metrics-out``/``--timeline-out`` flags); per-pair sink paths are
-    prefixed with the point id so a grid's artifacts never collide."""
+    Building the point's matrix generates no trace, but it fails a bad name
+    or factory param here; each trace is generated when the fan-out reaches
+    its first pair.  ``observability`` overrides the point scenario's own
+    spec (the CLI's ``--metrics-out``/``--timeline-out`` flags); per-pair
+    sink paths are prefixed with the point id so a grid's artifacts never
+    collide."""
     point.scenario.import_modules()
     matrix = ScenarioMatrix(point.scenario)
 
@@ -333,12 +339,10 @@ def _point_pairs(
         signature = workload_signature(spec_dict, matrix.scale.seed, requests)
         return cache.get(signature, workload, matrix.scale.seed, requests)
 
-    return list(
-        matrix.pairs(
-            trace_for,
-            observability if observability is not None else matrix.observability,
-            prefix=point.point_id,
-        )
+    return matrix.run_count(), matrix.pairs(
+        trace_for,
+        observability if observability is not None else matrix.observability,
+        prefix=point.point_id,
     )
 
 
@@ -585,18 +589,19 @@ def run_sweep(
         )
 
     cache = trace_cache if trace_cache is not None else TraceCache()
-    pairs: List[tuple] = []
-    spans: List[Tuple[SweepPoint, int, int]] = []
+    spans: List[Tuple[SweepPoint, int]] = []
+    streams: List[Iterator[tuple]] = []
     for point in pending:
-        point_pairs = _point_pairs(point, cache, observability)
-        spans.append((point, len(pairs), len(pairs) + len(point_pairs)))
-        pairs.extend(point_pairs)
+        count, stream = _point_pairs(point, cache, observability)
+        spans.append((point, count))
+        streams.append(stream)
+    total = sum(count for _point, count in spans)
 
     fresh: Dict[str, List[WorkloadResult]] = {}
     point_failures: Dict[str, List[PairFailure]] = {}
     retried_total = 0
     effective_jobs = spec.jobs if jobs is None else jobs
-    if pairs:
+    if total:
         base_obs = (
             observability if observability is not None
             else spec.base.observability
@@ -604,7 +609,7 @@ def run_sweep(
         heartbeat = None
         if base_obs is not None and base_obs.progress:
             heartbeat = ProgressReporter(
-                len(pairs),
+                total,
                 interval_s=base_obs.progress_interval_s,
                 label="sweep",
             )
@@ -644,8 +649,8 @@ def run_sweep(
                 heartbeat.pair_done(
                     failed=failure is not None, retries=attempts - 1
                 )
-            point, start, stop = spans[span_index]
-            if len(buffer) < stop - start:
+            point, count = spans[span_index]
+            if len(buffer) < count:
                 return
             results = [r for r in buffer if r is not None]
             failures = list(buffer_failures)
@@ -691,9 +696,10 @@ def run_sweep(
             # points checkpoint no matter what); strictness is applied after
             # the grid finishes, below.
             run_pairs(
-                pairs, jobs=effective_jobs, progress=progress,
+                chain.from_iterable(streams), jobs=effective_jobs,
+                progress=progress,
                 policy=replace(effective_policy, allow_failures=True),
-                on_outcome=collect,
+                on_outcome=collect, count=total,
             )
         finally:
             if points_handle is not None:

@@ -178,6 +178,40 @@ class TestWorkloadReplay:
         )
         assert wide.execution_time_s < narrow.execution_time_s
 
+    @pytest.mark.parametrize("name", ["XBar/OCM", "LMesh/ECM"])
+    def test_window_bounds_outstanding_misses(self, small_config, name):
+        # One thread, 8 remote misses.  With zero gaps and one window slot
+        # each miss issues when the one before it completes, so the makespan
+        # is the sum of the latencies; two slots overlap them in pairs.  With
+        # the window open, 1000-cycle gaps space the issues instead.
+        def replay(depth, gap_cycles=0.0):
+            builder = PackedTraceBuilder(
+                "chain", num_clusters=16, threads_per_cluster=2
+            )
+            for index in range(8):
+                home = 1 + index
+                address = (home << 26) | (index << 6)
+                builder.append(0, home, False, False, address, gap_cycles)
+            return SystemSimulator(
+                configuration_by_name(name),
+                corona_config=small_config,
+                window_depth=depth,
+            ).run(builder.build())
+
+        serial = replay(1)
+        assert serial.execution_time_s == pytest.approx(
+            serial.num_requests * serial.average_latency_s, rel=1e-9
+        )
+        paired = replay(2)
+        assert paired.execution_time_s == pytest.approx(
+            paired.num_requests * paired.average_latency_s / 2, rel=0.05
+        )
+        spaced = replay(8, gap_cycles=1000.0)
+        last_issue_s = 8 * 1000.0 / small_config.clock_hz
+        assert spaced.execution_time_s - last_issue_s == pytest.approx(
+            spaced.average_latency_s, rel=0.05
+        )
+
     def test_rejects_bad_window(self, small_config):
         with pytest.raises(ValueError):
             SystemSimulator(

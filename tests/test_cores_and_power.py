@@ -1,11 +1,10 @@
-"""Tests for core/cluster/hub/thread models and the power models."""
+"""Tests for core/cluster/hub models and the power models."""
 
 import pytest
 
 from repro.cores.cluster import Cluster, ClusterParameters
 from repro.cores.core import Core, CoreParameters, CorePowerAreaModel
 from repro.cores.hub import Hub
-from repro.cores.thread import ThreadWindow
 from repro.power.cacti import CacheGeometry, cache_power_area
 from repro.power.chip import corona_chip_power
 from repro.power.electrical import (
@@ -73,42 +72,6 @@ class TestHub:
         departure = hub.inject(0.0, departure_time=1e-9)
         assert departure == pytest.approx(hub.forwarding_latency_s)
         assert hub.messages_routed == 1
-
-
-class TestThreadWindow:
-    def test_issue_follows_gap_when_window_open(self):
-        window = ThreadWindow(thread_id=0, depth=2, clock_hz=5e9)
-        issue = window.earliest_issue_time(gap_cycles=10)
-        assert issue == pytest.approx(2e-9)
-
-    def test_issue_blocks_on_window(self):
-        window = ThreadWindow(thread_id=0, depth=2, clock_hz=5e9)
-        window.record_issue(0.0, completion_time=100e-9)
-        window.record_issue(1e-9, completion_time=50e-9)
-        # Third issue must wait for the first (oldest in window) to complete.
-        issue = window.earliest_issue_time(gap_cycles=5)
-        assert issue == pytest.approx(100e-9)
-
-    def test_deep_window_tolerates_latency(self):
-        shallow = ThreadWindow(thread_id=0, depth=1, clock_hz=5e9)
-        deep = ThreadWindow(thread_id=1, depth=8, clock_hz=5e9)
-        for window in (shallow, deep):
-            time = 0.0
-            for _ in range(8):
-                time = window.earliest_issue_time(gap_cycles=5)
-                window.record_issue(time, completion_time=time + 100e-9)
-        assert deep.last_issue_time < shallow.last_issue_time
-
-    def test_completion_before_issue_rejected(self):
-        window = ThreadWindow(thread_id=0)
-        with pytest.raises(ValueError):
-            window.record_issue(10e-9, completion_time=5e-9)
-
-    def test_finish_time(self):
-        window = ThreadWindow(thread_id=0, depth=4)
-        window.record_issue(0.0, completion_time=30e-9)
-        window.record_issue(1e-9, completion_time=20e-9)
-        assert window.finish_time == pytest.approx(30e-9)
 
 
 class TestCactiModel:

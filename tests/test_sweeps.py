@@ -382,6 +382,48 @@ class TestEngine:
         assert len(outcome.records) == 3
         assert cache.generations == 1
 
+    def test_traces_generate_as_the_fan_out_reaches_each_point(self):
+        # Each point's trace is generated just before its pairs replay, so
+        # generation interleaves with the checkpoints instead of all landing
+        # before the first replay.
+        events = []
+        cache = TraceCache(on_generate=lambda key, packed: events.append("generate"))
+        base = replace(
+            _base(300), system=SystemSpec(configurations=("XBar/OCM",))
+        )
+        spec = SweepSpec(
+            base=base,
+            axes=(SweepAxis(name="seed", path="scale.seed", values=(1, 2, 3)),),
+        )
+        run_sweep(
+            spec, jobs=1, trace_cache=cache,
+            on_point=lambda point, results: events.append("point"),
+        )
+        assert events == ["generate", "point"] * 3
+
+    def test_unknown_workload_fails_before_any_point_runs(self, tmp_path):
+        # Every pending point's matrix is built before the fan-out, so a bad
+        # name in a later point fails before the first replay.
+        directory = tmp_path / "out"
+        spec = SweepSpec(
+            base=_base(300),
+            axes=(
+                SweepAxis(
+                    name="workload",
+                    path="workloads[0].name",
+                    values=("Uniform", "No Such Workload"),
+                ),
+            ),
+        )
+        seen = []
+        with pytest.raises(ScenarioError, match="No Such Workload"):
+            run_sweep(
+                spec, directory=directory,
+                on_point=lambda point, results: seen.append(point.point_id),
+            )
+        assert seen == []
+        assert (directory / POINTS_NAME).read_text() == ""
+
     def test_serial_and_parallel_runs_bit_identical(self):
         # >= 12 points, one pair each (acceptance grid).
         spec = _grid(300, gaps=(10.0, 20.0, 30.0, 40.0, 50.0, 60.0))
