@@ -4,17 +4,17 @@ This package is the supported surface for driving the reproduction
 programmatically.  Three pieces:
 
 * **Registries** (:mod:`repro.api.registry`) -- ``@register_configuration``,
-  ``@register_workload`` and ``@register_experiment`` decorators over
-  name -> factory tables, pre-seeded with the paper's five systems, its 17
-  workloads and the built-in experiments.  User modules add entries without
-  touching repro source.
+  ``@register_workload`` and ``@register_sweep`` decorators over
+  name -> factory tables, pre-seeded with the paper's five systems and its
+  17 workloads (importing :mod:`repro.sweeps` adds the stock sweeps).  User
+  modules add entries without touching repro source.
 * **Scenario spec** (:mod:`repro.api.scenario`) -- a frozen dataclass tree
   with an exact ``to_dict``/``from_dict`` JSON round-trip and validation
   errors that name the offending field.
 * **``run()``** (:mod:`repro.api.run`) -- the single entry point: resolves a
   scenario against the registries, runs its matrix (in process or on a
   worker pool), streams per-pair results, and writes the markdown/JSON/CSV
-  sinks.
+  sinks.  A grid of scenarios is a :class:`repro.sweeps.SweepSpec`.
 
 Quickstart::
 
@@ -37,7 +37,6 @@ or, file-driven (the CLI's ``corona-repro run scenario.json``)::
 
 from repro.api.registry import (
     CONFIGURATIONS,
-    EXPERIMENTS,
     SWEEPS,
     WORKLOADS,
     Registry,
@@ -45,16 +44,13 @@ from repro.api.registry import (
     RegistryError,
     UnknownEntryError,
     build_configuration,
-    build_sweep,
     build_workload,
     register_configuration,
-    register_experiment,
     register_sweep,
     register_workload,
 )
 from repro.api.fields import set_field
 from repro.api.run import (
-    ExperimentContext,
     ScenarioMatrix,
     ScenarioResult,
     build_matrix,
@@ -63,7 +59,6 @@ from repro.api.run import (
 from repro.api.scenario import (
     SCALE_TIERS,
     SCENARIO_FORMAT,
-    ExperimentSpec,
     OutputSpec,
     ScaleSpec,
     Scenario,
@@ -78,7 +73,6 @@ __all__ = [
     # registries
     "CONFIGURATIONS",
     "WORKLOADS",
-    "EXPERIMENTS",
     "SWEEPS",
     "Registry",
     "RegistryError",
@@ -86,11 +80,9 @@ __all__ = [
     "UnknownEntryError",
     "register_configuration",
     "register_workload",
-    "register_experiment",
     "register_sweep",
     "build_configuration",
     "build_workload",
-    "build_sweep",
     # scenario spec
     "Scenario",
     "ScenarioError",
@@ -98,7 +90,6 @@ __all__ = [
     "WorkloadSpec",
     "ArrivalSpec",
     "ScaleSpec",
-    "ExperimentSpec",
     "OutputSpec",
     "SCALE_TIERS",
     "SCENARIO_FORMAT",
@@ -109,5 +100,4 @@ __all__ = [
     "build_matrix",
     "ScenarioMatrix",
     "ScenarioResult",
-    "ExperimentContext",
 ]

@@ -1,6 +1,6 @@
 """Name -> factory registries behind the Scenario API.
 
-Four tables make everything the harness can run addressable by name:
+Three tables make everything the harness can run addressable by name:
 
 * **configurations** -- ``name -> () -> SystemConfiguration``.  Seeded with
   the paper's five systems (:mod:`repro.core.configs`).
@@ -10,12 +10,10 @@ Four tables make everything the harness can run addressable by name:
   *explicit-only* ``trace-file`` wrapper for on-disk traces (explicit-only
   entries require parameters, so an empty ``workloads`` list -- "run every
   registered workload" -- skips them; see :meth:`Registry.default_names`).
-* **experiments** -- ``name -> (context, **params) -> markdown section``.
-  Seeded in :mod:`repro.api.run` with the coherence sharing-fraction sweep
-  and the photonic sensitivity study.
 * **sweeps** -- ``name -> (**params) -> SweepSpec``.  Seeded in
   :mod:`repro.sweeps.library` (importing :mod:`repro.sweeps` registers the
-  stock specs) with the coherence and sensitivity grids.
+  stock specs) with the coherence, sensitivity and latency-throughput
+  grids.
 
 User modules extend any table without touching repro source::
 
@@ -142,10 +140,9 @@ class Registry:
         return len(self._entries)
 
 
-#: The four public tables.
+#: The three public tables.
 CONFIGURATIONS = Registry("configuration")
 WORKLOADS = Registry("workload")
-EXPERIMENTS = Registry("experiment")
 SWEEPS = Registry("sweep")
 
 
@@ -175,11 +172,6 @@ def register_workload(
     return WORKLOADS.register(name, replace=replace, explicit_only=explicit_only)
 
 
-def register_experiment(name: Optional[str] = None, *, replace: bool = False):
-    """Register a ``(context, **params) -> markdown`` experiment factory."""
-    return EXPERIMENTS.register(name, replace=replace)
-
-
 def register_sweep(name: Optional[str] = None, *, replace: bool = False):
     """Register a ``(**params) -> SweepSpec`` factory by name.
 
@@ -187,19 +179,6 @@ def register_sweep(name: Optional[str] = None, *, replace: bool = False):
     run <name>`` and :func:`repro.sweeps.build_registered_sweep`.
     """
     return SWEEPS.register(name, replace=replace)
-
-
-def build_sweep(name: str, **params):
-    """Build the sweep spec registered under ``name`` with ``params``."""
-    spec = SWEEPS.build(name, **params)
-    from repro.sweeps.spec import SweepSpec  # deferred: sweeps imports api
-
-    if not isinstance(spec, SweepSpec):
-        raise RegistryError(
-            f"sweep factory {name!r} returned {type(spec).__name__}, "
-            f"expected SweepSpec"
-        )
-    return spec
 
 
 def build_configuration(name: str) -> SystemConfiguration:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.api import registry
-from repro.api.scenario import OutputSpec, Scenario, ScenarioError, WorkloadSpec
+from repro.api.scenario import Scenario, ScenarioError, WorkloadSpec
 from repro.core.config import CoronaConfig
 from repro.core.results import (
     RESULT_CSV_COLUMNS,
@@ -246,28 +246,6 @@ def build_matrix(scenario: Scenario) -> ScenarioMatrix:
 
 
 @dataclass
-class ExperimentContext:
-    """What a registered experiment factory gets to work with.
-
-    ``written`` is shared with the enclosing :class:`ScenarioResult`:
-    experiments that emit structured sinks (JSON/CSV files of their own, the
-    sweep-backed ones do) record the paths here so they surface in the CLI's
-    "written to" summary alongside the scenario's sinks.
-    """
-
-    scenario: Scenario
-    matrix: ScenarioMatrix
-    results: List[WorkloadResult]
-    jobs: int = 1
-    progress: Optional[Callable[[str], None]] = None
-    written: Dict[str, Path] = field(default_factory=dict)
-
-    @property
-    def scale(self) -> ExperimentScale:
-        return self.matrix.scale
-
-
-@dataclass
 class ScenarioResult:
     """Everything one scenario run produced."""
 
@@ -402,19 +380,7 @@ def run(
     is the default policy: crashes are recovered and the first pair that
     stays broken aborts the run.
     """
-    scenario.import_modules()
-    # Experiment names are checked before the (long) matrix run so a typo
-    # fails in milliseconds, not after the last pair finishes; everything
-    # else is validated by the matrix construction itself, which fires each
-    # registered factory exactly once.
-    for index, spec in enumerate(scenario.experiments):
-        if spec.name not in registry.EXPERIMENTS:
-            raise ScenarioError(
-                f"experiments[{index}].name",
-                f"unknown experiment {spec.name!r}; registered: "
-                f"{registry.EXPERIMENTS.names()}",
-            )
-    matrix = ScenarioMatrix(scenario)
+    matrix = build_matrix(scenario)
     jobs = scenario.jobs if jobs is None else jobs
     count = matrix.run_count()
     heartbeat = None
@@ -516,143 +482,5 @@ def run(
         failures=failures,
         timings=timings,
     )
-    context = ExperimentContext(
-        scenario=scenario,
-        matrix=matrix,
-        results=result.results,
-        jobs=jobs,
-        progress=progress,
-        written=result.written,
-    )
-    for index, spec in enumerate(scenario.experiments):
-        try:
-            factory = registry.EXPERIMENTS.get(spec.name)
-        except registry.RegistryError as exc:
-            raise ScenarioError(f"experiments[{index}].name", str(exc)) from None
-        try:
-            section = factory(context, **dict(spec.params))
-        except TypeError as exc:
-            raise ScenarioError(f"experiments[{index}].params", str(exc)) from None
-        report.extra_sections.append(section)
     _write_outputs(result, matrix)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Seed experiments
-# ---------------------------------------------------------------------------
-
-@registry.register_experiment("coherence-sweep")
-def _coherence_sweep_experiment(
-    context: ExperimentContext,
-    fractions: Optional[Sequence[float]] = None,
-    configurations: Optional[Sequence[str]] = None,
-    num_requests: Optional[int] = None,
-    sharing: Optional[Dict[str, object]] = None,
-    json: Optional[str] = None,
-    csv: Optional[str] = None,
-):
-    """The sharing-fraction sweep (photonic vs electrical coherence cost).
-
-    Defaults: the LMesh/ECM / HMesh/ECM / XBar/OCM trio restricted to the
-    scenario's configurations, at the scenario scale's synthetic request
-    count and seed.  Expressed as a declarative sweep spec
-    (:func:`repro.sweeps.coherence_sweep_spec`) and executed by the sweep
-    engine (its per-pair results are pinned by golden digests), and
-    ``json``/``csv`` params additionally emit the long-form per-point
-    records the report section cannot carry.
-    """
-    from repro.harness.experiments import (
-        COHERENCE_SWEEP_CONFIGURATIONS,
-        COHERENCE_SWEEP_FRACTIONS,
-        CoherenceSweepPoint,
-        coherence_sweep_report,
-    )
-    from repro.sweeps import coherence_sweep_spec, run_sweep
-
-    names = configurations
-    if names is None:
-        names = [
-            name
-            for name in COHERENCE_SWEEP_CONFIGURATIONS
-            if name in context.matrix.configuration_names
-        ] or list(context.matrix.configuration_names)
-    fractions = tuple(fractions) if fractions else COHERENCE_SWEEP_FRACTIONS
-    spec = coherence_sweep_spec(
-        fractions=fractions,
-        configurations=names,
-        num_requests=num_requests or context.scale.synthetic_requests,
-        seed=context.scale.seed,
-        coherence=context.scenario.coherence,
-        sharing_kwargs=sharing,
-        # System overrides and user registrations apply to the sweep exactly
-        # as to the matrix (same architecture, worker-importable modules).
-        overrides=context.scenario.system.overrides,
-        modules=context.scenario.modules,
-        output=OutputSpec(json=json, csv=csv),
-    )
-    outcome = run_sweep(spec, jobs=context.jobs, progress=context.progress)
-    for kind, path in outcome.written.items():
-        context.written[f"coherence-sweep-{kind}"] = path
-    points = [
-        CoherenceSweepPoint(
-            sharing_fraction=fraction,
-            results=tuple(
-                record.result
-                for record in outcome.records
-                if record.axis_values["fraction"] == fraction
-            ),
-        )
-        for fraction in fractions
-    ]
-    return coherence_sweep_report(points)
-
-
-@registry.register_experiment("sensitivity")
-def _sensitivity_experiment(
-    context: ExperimentContext,
-    json: Optional[str] = None,
-    csv: Optional[str] = None,
-):
-    """The photonic-design sensitivity sweeps as a report section.
-
-    ``json``/``csv`` params additionally write the sweep points as
-    structured records (one row per swept parameter value) -- the machine
-    channel for the numbers the text tables render.
-    """
-    import csv as csv_module
-    import json as json_module
-
-    from repro.harness.sensitivity import (
-        physical_design_sweep_records,
-        physical_design_sweeps_text,
-    )
-
-    if json or csv:
-        records = physical_design_sweep_records()
-        if json:
-            path = _write_path(json)
-            path.write_text(
-                json_module.dumps(
-                    {"format": "corona-sensitivity/1", "records": records},
-                    indent=2,
-                )
-                + "\n",
-                encoding="utf-8",
-            )
-            context.written["sensitivity-json"] = path
-        if csv:
-            path = _write_path(csv)
-            with path.open("w", encoding="utf-8", newline="") as handle:
-                writer = csv_module.writer(handle)
-                columns = list(records[0])
-                writer.writerow(columns)
-                writer.writerows(
-                    [record[column] for column in columns] for record in records
-                )
-            context.written["sensitivity-csv"] = path
-    return (
-        "## Photonic design sensitivity\n\n```\n"
-        + physical_design_sweeps_text()
-        + "\n```"
-    )

@@ -4,9 +4,9 @@ A :class:`Scenario` is a frozen dataclass tree that captures *everything the
 harness can run* as plain data: which system configurations to build (by
 registry name, plus :class:`~repro.core.config.CoronaConfig` overrides),
 which workloads with which parameters (including sharing profiles), the
-request-count scale tier, coherence settings, follow-on experiments, worker
-count, user modules to import, and where to write the report and the
-result sinks.
+request-count scale tier, coherence settings, worker count, user modules
+to import, and where to write the report and the result sinks.  A scenario
+is one matrix; a grid of scenarios is a :class:`~repro.sweeps.SweepSpec`.
 
 The representation is exact: ``Scenario.from_dict(s.to_dict()) == s`` for
 every scenario, and the dict form is JSON-clean (lists, dicts, scalars), so
@@ -59,11 +59,13 @@ class ScenarioError(ValueError):
     """A scenario failed to parse or validate.
 
     ``field`` holds the dotted path of the offending field (e.g.
-    ``workloads[0].sharing.fraction``); the message always starts with it.
+    ``workloads[0].sharing.fraction``); the message always starts with it,
+    followed by ``reason``.
     """
 
     def __init__(self, field_path: str, message: str) -> None:
         self.field = field_path
+        self.reason = message
         super().__init__(f"{field_path}: {message}")
 
 
@@ -321,30 +323,6 @@ class ScaleSpec:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """One registered follow-on experiment (extra report section)."""
-
-    name: str
-    params: Mapping[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data, path: str) -> "ExperimentSpec":
-        if isinstance(data, str):
-            return cls(name=data)
-        data = _expect_mapping(data, path)
-        _reject_unknown(data, ("name", "params"), path)
-        if "name" not in data:
-            raise ScenarioError(f"{path}.name", "experiment name is required")
-        return cls(
-            name=_expect_str(data["name"], f"{path}.name"),
-            params=dict(_expect_mapping(data.get("params", {}), f"{path}.params")),
-        )
-
-
-@dataclass(frozen=True)
 class OutputSpec:
     """Where to write the run's artefacts (all optional).
 
@@ -424,7 +402,6 @@ _SCENARIO_FIELDS = (
     "coherence",
     "faults",
     "observability",
-    "experiments",
     "jobs",
     "modules",
     "output",
@@ -450,7 +427,6 @@ class Scenario:
     coherence: Optional[CoherenceConfig] = None
     faults: Optional[FaultSpec] = None
     observability: Optional[ObservabilitySpec] = None
-    experiments: Tuple[ExperimentSpec, ...] = ()
     jobs: int = 1
     modules: Tuple[str, ...] = ()
     output: OutputSpec = field(default_factory=OutputSpec)
@@ -472,7 +448,6 @@ class Scenario:
                 if self.observability is None
                 else self.observability.to_dict()
             ),
-            "experiments": [e.to_dict() for e in self.experiments],
             "jobs": self.jobs,
             "modules": list(self.modules),
             "output": self.output.to_dict(),
@@ -496,12 +471,6 @@ class Scenario:
                 _expect_list(data.get("workloads", []), "workloads")
             )
         )
-        experiments = tuple(
-            ExperimentSpec.from_dict(entry, f"experiments[{i}]")
-            for i, entry in enumerate(
-                _expect_list(data.get("experiments", []), "experiments")
-            )
-        )
         modules = tuple(
             _expect_str(entry, f"modules[{i}]")
             for i, entry in enumerate(
@@ -522,7 +491,6 @@ class Scenario:
             observability=_observability_from_dict(
                 data.get("observability"), "observability"
             ),
-            experiments=experiments,
             jobs=jobs,
             modules=modules,
             output=OutputSpec.from_dict(data.get("output", {})),
@@ -567,42 +535,19 @@ class Scenario:
                 ) from None
 
     def validate(self) -> ScenarioMatrix:
-        """Check every name against the registries (after importing
-        ``modules``) and return the resolved matrix; structural validation
-        already happened in :meth:`from_dict` / the dataclass constructors."""
-        from repro.api import registry
+        """Resolve the scenario against the registries (after importing
+        ``modules``) and return its matrix.
 
-        self.import_modules()
-        self.system.corona_config()
-        self.scale.resolve()
-        for index, name in enumerate(self.system.configurations):
-            if name not in registry.CONFIGURATIONS:
-                raise ScenarioError(
-                    f"system.configurations[{index}]",
-                    f"unknown configuration {name!r}; registered: "
-                    f"{registry.CONFIGURATIONS.names()}",
-                )
-        for index, spec in enumerate(self.workloads):
-            if spec.name not in registry.WORKLOADS:
-                raise ScenarioError(
-                    f"workloads[{index}].name",
-                    f"unknown workload {spec.name!r}; registered: "
-                    f"{registry.WORKLOADS.names()}",
-                )
-        for index, spec in enumerate(self.experiments):
-            if spec.name not in registry.EXPERIMENTS:
-                raise ScenarioError(
-                    f"experiments[{index}].name",
-                    f"unknown experiment {spec.name!r}; registered: "
-                    f"{registry.EXPERIMENTS.names()}",
-                )
-        # Build the matrix too (workload construction only, no generation):
-        # it catches what name checks cannot -- bad factory params, duplicate
-        # effective workload names, cluster-count mismatches -- so a scenario
-        # that validates is a scenario that runs.
-        from repro.api.run import ScenarioMatrix
+        Structural validation already happened in :meth:`from_dict` / the
+        dataclass constructors.  Building the matrix constructs every
+        configuration and workload (no trace generation), so unknown names,
+        bad factory params, duplicate effective workload names and
+        cluster-count mismatches fail here: a scenario that validates is a
+        scenario that runs.
+        """
+        from repro.api.run import build_matrix
 
-        return ScenarioMatrix(self)
+        return build_matrix(self)
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:

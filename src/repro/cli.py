@@ -13,7 +13,7 @@ Installed as ``corona-repro`` (see ``pyproject.toml``).  Subcommands:
 ``scenario``
     ``init`` (write a template scenario file), ``validate`` (parse + check
     names against the registries) and ``list`` (show every registered
-    configuration, workload and experiment).
+    configuration, workload and sweep).
 ``sweep``
     ``run`` (execute a sweep spec file or a registered sweep by name, with
     ``--directory`` checkpointing and resume), ``expand`` (preview the grid
@@ -48,9 +48,9 @@ from typing import Optional, Sequence
 
 from repro.api import (
     CONFIGURATIONS,
-    EXPERIMENTS,
     WORKLOADS,
     OutputSpec,
+    RegistryError,
     ScaleSpec,
     Scenario,
     ScenarioError,
@@ -381,7 +381,6 @@ def _cmd_scenario_list(args: argparse.Namespace) -> int:
     sections = [
         ("configurations", CONFIGURATIONS),
         ("workloads", WORKLOADS),
-        ("experiments", EXPERIMENTS),
         ("sweeps", SWEEPS),
     ]
     for title, registry_table in sections:
@@ -423,6 +422,8 @@ def _load_sweep_argument(spec_argument: str, **params):
         if spec_argument in sweeps.SWEEPS:
             try:
                 return sweeps.build_registered_sweep(spec_argument, **params)
+            except RegistryError as exc:  # the factory built no SweepSpec
+                raise SystemExit(str(exc)) from None
             except (TypeError, ValueError) as exc:
                 raise SystemExit(
                     f"sweep {spec_argument!r} rejected its parameters: {exc}"
@@ -836,9 +837,9 @@ def build_parser() -> argparse.ArgumentParser:
             "  A scenario file serializes everything a run needs:\n"
             "  configurations (by registry name, plus CoronaConfig\n"
             "  overrides), workloads with parameters and sharing profiles,\n"
-            "  the scale tier, coherence settings, follow-on experiments,\n"
-            "  worker count and output sinks.  Start from\n"
-            "  `corona-repro scenario init`, check a file with\n"
+            "  the scale tier, coherence settings, worker count and output\n"
+            "  sinks; a grid of scenarios is a sweep (`corona-repro sweep`).\n"
+            "  Start from `corona-repro scenario init`, check a file with\n"
             "  `corona-repro scenario validate`, and see the registered\n"
             "  names with `corona-repro scenario list`.  User modules named\n"
             "  in the scenario's \"modules\" list can register custom\n"
@@ -965,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate_p.set_defaults(handler=_cmd_scenario_validate)
 
     list_p = scenario_sub.add_parser(
-        "list", help="show registered configurations, workloads, experiments"
+        "list", help="show registered configurations, workloads, sweeps"
     )
     list_p.add_argument(
         "--modules", nargs="+", metavar="MODULE",

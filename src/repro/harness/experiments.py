@@ -1,4 +1,4 @@
-"""The scaling knobs of the evaluation, and the coherence sweep's report.
+"""The scaling knobs of the evaluation.
 
 The paper replays 1 M-request synthetic traces and up to 240 M-request
 SPLASH-2 traces on five system configurations.  A pure-Python replay cannot
@@ -17,9 +17,6 @@ claim being checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
-
-from repro.core.results import WorkloadResult
 
 
 @dataclass(frozen=True)
@@ -91,69 +88,3 @@ PAPER_SCALE = ExperimentScale(
     splash_min_requests=100_000,
     splash_max_requests=1_000_000,
 )
-
-
-# --------------------------------------------------------------------------
-# Sharing-fraction sweep: the photonic-vs-electrical coherence cost axis.
-# The grid itself is repro.sweeps.coherence_sweep_spec; these are its
-# defaults and its report section.
-# --------------------------------------------------------------------------
-
-#: Configurations the sweep compares by default: the all-electrical baseline,
-#: the high-performance mesh, and the Corona design (the only one with the
-#: broadcast bus).
-COHERENCE_SWEEP_CONFIGURATIONS = ("LMesh/ECM", "HMesh/ECM", "XBar/OCM")
-
-#: Sharing fractions swept by default (0 doubles as the no-coherence control).
-COHERENCE_SWEEP_FRACTIONS = (0.0, 0.1, 0.3, 0.5)
-
-
-@dataclass(frozen=True)
-class CoherenceSweepPoint:
-    """Results of one sharing fraction across the sweep's configurations."""
-
-    sharing_fraction: float
-    results: Sequence[WorkloadResult]
-
-
-def coherence_sweep_report(points: Sequence[CoherenceSweepPoint]) -> str:
-    """Render the sweep as a markdown section.
-
-    One table per sharing fraction, one row per configuration, with the
-    coherence-cost metrics side by side: the broadcast-equipped photonic
-    configuration should show the lowest invalidation latency once sharing
-    is enabled.
-    """
-    lines: List[str] = ["## Coherence cost sweep (sharing fraction)", ""]
-    lines.append(
-        "Invalidations ride the optical broadcast bus on configurations that "
-        "carry one (XBar/OCM) and fan out as per-sharer unicasts elsewhere; "
-        "`inval ns` is the mean time from directory action to the slowest "
-        "sharer's invalidation, `c2c ns` the mean cache-to-cache transfer "
-        "latency."
-    )
-    lines.append("")
-    header = (
-        "| configuration | exec us | miss ns | inval ns | c2c ns "
-        "| bcasts | unicasts | writebacks | bus occ |"
-    )
-    divider = "|---" * 9 + "|"
-    for point in points:
-        lines.append(f"### Sharing fraction {point.sharing_fraction:g}")
-        lines.append("")
-        lines.append(header)
-        lines.append(divider)
-        for result in point.results:
-            lines.append(
-                f"| {result.configuration} "
-                f"| {result.execution_time_s * 1e6:.2f} "
-                f"| {result.average_latency_ns:.1f} "
-                f"| {result.average_invalidation_latency_ns:.2f} "
-                f"| {result.average_cache_to_cache_latency_ns:.2f} "
-                f"| {result.invalidation_broadcasts} "
-                f"| {result.invalidation_unicasts} "
-                f"| {result.dirty_writebacks} "
-                f"| {result.broadcast_occupancy:.4f} |"
-            )
-        lines.append("")
-    return "\n".join(lines)

@@ -11,7 +11,7 @@ prints it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 from repro.core.results import WorkloadResult
@@ -83,16 +83,11 @@ def _figure_section(
 
 @dataclass
 class ReproductionReport:
-    """A complete, renderable record of one evaluation run.
-
-    ``extra_sections`` holds pre-rendered markdown appended verbatim after
-    the standard figures -- the coherence sweep lands there.
-    """
+    """A complete, renderable record of one evaluation run."""
 
     matrix: ScenarioMatrix
     results: List[WorkloadResult]
     wall_clock_seconds: float = 0.0
-    extra_sections: List[str] = field(default_factory=list)
 
     def summary(self) -> Dict[str, float]:
         return speedup_summary(
@@ -170,7 +165,4 @@ class ReproductionReport:
         sections.append("## Section 5 geometric-mean summary\n")
         sections.append(_markdown_table(["Quantity", "Measured", "Paper"], rows))
         sections.append("")
-        for extra in self.extra_sections:
-            sections.append(extra)
-            sections.append("")
         return "\n".join(sections)

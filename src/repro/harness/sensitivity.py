@@ -7,7 +7,10 @@ parallelism, memory latency).  Each function here sweeps one knob and returns
 a small table, so how much device improvement Corona actually needs can be
 answered quantitatively.  The ablation benchmarks
 (``benchmarks/bench_ablations.py``) exercise the architectural sweeps;
-``examples/sensitivity_study.py`` prints the physical ones.
+``corona-repro sensitivity`` prints the physical ones
+(:func:`physical_design_sweeps_text`), and ``examples/sensitivity_study.py``
+prints both.  The window-depth sweep also runs as the stock ``sensitivity``
+sweep (:func:`repro.sweeps.sensitivity_sweep_spec`).
 """
 
 from __future__ import annotations
@@ -177,10 +180,10 @@ def format_sweep(
     return "\n".join(lines)
 
 
-def _physical_sweeps() -> List[tuple]:
-    """``(title, points, parameter_label, metric_label)`` per physical sweep
-    -- the single source behind the text tables and the structured records."""
-    return [
+def physical_design_sweeps_text() -> str:
+    """The three photonic-design sweeps, formatted and blank-line separated
+    -- the output of ``corona-repro sensitivity``."""
+    sweeps = [
         (
             "Crossbar link-budget margin vs waveguide loss",
             waveguide_loss_sensitivity(),
@@ -200,35 +203,7 @@ def _physical_sweeps() -> List[tuple]:
             "laser power (W)",
         ),
     ]
-
-
-def physical_design_sweeps_text() -> str:
-    """The three photonic-design sweeps, formatted and blank-line separated.
-
-    Single source for ``corona-repro sensitivity`` and the registered
-    ``sensitivity`` scenario experiment, so the two surfaces cannot drift.
-    """
     return "\n\n".join(
         format_sweep(title, points, parameter_label=parameter, metric_label=metric)
-        for title, points, parameter, metric in _physical_sweeps()
+        for title, points, parameter, metric in sweeps
     )
-
-
-def physical_design_sweep_records() -> List[dict]:
-    """The physical sweeps as flat records (one per swept value) for the
-    experiment's JSON/CSV sinks -- the structured channel next to the text
-    tables of :func:`physical_design_sweeps_text`."""
-    records: List[dict] = []
-    for title, points, parameter_label, metric_label in _physical_sweeps():
-        for point in points:
-            records.append(
-                {
-                    "sweep": title,
-                    "parameter_label": parameter_label,
-                    "metric_label": metric_label,
-                    "parameter": point.parameter,
-                    "metric": point.metric,
-                    "feasible": point.feasible,
-                }
-            )
-    return records

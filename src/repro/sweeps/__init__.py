@@ -36,10 +36,11 @@ Quickstart::
 or, file-driven: ``corona-repro sweep run spec.json --directory out``
 (``sweep expand`` previews the grid, ``sweep status`` reports progress,
 re-running resumes).  Importing this package registers the stock sweeps
-(``coherence-sweep``, ``sensitivity``) in :data:`repro.api.registry.SWEEPS`.
+(``coherence-sweep``, ``sensitivity``, ``latency-throughput``) in
+:data:`repro.api.registry.SWEEPS`.
 """
 
-from repro.api.registry import SWEEPS, build_sweep, register_sweep
+from repro.api.registry import SWEEPS, RegistryError, register_sweep
 from repro.sweeps.engine import (
     MANIFEST_NAME,
     POINTS_NAME,
@@ -77,8 +78,18 @@ from repro.sweeps.spec import (
 
 
 def build_registered_sweep(name: str, **params) -> SweepSpec:
-    """Build a registered sweep spec by name (e.g. ``"coherence-sweep"``)."""
-    return build_sweep(name, **params)
+    """Build a registered sweep spec by name (e.g. ``"coherence-sweep"``).
+
+    Raises :class:`~repro.api.registry.RegistryError` when the factory
+    returns anything but a :class:`SweepSpec`.
+    """
+    spec = SWEEPS.build(name, **params)
+    if not isinstance(spec, SweepSpec):
+        raise RegistryError(
+            f"sweep factory {name!r} returned {type(spec).__name__}, "
+            f"expected SweepSpec"
+        )
+    return spec
 
 
 __all__ = [
@@ -105,7 +116,6 @@ __all__ = [
     # registry
     "SWEEPS",
     "register_sweep",
-    "build_sweep",
     "build_registered_sweep",
     # stock specs
     "coherence_sweep_spec",

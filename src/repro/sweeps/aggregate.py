@@ -14,7 +14,8 @@ module answers the two questions a sweep is usually run to decide:
 Both feed the sweep markdown report
 (:func:`aggregation_report_section`), and the diff engine reuses
 :func:`axis_divergence_rows` to rank *which axis value* moved most between
-two runs of the same sweep.
+two runs of the same sweep.  For coherence-enabled records the report also
+carries the coherence cost table (:func:`coherence_report_section`).
 """
 
 from __future__ import annotations
@@ -183,6 +184,58 @@ def aggregation_report_section(
     return lines
 
 
+def coherence_report_section(
+    records: Sequence, axis_names: Sequence[str]
+) -> List[str]:
+    """Markdown lines of the coherence cost table (empty when no record has
+    coherence enabled), appended to the sweep report.
+
+    One row per coherence-enabled record, with the coherence-cost metrics
+    side by side: once sharing is enabled, the broadcast-equipped photonic
+    configuration should show the lowest invalidation latency.
+    """
+    coherent = [record for record in records if record.result.coherence_enabled]
+    if not coherent:
+        return []
+    lines: List[str] = ["## Coherence cost", ""]
+    lines.append(
+        "Invalidations ride the optical broadcast bus on configurations that "
+        "carry one (XBar/OCM) and fan out as per-sharer unicasts elsewhere; "
+        "`inval ns` is the mean time from directory action to the slowest "
+        "sharer's invalidation, `c2c ns` the mean cache-to-cache transfer "
+        "latency."
+    )
+    lines.append("")
+    header = (
+        ["point"]
+        + list(axis_names)
+        + ["configuration", "exec us", "miss ns", "inval ns", "c2c ns",
+           "bcasts", "unicasts", "writebacks", "bus occ"]
+    )
+    lines.append("| " + " | ".join(header) + " |")
+    lines.append("|---" * len(header) + "|")
+    for record in coherent:
+        result = record.result
+        cells = (
+            [record.point_id]
+            + [_format_value(record.axis_values.get(name)) for name in axis_names]
+            + [
+                result.configuration,
+                f"{result.execution_time_s * 1e6:.2f}",
+                f"{result.average_latency_ns:.1f}",
+                f"{result.average_invalidation_latency_ns:.2f}",
+                f"{result.average_cache_to_cache_latency_ns:.2f}",
+                str(result.invalidation_broadcasts),
+                str(result.invalidation_unicasts),
+                str(result.dirty_writebacks),
+                f"{result.broadcast_occupancy:.4f}",
+            ]
+        )
+        lines.append("| " + " | ".join(cells) + " |")
+    lines.append("")
+    return lines
+
+
 def axis_divergence_rows(
     baseline_records: Sequence,
     current_records: Sequence,
@@ -266,6 +319,7 @@ __all__ = [
     "aggregation_report_section",
     "axis_divergence_rows",
     "axis_value_geomeans",
+    "coherence_report_section",
     "detect_crossovers",
     "relative_drift",
 ]

@@ -38,7 +38,8 @@ from typing import (
     Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
-from repro.api.run import ScenarioMatrix
+from repro.api.run import build_matrix
+from repro.api.scenario import ScenarioError
 from repro.core.results import (
     WorkloadResult,
     long_form_columns,
@@ -137,7 +138,6 @@ def spec_digest(spec: SweepSpec) -> str:
             "description",
             "jobs",
             "output",
-            "experiments",
             # Telemetry changes what a run *records*, never what it computes,
             # so toggling it must not invalidate checkpointed points.
             "observability",
@@ -308,13 +308,17 @@ def _point_pairs(
     ``cache``.
 
     Building the point's matrix generates no trace, but it fails a bad name
-    or factory param here; each trace is generated when the fan-out reaches
-    its first pair.  ``observability`` overrides the point scenario's own
-    spec (the CLI's ``--metrics-out``/``--timeline-out`` flags); per-pair
-    sink paths are prefixed with the point id so a grid's artifacts never
-    collide."""
-    point.scenario.import_modules()
-    matrix = ScenarioMatrix(point.scenario)
+    or factory param here, as a :class:`SweepError` naming the point; each
+    trace is generated when the fan-out reaches its first pair.
+    ``observability`` overrides the point scenario's own spec (the CLI's
+    ``--metrics-out``/``--timeline-out`` flags); per-pair sink paths are
+    prefixed with the point id so a grid's artifacts never collide."""
+    try:
+        matrix = build_matrix(point.scenario)
+    except ScenarioError as exc:
+        raise SweepError(
+            exc.field, f"(resolving point {point.point_id}) {exc.reason}"
+        ) from None
 
     def trace_for(workload) -> PackedTrace:
         spec = matrix.workload_spec(workload.name)
@@ -406,12 +410,17 @@ def _sweep_report(spec: SweepSpec, records: Sequence[SweepRecord]) -> str:
         lines.append("| " + " | ".join(cells) + " |")
     lines.append("")
     # Per-axis geomeans and configuration crossovers, then -- for open-loop
-    # sweeps (any record carrying an offered load) -- the knee table.
-    from repro.sweeps.aggregate import aggregation_report_section
+    # sweeps (any record carrying an offered load) -- the knee table, and --
+    # for coherence-enabled records -- the coherence cost table.
+    from repro.sweeps.aggregate import (
+        aggregation_report_section,
+        coherence_report_section,
+    )
     from repro.sweeps.saturation import saturation_report_section
 
     lines.extend(aggregation_report_section(records, axis_names))
     lines.extend(saturation_report_section(records))
+    lines.extend(coherence_report_section(records, axis_names))
     return "\n".join(lines)
 
 
@@ -502,7 +511,7 @@ def run_sweep(
     """Execute (or resume) a sweep and return its long-form records.
 
     ``directory`` enables the on-disk manifest and resume; without it the
-    run is ephemeral (the experiment-embedded path).  ``jobs`` overrides the
+    run is ephemeral.  ``jobs`` overrides the
     spec's worker count (``1`` = serial in process, ``0`` = every CPU);
     results are bit-identical across job counts.  ``on_point`` fires after
     each point's results are checkpointed -- the streaming hook, and the

@@ -1,11 +1,12 @@
-"""Stock sweep specs: the built-in studies re-expressed declaratively.
+"""Stock sweep specs: the built-in studies expressed declaratively.
 
 Importing :mod:`repro.sweeps` registers these under ``@register_sweep``, so
-``corona-repro sweep run coherence-sweep`` (or ``sensitivity``) runs them by
-name.  They also back the two seed *experiments*: the ``coherence-sweep``
-experiment builds :func:`coherence_sweep_spec` and executes it through the
-sweep engine (its per-pair results are pinned by golden digests), emitting
-the long-form JSON/CSV records a report section cannot carry.
+``corona-repro sweep run coherence-sweep`` (or ``sensitivity``,
+``latency-throughput``) runs them by name, and
+``run_sweep(coherence_sweep_spec(...))`` runs the same grid from code (its
+per-pair results are pinned by golden digests).  The sweep report carries
+each study's own table: the coherence cost table for coherence-enabled
+records, the knee table for open-loop ones.
 """
 
 from __future__ import annotations
@@ -23,12 +24,16 @@ from repro.api.scenario import (
 from repro.coherence.engine import CoherenceConfig
 from repro.coherence.sharing import SharingProfile
 from repro.core.config import CORONA_DEFAULT
-from repro.harness.experiments import (
-    COHERENCE_SWEEP_CONFIGURATIONS,
-    COHERENCE_SWEEP_FRACTIONS,
-)
 from repro.sweeps.spec import SweepAxis, SweepSpec
 from repro.trace.arrival import ArrivalSpec
+
+#: Configurations the coherence sweep compares by default: the
+#: all-electrical baseline, the high-performance mesh, and the Corona design
+#: (the only one with the broadcast bus).
+COHERENCE_SWEEP_CONFIGURATIONS = ("LMesh/ECM", "HMesh/ECM", "XBar/OCM")
+
+#: Sharing fractions swept by default (0 doubles as the no-coherence control).
+COHERENCE_SWEEP_FRACTIONS = (0.0, 0.1, 0.3, 0.5)
 
 
 def coherence_sweep_spec(
@@ -128,8 +133,8 @@ def sensitivity_sweep_spec(
     Sweeps the per-thread outstanding-miss window of a Uniform replay on
     one configuration -- the declarative re-expression of
     :func:`~repro.harness.sensitivity.window_depth_sensitivity` (the
-    physical link-budget sweeps have no replay, so they stay functions; the
-    ``sensitivity`` experiment emits their records directly).
+    physical link-budget sweeps have no replay, so they stay functions that
+    ``corona-repro sensitivity`` prints).
     """
     base = Scenario(
         name="sensitivity-base",

@@ -146,11 +146,10 @@ class SweepSpec:
     """A complete, serializable parameter-grid study.
 
     ``base`` is a full :class:`~repro.api.scenario.Scenario` *except* that
-    its ``experiments``, ``output`` and ``jobs`` fields must stay at their
-    defaults -- per-point experiment sections make no sense and the sweep
-    carries its own ``output`` sinks and ``jobs`` count.  The axes write
-    into the base's dict form, so anything a scenario file can say, an axis
-    can sweep.
+    its ``output`` and ``jobs`` fields must stay at their defaults -- the
+    sweep carries its own ``output`` sinks and ``jobs`` count.  The axes
+    write into the base's dict form, so anything a scenario file can say,
+    an axis can sweep.
     """
 
     name: str = "sweep"
@@ -186,7 +185,11 @@ class SweepSpec:
                 f"unsupported sweep format {fmt!r}; this build reads "
                 f"{SWEEP_FORMAT!r}",
             )
-        base = Scenario.from_dict(_expect_mapping(data.get("base", {}), "base"))
+        base_data = _expect_mapping(data.get("base", {}), "base")
+        try:
+            base = Scenario.from_dict(base_data)
+        except ScenarioError as exc:
+            raise SweepError(f"base.{exc.field}", exc.reason) from None
         axes = tuple(
             SweepAxis.from_dict(entry, f"axes[{index}]")
             for index, entry in enumerate(
@@ -221,12 +224,6 @@ class SweepSpec:
         zip targets known, paths parse and resolve, no two axes writing the
         same (or a nested) field.  Raises :class:`SweepError` naming the
         offending field path."""
-        if self.base.experiments:
-            raise SweepError(
-                "base.experiments",
-                "sweep points replay the evaluation matrix only; run "
-                "experiments on the collected records instead",
-            )
         if self.base.output != OutputSpec():
             raise SweepError(
                 "base.output",
@@ -395,9 +392,7 @@ def expand(spec: SweepSpec) -> List[SweepPoint]:
             scenario = Scenario.from_dict(point_dict)
         except ScenarioError as exc:
             raise SweepError(
-                exc.field,
-                f"(expanding point {point_id}) "
-                f"{str(exc).split(': ', 1)[1] if ': ' in str(exc) else exc}",
+                exc.field, f"(expanding point {point_id}) {exc.reason}"
             ) from None
         points.append(
             SweepPoint(

@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro.api import run
+from repro.api import OutputSpec, run
 from repro.coherence import (
     CoherenceConfig,
     SHARED_REGION_BIT,
@@ -23,7 +23,6 @@ from repro.coherence import (
 )
 from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator, simulate_workload
-from repro.harness.experiments import CoherenceSweepPoint, coherence_sweep_report
 from repro.harness.parallel import run_pairs
 from repro.network.broadcast import OpticalBroadcastBus
 from repro.network.mesh import low_performance_mesh
@@ -241,54 +240,59 @@ class TestSerialParallelCoherence:
         assert digests(serial) == COHERENT_UNIFORM
 
 
-def _coherence_sweep(fractions, configurations, num_requests, jobs=1):
-    """The sharing-fraction grid through the sweep engine, grouped into
-    report points like the ``coherence-sweep`` experiment does."""
-    outcome = run_sweep(
+def _coherence_sweep(fractions, configurations, num_requests, jobs=1, **kwargs):
+    """The sharing-fraction grid through the sweep engine."""
+    return run_sweep(
         coherence_sweep_spec(
             fractions=fractions,
             configurations=configurations,
             num_requests=num_requests,
+            **kwargs,
         ),
         jobs=jobs,
     )
-    return [
-        CoherenceSweepPoint(
-            sharing_fraction=fraction,
-            results=tuple(
-                record.result
-                for record in outcome.records
-                if record.axis_values["fraction"] == fraction
-            ),
-        )
-        for fraction in fractions
-    ]
 
 
 class TestCoherenceSweep:
-    def test_sweep_points_and_report(self):
-        points = _coherence_sweep(
+    def test_sweep_points_and_report(self, tmp_path):
+        report = tmp_path / "report.md"
+        outcome = _coherence_sweep(
             fractions=(0.0, 0.3),
             configurations=("LMesh/ECM", "XBar/OCM"),
             num_requests=2_000,
+            output=OutputSpec(report=str(report)),
         )
-        assert [p.sharing_fraction for p in points] == [0.0, 0.3]
-        for point in points:
-            assert [r.configuration for r in point.results] == [
-                "LMesh/ECM",
-                "XBar/OCM",
-            ]
-        assert digests(r for p in points for r in p.results) == SWEEP_2000
-        zero, shared = points
-        assert all(r.invalidations_sent == 0 for r in zero.results)
-        by_config = {r.configuration: r for r in shared.results}
+        records = outcome.records
+        assert [r.axis_values["fraction"] for r in records] == [
+            0.0, 0.0, 0.3, 0.3,
+        ]
+        assert [r.result.configuration for r in records] == [
+            "LMesh/ECM", "XBar/OCM", "LMesh/ECM", "XBar/OCM",
+        ]
+        assert digests(r.result for r in records) == SWEEP_2000
+        zero = [r.result for r in records[:2]]
+        assert all(r.invalidations_sent == 0 for r in zero)
+        by_config = {r.result.configuration: r.result for r in records[2:]}
         assert (
             by_config["XBar/OCM"].average_invalidation_latency_s
             < by_config["LMesh/ECM"].average_invalidation_latency_s
         )
-        report = coherence_sweep_report(points)
-        assert "Sharing fraction 0.3" in report
-        assert "XBar/OCM" in report
+        # The report's coherence cost table: one row per record, with the
+        # broadcast bus's lower invalidation latency at fraction 0.3.
+        section = report.read_text().split("## Coherence cost", 1)[1]
+        header, *rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines()
+            if line.startswith("|") and not line.startswith("|---")
+        ]
+        assert len(rows) == 4
+        column = {name: index for index, name in enumerate(header)}
+        inval = {
+            row[column["configuration"]]: float(row[column["inval ns"]])
+            for row in rows
+            if row[column["fraction"]] == "0.3"
+        }
+        assert inval["XBar/OCM"] < inval["LMesh/ECM"]
 
     def test_sweep_parallel_matches_serial(self):
         kwargs = dict(
@@ -296,6 +300,7 @@ class TestCoherenceSweep:
             configurations=("XBar/OCM", "LMesh/ECM"),
             num_requests=1_500,
         )
-        serial = _coherence_sweep(jobs=1, **kwargs)[0].results
-        assert serial == _coherence_sweep(jobs=2, **kwargs)[0].results
+        serial = [r.result for r in _coherence_sweep(jobs=1, **kwargs).records]
+        parallel = [r.result for r in _coherence_sweep(jobs=2, **kwargs).records]
+        assert serial == parallel
         assert digests(serial) == SWEEP_1500

@@ -2,7 +2,8 @@
 round-trips and validation errors, grid expansion (cartesian and zipped),
 deterministic point ids, the execution engine's trace reuse, checkpointed
 kill-and-resume, serial/parallel bit-equivalence, the structured result
-sinks, the legacy-experiment re-expression, and the CLI surface."""
+sinks, the stock studies (coherence cost table included), and the CLI
+surface."""
 
 from __future__ import annotations
 
@@ -19,9 +20,7 @@ from repro.api import (
     ScenarioError,
     SystemSpec,
     WorkloadSpec,
-    run,
 )
-from repro.api.scenario import ExperimentSpec
 from repro.cli import main
 from repro.core.results import (
     RESULT_CSV_COLUMNS,
@@ -35,9 +34,11 @@ from repro.sweeps import (
     TraceCache,
     coherence_sweep_spec,
     expand,
+    latency_throughput_sweep_spec,
     load_sweep,
     run_sweep,
     sensitivity_sweep_spec,
+    spec_digest,
     sweep_status,
 )
 from repro.sweeps.engine import MANIFEST_NAME, POINTS_NAME
@@ -207,11 +208,6 @@ class TestSweepSpec:
             spec.check()
 
     def test_base_experiments_output_jobs_rejected(self):
-        with_experiments = replace(
-            _grid(), base=replace(_base(), experiments=(ExperimentSpec("x"),))
-        )
-        with pytest.raises(SweepError, match="base.experiments"):
-            with_experiments.check()
         with_output = replace(
             _grid(), base=replace(_base(), output=OutputSpec(report="r.md"))
         )
@@ -220,6 +216,25 @@ class TestSweepSpec:
         with_jobs = replace(_grid(), base=replace(_base(), jobs=4))
         with pytest.raises(SweepError, match="base.jobs"):
             with_jobs.check()
+
+    @pytest.mark.parametrize(
+        "base_fields, path",
+        [
+            ({"scale": {"tier": "warp"}}, "base.scale.tier"),
+            # Not the sweep's own top-level "output" block.
+            ({"output": {"report": 5}}, "base.output.report"),
+            # Files saved before the experiments hook was removed.
+            ({"experiments": []}, "base.experiments"),
+        ],
+        ids=["scale.tier", "output.report", "experiments"],
+    )
+    def test_base_errors_carry_the_base_prefix(self, base_fields, path):
+        data = _grid().to_dict()
+        data["base"] = {**data["base"], **base_fields}
+        with pytest.raises(SweepError) as excinfo:
+            SweepSpec.from_dict(data)
+        assert excinfo.value.field == path
+        assert str(excinfo.value).startswith(f"{path}: ")
 
 
 class TestExpansion:
@@ -342,6 +357,8 @@ class TestEngine:
         assert record["result"]["configuration"] == "LMesh/ECM"
         assert (directory / MANIFEST_NAME).exists()
         assert (directory / "report.md").exists()
+        # No record has coherence enabled, so no coherence cost table.
+        assert "## Coherence cost" not in (directory / "report.md").read_text()
 
     def test_long_form_row_matches_columns(self):
         outcome = run_sweep(_grid(300))
@@ -416,11 +433,14 @@ class TestEngine:
             ),
         )
         seen = []
-        with pytest.raises(ScenarioError, match="No Such Workload"):
+        with pytest.raises(SweepError, match="No Such Workload") as excinfo:
             run_sweep(
                 spec, directory=directory,
                 on_point=lambda point, results: seen.append(point.point_id),
             )
+        # The error keeps the field path and names the failing point.
+        assert excinfo.value.field == "workloads[0].name"
+        assert "001-workload=No-Such-Workload" in str(excinfo.value)
         assert seen == []
         assert (directory / POINTS_NAME).read_text() == ""
 
@@ -518,6 +538,20 @@ class TestEngine:
         with pytest.raises(SweepError, match="manifest"):
             sweep_status(tmp_path)
 
+    def test_stock_sweep_digests_are_pinned(self):
+        # A directory resumes only under the digest its manifest recorded,
+        # so a spec-format change that moves these refuses every existing
+        # sweep directory.
+        assert spec_digest(coherence_sweep_spec()) == (
+            "8e532cda06298f315281d3804ae7016c17b3229f7e7f4580897f71731364fa82"
+        )
+        assert spec_digest(sensitivity_sweep_spec()) == (
+            "f9a3765b6cbb558d9c368a92e008286c93822787f51fa8ebadc42241ab7a0a19"
+        )
+        assert spec_digest(latency_throughput_sweep_spec(scale="quick")) == (
+            "2c70d1799f4d3620cf9c47e1b6507d4baad080e7cb6726507a593b123bf0f72a"
+        )
+
 
 class TestReexpressedExperiments:
     def test_coherence_sweep_spec_reproduces_legacy_numbers_exactly(self):
@@ -536,48 +570,25 @@ class TestReexpressedExperiments:
     def test_coherence_experiment_emits_sinks_and_section(self, tmp_path):
         json_path = tmp_path / "sweep.json"
         csv_path = tmp_path / "sweep.csv"
-        scenario = Scenario(
-            system=SystemSpec(configurations=("LMesh/ECM", "XBar/OCM")),
-            workloads=(WorkloadSpec(name="Uniform", num_requests=400),),
-            experiments=(
-                ExperimentSpec(
-                    name="coherence-sweep",
-                    params={
-                        "fractions": [0.3],
-                        "num_requests": 400,
-                        "json": str(json_path),
-                        "csv": str(csv_path),
-                    },
+        report_path = tmp_path / "sweep.md"
+        outcome = run_sweep(
+            coherence_sweep_spec(
+                fractions=(0.3,),
+                configurations=("LMesh/ECM", "XBar/OCM"),
+                num_requests=400,
+                output=OutputSpec(
+                    report=str(report_path),
+                    json=str(json_path),
+                    csv=str(csv_path),
                 ),
-            ),
+            )
         )
-        result = run(scenario)
-        assert "Coherence cost sweep" in result.to_markdown()
-        assert result.written["coherence-sweep-json"] == json_path
-        assert result.written["coherence-sweep-csv"] == csv_path
+        assert "## Coherence cost" in report_path.read_text()
+        assert outcome.written["json"] == json_path
+        assert outcome.written["csv"] == csv_path
         payload = json.loads(json_path.read_text())
         assert payload["format"] == "corona-sweep-results/1"
         assert len(payload["records"]) == 2  # one fraction x two systems
-
-    def test_sensitivity_experiment_emits_structured_records(self, tmp_path):
-        csv_path = tmp_path / "sens.csv"
-        scenario = Scenario(
-            system=SystemSpec(configurations=("XBar/OCM",)),
-            workloads=(WorkloadSpec(name="Uniform", num_requests=400),),
-            experiments=(
-                ExperimentSpec(
-                    name="sensitivity", params={"csv": str(csv_path)}
-                ),
-            ),
-        )
-        result = run(scenario)
-        assert "Photonic design sensitivity" in result.to_markdown()
-        rows = list(csv.reader(csv_path.open(encoding="utf-8")))
-        assert rows[0] == [
-            "sweep", "parameter_label", "metric_label", "parameter",
-            "metric", "feasible",
-        ]
-        assert len(rows) > 3
 
     def test_sensitivity_sweep_spec_expands(self):
         points = expand(sensitivity_sweep_spec(depths=(1, 4)))
@@ -639,6 +650,21 @@ class TestSweepCli:
             ["sweep", "run", "sensitivity", "--directory", str(directory)]
         ) == 0
         assert "records from 5 points" in capsys.readouterr().out
+
+    def test_registered_factory_must_build_a_sweep_spec(self, monkeypatch):
+        from repro.api import SWEEPS, RegistryError
+        from repro.sweeps import build_registered_sweep
+
+        # Register into a copy of the process-wide table, which monkeypatch
+        # puts back afterwards, so later tests never see this entry.
+        monkeypatch.setattr(SWEEPS, "_entries", dict(SWEEPS._entries))
+        SWEEPS.register("Test/not-a-spec")(lambda **params: {"axes": []})
+        with pytest.raises(RegistryError, match="expected SweepSpec"):
+            build_registered_sweep("Test/not-a-spec")
+        with pytest.raises(SystemExit, match="expected SweepSpec") as excinfo:
+            main(["sweep", "expand", "Test/not-a-spec"])
+        assert excinfo.value.__cause__ is None
+        assert excinfo.value.__suppress_context__
 
     def test_unknown_spec_argument_is_actionable(self):
         with pytest.raises(SystemExit, match="neither a sweep spec file"):
