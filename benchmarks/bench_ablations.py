@@ -12,12 +12,16 @@ system responds the way the paper's argument predicts:
 * **Memory latency** -- both OCM and ECM assume 20 ns; Corona's advantage is
   bandwidth, not latency, so inflating the DRAM latency hurts both roughly
   equally.
+
+The window is a replay argument; every other knob is a
+:class:`~repro.core.config.CoronaConfig` field, so each system is built from
+``CORONA_DEFAULT.with_overrides(...)``.
 """
 
 
+from repro.core.config import CORONA_DEFAULT
 from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator
-from repro.network.crossbar import OpticalCrossbar
 from repro.trace.synthetic import uniform_workload
 
 REQUESTS = 16000
@@ -50,9 +54,10 @@ def test_ablation_token_ring_round_trip(benchmark):
     trace = _uniform_trace(3000)
 
     def run_with_round_trip(cycles):
-        network = OpticalCrossbar(ring_round_trip_cycles=cycles)
         simulator = SystemSimulator(
-            configuration_by_name("XBar/OCM"), network=network, window_depth=8
+            configuration_by_name("XBar/OCM"),
+            CORONA_DEFAULT.with_overrides({"token_ring_round_trip_cycles": cycles}),
+            window_depth=8,
         )
         return simulator.run(trace)
 
@@ -67,15 +72,19 @@ def test_ablation_crossbar_channel_width(benchmark):
     """Halving channel bandwidth costs bandwidth-hungry workloads throughput."""
     trace = _uniform_trace()
 
-    def run_with_channel_bandwidth(bytes_per_s):
-        network = OpticalCrossbar(channel_bandwidth_bytes_per_s=bytes_per_s)
+    def run_with_waveguides(waveguides):
+        # 64 wavelengths x 10 Gb/s per waveguide: 80 GB/s each, 320 GB/s at 4.
         simulator = SystemSimulator(
-            configuration_by_name("XBar/OCM"), network=network, window_depth=8
+            configuration_by_name("XBar/OCM"),
+            CORONA_DEFAULT.with_overrides(
+                {"crossbar_waveguides_per_channel": waveguides}
+            ),
+            window_depth=8,
         )
         return simulator.run(trace).achieved_bandwidth_bytes_per_s
 
-    full = run_with_channel_bandwidth(320e9)
-    narrow = benchmark.pedantic(run_with_channel_bandwidth, args=(80e9,), rounds=1, iterations=1)
+    full = run_with_waveguides(4)
+    narrow = benchmark.pedantic(run_with_waveguides, args=(1,), rounds=1, iterations=1)
     assert narrow < full
 
     # Even the narrow crossbar still beats the electrical baseline.
@@ -90,19 +99,10 @@ def test_ablation_memory_latency(benchmark):
     trace = _uniform_trace()
 
     def run_with_memory_latency(scale):
-        from repro.memory.dram import DramTimings
-        from repro.memory.system import MemorySystem
-        from repro.memory.channel import OpticalMemoryChannel
-
-        memory = MemorySystem(
-            name="OCM-slow",
-            channel_factory=OpticalMemoryChannel,
-            dram_timings=DramTimings(
-                access_latency_s=20e-9 * scale, cycle_time_s=20e-9 * scale
-            ),
-        )
         simulator = SystemSimulator(
-            configuration_by_name("XBar/OCM"), memory=memory, window_depth=8
+            configuration_by_name("XBar/OCM"),
+            CORONA_DEFAULT.with_overrides({"memory_latency_s": 20e-9 * scale}),
+            window_depth=8,
         )
         return simulator.run(trace)
 

@@ -21,7 +21,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.api.run import run as run_scenario
 from repro.api.scenario import OutputSpec, Scenario

@@ -19,7 +19,16 @@ from repro.cores.core import CoreParameters
 
 @dataclass(frozen=True)
 class CoronaConfig:
-    """Architecture-level configuration of a Corona system."""
+    """Architecture-level configuration of a Corona system.
+
+    It is the only way to set the parameters of a replayed system
+    (:class:`~repro.core.system.SystemSimulator`).  The fields that drive
+    the replay are ``num_clusters``, ``core.frequency_hz``, the
+    ``crossbar_*`` fields, ``signalling_rate_bps``,
+    ``token_ring_round_trip_cycles``, ``memory_latency_s``,
+    ``cluster.l2_mshrs`` and ``cluster.hub_queue_depth``.  The other fields
+    feed only the tables and the power roll-up.
+    """
 
     num_clusters: int = 64
     cluster: ClusterParameters = field(default_factory=ClusterParameters)
@@ -42,6 +51,8 @@ class CoronaConfig:
             raise ValueError(f"need at least two clusters, got {self.num_clusters}")
         if self.signalling_rate_bps <= 0:
             raise ValueError("signalling rate must be positive")
+        if self.memory_latency_s <= 0:
+            raise ValueError("memory latency must be positive")
 
     # -- structural totals ----------------------------------------------------
     @property

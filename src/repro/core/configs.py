@@ -90,12 +90,18 @@ def lmesh_network(config: CoronaConfig) -> Interconnect:
 
 def ocm_memory(config: CoronaConfig) -> MemorySystem:
     """Optically connected memory: 10.24 TB/s aggregate at 64 controllers."""
-    return OpticallyConnectedMemory(num_controllers=config.num_clusters)
+    return OpticallyConnectedMemory(
+        num_controllers=config.num_clusters,
+        memory_latency_s=config.memory_latency_s,
+    )
 
 
 def ecm_memory(config: CoronaConfig) -> MemorySystem:
     """Electrically connected memory: the 0.96 TB/s package-pin baseline."""
-    return ElectricallyConnectedMemory(num_controllers=config.num_clusters)
+    return ElectricallyConnectedMemory(
+        num_controllers=config.num_clusters,
+        memory_latency_s=config.memory_latency_s,
+    )
 
 
 _CONFIGURATIONS: List[SystemConfiguration] = [

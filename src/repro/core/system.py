@@ -7,6 +7,11 @@ interconnect arbitration and memory modelled with finite buffers, queues and
 ports so that bandwidth, latency, back-pressure and capacity limits are
 enforced throughout.
 
+Every parameter of a replayed system comes from its
+:class:`~repro.core.config.CoronaConfig`: the configuration's factories build
+the interconnect and the memory system (DRAM latency included) from it, and
+the hubs read ``cluster.l2_mshrs`` and ``cluster.hub_queue_depth``.
+
 The replay is event driven.  Each L2 miss becomes a transaction with four
 stages -- issue (MSHR + hub + request message), memory access at the home
 cluster, response message, completion -- and each stage is scheduled at the
@@ -92,10 +97,9 @@ from repro.faults.spec import FaultSpec
 from repro.core.configs import SystemConfiguration
 from repro.core.results import WorkloadResult, nearest_rank
 from repro.cores.hub import Hub
-from repro.memory.system import MemorySystem
 from repro.network.broadcast import OpticalBroadcastBus
 from repro.network.message import Message, MessageType
-from repro.network.topology import Interconnect, TransferResult
+from repro.network.topology import TransferResult
 from repro.obs.metrics import MetricsSampler
 from repro.obs.spec import ObservabilitySpec
 from repro.obs.timeline import TimelineRecorder
@@ -341,11 +345,7 @@ class SystemSimulator:
         self,
         configuration: SystemConfiguration,
         corona_config: CoronaConfig = CORONA_DEFAULT,
-        network: Optional[Interconnect] = None,
-        memory: Optional[MemorySystem] = None,
         window_depth: int = 4,
-        mshrs_per_cluster: int = 64,
-        hub_queue_depth: int = 64,
         coherence: Optional[CoherenceConfig] = None,
         faults: Optional[FaultSpec] = None,
         observability: Optional[ObservabilitySpec] = None,
@@ -354,8 +354,8 @@ class SystemSimulator:
             raise ValueError(f"window depth must be >= 1, got {window_depth}")
         self.configuration = configuration
         self.corona_config = corona_config
-        self.network = network or configuration.build_network(corona_config)
-        self.memory = memory or configuration.build_memory(corona_config)
+        self.network = configuration.build_network(corona_config)
+        self.memory = configuration.build_memory(corona_config)
         # Fault injection (opt-in, same discipline as coherence below): with
         # ``faults=None`` -- or an all-zero spec -- nothing is installed and
         # the replay is bit-identical to a fault-free build.
@@ -380,8 +380,8 @@ class SystemSimulator:
         self.hubs: Dict[int, Hub] = {
             cluster: Hub(
                 cluster_id=cluster,
-                queue_depth=hub_queue_depth,
-                mshrs=mshrs_per_cluster,
+                queue_depth=corona_config.cluster.hub_queue_depth,
+                mshrs=corona_config.cluster.l2_mshrs,
             )
             for cluster in range(corona_config.num_clusters)
         }
@@ -396,18 +396,14 @@ class SystemSimulator:
         self._threads: Dict[int, _ThreadState] = {}
         self._makespan = 0.0
         # Per-record invariants hoisted out of the stage handlers.  Clusters
-        # are numbered contiguously from zero, so per-cluster lookups use
-        # lists instead of dicts on the hot path.
+        # and memory controllers are numbered contiguously from zero, so
+        # per-cluster lookups use lists instead of dicts on the hot path.
         self._clock = corona_config.clock_hz
         self._hub_fwd: List[float] = [
             self.hubs[cluster].forwarding_latency_s
             for cluster in range(corona_config.num_clusters)
         ]
-        controllers = self.memory.controllers
-        if sorted(controllers) == list(range(len(controllers))):
-            self._controllers = [controllers[i] for i in range(len(controllers))]
-        else:
-            self._controllers = controllers
+        self._controllers = list(self.memory.controllers.values())
         # Reusable request/response messages, one per type.  The interconnect
         # models read src/dst/size and record counters but never retain the
         # message, so mutating these in place is safe and avoids two dataclass
@@ -823,7 +819,7 @@ class SystemSimulator:
         *at* completion with the then-current timestamp, which an immediately
         following acquire would expire -- the pool effectively never pushed
         back.  This is a deliberate tightening of the MSHR model; it changes
-        results whenever a cluster holds more than ``mshrs_per_cluster``
+        results whenever a cluster holds more than ``cluster.l2_mshrs``
         (64) transactions between response and completion.  Shipped
         workloads do: 16 threads per cluster with a window of 8 allow 128
         outstanding misses, and at the quick tier's 12,000 requests (seed 1)

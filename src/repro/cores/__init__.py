@@ -5,21 +5,20 @@ The paper's cores are dual-issue, in-order, four-way multithreaded, running at
 four-core clusters, for 10 teraflops peak.  This package models what the
 system study needs from them:
 
-* the :class:`~repro.cores.core.Core` and :class:`~repro.cores.cluster.Cluster`
-  structural/configuration view (threads, caches, peak flops, area and power
-  estimates scaled from Penryn/Silverthorne as the paper describes);
+* the :class:`~repro.cores.core.CoreParameters` and
+  :class:`~repro.cores.cluster.ClusterParameters` of Table 1 (peak flops, area
+  and power estimates scaled from Penryn/Silverthorne as the paper describes);
 * the :class:`~repro.cores.hub.Hub` that routes traffic between the L2,
-  directory, memory controller, network interface and the optical interconnect.
+  directory, memory controller, network interface and the optical
+  interconnect; the replay builds one per cluster.
 """
 
-from repro.cores.core import Core, CoreParameters
-from repro.cores.cluster import Cluster, ClusterParameters
+from repro.cores.core import CoreParameters
+from repro.cores.cluster import ClusterParameters
 from repro.cores.hub import Hub
 
 __all__ = [
-    "Core",
     "CoreParameters",
-    "Cluster",
     "ClusterParameters",
     "Hub",
 ]

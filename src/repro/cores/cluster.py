@@ -1,4 +1,4 @@
-"""Cluster model (Figure 2b / Table 1 of the Corona paper).
+"""Cluster parameters (Figure 2b / Table 1 of the Corona paper).
 
 A cluster is four cores sharing a 4 MB, 16-way unified L2 cache, a directory,
 a memory controller, a network interface and a hub that routes traffic among
@@ -9,16 +9,13 @@ memory controller per cluster).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
-
-from repro.cores.core import Core, CoreParameters
-from repro.cores.hub import Hub
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class ClusterParameters:
-    """Per-cluster resources (Table 1)."""
+    """Per-cluster resources (Table 1); ``l2_mshrs`` and ``hub_queue_depth``
+    size each replayed cluster's :class:`~repro.cores.hub.Hub`."""
 
     cores: int = 4
     l2_cache_bytes: int = 4 * 1024 * 1024
@@ -36,39 +33,7 @@ class ClusterParameters:
             raise ValueError("invalid L2 configuration")
         if self.memory_controllers < 1:
             raise ValueError("cluster needs at least one memory controller")
-
-
-@dataclass
-class Cluster:
-    """One four-core cluster."""
-
-    cluster_id: int
-    params: ClusterParameters = ClusterParameters()
-    core_params: CoreParameters = CoreParameters()
-    cores: List[Core] = field(default_factory=list)
-    hub: Hub = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.cluster_id < 0:
-            raise ValueError(f"cluster id must be non-negative, got {self.cluster_id}")
-        if not self.cores:
-            self.cores = [
-                Core(core_id=self.cluster_id * self.params.cores + i, params=self.core_params)
-                for i in range(self.params.cores)
-            ]
-        self.hub = Hub(
-            cluster_id=self.cluster_id, queue_depth=self.params.hub_queue_depth
-        )
-
-    @property
-    def hardware_threads(self) -> int:
-        return sum(core.hardware_threads for core in self.cores)
-
-    @property
-    def peak_flops(self) -> float:
-        return sum(core.peak_flops for core in self.cores)
-
-    def thread_ids(self) -> range:
-        """Global hardware-thread ids hosted by this cluster."""
-        first = self.cluster_id * self.hardware_threads
-        return range(first, first + self.hardware_threads)
+        if self.l2_mshrs < 1:
+            raise ValueError("cluster needs at least one L2 MSHR")
+        if self.hub_queue_depth < 1:
+            raise ValueError("hub queue depth must be at least one")

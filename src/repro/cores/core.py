@@ -124,23 +124,3 @@ class CorePowerAreaModel:
         # applies.  Its 8T L1 cells make the resulting die the larger of the
         # two estimates, as the paper observes.
         return scaled * self.multithreading_area_overhead
-
-
-@dataclass
-class Core:
-    """One multithreaded in-order core."""
-
-    core_id: int
-    params: CoreParameters = CoreParameters()
-
-    def __post_init__(self) -> None:
-        if self.core_id < 0:
-            raise ValueError(f"core id must be non-negative, got {self.core_id}")
-
-    @property
-    def peak_flops(self) -> float:
-        return self.params.peak_flops
-
-    @property
-    def hardware_threads(self) -> int:
-        return self.params.threads

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.sim.resources import BoundedQueue, TokenPool
-from repro.sim.stats import RunningStats
 
 
 @dataclass(slots=True)
@@ -39,8 +38,6 @@ class Hub:
     mshrs: int = 64
     injection_queue: BoundedQueue = field(init=False, repr=False)
     mshr_pool: TokenPool = field(init=False, repr=False)
-    wait_stats: RunningStats = field(init=False, repr=False)
-    messages_routed: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.forwarding_latency_s < 0:
@@ -49,13 +46,6 @@ class Hub:
             name=f"hub{self.cluster_id}-inject", capacity=self.queue_depth
         )
         self.mshr_pool = TokenPool(name=f"hub{self.cluster_id}-mshrs", tokens=self.mshrs)
-        self.wait_stats = RunningStats(f"hub{self.cluster_id}-wait")
-
-    def allocate_mshr(self, now: float, release_time: float) -> float:
-        """Allocate an MSHR for a miss; returns when the allocation succeeds."""
-        grant = self.mshr_pool.acquire(now, release_time_hint=release_time)
-        self.wait_stats.add(grant - now)
-        return grant
 
     def inject(self, now: float, departure_time: float) -> float:
         """Enqueue an outbound message; returns the admission time.
@@ -64,8 +54,4 @@ class Hub:
         interconnect (it frees its queue slot then).
         """
         admit = self.injection_queue.admit(now, max(departure_time, now))
-        self.messages_routed += 1
         return admit + self.forwarding_latency_s
-
-    def average_mshr_wait_s(self) -> float:
-        return self.mshr_pool.average_wait()

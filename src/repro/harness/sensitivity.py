@@ -1,29 +1,26 @@
-"""Sensitivity studies on the design's key physical and architectural knobs.
+"""Sensitivity studies on the design's key physical knobs.
 
-The paper's conclusions rest on a handful of technology projections (waveguide
-loss, per-ring through loss, detector sensitivity) and architectural choices
-(crossbar channel width, token-ring latency, per-thread memory-level
-parallelism, memory latency).  Each function here sweeps one knob and returns
-a small table, so how much device improvement Corona actually needs can be
-answered quantitatively.  The ablation benchmarks
-(``benchmarks/bench_ablations.py``) exercise the architectural sweeps;
-``corona-repro sensitivity`` prints the physical ones
-(:func:`physical_design_sweeps_text`), and ``examples/sensitivity_study.py``
-prints both.  The window-depth sweep also runs as the stock ``sensitivity``
-sweep (:func:`repro.sweeps.sensitivity_sweep_spec`).
+The paper's conclusions rest on a handful of technology projections
+(waveguide loss, per-ring through loss, detector sensitivity).  Each function
+here sweeps one of them through the crossbar's link budget and returns a
+small table, so how much device improvement Corona actually needs can be
+answered quantitatively; ``corona-repro sensitivity`` prints all three
+(:func:`physical_design_sweeps_text`).
+
+The architectural knobs (per-thread memory-level parallelism, crossbar
+channel width, token-ring latency, memory latency) need a replay, so they
+run as sweeps: the stock ``sensitivity`` sweep over the window
+(:func:`repro.sweeps.sensitivity_sweep_spec`), or a ``system.overrides.*``
+axis over a :class:`~repro.core.config.CoronaConfig` field, as
+``examples/sensitivity_study.py`` does for the crossbar channel width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.core.configs import configuration_by_name
-from repro.core.system import SystemSimulator
-from repro.network.crossbar import OpticalCrossbar
 from repro.photonics.power_budget import PowerBudget, crossbar_worst_case_budget
-from repro.trace.packed import PackedTrace
-from repro.trace.synthetic import uniform_workload
 
 
 @dataclass(frozen=True)
@@ -112,53 +109,6 @@ def required_laser_power_sensitivity(
         total_w = per_wavelength_w * wavelengths / wall_plug_efficiency
         points.append(
             SweepPoint(parameter=loss, metric=total_w, feasible=total_w < 39.0)
-        )
-    return points
-
-
-def channel_bandwidth_sensitivity(
-    trace: Optional[PackedTrace] = None,
-    channel_bandwidths_bytes_per_s: Sequence[float] = (80e9, 160e9, 320e9, 640e9),
-    num_requests: int = 8000,
-    window_depth: int = 8,
-) -> List[SweepPoint]:
-    """Achieved bandwidth of XBar/OCM vs per-channel crossbar bandwidth."""
-    if trace is None:
-        trace = uniform_workload().generate_packed(seed=1, num_requests=num_requests)
-    points: List[SweepPoint] = []
-    for bandwidth in channel_bandwidths_bytes_per_s:
-        network = OpticalCrossbar(channel_bandwidth_bytes_per_s=bandwidth)
-        simulator = SystemSimulator(
-            configuration_by_name("XBar/OCM"),
-            network=network,
-            window_depth=window_depth,
-        )
-        result = simulator.run(trace)
-        points.append(
-            SweepPoint(
-                parameter=bandwidth, metric=result.achieved_bandwidth_bytes_per_s
-            )
-        )
-    return points
-
-
-def window_depth_sensitivity(
-    trace: Optional[PackedTrace] = None,
-    depths: Sequence[int] = (1, 2, 4, 8, 16),
-    num_requests: int = 8000,
-    configuration_name: str = "XBar/OCM",
-) -> List[SweepPoint]:
-    """Achieved bandwidth vs per-thread outstanding-miss window."""
-    if trace is None:
-        trace = uniform_workload().generate_packed(seed=1, num_requests=num_requests)
-    points: List[SweepPoint] = []
-    for depth in depths:
-        simulator = SystemSimulator(
-            configuration_by_name(configuration_name), window_depth=depth
-        )
-        result = simulator.run(trace)
-        points.append(
-            SweepPoint(parameter=depth, metric=result.achieved_bandwidth_bytes_per_s)
         )
     return points
 

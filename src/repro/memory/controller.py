@@ -55,21 +55,15 @@ class MemoryController:
     queue_depth:
         Finite request queue; overflowing requests wait, creating
         back-pressure into the hub.
-    access_latency_s:
-        End-to-end memory access latency excluding channel serialization and
-        queueing (Table 4: 20 ns for both designs).
-    model_banks:
-        When True, bank (mat) occupancy is simulated in addition to the fixed
-        access latency; when False only the fixed latency is charged, which is
-        faster and matches the paper's flat 20 ns figure.
+
+    The DRAM access latency (Table 4: 20 ns for both designs) and bank
+    occupancy come from the modules' :class:`~repro.memory.dram.DramTimings`.
     """
 
     controller_id: int
     channel: MemoryChannel
     modules: List[OcmModule] = field(default_factory=list)
     queue_depth: int = 256
-    access_latency_s: float = 20e-9
-    model_banks: bool = True
     queue: BoundedQueue = field(init=False, repr=False)
     latency_stats: RunningStats = field(init=False, repr=False)
     reads: int = field(default=0, repr=False)
@@ -154,10 +148,7 @@ class MemoryController:
         else:
             module_index, module = self.module_for_address(address)
             chain_delay = daisy_chain_delay(module_index)
-        if self.model_banks:
-            data_ready = module.access(address, channel_done + chain_delay)
-        else:
-            data_ready = channel_done + chain_delay + self.access_latency_s
+        data_ready = module.access(address, channel_done + chain_delay)
         if self.fault_dram is not None:
             # Transient timeout: the access is retried after the configured
             # latency.  Keyed by the deterministic access counter (reads +

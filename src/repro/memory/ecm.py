@@ -12,24 +12,19 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.memory.channel import ElectricalMemoryChannel
+from repro.memory.dram import DramTimings
 from repro.memory.system import MemorySystem
 
 
 def ElectricallyConnectedMemory(
-    num_controllers: int = 64,
-    modules_per_controller: int = 1,
-    queue_depth: int = 64,
-    model_banks: bool = True,
+    num_controllers: int = 64, memory_latency_s: float = 20e-9
 ) -> MemorySystem:
-    """Build the paper's ECM memory system."""
+    """Build the paper's ECM memory system (Table 4: 20 ns DRAM latency)."""
     return MemorySystem(
         name="ECM",
         channel_factory=ElectricalMemoryChannel,
         num_controllers=num_controllers,
-        modules_per_controller=modules_per_controller,
-        queue_depth=queue_depth,
-        access_latency_s=20e-9,
-        model_banks=model_banks,
+        dram_timings=DramTimings(access_latency_s=memory_latency_s),
     )
 
 

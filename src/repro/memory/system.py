@@ -27,50 +27,35 @@ class MemorySystem:
     channel_factory:
         Builds the external channel for one controller.
     num_controllers:
-        One per cluster (64).
-    modules_per_controller:
-        Daisy-chain length on each controller's fiber loop / channel.
-    access_latency_s:
-        Memory latency (Table 4: 20 ns for both designs).
-    model_banks:
-        Whether to simulate DRAM bank occupancy.
+        One per cluster (64).  The controllers are numbered ``0..n-1``.
+    queue_depth:
+        Request-queue capacity of each controller (64 for OCM and ECM).
+    dram_timings:
+        Timing of each controller's DRAM banks, the memory latency included
+        (Table 4: 20 ns for both designs).
     """
 
     name: str
     channel_factory: Callable[[str], MemoryChannel]
     num_controllers: int = 64
-    modules_per_controller: int = 1
-    queue_depth: int = 256
-    access_latency_s: float = 20e-9
-    model_banks: bool = True
+    queue_depth: int = 64
     dram_timings: DramTimings = field(default_factory=DramTimings)
-    controllers: Dict[int, MemoryController] = field(default_factory=dict, repr=False)
+    controllers: Dict[int, MemoryController] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_controllers < 1:
             raise ValueError(
                 f"need at least one controller, got {self.num_controllers}"
             )
-        if self.modules_per_controller < 1:
-            raise ValueError(
-                f"need at least one module per controller, got "
-                f"{self.modules_per_controller}"
+        self.controllers = {
+            controller_id: MemoryController(
+                controller_id=controller_id,
+                channel=self.channel_factory(f"{self.name}-ch{controller_id}"),
+                modules=[OcmModule(module_id=0, timings=self.dram_timings)],
+                queue_depth=self.queue_depth,
             )
-        if not self.controllers:
-            for controller_id in range(self.num_controllers):
-                channel = self.channel_factory(f"{self.name}-ch{controller_id}")
-                modules = [
-                    OcmModule(module_id=m, timings=self.dram_timings)
-                    for m in range(self.modules_per_controller)
-                ]
-                self.controllers[controller_id] = MemoryController(
-                    controller_id=controller_id,
-                    channel=channel,
-                    modules=modules,
-                    queue_depth=self.queue_depth,
-                    access_latency_s=self.access_latency_s,
-                    model_banks=self.model_banks,
-                )
+            for controller_id in range(self.num_controllers)
+        }
 
     def controller(self, cluster: int) -> MemoryController:
         if cluster not in self.controllers:

@@ -12,8 +12,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-#: Cache line size (Table 1).
-CACHE_LINE_BYTES = 64
+from repro.sim.units import CACHE_LINE_BYTES
 
 #: Header bytes carried by every message (address, type, source, MSHR id).
 HEADER_BYTES = 8

@@ -206,19 +206,20 @@ def coherence_report_section(
         "latency."
     )
     lines.append("")
-    header = (
-        ["point"]
-        + list(axis_names)
-        + ["configuration", "exec us", "miss ns", "inval ns", "c2c ns",
-           "bcasts", "unicasts", "writebacks", "bus occ"]
-    )
+    record_columns = [
+        "configuration", "exec us", "miss ns", "inval ns", "c2c ns",
+        "bcasts", "unicasts", "writebacks", "bus occ",
+    ]
+    # An axis named like a record column shows once, as the record's value.
+    shown_axes = [name for name in axis_names if name not in record_columns]
+    header = ["point"] + shown_axes + record_columns
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|---" * len(header) + "|")
     for record in coherent:
         result = record.result
         cells = (
             [record.point_id]
-            + [_format_value(record.axis_values.get(name)) for name in axis_names]
+            + [_format_value(record.axis_values.get(name)) for name in shown_axes]
             + [
                 result.configuration,
                 f"{result.execution_time_s * 1e6:.2f}",

@@ -381,17 +381,16 @@ def _sweep_report(spec: SweepSpec, records: Sequence[SweepRecord]) -> str:
         f"points; axes: {', '.join(axis_names) if axis_names else '(none)'}."
     )
     lines.append("")
-    header = (
-        ["point"]
-        + axis_names
-        + ["workload", "configuration", "exec us", "bw TB/s", "lat ns",
-           "power W"]
-    )
+    record_columns = ["workload", "configuration", "exec us", "bw TB/s", "lat ns", "power W"]
+    # An axis named like a record column (``configuration``) shows once, as
+    # the record's value.
+    shown_axes = [name for name in axis_names if name not in record_columns]
+    header = ["point"] + shown_axes + record_columns
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|---" * len(header) + "|")
     for record in records:
         cells = [record.point_id]
-        for name in axis_names:
+        for name in shown_axes:
             value = record.axis_values.get(name)
             cells.append(
                 f"{value:g}" if isinstance(value, float) else str(value)

@@ -128,13 +128,15 @@ def sensitivity_sweep_spec(
     jobs: int = 1,
     output: OutputSpec = OutputSpec(),
 ) -> SweepSpec:
-    """The architectural half of the sensitivity study as a grid.
+    """The memory-level-parallelism half of the sensitivity study as a grid.
 
     Sweeps the per-thread outstanding-miss window of a Uniform replay on
-    one configuration -- the declarative re-expression of
-    :func:`~repro.harness.sensitivity.window_depth_sensitivity` (the
-    physical link-budget sweeps have no replay, so they stay functions that
-    ``corona-repro sensitivity`` prints).
+    one configuration.  The other architectural knobs are
+    :class:`~repro.core.config.CoronaConfig` fields, which a
+    ``system.overrides.*`` axis reaches (``examples/sensitivity_study.py``
+    sweeps ``crossbar_waveguides_per_channel``); the physical link-budget
+    sweeps have no replay, so they stay functions that ``corona-repro
+    sensitivity`` prints.
     """
     base = Scenario(
         name="sensitivity-base",

@@ -31,8 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-#: Size of a cache line transferred per miss (Table 1).
-CACHE_LINE_BYTES = 64
+from repro.sim.units import CACHE_LINE_BYTES
 
 
 class AccessKind(enum.Enum):

@@ -391,6 +391,35 @@ class TestRunEntryPoint:
         assert serial.results[0].num_requests == 400
         assert run(scenario, jobs=2).results == serial.results
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"memory_latency_s": 80e-9},
+            {"cluster": {"l2_mshrs": 1}},
+            {"cluster": {"hub_queue_depth": 1}},
+        ],
+        ids=["memory_latency_s", "l2_mshrs", "hub_queue_depth"],
+    )
+    def test_replay_overrides_take_effect(self, overrides):
+        """Each of these fields sizes a replayed resource (DRAM latency, the
+        hubs' MSHRs and injection queues), so a binding value must change
+        the result."""
+
+        def replay(system_overrides):
+            return run(
+                Scenario(
+                    system=SystemSpec(
+                        configurations=("XBar/OCM",), overrides=system_overrides
+                    ),
+                    workloads=(WorkloadSpec(name="Uniform", num_requests=600),),
+                    scale=ScaleSpec(tier="quick", seed=1),
+                )
+            ).results[0]
+
+        default, changed = replay({}), replay(overrides)
+        assert changed != default
+        assert changed.average_latency_s > default.average_latency_s
+
     def test_coherence_sweep_experiment_honors_overrides(self, tmp_path):
         from repro.sweeps import coherence_sweep_spec, run_sweep
 

@@ -99,3 +99,18 @@ class TestExampleSmoke:
         assert "=== AddressStreaming ===" in result.stdout
         assert "=== AddressResident ===" in result.stdout
         assert "XBar/OCM" in result.stdout
+
+    def test_sensitivity_study_runs_end_to_end(self):
+        result = _run_example("sensitivity_study.py", "1200")
+        assert result.returncode == 0, result.stderr
+        for title in (
+            "Crossbar link-budget margin vs waveguide loss",
+            "Crossbar link-budget margin vs per-ring through loss",
+            "Laser wall-plug power for the crossbar vs waveguide loss",
+            "Achieved bandwidth (Uniform, XBar/OCM) vs crossbar channel bandwidth",
+            "Achieved bandwidth (Uniform, XBar/OCM) vs per-thread miss window",
+        ):
+            assert title in result.stdout
+        # One row per swept channel width (80-640 GB/s).
+        for bandwidth in ("8e+10", "1.6e+11", "3.2e+11", "6.4e+11"):
+            assert f" {bandwidth} " in result.stdout

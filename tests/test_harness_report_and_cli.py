@@ -5,17 +5,16 @@ import dataclasses
 
 import pytest
 
-from repro.api import OutputSpec, run
+from repro.api import OutputSpec, ScaleSpec, Scenario, SystemSpec, WorkloadSpec, run
 from repro.cli import build_parser, main
 from repro.harness.sensitivity import (
     SweepPoint,
-    channel_bandwidth_sensitivity,
     format_sweep,
     required_laser_power_sensitivity,
     ring_through_loss_sensitivity,
     waveguide_loss_sensitivity,
-    window_depth_sensitivity,
 )
+from repro.sweeps import SweepAxis, SweepSpec, run_sweep, sensitivity_sweep_spec
 from repro.trace.address import (
     AccessPattern,
     AddressWorkload,
@@ -75,16 +74,33 @@ class TestSensitivity:
         assert powers == sorted(powers)
 
     def test_window_sweep_monotone_nondecreasing(self):
-        points = window_depth_sensitivity(num_requests=1200, depths=(1, 4, 8))
-        values = [p.metric for p in points]
+        outcome = run_sweep(
+            sensitivity_sweep_spec(depths=(1, 4, 8), num_requests=1200)
+        )
+        values = [r.result.achieved_bandwidth_bytes_per_s for r in outcome.records]
         assert values[1] > values[0]
         assert values[2] >= values[1] * 0.95
 
     def test_channel_bandwidth_sweep(self):
-        points = channel_bandwidth_sensitivity(
-            num_requests=1200, channel_bandwidths_bytes_per_s=(80e9, 320e9)
+        spec = SweepSpec(
+            name="channel-width",
+            base=Scenario(
+                system=SystemSpec(configurations=("XBar/OCM",)),
+                workloads=(WorkloadSpec(name="Uniform", num_requests=1200),),
+                scale=ScaleSpec(tier="quick", seed=1),
+            ),
+            axes=(
+                SweepAxis(
+                    name="waveguides",
+                    path="system.overrides.crossbar_waveguides_per_channel",
+                    values=(1, 4),  # 80 and 320 GB/s per channel
+                ),
+            ),
         )
-        assert points[1].metric >= points[0].metric
+        narrow, full = (
+            r.result.achieved_bandwidth_bytes_per_s for r in run_sweep(spec).records
+        )
+        assert full >= narrow
 
     def test_format_sweep(self):
         text = format_sweep(
@@ -233,6 +249,37 @@ class TestScenarioCli:
         path.write_text(text)
         with pytest.raises(SystemExit, match=field):
             main(["scenario", "validate", str(path)])
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"memory_latency_s": 0},
+            {"cluster": {"l2_mshrs": 0}},
+            {"cluster": {"hub_queue_depth": 0}},
+        ],
+        ids=["memory_latency_s", "l2_mshrs", "hub_queue_depth"],
+    )
+    def test_out_of_range_replay_override_fails_cleanly(self, tmp_path, overrides):
+        """Overrides that reach the replay are range-checked when the file
+        loads: both commands exit 1 with the field path, no traceback."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"system": {"overrides": overrides}}))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for command in (["scenario", "validate"], ["run"]):
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *command, str(path)],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert completed.returncode == 1, completed.stdout
+            assert f"{path}: system.overrides: " in completed.stderr
+            assert "Traceback" not in completed.stderr
 
     @pytest.mark.parametrize(
         "text", ["{}", '{"workloads": []}'], ids=["empty", "no-workloads"]

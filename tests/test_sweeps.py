@@ -590,6 +590,29 @@ class TestReexpressedExperiments:
         assert payload["format"] == "corona-sweep-results/1"
         assert len(payload["records"]) == 2  # one fraction x two systems
 
+    def test_report_shows_a_shared_axis_column_once(self, tmp_path):
+        """The grid's ``configuration`` axis and the records' own
+        ``configuration`` column render as one column in each table."""
+        report_path = tmp_path / "sweep.md"
+        run_sweep(
+            coherence_sweep_spec(
+                fractions=(0.0, 0.3),
+                configurations=("LMesh/ECM", "XBar/OCM"),
+                num_requests=400,
+                output=OutputSpec(report=str(report_path)),
+            )
+        )
+        markdown = report_path.read_text()
+        headers = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in markdown.splitlines()
+            if line.startswith("| point |")
+        ]
+        assert len(headers) == 2  # the main table and the coherence table
+        for header in headers:
+            assert header.count("configuration") == 1
+        assert "['LMesh/ECM']" not in markdown
+
     def test_sensitivity_sweep_spec_expands(self):
         points = expand(sensitivity_sweep_spec(depths=(1, 4)))
         assert [p.axis_values["window"] for p in points] == [1, 4]
