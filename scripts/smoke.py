@@ -104,6 +104,20 @@ def scenario(d: Path) -> None:
     for name in ("scenario-report.md", "scenario-report.results.json",
                  "scenario-report.results.csv"):
         exists(d / name)
+    # A malformed override fails at load with its full field path, in a
+    # scenario file and in a sweep spec's base alike.
+    bad = {"system": {"overrides": {"cluster": {"l2_mshrs": 2.5}}}}
+    (d / "bad.json").write_text(json.dumps(bad), encoding="utf-8")
+    for args in (("scenario", "validate", "bad.json"), ("run", "bad.json")):
+        done = cli(d, *args, code=1)
+        expect("system.overrides.cluster.l2_mshrs", done.stderr, " ".join(args))
+        check("Traceback" not in done.stderr, f"{' '.join(args)} printed a traceback")
+    (d / "bad-sweep.json").write_text(
+        json.dumps({"base": bad, "axes": [GAP_AXIS]}), encoding="utf-8"
+    )
+    done = cli(d, "sweep", "expand", "bad-sweep.json", code=1)
+    expect("base.system.overrides.cluster.l2_mshrs", done.stderr, "sweep expand")
+    check("Traceback" not in done.stderr, "sweep expand printed a traceback")
 
 
 def sweep(d: Path) -> None:

@@ -13,25 +13,29 @@ every scenario, and the dict form is JSON-clean (lists, dicts, scalars), so
 scenario files round-trip byte-stable through ``corona-repro scenario
 init`` / ``validate`` / ``run``.
 
-Every parsing or validation failure raises :class:`ScenarioError`, whose
-message starts with the *path of the offending field* --
-``workloads[2].sharing.fraction: ...`` -- so a typo in a 60-line scenario
-file points at itself.
+Every node is read and written by :mod:`repro.spec` from its field
+annotations, and every parsing or validation failure -- in any node, the
+``system.overrides`` included -- raises :class:`ScenarioError`, whose
+message starts with the *full path of the offending field*
+(``workloads[2].sharing.fraction: ...``, ``system.overrides.cluster.
+l2_mshrs: ...``), so a typo in a 60-line scenario file points at itself.
+An integer field also takes a whole-number float (``2.0`` reads as ``2``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
 
 from repro.coherence.engine import CoherenceConfig
 from repro.coherence.sharing import SharingProfile
 from repro.core.config import CORONA_DEFAULT, CoronaConfig
-from repro.faults import FaultError, FaultSpec
-from repro.obs.spec import ObservabilityError, ObservabilitySpec
-from repro.trace.arrival import ArrivalError, ArrivalSpec
+from repro.faults import FaultSpec
+from repro.obs.spec import ObservabilitySpec
+from repro.spec import ScenarioError, check_fields, read, write
+from repro.trace.arrival import ArrivalSpec
 from repro.core.configs import CONFIGURATION_ORDER
 from repro.harness.experiments import (
     FULL_SCALE,
@@ -55,57 +59,18 @@ SCALE_TIERS: Dict[str, ExperimentScale] = {
 }
 
 
-class ScenarioError(ValueError):
-    """A scenario failed to parse or validate.
-
-    ``field`` holds the dotted path of the offending field (e.g.
-    ``workloads[0].sharing.fraction``); the message always starts with it,
-    followed by ``reason``.
-    """
-
-    def __init__(self, field_path: str, message: str) -> None:
-        self.field = field_path
-        self.reason = message
-        super().__init__(f"{field_path}: {message}")
-
-
-def _expect_mapping(value, path: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise ScenarioError(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _expect_list(value, path: str) -> List:
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioError(path, f"expected a list, got {type(value).__name__}")
-    return list(value)
-
-
-def _expect_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ScenarioError(path, f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _expect_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(path, f"expected an integer, got {type(value).__name__}")
-    return value
-
-
-def _expect_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
-
-
-def _reject_unknown(data: Mapping, known: Sequence[str], path: str) -> None:
-    unknown = set(data) - set(known)
-    if unknown:
+def untag(data, tag: str, kind: str):
+    """``data`` without its ``format`` key, which must be ``tag`` if present."""
+    if not isinstance(data, Mapping) or "format" not in data:
+        return data
+    data = dict(data)
+    found = data.pop("format")
+    if found != tag:
         raise ScenarioError(
-            f"{path}.{sorted(unknown)[0]}" if path else sorted(unknown)[0],
-            f"unknown field; known fields: {list(known)}",
+            "format",
+            f"unsupported {kind} format {found!r}; this build reads {tag!r}",
         )
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -125,75 +90,17 @@ class SystemSpec:
     configurations: Tuple[str, ...] = tuple(CONFIGURATION_ORDER)
     overrides: Mapping[str, object] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if not self.configurations:
+            raise ScenarioError(
+                "configurations", "at least one configuration is required"
+            )
+        self.corona_config()  # a bad override fails here, with its path
+
     def corona_config(self) -> CoronaConfig:
         """The architecture config with this spec's overrides applied."""
-        try:
-            return CORONA_DEFAULT.with_overrides(self.overrides)
-        except (ValueError, TypeError) as exc:
-            raise ScenarioError("system.overrides", str(exc)) from None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "configurations": list(self.configurations),
-            "overrides": dict(self.overrides),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping, path: str = "system") -> "SystemSpec":
-        data = _expect_mapping(data, path)
-        _reject_unknown(data, ("configurations", "overrides"), path)
-        names = _expect_list(
-            data.get("configurations", list(CONFIGURATION_ORDER)),
-            f"{path}.configurations",
-        )
-        configurations = tuple(
-            _expect_str(name, f"{path}.configurations[{i}]")
-            for i, name in enumerate(names)
-        )
-        if not configurations:
-            raise ScenarioError(
-                f"{path}.configurations", "at least one configuration is required"
-            )
-        overrides = dict(
-            _expect_mapping(data.get("overrides", {}), f"{path}.overrides")
-        )
-        spec = cls(configurations=configurations, overrides=overrides)
-        spec.corona_config()  # validate the override names/values eagerly
-        return spec
-
-
-def _sharing_to_dict(sharing) -> object:
-    if sharing is None or isinstance(sharing, str):
-        return sharing
-    return asdict(sharing)
-
-
-def _sharing_from_dict(value, path: str):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        if value != "default":
-            raise ScenarioError(
-                path, f"expected 'default', a sharing object or null, got {value!r}"
-            )
-        return value
-    data = _expect_mapping(value, path)
-    try:
-        return SharingProfile.from_dict(data)
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(path, str(exc)) from None
-
-
-def _arrival_from_dict(value, path: str) -> Optional[ArrivalSpec]:
-    if value is None:
-        return None
-    data = _expect_mapping(value, path)
-    try:
-        return ArrivalSpec.from_dict(dict(data))
-    except ArrivalError as exc:
-        raise ScenarioError(f"{path}.{exc.field}", exc.reason) from None
+        return CORONA_DEFAULT.with_overrides(self.overrides)
 
 
 @dataclass(frozen=True)
@@ -216,6 +123,22 @@ class WorkloadSpec:
     arrival: Optional[ArrivalSpec] = None
     num_requests: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if isinstance(self.sharing, str) and self.sharing != "default":
+            raise ScenarioError(
+                "sharing",
+                f"expected 'default', a sharing object or null, got "
+                f"{self.sharing!r}",
+            )
+        if self.num_requests is not None and self.num_requests < 1:
+            raise ScenarioError("num_requests", "must be >= 1")
+
+    @staticmethod
+    def _decode(data):
+        # Shorthand: "Uniform" == {"name": "Uniform"}.
+        return {"name": data} if isinstance(data, str) else data
+
     def factory_params(self) -> Dict[str, object]:
         """The params to call the registered factory with."""
         params = dict(self.params)
@@ -226,50 +149,7 @@ class WorkloadSpec:
         return params
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "params": dict(self.params),
-            "sharing": _sharing_to_dict(self.sharing),
-            "arrival": None if self.arrival is None else self.arrival.to_dict(),
-            "num_requests": self.num_requests,
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str) -> "WorkloadSpec":
-        if isinstance(data, str):  # shorthand: "Uniform" == {"name": "Uniform"}
-            return cls(name=data)
-        data = _expect_mapping(data, path)
-        _reject_unknown(
-            data, ("name", "params", "sharing", "arrival", "num_requests"), path
-        )
-        if "name" not in data:
-            raise ScenarioError(f"{path}.name", "workload name is required")
-        name = _expect_str(data["name"], f"{path}.name")
-        params = dict(_expect_mapping(data.get("params", {}), f"{path}.params"))
-        sharing = _sharing_from_dict(data.get("sharing"), f"{path}.sharing")
-        arrival = _arrival_from_dict(data.get("arrival"), f"{path}.arrival")
-        num_requests = data.get("num_requests")
-        if num_requests is not None:
-            num_requests = _expect_int(num_requests, f"{path}.num_requests")
-            if num_requests < 1:
-                raise ScenarioError(f"{path}.num_requests", "must be >= 1")
-        return cls(
-            name=name,
-            params=params,
-            sharing=sharing,
-            arrival=arrival,
-            num_requests=num_requests,
-        )
-
-
-_SCALE_FIELDS = (
-    "tier",
-    "synthetic_requests",
-    "splash_fraction",
-    "splash_min_requests",
-    "splash_max_requests",
-    "seed",
-)
+        return write(self)
 
 
 @dataclass(frozen=True)
@@ -283,43 +163,22 @@ class ScaleSpec:
     splash_max_requests: Optional[int] = None
     seed: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+        self.resolve()  # an unknown tier or a bad count fails here
+
     def resolve(self) -> ExperimentScale:
         """The concrete :class:`ExperimentScale` this spec describes."""
         if self.tier not in SCALE_TIERS:
             raise ScenarioError(
-                "scale.tier",
-                f"unknown tier {self.tier!r}; known: {list(SCALE_TIERS)}",
+                "tier", f"unknown tier {self.tier!r}; known: {list(SCALE_TIERS)}"
             )
         overrides = {
-            name: getattr(self, name)
-            for name in _SCALE_FIELDS
-            if name != "tier" and getattr(self, name) is not None
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "tier" and getattr(self, f.name) is not None
         }
-        try:
-            return replace(SCALE_TIERS[self.tier], **overrides)
-        except ValueError as exc:
-            raise ScenarioError("scale", str(exc)) from None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {name: getattr(self, name) for name in _SCALE_FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: Mapping, path: str = "scale") -> "ScaleSpec":
-        data = _expect_mapping(data, path)
-        _reject_unknown(data, _SCALE_FIELDS, path)
-        tier = _expect_str(data.get("tier", "quick"), f"{path}.tier")
-        values: Dict[str, object] = {"tier": tier}
-        for name in ("synthetic_requests", "splash_min_requests",
-                     "splash_max_requests", "seed"):
-            if data.get(name) is not None:
-                values[name] = _expect_int(data[name], f"{path}.{name}")
-        if data.get("splash_fraction") is not None:
-            values["splash_fraction"] = _expect_number(
-                data["splash_fraction"], f"{path}.splash_fraction"
-            )
-        spec = cls(**values)
-        spec.resolve()  # validate tier and override values eagerly
-        return spec
+        return replace(SCALE_TIERS[self.tier], **overrides)
 
 
 @dataclass(frozen=True)
@@ -335,6 +194,9 @@ class OutputSpec:
     json: Optional[str] = None
     csv: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
     def derived(self) -> "OutputSpec":
         """JSON/CSV paths next to the report for any sink not set."""
         if self.report is None:
@@ -347,65 +209,7 @@ class OutputSpec:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        return {"report": self.report, "json": self.json, "csv": self.csv}
-
-    @classmethod
-    def from_dict(cls, data: Mapping, path: str = "output") -> "OutputSpec":
-        data = _expect_mapping(data, path)
-        _reject_unknown(data, ("report", "json", "csv"), path)
-        values = {}
-        for name in ("report", "json", "csv"):
-            if data.get(name) is not None:
-                values[name] = _expect_str(data[name], f"{path}.{name}")
-        return cls(**values)
-
-
-def _faults_from_dict(data, path: str) -> Optional[FaultSpec]:
-    if data is None:
-        return None
-    data = _expect_mapping(data, path)
-    try:
-        return FaultSpec.from_dict(data)
-    except FaultError as exc:
-        raise ScenarioError(f"{path}.{exc.field}", exc.reason) from None
-
-
-def _observability_from_dict(data, path: str) -> Optional[ObservabilitySpec]:
-    if data is None:
-        return None
-    data = _expect_mapping(data, path)
-    try:
-        return ObservabilitySpec.from_dict(data)
-    except ObservabilityError as exc:
-        raise ScenarioError(f"{path}.{exc.field}", exc.reason) from None
-
-
-def _coherence_from_dict(data, path: str) -> Optional[CoherenceConfig]:
-    if data is None:
-        return None
-    data = _expect_mapping(data, path)
-    known = [f.name for f in fields(CoherenceConfig)]
-    _reject_unknown(data, known, path)
-    try:
-        return CoherenceConfig(**dict(data))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(path, str(exc)) from None
-
-
-_SCENARIO_FIELDS = (
-    "format",
-    "name",
-    "description",
-    "system",
-    "workloads",
-    "scale",
-    "coherence",
-    "faults",
-    "observability",
-    "jobs",
-    "modules",
-    "output",
-)
+        return write(self)
 
 
 @dataclass(frozen=True)
@@ -431,70 +235,35 @@ class Scenario:
     modules: Tuple[str, ...] = ()
     output: OutputSpec = field(default_factory=OutputSpec)
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.jobs < 0:
+            raise ScenarioError("jobs", "must be >= 0 (0 = every CPU)")
+        for index, module in enumerate(self.modules):
+            if not all(part.isidentifier() for part in module.split(".")):
+                raise ScenarioError(
+                    f"modules[{index}]",
+                    f"expected a dotted module name, got {module!r}",
+                )
+
     # -- serialization -------------------------------------------------------
+    @staticmethod
+    def _decode(data):
+        return untag(data, SCENARIO_FORMAT, "scenario")
+
+    @staticmethod
+    def _encode(data):
+        return {"format": SCENARIO_FORMAT, **data}
+
     def to_dict(self) -> Dict[str, object]:
         """The scenario as a JSON-clean mapping (exact round-trip)."""
-        return {
-            "format": SCENARIO_FORMAT,
-            "name": self.name,
-            "description": self.description,
-            "system": self.system.to_dict(),
-            "workloads": [w.to_dict() for w in self.workloads],
-            "scale": self.scale.to_dict(),
-            "coherence": None if self.coherence is None else asdict(self.coherence),
-            "faults": None if self.faults is None else self.faults.to_dict(),
-            "observability": (
-                None
-                if self.observability is None
-                else self.observability.to_dict()
-            ),
-            "jobs": self.jobs,
-            "modules": list(self.modules),
-            "output": self.output.to_dict(),
-        }
+        return write(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Scenario":
         """Parse a scenario, raising :class:`ScenarioError` naming any bad
         field."""
-        data = _expect_mapping(data, "scenario")
-        _reject_unknown(data, _SCENARIO_FIELDS, "")
-        fmt = data.get("format", SCENARIO_FORMAT)
-        if fmt != SCENARIO_FORMAT:
-            raise ScenarioError(
-                "format", f"unsupported scenario format {fmt!r}; "
-                f"this build reads {SCENARIO_FORMAT!r}"
-            )
-        workloads = tuple(
-            WorkloadSpec.from_dict(entry, f"workloads[{i}]")
-            for i, entry in enumerate(
-                _expect_list(data.get("workloads", []), "workloads")
-            )
-        )
-        modules = tuple(
-            _expect_str(entry, f"modules[{i}]")
-            for i, entry in enumerate(
-                _expect_list(data.get("modules", []), "modules")
-            )
-        )
-        jobs = _expect_int(data.get("jobs", 1), "jobs")
-        if jobs < 0:
-            raise ScenarioError("jobs", "must be >= 0 (0 = every CPU)")
-        return cls(
-            name=_expect_str(data.get("name", "scenario"), "name"),
-            description=_expect_str(data.get("description", ""), "description"),
-            system=SystemSpec.from_dict(data.get("system", {})),
-            workloads=workloads,
-            scale=ScaleSpec.from_dict(data.get("scale", {})),
-            coherence=_coherence_from_dict(data.get("coherence"), "coherence"),
-            faults=_faults_from_dict(data.get("faults"), "faults"),
-            observability=_observability_from_dict(
-                data.get("observability"), "observability"
-            ),
-            jobs=jobs,
-            modules=modules,
-            output=OutputSpec.from_dict(data.get("output", {})),
-        )
+        return read(cls, data)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent) + "\n"

@@ -37,6 +37,7 @@ from repro.cache.coherence import CoherenceController
 from repro.network.broadcast import OpticalBroadcastBus
 from repro.network.message import Message, MessageType
 from repro.sim.stats import RunningStats
+from repro.spec import ScenarioError, check_fields
 
 #: Threshold that never triggers a broadcast (electrical configurations).
 _NEVER_BROADCAST = 1 << 30
@@ -65,12 +66,15 @@ class CoherenceConfig:
     owner_l2_latency_s: float = 2e-9
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.broadcast_threshold < 1:
-            raise ValueError(
-                f"broadcast threshold must be >= 1, got {self.broadcast_threshold}"
+            raise ScenarioError(
+                "broadcast_threshold",
+                f"broadcast threshold must be >= 1, got {self.broadcast_threshold}",
             )
-        if self.directory_latency_s < 0 or self.owner_l2_latency_s < 0:
-            raise ValueError("coherence latencies must be non-negative")
+        for name in ("directory_latency_s", "owner_l2_latency_s"):
+            if getattr(self, name) < 0:
+                raise ScenarioError(name, "coherence latencies must be non-negative")
 
 
 class CoherentMiss(NamedTuple):

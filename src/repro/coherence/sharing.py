@@ -30,6 +30,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List
 
+from repro.spec import ScenarioError, check_fields, read
+
 #: Address bit marking the shared region (above every private synthetic
 #: address, which occupies bits [6, 32) -- see
 #: ``SyntheticWorkload._emit_records``).
@@ -67,42 +69,30 @@ class SharingProfile:
     write_fraction: float = 0.1
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(
-                f"sharing fraction must be in [0, 1], got {self.fraction}"
+            raise ScenarioError(
+                "fraction", f"sharing fraction must be in [0, 1], got {self.fraction}"
             )
         if self.num_lines < 1:
-            raise ValueError(
-                f"shared pool needs at least one line, got {self.num_lines}"
+            raise ScenarioError(
+                "num_lines",
+                f"shared pool needs at least one line, got {self.num_lines}",
             )
         if self.zipf_s < 0:
-            raise ValueError(f"zipf skew must be non-negative, got {self.zipf_s}")
+            raise ScenarioError(
+                "zipf_s", f"zipf skew must be non-negative, got {self.zipf_s}"
+            )
         if not 0.0 <= self.write_fraction <= 1.0:
-            raise ValueError(
+            raise ScenarioError(
+                "write_fraction",
                 f"shared write fraction must be in [0, 1], got "
-                f"{self.write_fraction}"
+                f"{self.write_fraction}",
             )
 
     @property
     def enabled(self) -> bool:
         return self.fraction > 0.0
-
-    @classmethod
-    def from_dict(cls, data) -> "SharingProfile":
-        """Build a profile from a mapping of field names.
-
-        Unknown keys raise a :class:`ValueError` naming the key -- scenario
-        files route their ``sharing`` blocks through here so a typo fails
-        with the offending field instead of a bare ``TypeError``.
-        """
-        known = ("fraction", "num_lines", "zipf_s", "write_fraction")
-        unknown = set(data) - set(known)
-        if unknown:
-            raise ValueError(
-                f"unknown SharingProfile field {sorted(unknown)[0]!r}; "
-                f"known: {list(known)}"
-            )
-        return cls(**dict(data))
 
     def cumulative_weights(self) -> List[float]:
         """Cumulative (unnormalized) Zipf weights over the pool, for bisect."""
@@ -144,14 +134,7 @@ def resolve_sharing(sharing, default_factory) -> "SharingProfile | None":
                 f"None or 'default', got {sharing!r}"
             )
         return default_factory()
-    try:
-        items = dict(sharing)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"sharing must be a SharingProfile, a mapping of its fields, "
-            f"None or 'default', got {type(sharing).__name__}"
-        ) from None
-    return SharingProfile.from_dict(items)
+    return read(SharingProfile, sharing, "sharing")
 
 
 def home_for_line(line: int, num_clusters: int) -> int:

@@ -6,15 +6,21 @@ and memory bandwidths.  Every other subsystem takes its numbers from here, so
 re-parameterizing the design (say, 32 clusters or a 2.5 GHz clock) propagates
 consistently through the interconnect models, the photonic inventory, the
 power roll-up and the benchmark harness.
+
+A scenario's ``system.overrides`` reach it through
+:meth:`CoronaConfig.with_overrides`, which :mod:`repro.spec` reads from the
+field annotations: a new field needs only its annotation, its default and,
+if it has one, a range check in ``__post_init__`` that names it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
 from repro.cores.cluster import ClusterParameters
 from repro.cores.core import CoreParameters
+from repro.spec import ScenarioError, check_fields, read
 
 
 @dataclass(frozen=True)
@@ -47,12 +53,24 @@ class CoronaConfig:
     memory_latency_s: float = 20e-9
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.num_clusters < 2:
-            raise ValueError(f"need at least two clusters, got {self.num_clusters}")
+            raise ScenarioError(
+                "num_clusters", f"need at least two clusters, got {self.num_clusters}"
+            )
+        for name in (
+            "crossbar_wavelengths_per_waveguide",
+            "crossbar_waveguides_per_channel",
+        ):
+            if getattr(self, name) < 1:
+                raise ScenarioError(name, f"must be >= 1, got {getattr(self, name)}")
+        for name in ("crossbar_max_propagation_cycles", "token_ring_round_trip_cycles"):
+            if getattr(self, name) < 0:
+                raise ScenarioError(name, f"must be >= 0, got {getattr(self, name)}")
         if self.signalling_rate_bps <= 0:
-            raise ValueError("signalling rate must be positive")
+            raise ScenarioError("signalling_rate_bps", "signalling rate must be positive")
         if self.memory_latency_s <= 0:
-            raise ValueError("memory latency must be positive")
+            raise ScenarioError("memory_latency_s", "memory latency must be positive")
 
     # -- structural totals ----------------------------------------------------
     @property
@@ -118,31 +136,13 @@ class CoronaConfig:
 
         ``overrides`` maps top-level field names to new values; the nested
         ``cluster`` and ``core`` parameter blocks accept a mapping of their
-        own field names (``{"cluster": {"cores": 2}}``).  Unknown field names
-        raise a :class:`ValueError` that names the offending key, which is
-        what lets scenario files fail with a message pointing at the bad
-        field instead of a ``TypeError`` from ``dataclasses.replace``.
+        own field names (``{"cluster": {"cores": 2}}``).  It is read like
+        every scenario node (:func:`repro.spec.read`), so an unknown name, a
+        wrongly typed value or an out-of-range one raises a
+        :class:`~repro.spec.ScenarioError` naming its field
+        (``overrides.cluster.l2_mshrs``).
         """
-        known = {f.name for f in fields(self)}
-        resolved: Dict[str, object] = {}
-        for key, value in overrides.items():
-            if key not in known:
-                raise ValueError(
-                    f"unknown CoronaConfig field {key!r}; known: {sorted(known)}"
-                )
-            if key in ("cluster", "core") and isinstance(value, Mapping):
-                target = getattr(self, key)
-                nested_known = {f.name for f in fields(target)}
-                unknown = set(value) - nested_known
-                if unknown:
-                    raise ValueError(
-                        f"unknown {key} field {sorted(unknown)[0]!r}; "
-                        f"known: {sorted(nested_known)}"
-                    )
-                resolved[key] = replace(target, **dict(value))
-            else:
-                resolved[key] = value
-        return replace(self, **resolved) if resolved else self
+        return read(type(self), overrides, "overrides", base=self)
 
     # -- reporting -------------------------------------------------------------
     def resource_configuration_rows(self) -> List[Tuple[str, str]]:

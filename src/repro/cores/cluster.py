@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.spec import ScenarioError, check_fields
+
 
 @dataclass(frozen=True)
 class ClusterParameters:
@@ -27,13 +29,20 @@ class ClusterParameters:
     hub_queue_depth: int = 64
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.cores < 1:
-            raise ValueError("cluster must contain at least one core")
-        if self.l2_cache_bytes <= 0 or self.l2_associativity < 1:
-            raise ValueError("invalid L2 configuration")
+            raise ScenarioError("cores", "cluster must contain at least one core")
+        if self.l2_cache_bytes <= 0:
+            raise ScenarioError("l2_cache_bytes", "invalid L2 configuration")
+        if self.l2_associativity < 1:
+            raise ScenarioError("l2_associativity", "invalid L2 configuration")
         if self.memory_controllers < 1:
-            raise ValueError("cluster needs at least one memory controller")
+            raise ScenarioError(
+                "memory_controllers", "cluster needs at least one memory controller"
+            )
         if self.l2_mshrs < 1:
-            raise ValueError("cluster needs at least one L2 MSHR")
+            raise ScenarioError("l2_mshrs", "cluster needs at least one L2 MSHR")
         if self.hub_queue_depth < 1:
-            raise ValueError("hub queue depth must be at least one")
+            raise ScenarioError(
+                "hub_queue_depth", "hub queue depth must be at least one"
+            )

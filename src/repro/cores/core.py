@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.spec import ScenarioError, check_fields
+
 
 @dataclass(frozen=True)
 class CoreParameters:
@@ -31,12 +33,13 @@ class CoreParameters:
     cache_line_bytes: int = 64
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.frequency_hz <= 0:
-            raise ValueError("core frequency must be positive")
+            raise ScenarioError("frequency_hz", "core frequency must be positive")
         if self.threads < 1:
-            raise ValueError("core must have at least one thread")
+            raise ScenarioError("threads", "core must have at least one thread")
         if self.issue_width < 1:
-            raise ValueError("issue width must be at least one")
+            raise ScenarioError("issue_width", "issue width must be at least one")
 
     @property
     def peak_flops(self) -> float:

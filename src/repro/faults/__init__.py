@@ -23,10 +23,9 @@ identical fault schedules regardless of worker count or execution order.
 
 from repro.faults.determinism import stable_uniform
 from repro.faults.inject import FaultInjector, FaultStats
-from repro.faults.spec import FaultError, FaultSpec
+from repro.faults.spec import FaultSpec
 
 __all__ = [
-    "FaultError",
     "FaultInjector",
     "FaultSpec",
     "FaultStats",

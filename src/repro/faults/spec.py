@@ -5,7 +5,10 @@ severe they are, as a JSON-round-tripping node of the Scenario tree
 (``"faults": {...}`` in a scenario file, sweepable via ``faults.<field>``
 axis paths).  All rates default to zero: a default spec is *inactive* and a
 ``faults: null`` scenario builds byte-identical systems to one that never
-mentions faults at all.
+mentions faults at all.  :mod:`repro.spec` reads and writes it like every
+other node: a bad or unknown field raises
+:class:`~repro.spec.ScenarioError` naming it (``faults.token_loss_rate``
+in a scenario file).
 
 The four fault models map to the failure modes of the paper's hardware:
 
@@ -28,23 +31,10 @@ The four fault models map to the failure modes of the paper's hardware:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Mapping
 
-
-class FaultError(ValueError):
-    """A fault spec field failed to parse or validate.
-
-    ``field`` holds the dotted path relative to the spec root (e.g.
-    ``token_loss_rate``); ``reason`` the bare message.  The Scenario parser
-    re-raises this as a :class:`~repro.api.scenario.ScenarioError` with the
-    enclosing ``faults.`` prefix.
-    """
-
-    def __init__(self, field: str, reason: str) -> None:
-        super().__init__(f"{field}: {reason}" if field else reason)
-        self.field = field
-        self.reason = reason
+from repro.spec import ScenarioError, check_fields, read, write
 
 
 @dataclass(frozen=True)
@@ -70,10 +60,9 @@ class FaultSpec:
     dram_retry_latency_ns: float = 200.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise FaultError("seed", f"must be an integer, got {self.seed!r}")
+        check_fields(self)
         if self.seed < 0:
-            raise FaultError("seed", f"must be >= 0, got {self.seed}")
+            raise ScenarioError("seed", f"must be >= 0, got {self.seed}")
         for name in (
             "ring_detuning_fraction",
             "token_loss_rate",
@@ -81,40 +70,27 @@ class FaultSpec:
             "dram_timeout_rate",
         ):
             value = getattr(self, name)
-            self._expect_number(name, value)
             if not 0.0 <= value <= 1.0:
-                raise FaultError(
+                raise ScenarioError(
                     name, f"must be a probability in [0, 1], got {value!r}"
                 )
-        self._expect_number(
-            "token_regeneration_cycles", self.token_regeneration_cycles
-        )
         if self.token_regeneration_cycles < 0:
-            raise FaultError(
+            raise ScenarioError(
                 "token_regeneration_cycles",
                 f"must be >= 0, got {self.token_regeneration_cycles!r}",
             )
-        self._expect_number(
-            "dead_link_bandwidth_scale", self.dead_link_bandwidth_scale
-        )
         if not 0.0 < self.dead_link_bandwidth_scale <= 1.0:
-            raise FaultError(
+            raise ScenarioError(
                 "dead_link_bandwidth_scale",
                 f"must be in (0, 1] so degraded links keep some bandwidth "
                 f"(a zero-bandwidth link would deadlock), got "
                 f"{self.dead_link_bandwidth_scale!r}",
             )
-        self._expect_number("dram_retry_latency_ns", self.dram_retry_latency_ns)
         if self.dram_retry_latency_ns < 0:
-            raise FaultError(
+            raise ScenarioError(
                 "dram_retry_latency_ns",
                 f"must be >= 0, got {self.dram_retry_latency_ns!r}",
             )
-
-    @staticmethod
-    def _expect_number(name: str, value: object) -> None:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise FaultError(name, f"must be a number, got {value!r}")
 
     @property
     def any_active(self) -> bool:
@@ -129,25 +105,10 @@ class FaultSpec:
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """All fields as a JSON-clean mapping (exact round-trip)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return write(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultSpec":
-        """Parse a spec mapping, raising :class:`FaultError` naming any bad
-        or unknown field."""
-        if not isinstance(data, Mapping):
-            raise FaultError(
-                "", f"expected an object, got {type(data).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise FaultError(
-                unknown[0],
-                f"unknown fault field; known fields: {sorted(known)}",
-            )
-        kwargs = dict(data)
-        seed = kwargs.get("seed")
-        if isinstance(seed, float) and seed.is_integer():
-            kwargs["seed"] = int(seed)
-        return cls(**kwargs)
+        """Parse a spec mapping, raising :class:`ScenarioError` naming any
+        bad or unknown field."""
+        return read(cls, data)

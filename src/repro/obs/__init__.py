@@ -33,14 +33,13 @@ from repro.obs.log import (
 )
 from repro.obs.metrics import METRIC_COLUMNS, MetricsSampler
 from repro.obs.progress import ProgressReporter
-from repro.obs.spec import ObservabilityError, ObservabilitySpec
+from repro.obs.spec import ObservabilitySpec
 from repro.obs.timeline import TimelineRecorder
 
 __all__ = [
     "METRIC_COLUMNS",
     "DiffableArtifact",
     "MetricsSampler",
-    "ObservabilityError",
     "ObservabilitySpec",
     "ProgressReporter",
     "TimelineRecorder",

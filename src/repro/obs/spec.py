@@ -20,27 +20,18 @@ Three planes hang off this spec:
 ``progress`` / ``progress_interval_s``
     The wall-clock plane's harness heartbeat (pairs done, pairs/s, ETA) on
     stderr, also reachable via the ``--progress`` CLI flag.
+
+:mod:`repro.spec` reads and writes the spec like every other node: a bad or
+unknown field raises :class:`~repro.spec.ScenarioError` naming it
+(``observability.timeline_limit`` in a scenario file).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Mapping
 
-
-class ObservabilityError(ValueError):
-    """An observability spec field failed to parse or validate.
-
-    ``field`` holds the dotted path relative to the spec root (e.g.
-    ``metrics_interval_ns``); ``reason`` the bare message.  The Scenario
-    parser re-raises this as a :class:`~repro.api.scenario.ScenarioError`
-    with the enclosing ``observability.`` prefix.
-    """
-
-    def __init__(self, field: str, reason: str) -> None:
-        super().__init__(f"{field}: {reason}" if field else reason)
-        self.field = field
-        self.reason = reason
+from repro.spec import ScenarioError, check_fields, read, write
 
 
 @dataclass(frozen=True)
@@ -71,43 +62,21 @@ class ObservabilitySpec:
     progress_interval_s: float = 2.0
 
     def __post_init__(self) -> None:
-        self._expect_number("metrics_interval_ns", self.metrics_interval_ns)
+        check_fields(self)
         if self.metrics_interval_ns <= 0:
-            raise ObservabilityError(
+            raise ScenarioError(
                 "metrics_interval_ns",
                 f"must be > 0, got {self.metrics_interval_ns!r}",
             )
-        for name in ("metrics_path", "timeline_path", "samples_path"):
-            if not isinstance(getattr(self, name), str):
-                raise ObservabilityError(
-                    name, f"must be a string path, got {getattr(self, name)!r}"
-                )
-        if not isinstance(self.timeline_limit, int) or isinstance(
-            self.timeline_limit, bool
-        ):
-            raise ObservabilityError(
-                "timeline_limit",
-                f"must be an integer, got {self.timeline_limit!r}",
-            )
         if self.timeline_limit < 0:
-            raise ObservabilityError(
+            raise ScenarioError(
                 "timeline_limit", f"must be >= 0, got {self.timeline_limit}"
             )
-        if not isinstance(self.progress, bool):
-            raise ObservabilityError(
-                "progress", f"must be a boolean, got {self.progress!r}"
-            )
-        self._expect_number("progress_interval_s", self.progress_interval_s)
         if self.progress_interval_s <= 0:
-            raise ObservabilityError(
+            raise ScenarioError(
                 "progress_interval_s",
                 f"must be > 0, got {self.progress_interval_s!r}",
             )
-
-    @staticmethod
-    def _expect_number(name: str, value: object) -> None:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ObservabilityError(name, f"must be a number, got {value!r}")
 
     # -- activity predicates -------------------------------------------------
     @property
@@ -141,25 +110,10 @@ class ObservabilitySpec:
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """All fields as a JSON-clean mapping (exact round-trip)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return write(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ObservabilitySpec":
-        """Parse a spec mapping, raising :class:`ObservabilityError` naming
-        any bad or unknown field."""
-        if not isinstance(data, Mapping):
-            raise ObservabilityError(
-                "", f"expected an object, got {type(data).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ObservabilityError(
-                unknown[0],
-                f"unknown observability field; known fields: {sorted(known)}",
-            )
-        kwargs = dict(data)
-        limit = kwargs.get("timeline_limit")
-        if isinstance(limit, float) and limit.is_integer():
-            kwargs["timeline_limit"] = int(limit)
-        return cls(**kwargs)
+        """Parse a spec mapping, raising :class:`ScenarioError` naming any
+        bad or unknown field."""
+        return read(cls, data)

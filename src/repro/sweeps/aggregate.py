@@ -145,8 +145,17 @@ def aggregation_report_section(
     metric: str = DEFAULT_METRIC,
 ) -> List[str]:
     """Markdown lines of the per-axis aggregation (empty when no axis has
-    aggregable records), appended to the sweep report."""
-    geomeans = axis_value_geomeans(records, axis_names, metric)
+    aggregable records), appended to the sweep report.
+
+    An axis whose every value holds records of exactly one configuration,
+    a different one per value (a ``configuration`` axis), gets no table:
+    it would be the main table's diagonal and can show no crossover.
+    """
+    geomeans = {
+        axis: rows
+        for axis, rows in axis_value_geomeans(records, axis_names, metric).items()
+        if not _is_diagonal(rows)
+    }
     if not geomeans:
         return []
     lines: List[str] = ["## Axis aggregation", ""]
@@ -182,6 +191,12 @@ def aggregation_report_section(
             )
         lines.append("")
     return lines
+
+
+def _is_diagonal(rows: Sequence[Tuple[object, Mapping[str, float]]]) -> bool:
+    """Whether each axis value holds one configuration, a different one each."""
+    owners = [tuple(means) for _, means in rows]
+    return all(len(owner) == 1 for owner in owners) and len(set(owners)) == len(owners)
 
 
 def coherence_report_section(

@@ -16,8 +16,10 @@ deterministic, filesystem-safe point ids (an expansion-order index plus an
 ``axis=value`` slug), the unit the execution engine schedules, checkpoints
 and resumes.
 
-Every parse, path or combination error raises :class:`SweepError` whose
-message starts with the offending field path (``axes[2].values: ...``),
+Both nodes are read and written by :mod:`repro.spec`, like the scenario
+they wrap.  Every parse, path or combination error raises
+:class:`SweepError` whose message starts with the offending field path
+(``axes[2].values: ...``, ``base.system.overrides.cluster.l2_mshrs: ...``),
 exactly like :class:`~repro.api.scenario.ScenarioError` does for scenarios.
 """
 
@@ -31,16 +33,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.api.scenario import (
-    OutputSpec,
-    Scenario,
-    ScenarioError,
-    _expect_int,
-    _expect_list,
-    _expect_mapping,
-    _expect_str,
-    _reject_unknown,
-)
+from repro.api.scenario import OutputSpec, Scenario, ScenarioError, untag
+from repro.spec import check_fields, read, write
 
 #: Format tag written into sweep spec files.
 SWEEP_FORMAT = "corona-sweep/1"
@@ -96,49 +90,18 @@ class SweepAxis:
 
     ``path`` is the scenario field the axis writes (dotted, with ``[i]``
     list indices and ``[*]`` for every entry); ``values`` are the JSON-clean
-    values swept over it.  ``zip_with`` names an *earlier* axis to advance
-    in lockstep with instead of crossing cartesianly.
+    values swept over it.  ``zip_with`` (``"zip"`` on disk) names an
+    *earlier* axis to advance in lockstep with instead of crossing
+    cartesianly.
     """
 
     name: str
     path: str
     values: Tuple[object, ...] = ()
-    zip_with: Optional[str] = None
+    zip_with: Optional[str] = field(default=None, metadata={"key": "zip"})
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "path": self.path,
-            "values": list(self.values),
-            "zip": self.zip_with,
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str) -> "SweepAxis":
-        data = _expect_mapping(data, path)
-        _reject_unknown(data, ("name", "path", "values", "zip"), path)
-        if "name" not in data:
-            raise SweepError(f"{path}.name", "axis name is required")
-        if "path" not in data:
-            raise SweepError(f"{path}.path", "axis path is required")
-        name = _expect_str(data["name"], f"{path}.name")
-        target = _expect_str(data["path"], f"{path}.path")
-        values = tuple(_expect_list(data.get("values", []), f"{path}.values"))
-        zip_with = data.get("zip")
-        if zip_with is not None:
-            zip_with = _expect_str(zip_with, f"{path}.zip")
-        return cls(name=name, path=target, values=values, zip_with=zip_with)
-
-
-_SWEEP_FIELDS = (
-    "format",
-    "name",
-    "description",
-    "base",
-    "axes",
-    "jobs",
-    "output",
-)
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -159,54 +122,32 @@ class SweepSpec:
     jobs: int = 1
     output: OutputSpec = field(default_factory=OutputSpec)
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.jobs < 0:
+            raise ScenarioError("jobs", "must be >= 0 (0 = every CPU)")
+
     # -- serialization -------------------------------------------------------
+    @staticmethod
+    def _decode(data):
+        return untag(data, SWEEP_FORMAT, "sweep")
+
+    @staticmethod
+    def _encode(data):
+        return {"format": SWEEP_FORMAT, **data}
+
     def to_dict(self) -> Dict[str, object]:
         """The spec as a JSON-clean mapping (exact round-trip)."""
-        return {
-            "format": SWEEP_FORMAT,
-            "name": self.name,
-            "description": self.description,
-            "base": self.base.to_dict(),
-            "axes": [axis.to_dict() for axis in self.axes],
-            "jobs": self.jobs,
-            "output": self.output.to_dict(),
-        }
+        return write(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SweepSpec":
-        """Parse a sweep spec, raising :class:`SweepError` /
-        :class:`ScenarioError` naming any bad field."""
-        data = _expect_mapping(data, "sweep")
-        _reject_unknown(data, _SWEEP_FIELDS, "")
-        fmt = data.get("format", SWEEP_FORMAT)
-        if fmt != SWEEP_FORMAT:
-            raise SweepError(
-                "format",
-                f"unsupported sweep format {fmt!r}; this build reads "
-                f"{SWEEP_FORMAT!r}",
-            )
-        base_data = _expect_mapping(data.get("base", {}), "base")
+        """Parse a sweep spec, raising :class:`SweepError` naming any bad
+        field (``base.``-prefixed inside the base scenario)."""
         try:
-            base = Scenario.from_dict(base_data)
+            spec = read(cls, data)
         except ScenarioError as exc:
-            raise SweepError(f"base.{exc.field}", exc.reason) from None
-        axes = tuple(
-            SweepAxis.from_dict(entry, f"axes[{index}]")
-            for index, entry in enumerate(
-                _expect_list(data.get("axes", []), "axes")
-            )
-        )
-        jobs = _expect_int(data.get("jobs", 1), "jobs")
-        if jobs < 0:
-            raise SweepError("jobs", "must be >= 0 (0 = every CPU)")
-        spec = cls(
-            name=_expect_str(data.get("name", "sweep"), "name"),
-            description=_expect_str(data.get("description", ""), "description"),
-            base=base,
-            axes=axes,
-            jobs=jobs,
-            output=OutputSpec.from_dict(data.get("output", {})),
-        )
+            raise SweepError(exc.field, exc.reason) from None
         spec.check()
         return spec
 

@@ -12,10 +12,10 @@ up.  The replay engine then timestamps each request at its *arrival*
 instant and reports sojourn time (queueing + service), which is what
 diverges honestly past the knee.
 
-The spec is a frozen scenario node (``workloads[*].arrival``), validated
-field-by-field like :class:`~repro.faults.spec.FaultSpec`: invalid values
-raise :class:`ArrivalError` naming the offending field, which the
-scenario layer re-raises as a field-path :class:`ScenarioError`.
+The spec is a frozen scenario node (``workloads[*].arrival``), read and
+written by :mod:`repro.spec` like every other node: invalid values raise
+:class:`~repro.spec.ScenarioError` naming the offending field
+(``workloads[0].arrival.rate_rps`` in a scenario file).
 
 Determinism: all arrival draws come from a dedicated generator seeded by
 ``(arrival.seed, trace seed)`` -- independent of the workload's own rng,
@@ -30,6 +30,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from repro.spec import ScenarioError, check_fields, read, write
+
 #: The packed gap column is denominated in 5 GHz core-clock cycles
 #: (``CoronaConfig.clock_hz``); arrival rates are requests/second, so this
 #: constant converts between the two without importing the core config.
@@ -43,19 +45,6 @@ ARRIVAL_PROCESSES = ("closed", "poisson", "mmpp")
 #: burst-state sojourn is this many burst-rate inter-arrival times, and
 #: the idle sojourn follows from ``burst_fraction``.
 MMPP_ARRIVALS_PER_BURST = 32.0
-
-
-class ArrivalError(ValueError):
-    """An :class:`ArrivalSpec` field failed validation.
-
-    ``field`` names the offending field so the scenario layer can turn it
-    into a precise ``workloads[i].arrival.<field>`` path.
-    """
-
-    def __init__(self, field: str, reason: str) -> None:
-        super().__init__(f"{field}: {reason}")
-        self.field = field
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -78,58 +67,49 @@ class ArrivalSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.process not in ARRIVAL_PROCESSES:
-            raise ArrivalError(
+            raise ScenarioError(
                 "process",
                 f"unknown arrival process {self.process!r}; "
                 f"expected one of {list(ARRIVAL_PROCESSES)}",
             )
-        rate = self._expect_number("rate_rps", self.rate_rps)
-        burst = self._expect_number("burst_rate_rps", self.burst_rate_rps)
-        fraction = self._expect_number("burst_fraction", self.burst_fraction)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ArrivalError(
-                "seed", f"must be an integer, got {self.seed!r}"
-            )
+        rate = self.rate_rps
+        burst = self.burst_rate_rps
+        fraction = self.burst_fraction
         if self.process in ("poisson", "mmpp") and rate <= 0.0:
-            raise ArrivalError(
+            raise ScenarioError(
                 "rate_rps",
                 f"{self.process} arrivals need a positive rate, got {rate!r}",
             )
         if self.process == "mmpp":
             if burst <= rate:
-                raise ArrivalError(
+                raise ScenarioError(
                     "burst_rate_rps",
                     f"must exceed rate_rps ({rate!r}) for a burst state, "
                     f"got {burst!r}",
                 )
             if not 0.0 < fraction < 1.0:
-                raise ArrivalError(
+                raise ScenarioError(
                     "burst_fraction",
                     f"must be strictly between 0 and 1, got {fraction!r}",
                 )
         else:
             if self.process == "closed" and rate != 0.0:
-                raise ArrivalError(
+                raise ScenarioError(
                     "rate_rps",
                     f"only meaningful for open-loop processes, got {rate!r}",
                 )
             if burst != 0.0:
-                raise ArrivalError(
+                raise ScenarioError(
                     "burst_rate_rps",
                     f"only meaningful for process 'mmpp', got {burst!r}",
                 )
             if fraction != 0.0:
-                raise ArrivalError(
+                raise ScenarioError(
                     "burst_fraction",
                     f"only meaningful for process 'mmpp', got {fraction!r}",
                 )
-
-    @staticmethod
-    def _expect_number(field: str, value) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ArrivalError(field, f"must be a number, got {value!r}")
-        return float(value)
 
     # -- derived -----------------------------------------------------------
     @property
@@ -148,31 +128,11 @@ class ArrivalSpec:
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "process": self.process,
-            "rate_rps": self.rate_rps,
-            "burst_rate_rps": self.burst_rate_rps,
-            "burst_fraction": self.burst_fraction,
-            "seed": self.seed,
-        }
+        return write(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArrivalSpec":
-        if not isinstance(data, dict):
-            raise ArrivalError(
-                "arrival", f"must be a mapping, got {type(data).__name__}"
-            )
-        known = {"process", "rate_rps", "burst_rate_rps", "burst_fraction", "seed"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ArrivalError(
-                unknown[0], f"unknown arrival field (known: {sorted(known)})"
-            )
-        fields = dict(data)
-        seed = fields.get("seed", 0)
-        if isinstance(seed, float) and seed.is_integer():
-            fields["seed"] = int(seed)
-        return cls(**fields)
+        return read(cls, data)
 
 
 class ThreadArrivals:

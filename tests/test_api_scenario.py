@@ -121,8 +121,8 @@ class TestScenarioValidation:
             )
 
     def test_wrong_typed_values_still_raise_scenario_errors(self):
-        # __post_init__ range checks raise TypeError on non-numeric values;
-        # the parsers must translate those to field-pathed ScenarioErrors.
+        # A wrongly typed value fails its field's type check, with the
+        # field path, before any range check compares it.
         with pytest.raises(ScenarioError, match=r"workloads\[0\].sharing"):
             Scenario.from_dict(
                 {"workloads": [{"name": "Uniform",

@@ -22,7 +22,6 @@ from repro.sweeps.library import latency_throughput_sweep_spec
 from repro.sweeps.saturation import detect_knee, saturation_report_section
 from repro.trace.arrival import (
     GAP_CLOCK_HZ,
-    ArrivalError,
     ArrivalSpec,
     arrival_streams,
 )
@@ -88,7 +87,7 @@ class TestArrivalSpec:
         assert mmpp.offered_rps() == pytest.approx(0.5 * 1e8 + 0.5 * 1e10)
 
     def test_unknown_key_is_named(self):
-        with pytest.raises(ArrivalError, match="bogus"):
+        with pytest.raises(ScenarioError, match="bogus"):
             ArrivalSpec.from_dict({"process": "poisson", "bogus": 1})
 
     @pytest.mark.parametrize(
@@ -114,7 +113,7 @@ class TestArrivalSpec:
         ],
     )
     def test_validation_names_the_field(self, kwargs, field):
-        with pytest.raises(ArrivalError) as excinfo:
+        with pytest.raises(ScenarioError) as excinfo:
             ArrivalSpec(**kwargs)
         assert excinfo.value.field == field
 

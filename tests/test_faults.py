@@ -18,7 +18,7 @@ from repro.api import (
     WorkloadSpec,
     run,
 )
-from repro.faults import FaultError, FaultSpec
+from repro.faults import FaultSpec
 from repro.faults.determinism import stable_uniform
 from repro.faults.inject import FaultInjector, build_injector
 from repro.network.crossbar import OpticalCrossbar
@@ -75,21 +75,21 @@ class TestFaultSpec:
             "dead_link_fraction",
             "dram_timeout_rate",
         ):
-            with pytest.raises(FaultError) as err:
+            with pytest.raises(ScenarioError) as err:
                 FaultSpec(**{field: 1.5})
             assert err.value.field == field
-            with pytest.raises(FaultError):
+            with pytest.raises(ScenarioError):
                 FaultSpec(**{field: -0.1})
-            with pytest.raises(FaultError):
+            with pytest.raises(ScenarioError):
                 FaultSpec(**{field: "high"})
 
     def test_seed_must_be_nonnegative_integer(self):
-        with pytest.raises(FaultError) as err:
+        with pytest.raises(ScenarioError) as err:
             FaultSpec(seed=-1)
         assert err.value.field == "seed"
-        with pytest.raises(FaultError):
+        with pytest.raises(ScenarioError):
             FaultSpec(seed=1.5)
-        with pytest.raises(FaultError):
+        with pytest.raises(ScenarioError):
             FaultSpec(seed=True)
 
     def test_integral_float_seed_coerced_from_dict(self):
@@ -98,22 +98,22 @@ class TestFaultSpec:
 
     def test_zero_bandwidth_scale_rejected(self):
         # A zero-bandwidth link would stall transfers forever.
-        with pytest.raises(FaultError, match="deadlock"):
+        with pytest.raises(ScenarioError, match="deadlock"):
             FaultSpec(dead_link_fraction=0.5, dead_link_bandwidth_scale=0.0)
 
     def test_negative_latencies_rejected(self):
-        with pytest.raises(FaultError):
+        with pytest.raises(ScenarioError):
             FaultSpec(token_regeneration_cycles=-1.0)
-        with pytest.raises(FaultError):
+        with pytest.raises(ScenarioError):
             FaultSpec(dram_retry_latency_ns=-5.0)
 
     def test_unknown_field_rejected_by_name(self):
-        with pytest.raises(FaultError) as err:
+        with pytest.raises(ScenarioError) as err:
             FaultSpec.from_dict({"cosmic_ray_rate": 0.5})
         assert err.value.field == "cosmic_ray_rate"
 
     def test_non_mapping_rejected(self):
-        with pytest.raises(FaultError, match="expected an object"):
+        with pytest.raises(ScenarioError, match="expected an object"):
             FaultSpec.from_dict(["not", "a", "mapping"])
 
 

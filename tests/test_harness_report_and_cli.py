@@ -251,15 +251,38 @@ class TestScenarioCli:
             main(["scenario", "validate", str(path)])
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, field",
         [
-            {"memory_latency_s": 0},
-            {"cluster": {"l2_mshrs": 0}},
-            {"cluster": {"hub_queue_depth": 0}},
+            ({"memory_latency_s": 0}, "memory_latency_s"),
+            ({"cluster": {"l2_mshrs": 0}}, "cluster.l2_mshrs"),
+            ({"cluster": {"hub_queue_depth": 0}}, "cluster.hub_queue_depth"),
+            (
+                {"crossbar_wavelengths_per_waveguide": 0},
+                "crossbar_wavelengths_per_waveguide",
+            ),
+            (
+                {"crossbar_waveguides_per_channel": 0},
+                "crossbar_waveguides_per_channel",
+            ),
+            (
+                {"crossbar_max_propagation_cycles": -5},
+                "crossbar_max_propagation_cycles",
+            ),
+            ({"token_ring_round_trip_cycles": -8}, "token_ring_round_trip_cycles"),
         ],
-        ids=["memory_latency_s", "l2_mshrs", "hub_queue_depth"],
+        ids=[
+            "memory_latency_s",
+            "l2_mshrs",
+            "hub_queue_depth",
+            "crossbar_wavelengths_per_waveguide",
+            "crossbar_waveguides_per_channel",
+            "crossbar_max_propagation_cycles",
+            "token_ring_round_trip_cycles",
+        ],
     )
-    def test_out_of_range_replay_override_fails_cleanly(self, tmp_path, overrides):
+    def test_out_of_range_replay_override_fails_cleanly(
+        self, tmp_path, overrides, field
+    ):
         """Overrides that reach the replay are range-checked when the file
         loads: both commands exit 1 with the field path, no traceback."""
         import json
@@ -278,7 +301,7 @@ class TestScenarioCli:
                 capture_output=True, text=True, timeout=120, env=env,
             )
             assert completed.returncode == 1, completed.stdout
-            assert f"{path}: system.overrides: " in completed.stderr
+            assert f"{path}: system.overrides.{field}: " in completed.stderr
             assert "Traceback" not in completed.stderr
 
     @pytest.mark.parametrize(

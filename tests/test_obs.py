@@ -27,7 +27,6 @@ from repro.api import (
 from repro.core.system import SystemSimulator
 from repro.faults import FaultSpec
 from repro.obs import (
-    ObservabilityError,
     ObservabilitySpec,
     ProgressReporter,
 )
@@ -77,18 +76,18 @@ class TestObservabilitySpec:
         assert ObservabilitySpec.from_dict(spec.to_dict()) == spec
 
     def test_validation_names_the_field(self):
-        with pytest.raises(ObservabilityError) as err:
+        with pytest.raises(ScenarioError) as err:
             ObservabilitySpec(metrics_interval_ns=0)
         assert err.value.field == "metrics_interval_ns"
-        with pytest.raises(ObservabilityError):
+        with pytest.raises(ScenarioError):
             ObservabilitySpec(timeline_limit=-1)
-        with pytest.raises(ObservabilityError):
+        with pytest.raises(ScenarioError):
             ObservabilitySpec(progress="yes")
-        with pytest.raises(ObservabilityError):
+        with pytest.raises(ScenarioError):
             ObservabilitySpec(progress_interval_s=0.0)
 
     def test_unknown_field_rejected_by_name(self):
-        with pytest.raises(ObservabilityError) as err:
+        with pytest.raises(ScenarioError) as err:
             ObservabilitySpec.from_dict({"flame_graph": True})
         assert err.value.field == "flame_graph"
 

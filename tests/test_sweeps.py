@@ -613,6 +613,37 @@ class TestReexpressedExperiments:
             assert header.count("configuration") == 1
         assert "['LMesh/ECM']" not in markdown
 
+    def test_configuration_axis_gets_no_aggregation_table(self, tmp_path):
+        """Each ``configuration`` value holds one configuration's records, so
+        its geomean table would be the main table's diagonal; the other
+        axes keep theirs."""
+        report_path = tmp_path / "sweep.md"
+        run_sweep(
+            coherence_sweep_spec(
+                fractions=(0.0, 0.3),
+                configurations=("LMesh/ECM", "XBar/OCM"),
+                num_requests=400,
+                output=OutputSpec(report=str(report_path)),
+            )
+        )
+        markdown = report_path.read_text()
+        assert "| fraction | LMesh/ECM | XBar/OCM |" in markdown
+        assert "| label | LMesh/ECM | XBar/OCM |" in markdown
+        assert "| configuration | LMesh/ECM | XBar/OCM |" not in markdown
+
+    def test_single_configuration_axis_keeps_its_table(self, tmp_path):
+        report_path = tmp_path / "sweep.md"
+        run_sweep(
+            sensitivity_sweep_spec(
+                depths=(1, 4),
+                num_requests=400,
+                output=OutputSpec(report=str(report_path)),
+            )
+        )
+        markdown = report_path.read_text()
+        assert "## Axis aggregation" in markdown
+        assert "| window | XBar/OCM |" in markdown
+
     def test_sensitivity_sweep_spec_expands(self):
         points = expand(sensitivity_sweep_spec(depths=(1, 4)))
         assert [p.axis_values["window"] for p in points] == [1, 4]
