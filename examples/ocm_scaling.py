@@ -4,8 +4,11 @@
 Two small studies of the OCM design from Section 3.3 of the paper:
 
 1. **Expansion**: add OCM modules to one controller's fiber loop and show that
-   access latency stays nearly flat (the light passes through each module
-   without retiming), unlike a store-and-forward electrical chain.
+   access latency stays nearly flat: light passes through each module
+   without retiming, so a module further down the chain adds only one
+   optical pass-through each way, unlike a store-and-forward electrical
+   chain.  The replayed controller drives one module; the chain's extra
+   pass-throughs come from :func:`~repro.memory.dram.daisy_chain_delay`.
 2. **Hot spot**: drive a single controller at increasing request rates on the
    OCM and ECM channels and show where each saturates -- the effect behind the
    paper's Hot Spot synthetic benchmark.
@@ -19,27 +22,22 @@ from __future__ import annotations
 
 from repro.memory.channel import ElectricalMemoryChannel, OpticalMemoryChannel
 from repro.memory.controller import MemoryController
-from repro.memory.dram import OcmModule
+from repro.memory.dram import daisy_chain_delay
 
 
 def expansion_study() -> None:
     print("1. Daisy-chain expansion: latency vs modules on the loop")
     print(f"{'modules':>8}{'capacity (modules)':>20}{'avg read latency (ns)':>24}")
+    # An idle read through the controller and the module next to it.
+    controller = MemoryController(
+        controller_id=0, channel=OpticalMemoryChannel("loop")
+    )
+    nearest = controller.access(now=0.0, size_bytes=64, is_write=False).memory_latency
     for module_count in (1, 2, 4, 8):
-        controller = MemoryController(
-            controller_id=0,
-            channel=OpticalMemoryChannel(f"loop-{module_count}"),
-            modules=[OcmModule(module_id=m) for m in range(module_count)],
-        )
-        # One read per module region, spaced far apart so there is no queueing.
-        latencies = []
-        for i in range(64):
-            address = i * 64 * 256  # spread across modules and banks
-            result = controller.access(
-                now=i * 1e-6, size_bytes=64, is_write=False, address=address
-            )
-            latencies.append(result.memory_latency)
-        average = sum(latencies) / len(latencies)
+        # Reads spread evenly over the chain: module k adds its pass-through
+        # delay on the way out and again on the way back.
+        chain = sum(2 * daisy_chain_delay(k) for k in range(module_count))
+        average = nearest + chain / module_count
         print(f"{module_count:>8}{module_count:>20}{average * 1e9:>24.2f}")
 
 

@@ -56,6 +56,17 @@ busy-interval reservation -- mesh link, memory channel, DRAM bank -- is
 handlers finish in :meth:`SystemSimulator._complete`, which records through
 :meth:`TransactionStats.record`.
 
+Every Python frame on the per-miss path does model work: a replayed miss
+is 3 calendar events and about 30.4 Python frames on XBar/OCM Uniform, 40.1
+on LMesh/ECM Hot Spot (its extra frames are per-hop reservations), counted
+over a 2,000-request run and pinned by
+``tests/test_core_system.py::TestHostCostGate``.  The three results built
+per miss -- request and response :class:`TransferResult`,
+:class:`~repro.memory.controller.MemoryAccessResult` -- are made with
+``tuple.__new__(Cls, fields)``, because a ``NamedTuple``'s generated
+``__new__`` is a Python function, one frame per result; the object, its
+field names and its ``result[i]`` positions are the same.
+
 The evaluation matrix builds a fresh simulator per pair, so construction
 and teardown are kept cheap too.  The memory system's 2,048 DRAM banks live
 in one flat table per OCM module (:mod:`repro.memory.dram`), and a mesh
@@ -72,9 +83,10 @@ misses over most of the 1,024 threads, so per-thread and per-sample work
 outside the event loop is kept linear and lean as well:
 :meth:`SystemSimulator.run` builds each thread's state from positional
 arguments and seeds every first issue with one ``heapify``, and the result
-statistics fold their samples in
-:meth:`RunningStats.extend <repro.sim.stats.RunningStats.extend>`'s
-local-variable loop.
+statistics fold their samples in the local-variable loops of
+:meth:`RunningStats.extend <repro.sim.stats.RunningStats.extend>` and
+:meth:`Histogram.extend <repro.sim.stats.Histogram.extend>`, fed by
+``map``/``itemgetter`` so no per-sample frame or list is made.
 
 The replay consumes traces in packed columnar form
 (:class:`~repro.trace.packed.PackedTrace`, the only trace representation):
@@ -88,6 +100,8 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from heapq import heapify, heappush
+from itertools import repeat
+from operator import itemgetter, mul
 from typing import Dict, List, Optional
 
 from repro.coherence.engine import CoherenceConfig, CoherenceEngine, CoherentMiss
@@ -175,7 +189,7 @@ class TransactionStats:
         stats = self._derived.get(key)
         if stats is None:
             stats = RunningStats(key)
-            stats.extend(sample[column] for sample in self._samples)
+            stats.extend(map(itemgetter(column), self._samples))
             self._derived[key] = stats
         return stats
 
@@ -202,9 +216,9 @@ class TransactionStats:
             histogram = Histogram(
                 "latency-ns", lower=0.0, upper=2000.0, bins=200, auto_expand=True
             )
-            add = histogram.add
-            for sample in self._samples:
-                add(sample[0] * 1e9)
+            histogram.extend(
+                map(mul, map(itemgetter(0), self._samples), repeat(1e9))
+            )
             self._derived["histogram"] = histogram
         return histogram
 
@@ -315,7 +329,6 @@ class SystemSimulator:
         "hubs",
         "stats",
         "_simulator",
-        "_push",
         "_equeue",
         "_eheap",
         "_transfer",
@@ -386,14 +399,18 @@ class SystemSimulator:
             for cluster in range(corona_config.num_clusters)
         }
         self.stats = TransactionStats()
+        # The calendar the one replay runs on.  Every stage time is derived
+        # from ``now`` plus non-negative delays, so the handlers push heap
+        # entries directly (EventQueue.push, inlined) without schedule_at's
+        # past-time guard.
         self._simulator = Simulator()
-        self._push = self._simulator._queue.push
         self._equeue = self._simulator._queue
         self._eheap = self._equeue._heap
-        # Bound method of the per-run interconnect, re-resolved per call
-        # otherwise in the two transfer-issuing handlers.
+        # Bound method of the interconnect, re-resolved per call otherwise
+        # in the two transfer-issuing handlers.
         self._transfer = self.network.transfer
-        self._threads: Dict[int, _ThreadState] = {}
+        #: Per-thread replay state; ``None`` until :meth:`run` starts.
+        self._threads: Optional[Dict[int, _ThreadState]] = None
         self._makespan = 0.0
         # Per-record invariants hoisted out of the stage handlers.  Clusters
         # and memory controllers are numbered contiguously from zero, so
@@ -442,10 +459,20 @@ class SystemSimulator:
 
     # ------------------------------------------------------------------ replay
     def run(self, trace: PackedTrace) -> WorkloadResult:
-        """Replay ``trace`` to completion and return the workload result."""
-        self._simulator = Simulator()
+        """Replay ``trace`` to completion and return the workload result.
+
+        A simulator replays once: its statistics, hubs, interconnect and
+        memory keep the replay's bookings, so a second call raises
+        :class:`RuntimeError` instead of returning results skewed by the
+        first.  Build a new simulator for each replay.
+        """
+        if self._threads is not None:
+            raise RuntimeError(
+                "this SystemSimulator has already replayed a trace; its "
+                "statistics and resources keep that replay's bookings, so "
+                "build a new SystemSimulator for each run"
+            )
         self._threads = {}
-        self._makespan = 0.0
         # Open-loop replay: the trace's gap column encodes a fixed arrival
         # schedule (the cumulative per-thread gap sum), so misses are
         # timestamped at their scheduled *arrival* instant and sojourn
@@ -454,13 +481,6 @@ class SystemSimulator:
         self._open_loop = trace.arrival_process not in ("", "closed")
         self._offered_rps = trace.offered_rps if self._open_loop else 0.0
         self._sojourns = [] if self._open_loop else None
-        # Direct push into the event calendar: every stage time is derived
-        # from ``now`` plus non-negative delays, so the schedule_at past-time
-        # guard is redundant on this path.  The handlers push heap entries
-        # directly (EventQueue.push, inlined).
-        self._push = self._simulator._queue.push
-        self._equeue = self._simulator._queue
-        self._eheap = self._equeue._heap
 
         # Seed every thread's first issue in one heapify rather than one
         # push each.  The (time, seq) keys are unique, so the calendar pops
@@ -510,11 +530,11 @@ class SystemSimulator:
         return self._build_result(trace, self._makespan)
 
     def _install_observability(self, spec: ObservabilitySpec) -> None:
-        """Build and install the sampler/recorder on the fresh calendar.
+        """Build and install the sampler/recorder on the calendar.
 
         Runs after the thread states exist (the sampler reads them) and
-        before the event loop starts.  Each :meth:`run` call gets fresh
-        collectors; the previous run's data is dropped.
+        before the event loop starts.  A simulator replays once, so the
+        collectors hold exactly that replay's data.
         """
         recorder = None
         if spec.timeline_enabled:
@@ -616,10 +636,13 @@ class SystemSimulator:
         # MSHR allocation; the token's release is booked at completion.
         mshr_grant = hub.mshr_pool.acquire(now)
         transaction.mshr_wait = mshr_grant - now
-        # Injection-queue admission: the message leaves the queue once the
-        # hub has forwarded it.
-        inject_time = hub.inject(
-            mshr_grant, mshr_grant + hub.forwarding_latency_s
+        # Injection-queue admission: the message holds its slot until the
+        # hub has forwarded it, and leaves the hub one forwarding latency
+        # after admission.
+        forwarding = hub.forwarding_latency_s
+        inject_time = (
+            hub.injection_queue.admit(mshr_grant, mshr_grant + forwarding)
+            + forwarding
         )
         if state.cluster_id == home:
             # Local miss: the hub hands it straight to the cluster's own
@@ -633,7 +656,6 @@ class SystemSimulator:
                 request = self._msg_read_request
             request.src = state.cluster_id
             request.dst = home
-            request.transaction_id = self.stats.requests
             result = self._transfer(request, inject_time)
             transaction.request_result = result
             arrival = result.arrival_time
@@ -763,7 +785,6 @@ class SystemSimulator:
                 response = self._msg_write_ack
             response.src = supplier
             response.dst = src
-            response.transaction_id = transaction.index
             response_result = self._transfer(response, now)
             transaction.response_result = response_result
             arrival, rsp_queue, rsp_serial, rsp_prop, rsp_hops, _ = response_result
@@ -845,7 +866,6 @@ class SystemSimulator:
                 response = self._msg_read_response
             response.src = transaction.home
             response.dst = src
-            response.transaction_id = transaction.index
             response_result = self._transfer(response, now)
             transaction.response_result = response_result
             arrival, rsp_queue, rsp_serial, rsp_prop, rsp_hops, _ = response_result

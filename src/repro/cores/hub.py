@@ -46,12 +46,3 @@ class Hub:
             name=f"hub{self.cluster_id}-inject", capacity=self.queue_depth
         )
         self.mshr_pool = TokenPool(name=f"hub{self.cluster_id}-mshrs", tokens=self.mshrs)
-
-    def inject(self, now: float, departure_time: float) -> float:
-        """Enqueue an outbound message; returns the admission time.
-
-        ``departure_time`` is when the message will have left for the
-        interconnect (it frees its queue slot then).
-        """
-        admit = self.injection_queue.admit(now, max(departure_time, now))
-        return admit + self.forwarding_latency_s

@@ -9,12 +9,11 @@ the effect that dominates the Hot Spot results in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple
+from typing import NamedTuple
 
 from repro.memory.channel import MemoryChannel
-from repro.memory.dram import OcmModule, daisy_chain_delay
+from repro.memory.dram import OcmModule
 from repro.sim.resources import BoundedQueue
-from repro.sim.stats import RunningStats
 
 #: Bytes of command/address overhead sent to memory per access (the command
 #: itself is small; most command signalling travels on dedicated wavelengths
@@ -26,7 +25,8 @@ class MemoryAccessResult(NamedTuple):
     """Outcome of one memory access at a controller.
 
     A NamedTuple (not a dataclass): one is built per replayed miss, so cheap
-    construction matters.
+    construction matters; :meth:`MemoryController.access` builds it with
+    ``tuple.__new__``, skipping the generated ``__new__``'s Python frame.
     """
 
     completion_time: float
@@ -49,23 +49,22 @@ class MemoryController:
         The cluster this controller belongs to.
     channel:
         External channel (optical or electrical).
-    modules:
-        Daisy chain of OCM modules (or the equivalent DRAM behind an ECM
-        channel).
+    module:
+        The OCM module behind the channel (or the equivalent DRAM behind an
+        ECM channel).
     queue_depth:
         Finite request queue; overflowing requests wait, creating
         back-pressure into the hub.
 
     The DRAM access latency (Table 4: 20 ns for both designs) and bank
-    occupancy come from the modules' :class:`~repro.memory.dram.DramTimings`.
+    occupancy come from the module's :class:`~repro.memory.dram.DramTimings`.
     """
 
     controller_id: int
     channel: MemoryChannel
-    modules: List[OcmModule] = field(default_factory=list)
+    module: OcmModule = field(default_factory=lambda: OcmModule(module_id=0))
     queue_depth: int = 256
     queue: BoundedQueue = field(init=False, repr=False)
-    latency_stats: RunningStats = field(init=False, repr=False)
     reads: int = field(default=0, repr=False)
     writes: int = field(default=0, repr=False)
     bytes_transferred: float = field(default=0.0, repr=False)
@@ -81,14 +80,11 @@ class MemoryController:
     _command_serialization_s: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.modules:
-            self.modules = [OcmModule(module_id=0)]
         if self.queue_depth < 1:
             raise ValueError(f"queue depth must be >= 1, got {self.queue_depth}")
         self.queue = BoundedQueue(
             name=f"mc{self.controller_id}-queue", capacity=self.queue_depth
         )
-        self.latency_stats = RunningStats(f"mc{self.controller_id}-latency")
         # Hot-path bindings: the channel's serial resources and serialization
         # constants, resolved once instead of per access.
         self._outbound = self.channel._outbound
@@ -96,13 +92,6 @@ class MemoryController:
         self._channel_latency_s = self.channel.latency_s
         self._bytes_per_s = self.channel._per_direction_bw
         self._command_serialization_s = COMMAND_BYTES / self._bytes_per_s
-
-    # -- address mapping ------------------------------------------------------
-    def module_for_address(self, address: int) -> tuple[int, OcmModule]:
-        """Which module in the daisy chain owns ``address``."""
-        line = address >> 6
-        index = (line >> 8) % len(self.modules)
-        return index, self.modules[index]
 
     # -- the access path ------------------------------------------------------
     def access(
@@ -140,15 +129,8 @@ class MemoryController:
                 + channel_latency
             )
 
-        # DRAM access behind the channel (single-module chains skip the
-        # address mapping and the zero pass-through delay).
-        if len(self.modules) == 1:
-            chain_delay = 0.0
-            module = self.modules[0]
-        else:
-            module_index, module = self.module_for_address(address)
-            chain_delay = daisy_chain_delay(module_index)
-        data_ready = module.access(address, channel_done + chain_delay)
+        # DRAM access behind the channel.
+        data_ready = self.module.access(address, channel_done)
         if self.fault_dram is not None:
             # Transient timeout: the access is retried after the configured
             # latency.  Keyed by the deterministic access counter (reads +
@@ -162,9 +144,7 @@ class MemoryController:
         else:
             # Read data returns over the channel.
             completion = (
-                self._inbound.reserve(
-                    data_ready + chain_delay, size_bytes / self._bytes_per_s
-                )
+                self._inbound.reserve(data_ready, size_bytes / self._bytes_per_s)
                 + channel_latency
             )
 
@@ -173,7 +153,7 @@ class MemoryController:
         heaps.push(completion)
 
         channel_delay = (channel_done - start) + (
-            (completion - data_ready - chain_delay) if not is_write else 0.0
+            (completion - data_ready) if not is_write else 0.0
         )
         dram_delay = data_ready - channel_done
 
@@ -182,9 +162,11 @@ class MemoryController:
         else:
             self.reads += 1
         self.bytes_transferred += size_bytes
-        self.latency_stats.add(completion - now)
 
-        return MemoryAccessResult(completion, queue_wait, channel_delay, dram_delay)
+        # MemoryAccessResult's fields, built without its generated __new__.
+        return tuple.__new__(
+            MemoryAccessResult, (completion, queue_wait, channel_delay, dram_delay)
+        )
 
     # -- reporting ------------------------------------------------------------
     @property
@@ -196,8 +178,5 @@ class MemoryController:
             return 0.0
         return self.bytes_transferred / elapsed_seconds
 
-    def average_latency_s(self) -> float:
-        return self.latency_stats.mean
-
     def dram_energy_j(self) -> float:
-        return sum(module.energy_j() for module in self.modules)
+        return self.module.energy_j()

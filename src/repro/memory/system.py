@@ -51,7 +51,7 @@ class MemorySystem:
             controller_id: MemoryController(
                 controller_id=controller_id,
                 channel=self.channel_factory(f"{self.name}-ch{controller_id}"),
-                modules=[OcmModule(module_id=0, timings=self.dram_timings)],
+                module=OcmModule(module_id=0, timings=self.dram_timings),
                 queue_depth=self.queue_depth,
             )
             for controller_id in range(self.num_controllers)
@@ -106,14 +106,6 @@ class MemorySystem:
             reverse=True,
         )
         return ordered[:count]
-
-    def average_latency_s(self) -> float:
-        stats = [c.latency_stats for c in self.controllers.values() if c.accesses]
-        if not stats:
-            return 0.0
-        total = sum(s.total for s in stats)
-        count = sum(s.count for s in stats)
-        return total / count if count else 0.0
 
     def dram_energy_j(self) -> float:
         return sum(c.dram_energy_j() for c in self.controllers.values())

@@ -22,8 +22,30 @@ revolution (8 cycles) for the token to come around.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
+
+
+@functools.lru_cache(maxsize=8)
+def token_travel_times(
+    num_clusters: int, ring_round_trip_s: float
+) -> Tuple[float, ...]:
+    """Token propagation time along the ring, by distance.
+
+    Entry ``(to_cluster - from_cluster) % num_clusters`` is the time a token
+    takes from one cluster to the other.  The ring is unidirectional
+    (cyclically increasing cluster order); a token released at its owner
+    immediately after a transmission must travel a full revolution before
+    that same cluster could re-acquire it, which is how the detectors are
+    positioned in the paper (Figure 5), so distance 0 costs a revolution.
+    The table depends only on the ring, so every channel arbiter of a ring
+    shares one.
+    """
+    return tuple(
+        ring_round_trip_s * (distance or num_clusters) / num_clusters
+        for distance in range(num_clusters)
+    )
 
 
 @dataclass(slots=True)
@@ -46,6 +68,15 @@ class TokenChannelArbiter:
     token_loss: Optional[Callable[[int, int], float]] = field(
         default=None, repr=False, compare=False
     )
+    #: :func:`token_travel_times` of this ring.
+    _travel: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    #: Token hop time between adjacent clusters (the contended case).  When
+    #: many clusters are waiting for the same channel the token only travels
+    #: as far as the next requester downstream, which on average is a
+    #: neighbouring cluster; this is why the paper notes that "when
+    #: contention is high, token transfer time is low and channel
+    #: utilization is high".
+    handoff_s: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_clusters < 1:
@@ -56,30 +87,13 @@ class TokenChannelArbiter:
             raise ValueError(
                 f"round-trip time must be non-negative, got {self.ring_round_trip_s}"
             )
+        self._travel = token_travel_times(self.num_clusters, self.ring_round_trip_s)
+        self.handoff_s = self.ring_round_trip_s / self.num_clusters
 
     def travel_time(self, from_cluster: int, to_cluster: int) -> float:
-        """Token propagation time from one cluster to another along the ring.
-
-        The ring is unidirectional (cyclically increasing cluster order); a
-        token released at its owner immediately after a transmission must
-        travel a full revolution before that same cluster could re-acquire it,
-        which is how the detectors are positioned in the paper (Figure 5).
-        """
-        distance = (to_cluster - from_cluster) % self.num_clusters
-        if distance == 0:
-            distance = self.num_clusters
-        return self.ring_round_trip_s * distance / self.num_clusters
-
-    def contended_handoff_time(self) -> float:
-        """Token hop time between adjacent clusters (the contended case).
-
-        When many clusters are waiting for the same channel the token only
-        travels as far as the next requester downstream, which on average is a
-        neighbouring cluster; this is why the paper notes that "when
-        contention is high, token transfer time is low and channel utilization
-        is high".
-        """
-        return self.ring_round_trip_s / self.num_clusters
+        """Token propagation time from one cluster to another along the ring
+        (a full revolution back to the same cluster)."""
+        return self._travel[(to_cluster - from_cluster) % self.num_clusters]
 
     def acquire(self, cluster: int, now: float) -> float:
         """Request the token from ``cluster`` at time ``now``; returns grant time."""
@@ -91,9 +105,9 @@ class TokenChannelArbiter:
             # Uncontested: the token is circulating.  It arrives at the
             # requester one travel time after its last release; if it has
             # already swept past, it must complete further revolutions.
-            arrival = self.release_time + self.travel_time(
-                self.release_position, cluster
-            )
+            arrival = self.release_time + self._travel[
+                (cluster - self.release_position) % self.num_clusters
+            ]
             while arrival < now and self.ring_round_trip_s > 0:
                 arrival += self.ring_round_trip_s
             grant = max(arrival, now)
@@ -101,7 +115,7 @@ class TokenChannelArbiter:
             # Contested: the channel is still granted into the future; the
             # token hops from the current holder to the next requester, which
             # under heavy contention is nearby on the ring.
-            grant = self.release_time + self.contended_handoff_time()
+            grant = self.release_time + self.handoff_s
         token_loss = self.token_loss
         if token_loss is not None:
             # Lost token: the home cluster regenerates it after the timeout,

@@ -91,9 +91,7 @@ class OpticalBroadcastBus(Interconnect):
         self.record_transfer(message, result)
         return result
 
-    def broadcast_invalidate(
-        self, src: int, sharers: int, now: float, transaction_id: int = -1
-    ) -> TransferResult:
+    def broadcast_invalidate(self, src: int, sharers: int, now: float) -> TransferResult:
         """Send one invalidate that reaches ``sharers`` caches in one message.
 
         Tracks how many unicast messages a crossbar-only design would have
@@ -101,12 +99,7 @@ class OpticalBroadcastBus(Interconnect):
         """
         if sharers < 0:
             raise ValueError(f"sharer count must be non-negative, got {sharers}")
-        message = Message(
-            src=src,
-            dst=src,
-            message_type=MessageType.INVALIDATE,
-            transaction_id=transaction_id,
-        )
+        message = Message(src=src, dst=src, message_type=MessageType.INVALIDATE)
         self.unicast_messages_avoided += max(sharers - 1, 0)
         return self.transfer(message, now)
 

@@ -107,17 +107,17 @@ class OpticalCrossbar(Interconnect):
         return size_bytes / self.channel_bandwidth_bytes_per_s
 
     def transfer(self, message: Message, now: float) -> TransferResult:
-        if message.src >= self.num_clusters or message.dst >= self.num_clusters:
+        src = message.src
+        channel = message.dst
+        if src >= self.num_clusters or channel >= self.num_clusters:
             raise ValueError(
-                f"message endpoints {message.src}->{message.dst} outside crossbar"
+                f"message endpoints {src}->{channel} outside crossbar"
             )
-        if message.is_local:
+        if src == channel:
             result = TransferResult(now, 0.0, 0.0, 0.0, 0, 0.0)
             self.record_transfer(message, result)
             return result
 
-        channel = message.dst
-        src = message.src
         size = message.size_bytes
         channel_arbiter = self.arbiter.channels[channel]
         grant_time = channel_arbiter.acquire(src, now)
@@ -145,8 +145,10 @@ class OpticalCrossbar(Interconnect):
         self.bytes_sent += size
         self.total_dynamic_energy_j += energy
 
-        return TransferResult(
-            arrival, grant_time - now, serialization, propagation, 0, energy
+        # TransferResult's fields, built without its generated __new__.
+        return tuple.__new__(
+            TransferResult,
+            (arrival, grant_time - now, serialization, propagation, 0, energy),
         )
 
     # -- reporting ------------------------------------------------------------

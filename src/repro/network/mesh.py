@@ -173,8 +173,10 @@ class ElectricalMesh(Interconnect):
         self.messages_sent += 1
         self.bytes_sent += size
         self.total_dynamic_energy_j += energy
-        return TransferResult(
-            arrival, queueing, serialization, hops * hop_latency, hops, energy
+        # TransferResult's fields, built without its generated __new__.
+        return tuple.__new__(
+            TransferResult,
+            (arrival, queueing, serialization, hops * hop_latency, hops, energy),
         )
 
     # -- reporting ------------------------------------------------------------

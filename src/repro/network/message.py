@@ -68,16 +68,12 @@ class Message:
         One of :class:`MessageType`.
     size_bytes:
         Payload size; defaults to the canonical size for the type.
-    transaction_id:
-        Id of the L2-miss transaction this message belongs to, so latency can
-        be attributed per miss.
     """
 
     src: int
     dst: int
     message_type: MessageType
     size_bytes: int = 0
-    transaction_id: int = -1
     message_id: int = field(default_factory=lambda: next(_message_ids))
 
     def __post_init__(self) -> None:

@@ -24,7 +24,9 @@ class TransferResult(NamedTuple):
     A :class:`~typing.NamedTuple` rather than a dataclass: transfer results
     are created twice per remote miss on the replay hot path, and tuple
     construction is several times cheaper than a frozen dataclass while
-    staying immutable.
+    staying immutable.  The per-miss transfers skip the generated
+    ``__new__`` (a Python frame) with ``tuple.__new__(TransferResult,
+    fields)``, which builds the same object.
 
     Attributes
     ----------

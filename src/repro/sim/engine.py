@@ -12,10 +12,10 @@ Design notes
   Python-level ``__lt__`` calls, which keeps runs deterministic *and* cheap:
   the per-event cost is one tuple allocation instead of an object with five
   attribute stores plus hundreds of thousands of interpreted comparisons.
-* Events can be cancelled; cancellation is a side-table of sequence numbers
-  (O(1) to cancel).  Dead entries stay in the heap and are dropped when they
-  reach the head; :meth:`EventQueue.pop` and :meth:`EventQueue.peek_time`
-  share the same dead-entry skipping.
+* :meth:`Simulator.run` is pop and dispatch: it runs until the calendar
+  drains, with no cancellation, stop request or time and event bounds to
+  test per event.  No model needs them: every stage is scheduled at the
+  time it actually starts and always runs.
 * The engine deliberately has no notion of processes/coroutines.  The Corona
   models are resource-occupancy models (see :mod:`repro.sim.resources`), and a
   plain callback engine keeps the per-event overhead low enough to replay
@@ -25,68 +25,33 @@ Design notes
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Tuple
 
-#: A scheduled callback: ``(time, seq, callback, args)``.  User code treats
-#: handles as opaque; keep one only if the event may need to be cancelled.
+#: A scheduled callback: ``(time, seq, callback, args)``.
 Event = Tuple[float, int, Callable[..., None], tuple]
 
 
 class EventQueue:
     """A binary-heap event calendar over tuple entries.
 
-    Entries returned by :meth:`push` are the heap tuples themselves, so
-    popping returns the identical object that was pushed.  Cancellation is
-    recorded in a sequence-number side-table; cancelling an entry that has
-    already been popped is not supported.
+    :meth:`push` returns the heap tuple it pushed; :meth:`Simulator.run`
+    pops the entries in ``(time, seq)`` order.
     """
 
-    __slots__ = ("_heap", "_cancelled", "_seq")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
         self._heap: List[Event] = []
-        self._cancelled: Set[int] = set()
         self._seq = 0
 
     def __len__(self) -> int:
-        return len(self._heap) - len(self._cancelled)
+        return len(self._heap)
 
     def push(self, time: float, callback: Callable[..., None], args: tuple) -> Event:
         entry = (time, self._seq, callback, args)
         self._seq += 1
         heapq.heappush(self._heap, entry)
         return entry
-
-    def cancel(self, entry: Event) -> None:
-        """Mark the entry dead; it will be skipped when it reaches the head.
-
-        Idempotent: cancelling the same pending entry twice is a no-op.
-        """
-        self._cancelled.add(entry[1])
-
-    def is_cancelled(self, entry: Event) -> bool:
-        return entry[1] in self._cancelled
-
-    def _drop_dead(self) -> None:
-        """Discard cancelled entries at the head (shared by pop/peek)."""
-        heap = self._heap
-        cancelled = self._cancelled
-        while heap and heap[0][1] in cancelled:
-            cancelled.discard(heapq.heappop(heap)[1])
-
-    def pop(self) -> Optional[Event]:
-        """Pop the next live event, or ``None`` if the calendar is empty."""
-        self._drop_dead()
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event without removing it."""
-        self._drop_dead()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
 
 
 class Simulator:
@@ -100,13 +65,12 @@ class Simulator:
         print(sim.now)
     """
 
-    __slots__ = ("_queue", "now", "events_executed", "_stop_requested")
+    __slots__ = ("_queue", "now", "events_executed")
 
     def __init__(self) -> None:
         self._queue = EventQueue()
         self.now: float = 0.0
         self.events_executed: int = 0
-        self._stop_requested = False
 
     # -- scheduling ---------------------------------------------------------
     def schedule(
@@ -127,56 +91,21 @@ class Simulator:
             )
         return self._queue.push(time, callback, args)
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled (and not yet executed) event."""
-        self._queue.cancel(event)
-
     # -- execution ----------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the calendar drains, ``until`` is reached, or ``max_events``.
-
-        ``until`` is an absolute simulated time; events scheduled exactly at
-        ``until`` are executed.
-        """
-        self._stop_requested = False
-        # The hot loop touches the heap and the cancellation table directly;
-        # everything invariant is bound to locals, and the optional bounds are
-        # normalized so the loop pays one comparison for each instead of a
-        # None check plus a comparison.
+    def run(self) -> None:
+        """Execute events in time order until the calendar drains."""
         heap = self._queue._heap
-        cancelled = self._queue._cancelled
         heappop = heapq.heappop
-        time_bound = float("inf") if until is None else until
-        event_bound = -1 if max_events is None else max_events
         executed = 0
         try:
             while heap:
-                if self._stop_requested:
-                    break
-                if executed == event_bound:
-                    break
-                entry = heap[0]
-                if cancelled:
-                    seq = entry[1]
-                    if seq in cancelled:
-                        heappop(heap)
-                        cancelled.discard(seq)
-                        continue
-                time = entry[0]
-                if time > time_bound:
-                    self.now = until
-                    break
-                heappop(heap)
+                time, _, callback, args = heappop(heap)
                 self.now = time
-                entry[2](*entry[3])
+                callback(*args)
                 executed += 1
         finally:
             self.events_executed += executed
 
-    def stop(self) -> None:
-        """Request that :meth:`run` return after the current event."""
-        self._stop_requested = True
-
     def pending_events(self) -> int:
-        """Number of live events still on the calendar."""
+        """Number of events still on the calendar."""
         return len(self._queue)

@@ -177,17 +177,39 @@ class Histogram:
             self.upper = self.lower + self._width * self.bins
 
     def add(self, value: float) -> None:
-        self.samples += 1
-        if value < self.lower:
-            self.underflow += 1
-            return
-        if value >= self.upper:
-            if not self.auto_expand:
-                self.overflow += 1
-                return
-            self._expand_to(value)
-        index = int((value - self.lower) / self._width)
-        self.counts[min(index, self.bins - 1)] += 1
+        self.extend((value,))
+
+    def extend(self, values: Iterable[float]) -> None:
+        """Bin each value in turn, with the counters and the range held in
+        locals: values below ``lower`` count as underflow, values at or
+        beyond ``upper`` as overflow unless the range auto-expands."""
+        samples = self.samples
+        underflow = self.underflow
+        overflow = self.overflow
+        lower = self.lower
+        upper = self.upper
+        width = self._width
+        counts = self.counts
+        last = self.bins - 1
+        auto_expand = self.auto_expand
+        for value in values:
+            samples += 1
+            if value < lower:
+                underflow += 1
+                continue
+            if value >= upper:
+                if not auto_expand:
+                    overflow += 1
+                    continue
+                self._expand_to(value)
+                upper = self.upper
+                width = self._width
+                counts = self.counts
+            index = int((value - lower) / width)
+            counts[index if index < last else last] += 1
+        self.samples = samples
+        self.underflow = underflow
+        self.overflow = overflow
 
     def bin_edges(self) -> List[Tuple[float, float]]:
         width = self._width

@@ -8,14 +8,18 @@ matrix runner and the loop-based coherence sweep that the single
 them checks that every ``jobs`` value still reproduces those numbers bit
 for bit.  The address-level, trace-file and open-loop pairs were recorded
 before packed columns became the only trace representation, when those
-pairs still went through record-object traces or readers.  The scenarios
-and sweeps they describe are built by the helpers below; change one and its
+pairs still went through record-object traces or readers.  The faulted
+pairs and the telemetry artifact hashes (:data:`TELEMETRY`, sha256 of the
+files themselves) were recorded before the per-miss host-cost edits to the
+calendar, the result tuples and the token arbiter.  The scenarios and
+sweeps they describe are built by the helpers below; change one and its
 digests must be re-recorded.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from pathlib import Path
 from typing import Dict, Iterable, Tuple
 
@@ -23,6 +27,8 @@ from repro.analysis.runtime import result_digest
 from repro.api import ScaleSpec, Scenario, SystemSpec, WorkloadSpec
 from repro.coherence import CoherenceConfig, SharingProfile
 from repro.core.results import WorkloadResult
+from repro.faults import FaultSpec
+from repro.obs import ObservabilitySpec
 from repro.trace.io import write_trace, write_trace_binary
 from repro.trace.synthetic import uniform_workload
 
@@ -154,6 +160,73 @@ def coherent_mshr_overflow_scenario() -> Scenario:
         ),
         coherence=CoherenceConfig(),
     )
+
+
+#: Every fault model at once: detuned rings, lost tokens, degraded mesh
+#: links and DRAM timeouts.
+ALL_FAULTS = FaultSpec(
+    seed=3,
+    ring_detuning_fraction=0.1,
+    token_loss_rate=0.05,
+    dead_link_fraction=0.1,
+    dram_timeout_rate=0.02,
+)
+
+
+def faulted_scenario() -> Scenario:
+    """XBar/OCM, LMesh/ECM and HMesh/OCM x Uniform and Hot Spot at 600
+    requests under :data:`ALL_FAULTS`."""
+    return Scenario(
+        system=SystemSpec(configurations=("XBar/OCM", "LMesh/ECM", "HMesh/OCM")),
+        workloads=(WorkloadSpec(name="Uniform"), WorkloadSpec(name="Hot Spot")),
+        scale=ScaleSpec(synthetic_requests=600),
+        faults=ALL_FAULTS,
+    )
+
+
+def faulted_coherent_scenario() -> Scenario:
+    """Coherent Uniform, half its misses shared, on XBar/OCM (broadcast
+    bus) and LMesh/ECM (unicast fan-out) at 600 requests under
+    :data:`ALL_FAULTS`."""
+    return Scenario(
+        system=SystemSpec(configurations=("XBar/OCM", "LMesh/ECM")),
+        workloads=(
+            WorkloadSpec(name="Uniform", sharing=SharingProfile(fraction=0.5)),
+        ),
+        scale=ScaleSpec(synthetic_requests=600),
+        coherence=CoherenceConfig(),
+        faults=ALL_FAULTS,
+    )
+
+
+#: The artifact files :func:`telemetry_scenario` writes, by kind.
+TELEMETRY_FILES = {"metrics": "m.csv", "timeline": "t.json", "samples": "s.json"}
+
+
+def telemetry_scenario(configuration: str, directory: Path) -> Scenario:
+    """One Uniform pair at 400 requests under :data:`ALL_FAULTS` (so the
+    timeline carries fault instants) with every telemetry sink on, writing
+    :data:`TELEMETRY_FILES` into ``directory``."""
+    directory = Path(directory)
+    return dataclasses.replace(
+        _one_configuration(
+            configuration, WorkloadSpec(name="Uniform", num_requests=400)
+        ),
+        faults=ALL_FAULTS,
+        observability=ObservabilitySpec(
+            metrics_path=str(directory / TELEMETRY_FILES["metrics"]),
+            timeline_path=str(directory / TELEMETRY_FILES["timeline"]),
+            samples_path=str(directory / TELEMETRY_FILES["samples"]),
+        ),
+    )
+
+
+def file_digests(directory: Path) -> Dict[str, str]:
+    """``kind -> sha256`` of the :data:`TELEMETRY_FILES` in ``directory``."""
+    return {
+        kind: hashlib.sha256((Path(directory) / name).read_bytes()).hexdigest()
+        for kind, name in TELEMETRY_FILES.items()
+    }
 
 
 #: :func:`small_quick_scenario`, all 85 pairs.
@@ -314,4 +387,34 @@ HOTSPOT_OVERFLOW = {
 #: :func:`coherent_mshr_overflow_scenario`.
 COHERENT_MSHR_OVERFLOW = {
     "LMesh/ECM/Uniform": "4bda940f181996065eedda6b7c72ea2a20fc6d2163b929eb75910720a4ec5f55",
+}
+
+#: :func:`faulted_scenario`.
+FAULTED = {
+    "XBar/OCM/Uniform": "49e462f0c71ea22adeca307d3fadb210ea2248d40d1890ac38abe9b43464a6b5",
+    "LMesh/ECM/Uniform": "31b7c9d5787acad2ff332aa8c8b639b49e902d7c48997b885831088975292c01",
+    "HMesh/OCM/Uniform": "d48b39029f0c129898aa08c3e484b964744f2ac954102ae2a9405d6195ce6fab",
+    "XBar/OCM/Hot Spot": "5908ddee7aaa890ed944236f089b4602c642f63c49d9f1ac7169506396254df6",
+    "LMesh/ECM/Hot Spot": "38c10d372c8fae78b48b38e56a98e07b9f9c9a53234d40757ec4f13d3bb3cf9a",
+    "HMesh/OCM/Hot Spot": "91061e9076f41f5ea54eea989be0e3abf135c392c7fc3df866a3554dc314853d",
+}
+
+#: :func:`faulted_coherent_scenario`.
+FAULTED_COHERENT = {
+    "XBar/OCM/Uniform": "4c269cc098b692eb2cf04d12e4828edda14317775ba86de21c697eb6a3d0c511",
+    "LMesh/ECM/Uniform": "ae58af555df18ae5dd6bbfc8755ce2e422d31e83c262ea567af23d06f9f6bd93",
+}
+
+#: :func:`file_digests` of :func:`telemetry_scenario`, by configuration.
+TELEMETRY = {
+    "XBar/OCM": {
+        "metrics": "467f9dc9385ff58293216f37c7fc98f6ee854cba96a93318e334a2cd9349690e",
+        "timeline": "950b64963ad2c3f497570c1a3b7e0081e58f725cbe6aa667efe346bc17e39590",
+        "samples": "d7bf208a63a1084e61c426d5228882809e7352bdbc81c80e640bcc70e831046f",
+    },
+    "LMesh/ECM": {
+        "metrics": "aa5265041bea989921712d45ddc4eda90f59fc279a8e18f6e78fee157579d07c",
+        "timeline": "c6ad02583120686b6f5475d1807b04b3278b5efd1bf22bbf9a3a16f60bcf1957",
+        "samples": "2193ac5d5f34b71b8a3d260334e27673fee66a2437efb35b9cbc286eb5572ebe",
+    },
 }

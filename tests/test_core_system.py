@@ -1,6 +1,8 @@
 """Integration tests for the trace-driven system simulator."""
 
+import collections
 import gc
+import sys
 import weakref
 
 import pytest
@@ -284,6 +286,77 @@ class TestWorkloadReplay:
         assert stats.queueing.mean == pytest.approx(1e-9)
         assert stats.network_latency.mean == pytest.approx(2e-9)
         assert stats.memory_latency.mean == pytest.approx(3e-9)
+
+
+class TestReplayOnce:
+    def test_second_run_raises(self, small_config, small_uniform_workload):
+        """A simulator keeps its replay's bookings (statistics, hubs,
+        interconnect, memory), so a second replay would report both runs'
+        requests with inflated latencies; it raises instead, and a fresh
+        simulator reproduces the first result."""
+        configuration = configuration_by_name("XBar/OCM")
+        trace = small_uniform_workload.generate_packed(seed=1, num_requests=500)
+        simulator = SystemSimulator(configuration, corona_config=small_config)
+        first = simulator.run(trace)
+        with pytest.raises(RuntimeError, match="build a new SystemSimulator"):
+            simulator.run(trace)
+        assert simulator.stats.requests == 500
+        fresh = SystemSimulator(configuration, corona_config=small_config)
+        assert fresh.run(trace).to_dict() == first.to_dict()
+
+
+class TestHostCostGate:
+    """Exact host-cost counters of a replayed miss, which host noise cannot
+    move: calendar events and Python frames (function calls and generator
+    resumptions, as ``sys.setprofile`` reports them) per miss, over a whole
+    ``SystemSimulator.run`` of 2,000 requests at seed 1.
+
+    A bound is the count this replay core measured, so a change that adds a
+    frame to every miss (a wrapper, a property, a generated ``__new__``)
+    fails here.  If a change adds model work on purpose, re-measure and
+    lower or raise the bound with the change: the failure message lists
+    the functions that ran most often, per miss.
+    """
+
+    REQUESTS = 2_000
+
+    @pytest.mark.parametrize(
+        ("name", "workload_name", "max_frames_per_miss"),
+        [("XBar/OCM", "Uniform", 30.5), ("LMesh/ECM", "Hot Spot", 40.2)],
+    )
+    def test_frames_and_events_per_miss(self, name, workload_name, max_frames_per_miss):
+        from repro.api import build_workload
+
+        workload = build_workload(workload_name)
+        trace = workload.generate_packed(seed=1, num_requests=self.REQUESTS)
+        simulator = SystemSimulator(
+            configuration_by_name(name), window_depth=workload.window
+        )
+        calls = collections.Counter()
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                code = frame.f_code
+                calls[(code.co_filename.rsplit("/", 1)[-1], code.co_name)] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            simulator.run(trace)
+        finally:
+            sys.setprofile(previous)
+        assert simulator._simulator.events_executed == 3 * self.REQUESTS
+        frames_per_miss = sum(calls.values()) / self.REQUESTS
+        busiest = ", ".join(
+            f"{function} ({file}) {count / self.REQUESTS:.2f}"
+            for (file, function), count in calls.most_common(12)
+        )
+        assert frames_per_miss <= max_frames_per_miss, (
+            f"{name} {workload_name}: {frames_per_miss:.3f} Python frames per "
+            f"miss, bound {max_frames_per_miss}; re-measure with "
+            f"`python -m pytest tests/test_core_system.py -k HostCostGate`. "
+            f"Per miss: {busiest}"
+        )
 
 
 class TestAdmissionOverflowGoldens:

@@ -54,10 +54,14 @@ class TestHub:
         grant = hub.mshr_pool.acquire(0.0, release_time_hint=300e-9)
         assert grant == pytest.approx(100e-9)
 
-    def test_injection_adds_forwarding_latency(self):
-        hub = Hub(cluster_id=0)
-        departure = hub.inject(0.0, departure_time=1e-9)
-        assert departure == pytest.approx(hub.forwarding_latency_s)
+    def test_injection_queue_pushes_back_when_full(self):
+        """Each request leaving the core is admitted to the hub's injection
+        queue, which holds it until the hub has forwarded it."""
+        hub = Hub(cluster_id=0, queue_depth=2)
+        forwarding = hub.forwarding_latency_s
+        assert hub.injection_queue.admit(0.0, forwarding) == 0.0
+        assert hub.injection_queue.admit(0.0, 2 * forwarding) == 0.0
+        assert hub.injection_queue.admit(0.0, 3 * forwarding) == forwarding
 
 
 class TestCactiModel:

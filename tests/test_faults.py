@@ -287,6 +287,27 @@ class TestParallelDeterminismUnderFaults:
                 ), (serial.workload, serial.configuration, field.name)
 
 
+class TestFaultedGoldens:
+    """Every fault model at once on the crossbar, both meshes and the
+    coherent replay, pinned to digests recorded before the per-miss
+    host-cost edits (calendar, result tuples, token travel table)."""
+
+    def test_faulted_pairs_match_golden(self):
+        from repro.analysis.runtime import scenario_digests
+        from tests.golden import FAULTED, faulted_scenario
+
+        assert scenario_digests(faulted_scenario(), jobs=1) == FAULTED
+
+    def test_faulted_coherent_pairs_match_golden(self):
+        from repro.analysis.runtime import scenario_digests
+        from tests.golden import FAULTED_COHERENT, faulted_coherent_scenario
+
+        assert (
+            scenario_digests(faulted_coherent_scenario(), jobs=1)
+            == FAULTED_COHERENT
+        )
+
+
 class TestFaultSweeps:
     def test_fault_rate_axis_over_null_base(self):
         # The base scenario never mentions faults; the axis creates the node.

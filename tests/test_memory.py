@@ -162,12 +162,6 @@ class TestMemoryController:
         )
         assert ecm_done > 3 * ocm_done
 
-    def test_latency_statistics_track_accesses(self):
-        controller = self._controller()
-        controller.access(now=0.0, size_bytes=64, is_write=False)
-        assert controller.average_latency_s() > 0
-        assert controller.latency_stats.count == 1
-
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             self._controller().access(now=0.0, size_bytes=0, is_write=False)
@@ -214,12 +208,6 @@ class TestMemorySystems:
         ecm_power = ElectricallyConnectedMemory().interconnect_power_w()
         assert ocm_power == pytest.approx(6.4, rel=0.05)
         assert ecm_power > ocm_power
-
-    def test_average_latency_requires_accesses(self):
-        system = OpticallyConnectedMemory(num_controllers=4)
-        assert system.average_latency_s() == 0.0
-        system.access(home_cluster=0, now=0.0, size_bytes=64, is_write=False)
-        assert system.average_latency_s() > 0
 
 
 class TestTable4Summaries:

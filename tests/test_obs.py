@@ -245,6 +245,18 @@ class TestBitIdentity:
         )
 
 
+class TestTelemetryGoldens:
+    """The metrics CSV, timeline JSON and samples JSON of one faulted,
+    telemetry-enabled pair, pinned byte for byte."""
+
+    @pytest.mark.parametrize("configuration", ["XBar/OCM", "LMesh/ECM"])
+    def test_artifacts_match_golden(self, tmp_path, configuration):
+        from tests.golden import TELEMETRY, file_digests, telemetry_scenario
+
+        run(telemetry_scenario(configuration, tmp_path))
+        assert file_digests(tmp_path) == TELEMETRY[configuration]
+
+
 class TestTimeline:
     @pytest.fixture(scope="class")
     def artifacts(self, tmp_path_factory):

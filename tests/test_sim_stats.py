@@ -160,6 +160,22 @@ class TestHistogramAutoExpand:
         assert forward.counts == backward.counts
         assert forward.upper == backward.upper
 
+    @pytest.mark.parametrize("auto_expand", [False, True])
+    def test_extend_matches_add(self, auto_expand):
+        """``extend`` over many values is ``add`` per value: same bins,
+        tallies and range, through underflow, overflow or repeated
+        expansion, and on a histogram that already holds samples."""
+        values = [0.5, -1.0, 9.99, 10.0, 3.25, 35.0, 0.0, 160.0, 7.5, -0.1, 80.0]
+        added = Histogram("a", lower=0.0, upper=10.0, bins=10, auto_expand=auto_expand)
+        extended = Histogram("e", lower=0.0, upper=10.0, bins=10, auto_expand=auto_expand)
+        for value in values + values[::-1]:
+            added.add(value)
+        extended.extend(values)
+        extended.extend(iter(values[::-1]))
+        for attribute in ("counts", "underflow", "overflow", "samples", "upper", "_width"):
+            assert getattr(extended, attribute) == getattr(added, attribute), attribute
+        assert extended.percentile(0.99) == added.percentile(0.99)
+
     def test_percentile_not_clamped_at_initial_upper(self):
         """Regression: slow tails must not report a truncated p99."""
         hist = Histogram(
