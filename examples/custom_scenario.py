@@ -60,7 +60,6 @@ def xbar_ecm() -> SystemConfiguration:
         memory_name="ECM",
         network_factory=crossbar_network,
         memory_factory=ecm_memory,
-        network_static_power_w=26.0,
         has_broadcast_bus=True,
     )
 

@@ -2,8 +2,8 @@
 
 The repo encodes physical units in identifier suffixes (``execution_time_s``,
 ``p99_sojourn_ns``, ``link_bandwidth_bytes_per_s``, ``offered_rps``,
-``flit_size_bytes``, ``latency_cycles`` -- see :mod:`repro.sim.units` for the
-conversion constants).  These rules treat each suffix as a static unit tag
+``flit_size_bytes``, ``latency_cycles`` -- :mod:`repro.sim.units` states the
+convention).  These rules treat each suffix as a static unit tag
 and flag flows that mix tags:
 
 ``unit-mixed-arith``
@@ -132,7 +132,7 @@ def check_mixed_arithmetic(context: RuleContext) -> Iterable[Finding]:
                         f"{'to' if op == 'adds' else 'from'} "
                         f"{_describe(node.left, left)}",
                         "convert one operand explicitly "
-                        "(see repro.sim.units constants)",
+                        "(multiply or divide by the scale factor)",
                     )
                 )
         elif isinstance(node, ast.Compare):
@@ -150,7 +150,7 @@ def check_mixed_arithmetic(context: RuleContext) -> Iterable[Finding]:
                             f"compares {_describe(operands[index], left)} "
                             f"against {_describe(operands[index + 1], right)}",
                             "convert one operand explicitly "
-                            "(see repro.sim.units constants)",
+                            "(multiply or divide by the scale factor)",
                         )
                     )
     return findings

@@ -94,12 +94,11 @@ class CoherentMiss(NamedTuple):
     response_ready: float
     memory_queueing: float
     memory_latency: float
-    #: Queueing/network/hops/messages of the extra coherence legs (forward,
+    #: Queueing/network/hops of the extra coherence legs (forward,
     #: invalidation fan-out), folded into the transaction's statistics.
     extra_queueing: float
     extra_network: float
     extra_hops: int
-    extra_messages: int
     #: Whether the response carries a cache line (data) or is a control ack.
     carries_data: bool
     #: Whether the data comes from a remote owner's cache.
@@ -227,7 +226,6 @@ class CoherenceEngine:
         extra_queueing = 0.0
         extra_network = 0.0
         extra_hops = 0
-        extra_messages = 0
 
         # -- invalidation fan-out ------------------------------------------
         inval_done = t_dir
@@ -241,7 +239,6 @@ class CoherenceEngine:
                 )
                 inval_done = result.arrival_time
                 stats.broadcasts_used += 1
-                extra_messages += 1
             else:
                 remote = [dst for dst in invalidated if dst != home]
                 if remote:
@@ -251,7 +248,6 @@ class CoherenceEngine:
                     inval_done = result.last_arrival
                     stats.unicast_invalidations += result.messages
                     extra_hops += result.hops
-                    extra_messages += result.messages
             stats.invalidation_latency.add(inval_done - t_dir)
             extra_network += inval_done - t_dir
 
@@ -273,7 +269,6 @@ class CoherenceEngine:
                 extra_queueing += result.queueing_delay
                 extra_network += result.network_latency
                 extra_hops += result.hops
-                extra_messages += 1
             data_ready = forward_arrival + config.owner_l2_latency_s
             response_src = supplier
             memory_queueing = 0.0
@@ -291,7 +286,6 @@ class CoherenceEngine:
                     result = self.network.transfer(writeback, data_ready)
                     wb_arrival = result.arrival_time
                     extra_hops += result.hops
-                    extra_messages += 1
                 writeback_time = wb_arrival
         elif action.data_from_memory:
             completion, memory_queueing, channel_delay, dram_delay = self.controllers[
@@ -322,7 +316,6 @@ class CoherenceEngine:
             extra_queueing=extra_queueing,
             extra_network=extra_network,
             extra_hops=extra_hops,
-            extra_messages=extra_messages,
             carries_data=carries_data,
             is_c2c=is_c2c,
             writeback_time=writeback_time,

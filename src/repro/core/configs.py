@@ -37,10 +37,6 @@ class SystemConfiguration:
     memory_name: str
     network_factory: Callable[[CoronaConfig], Interconnect]
     memory_factory: Callable[[CoronaConfig], MemorySystem]
-    #: Continuous on-chip network power assumed by the paper for this network
-    #: (26 W for the crossbar; the meshes dissipate traffic-dependent dynamic
-    #: power instead, reported by the network model itself).
-    network_static_power_w: float = 0.0
     #: Whether the design includes the optical broadcast bus (Section 3.2.2).
     #: Only the photonic Corona stack carries it; on electrical baselines
     #: coherence invalidations fall back to per-sharer unicasts.
@@ -139,7 +135,6 @@ _CONFIGURATIONS: List[SystemConfiguration] = [
         memory_name="OCM",
         network_factory=crossbar_network,
         memory_factory=ocm_memory,
-        network_static_power_w=26.0,
         has_broadcast_bus=True,
     ),
 ]

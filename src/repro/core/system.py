@@ -70,13 +70,14 @@ field names and its ``result[i]`` positions are the same.
 The evaluation matrix builds a fresh simulator per pair, so construction
 and teardown are kept cheap too.  The memory system's 2,048 DRAM banks live
 in one flat table per OCM module (:mod:`repro.memory.dram`), and a mesh
-shares one route table per shape and builds no routers, so a 64-cluster
-simulator is about 5,800 (XBar/OCM) to 6,900 (mesh) GC-tracked objects.  A
-simulator holds no bound method of itself -- the stage handlers are bound
-per event, and :meth:`SystemSimulator._on_memory` hands shared misses to the
-coherent handler -- so, unless the opt-in metrics sampler is installed, it
-is freed by reference counting as soon as its pair ends instead of waiting
-for a full cyclic collection.
+shares one route table per shape, builds no routers and keeps one serial
+resource per link, so a 64-cluster simulator is about 5,600 (XBar/OCM) to
+6,600 (mesh) GC-tracked objects.  A simulator holds no bound method of
+itself -- the stage handlers are bound per event, and
+:meth:`SystemSimulator._on_memory` hands shared misses to the coherent
+handler -- so, unless the opt-in metrics sampler is installed, it is freed
+by reference counting as soon as its pair ends instead of waiting for a
+full cyclic collection.
 
 A short pair (the quick matrix replays 1,000 requests per pair) spreads its
 misses over most of the 1,024 threads, so per-thread and per-sample work
@@ -140,27 +141,15 @@ class TransactionStats:
     never clamp at the initial 2000 ns range.
     """
 
-    __slots__ = (
-        "_samples",
-        "_derived",
-        "requests",
-        "reads",
-        "writes",
-        "memory_bytes",
-        "network_hops",
-        "network_messages",
-    )
+    __slots__ = ("_samples", "_derived", "requests", "memory_bytes", "network_hops")
 
     def __init__(self) -> None:
         #: One (latency, queueing, network, memory) tuple per transaction.
         self._samples: List[tuple] = []
         self._derived: Dict[str, object] = {}
         self.requests = 0
-        self.reads = 0
-        self.writes = 0
         self.memory_bytes = 0.0
         self.network_hops = 0
-        self.network_messages = 0
 
     def record(
         self,
@@ -168,22 +157,15 @@ class TransactionStats:
         queueing_s: float,
         network_s: float,
         memory_s: float,
-        is_write: bool,
         memory_bytes: int,
         hops: int,
-        messages: int,
     ) -> None:
         if self._derived:
             self._derived.clear()
         self._samples.append((latency_s, queueing_s, network_s, memory_s))
         self.requests += 1
-        if is_write:
-            self.writes += 1
-        else:
-            self.reads += 1
         self.memory_bytes += memory_bytes
         self.network_hops += hops
-        self.network_messages += messages
 
     def _running(self, key: str, column: int) -> RunningStats:
         stats = self._derived.get(key)
@@ -777,7 +759,6 @@ class SystemSimulator:
             rsp_queue = 0.0
             rsp_network = 0.0
             rsp_hops = 0
-            rsp_messages = 0
         else:
             if miss.carries_data:
                 response = self._msg_read_response
@@ -789,7 +770,6 @@ class SystemSimulator:
             transaction.response_result = response_result
             arrival, rsp_queue, rsp_serial, rsp_prop, rsp_hops, _ = response_result
             rsp_network = rsp_queue + rsp_serial + rsp_prop
-            rsp_messages = 1
 
         if miss.is_c2c:
             self.coherence.note_c2c_complete(miss, arrival)
@@ -799,11 +779,9 @@ class SystemSimulator:
             req_queue = 0.0
             req_network = 0.0
             req_hops = 0
-            req_messages = 0
         else:
             _, req_queue, req_serial, req_prop, req_hops, _ = request_result
             req_network = req_queue + req_serial + req_prop
-            req_messages = 1
 
         completion_time = arrival + self._hub_fwd[src]
         queueing = (
@@ -815,10 +793,8 @@ class SystemSimulator:
         )
         network_latency = req_network + miss.extra_network + rsp_network
         hops = req_hops + miss.extra_hops + rsp_hops
-        messages = req_messages + miss.extra_messages + rsp_messages
         self._complete(
-            state, transaction, now, completion_time,
-            queueing, network_latency, hops, messages,
+            state, transaction, now, completion_time, queueing, network_latency, hops
         )
 
     def _on_response(self, state: _ThreadState, transaction: _Transaction) -> None:
@@ -858,7 +834,6 @@ class SystemSimulator:
             queueing = transaction.mshr_wait + transaction.memory_queueing
             network_latency = 0.0
             hops = 0
-            messages = 0
         else:
             if transaction.is_write:
                 response = self._msg_write_ack
@@ -881,10 +856,8 @@ class SystemSimulator:
                 req_queue + req_serial + req_prop + rsp_queue + rsp_serial + rsp_prop
             )
             hops = req_hops + rsp_hops
-            messages = 2
         self._complete(
-            state, transaction, now, completion_time,
-            queueing, network_latency, hops, messages,
+            state, transaction, now, completion_time, queueing, network_latency, hops
         )
 
     def _complete(
@@ -896,7 +869,6 @@ class SystemSimulator:
         queueing: float,
         network_latency: float,
         hops: int,
-        messages: int,
     ) -> None:
         """Stage 4, shared by both response handlers: the transaction
         completes at ``completion_time``.  Books the MSHR release, frees the
@@ -911,10 +883,8 @@ class SystemSimulator:
             queueing,
             network_latency,
             transaction.memory_latency,
-            transaction.is_write,
             transaction.size_bytes,
             hops,
-            messages,
         )
 
         sojourns = self._sojourns
@@ -933,9 +903,6 @@ class SystemSimulator:
     def _build_result(self, trace: PackedTrace, makespan: float) -> WorkloadResult:
         elapsed = max(makespan, 1e-12)
         dynamic_power = self.network.dynamic_power_w(elapsed)
-        static_power = max(
-            self.network.static_power_w(), self.configuration.network_static_power_w
-        )
         token_wait = 0.0
         arbiter = getattr(self.network, "arbiter", None)
         if arbiter is not None and hasattr(arbiter, "average_wait_s"):
@@ -1008,7 +975,7 @@ class SystemSimulator:
             average_latency_s=self.stats.latency.mean,
             p99_latency_s=self.stats.latency_histogram.percentile(0.99) * 1e-9,
             network_dynamic_power_w=dynamic_power,
-            network_static_power_w=static_power,
+            network_static_power_w=self.network.static_power_w(),
             network_energy_j=self.network.total_dynamic_energy_j,
             network_messages=self.network.messages_sent,
             network_hops=self.stats.network_hops,

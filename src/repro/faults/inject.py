@@ -9,10 +9,8 @@ memory system:
   ``_fault_channel_bw`` table the transfer hot path consults), and a
   per-grant token-loss draw, installed as each channel arbiter's
   ``token_loss`` hook, adds the regeneration timeout to the grant time.
-  The bandwidth a partially detuned channel retains follows the photonic
-  channel model (:meth:`~repro.photonics.dwdm.DwdmChannel.
-  degraded_bandwidth_bytes_per_s`): surviving wavelengths keep their full
-  per-wavelength rate.
+  A partially detuned channel keeps the bandwidth of its surviving
+  wavelengths, each at its full per-wavelength rate.
 * **Electrical mesh** -- per-link dead draws install serialization
   multipliers (``_fault_link_slow``); a degraded link still delivers, just
   slower, so routes never sever and replays never deadlock.
@@ -104,19 +102,10 @@ class FaultInjector:
         dead = spec.dead_link_fraction
         if detune > 0.0 or dead > 0.0:
             base = network.channel_bandwidth_bytes_per_s
+            wavelengths = CROSSBAR_CHANNEL_WAVELENGTHS
             table = []
             degraded = False
             for channel in range(network.num_clusters):
-                photonic = (
-                    network.photonic_channels.get(channel)
-                    if network.photonic_channels is not None
-                    else None
-                )
-                wavelengths = (
-                    photonic.phit_bits
-                    if photonic is not None
-                    else CROSSBAR_CHANNEL_WAVELENGTHS
-                )
                 disabled = 0
                 if detune > 0.0:
                     for wavelength in range(wavelengths):
@@ -131,10 +120,7 @@ class FaultInjector:
                 # fully detuned channel degrades instead of deadlocking.
                 disabled = min(disabled, wavelengths - 1)
                 self.stats.wavelengths_disabled += disabled
-                if photonic is not None:
-                    bandwidth = photonic.degraded_bandwidth_bytes_per_s(disabled)
-                else:
-                    bandwidth = base * (wavelengths - disabled) / wavelengths
+                bandwidth = base * (wavelengths - disabled) / wavelengths
                 if (
                     dead > 0.0
                     and stable_uniform(spec.seed, _SITE_DEAD_OPTICAL, channel)

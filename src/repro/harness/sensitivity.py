@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.photonics.power_budget import PowerBudget, crossbar_worst_case_budget
+from repro.power.optical import PHOTONIC_SUBSYSTEM_POWER_W
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,11 @@ def required_laser_power_sensitivity(
         per_wavelength_w = budget.required_laser_power_w()
         total_w = per_wavelength_w * wavelengths / wall_plug_efficiency
         points.append(
-            SweepPoint(parameter=loss, metric=total_w, feasible=total_w < 39.0)
+            SweepPoint(
+                parameter=loss,
+                metric=total_w,
+                feasible=total_w < PHOTONIC_SUBSYSTEM_POWER_W,
+            )
         )
     return points
 

@@ -17,25 +17,16 @@ Both are built on the same substrate: a DRAM mat/bank timing model
 (:mod:`repro.memory.controller`).
 """
 
-from repro.memory.channel import (
-    ElectricalMemoryChannel,
-    MemoryChannel,
-    OpticalMemoryChannel,
-)
-from repro.memory.controller import MemoryAccessResult, MemoryController
-from repro.memory.dram import DramTimings, OcmModule
+from repro.memory.channel import ElectricalMemoryChannel, OpticalMemoryChannel
+from repro.memory.controller import MemoryController
 from repro.memory.ecm import ElectricallyConnectedMemory, ecm_interconnect_summary
 from repro.memory.ocm import OpticallyConnectedMemory, ocm_interconnect_summary
 from repro.memory.system import MemorySystem
 
 __all__ = [
-    "MemoryChannel",
     "OpticalMemoryChannel",
     "ElectricalMemoryChannel",
     "MemoryController",
-    "MemoryAccessResult",
-    "DramTimings",
-    "OcmModule",
     "MemorySystem",
     "OpticallyConnectedMemory",
     "ElectricallyConnectedMemory",

@@ -23,106 +23,62 @@ from dataclasses import dataclass, field
 
 from repro.sim.resources import SerialResource
 
+#: Off-stack signalling power per Gb/s of peak bandwidth, the paper's figure
+#: of merit for memory-link power: optical (OCM) and electrical (ECM, Palmer
+#: et al. [25]).
+OPTICAL_SIGNALLING_W_PER_GBPS = 0.078e-3
+ELECTRICAL_SIGNALLING_W_PER_GBPS = 2e-3
+
 
 @dataclass
 class MemoryChannel:
-    """A memory controller's external channel.
+    """A memory controller's external channel: one serial resource that
+    carries commands, write data and read data in turn.
 
     Parameters
     ----------
     name:
         Identifier for reporting.
     width_bits:
-        Signalling width in bits (per direction for full duplex; total for
-        half duplex).
+        Signalling width in bits.
     data_rate_bps:
         Per-signal data rate (10 Gb/s in both designs).
-    full_duplex:
-        Whether both directions can transfer simultaneously at full width.
     latency_s:
         Flight latency of the channel (included in the memory access latency).
     interconnect_power_w_per_gbps:
-        Interconnect power per Gb/s of peak signalling bandwidth, the paper's
-        figure of merit for memory-link power (0.078 mW/Gb/s optical vs
-        2 mW/Gb/s electrical).
+        Interconnect power per Gb/s of peak signalling bandwidth
+        (:data:`OPTICAL_SIGNALLING_W_PER_GBPS` or
+        :data:`ELECTRICAL_SIGNALLING_W_PER_GBPS`).
     """
 
     name: str
     width_bits: int
     data_rate_bps: float
-    full_duplex: bool
     latency_s: float = 0.0
     interconnect_power_w_per_gbps: float = 0.0
-    _outbound: SerialResource = field(init=False, repr=False)
-    _inbound: SerialResource = field(init=False, repr=False)
+    #: The serial resource a :class:`~repro.memory.controller.MemoryController`
+    #: reserves for every transfer over this channel.
+    resource: SerialResource = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.width_bits < 1:
             raise ValueError(f"width must be >= 1 bit, got {self.width_bits}")
         if self.data_rate_bps <= 0:
             raise ValueError(f"data rate must be positive, got {self.data_rate_bps}")
-        self._outbound = SerialResource(name=f"{self.name}-out")
-        # Half-duplex links share one serializing resource for both directions.
-        self._inbound = (
-            SerialResource(name=f"{self.name}-in") if self.full_duplex else self._outbound
-        )
-        self._per_direction_bw = self.width_bits * self.data_rate_bps / 8.0
+        self.resource = SerialResource(name=self.name)
 
     @property
-    def peak_bandwidth_bytes_per_s(self) -> float:
-        """Peak aggregate bandwidth of the channel."""
-        directions = 2 if self.full_duplex else 1
-        return self.width_bits * self.data_rate_bps * directions / 8.0
-
-    @property
-    def per_direction_bandwidth_bytes_per_s(self) -> float:
+    def bandwidth_bytes_per_s(self) -> float:
+        """Peak bandwidth of the channel."""
         return self.width_bits * self.data_rate_bps / 8.0
-
-    @property
-    def peak_bandwidth_gbps(self) -> float:
-        """Peak signalling bandwidth in gigabits per second."""
-        directions = 2 if self.full_duplex else 1
-        return self.width_bits * self.data_rate_bps * directions / 1e9
 
     @property
     def interconnect_power_w(self) -> float:
         """Interconnect power at the paper's per-Gb/s figure of merit."""
-        return self.peak_bandwidth_gbps * self.interconnect_power_w_per_gbps
-
-    def serialization_time(self, size_bytes: float) -> float:
-        if size_bytes < 0:
-            raise ValueError(f"size must be non-negative, got {size_bytes}")
-        return size_bytes / self.per_direction_bandwidth_bytes_per_s
-
-    def send(self, now: float, size_bytes: float) -> float:
-        """Transfer controller -> memory; returns completion time."""
         return (
-            self._outbound.reserve(now, size_bytes / self._per_direction_bw)
-            + self.latency_s
+            self.width_bits * self.data_rate_bps / 1e9
+            * self.interconnect_power_w_per_gbps
         )
-
-    def receive(self, now: float, size_bytes: float) -> float:
-        """Transfer memory -> controller; returns completion time."""
-        return (
-            self._inbound.reserve(now, size_bytes / self._per_direction_bw)
-            + self.latency_s
-        )
-
-    def busy_time(self) -> float:
-        if self.full_duplex:
-            return self._outbound.busy_time + self._inbound.busy_time
-        return self._outbound.busy_time
-
-    def utilization(self, elapsed_seconds: float) -> float:
-        if elapsed_seconds <= 0:
-            return 0.0
-        directions = 2 if self.full_duplex else 1
-        return self.busy_time() / (elapsed_seconds * directions)
-
-    def reset(self) -> None:
-        self._outbound.reset()
-        if self.full_duplex:
-            self._inbound.reset()
 
 
 def OpticalMemoryChannel(name: str = "ocm-channel") -> MemoryChannel:
@@ -131,9 +87,8 @@ def OpticalMemoryChannel(name: str = "ocm-channel") -> MemoryChannel:
         name=name,
         width_bits=128,
         data_rate_bps=10e9,
-        full_duplex=False,
         latency_s=1e-9,
-        interconnect_power_w_per_gbps=0.078e-3,
+        interconnect_power_w_per_gbps=OPTICAL_SIGNALLING_W_PER_GBPS,
     )
 
 
@@ -150,7 +105,6 @@ def ElectricalMemoryChannel(name: str = "ecm-channel") -> MemoryChannel:
         name=name,
         width_bits=12,
         data_rate_bps=10e9,
-        full_duplex=False,
         latency_s=1e-9,
-        interconnect_power_w_per_gbps=2e-3,
+        interconnect_power_w_per_gbps=ELECTRICAL_SIGNALLING_W_PER_GBPS,
     )

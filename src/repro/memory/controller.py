@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from repro.memory.channel import MemoryChannel
 from repro.memory.dram import OcmModule
-from repro.sim.resources import BoundedQueue
+from repro.sim.resources import BoundedQueue, SerialResource
 
 #: Bytes of command/address overhead sent to memory per access (the command
 #: itself is small; most command signalling travels on dedicated wavelengths
@@ -73,8 +73,7 @@ class MemoryController:
     #: latency for transient-timeout retries.  ``None`` on fault-free builds,
     #: so the access hot path pays one ``is None`` check.
     fault_dram: object = field(default=None, repr=False)
-    _outbound: "SerialResource" = field(init=False, repr=False)
-    _inbound: "SerialResource" = field(init=False, repr=False)
+    _channel_resource: SerialResource = field(init=False, repr=False)
     _channel_latency_s: float = field(init=False, repr=False)
     _bytes_per_s: float = field(init=False, repr=False)
     _command_serialization_s: float = field(init=False, repr=False)
@@ -85,12 +84,11 @@ class MemoryController:
         self.queue = BoundedQueue(
             name=f"mc{self.controller_id}-queue", capacity=self.queue_depth
         )
-        # Hot-path bindings: the channel's serial resources and serialization
+        # Hot-path bindings: the channel's serial resource and serialization
         # constants, resolved once instead of per access.
-        self._outbound = self.channel._outbound
-        self._inbound = self.channel._inbound
+        self._channel_resource = self.channel.resource
         self._channel_latency_s = self.channel.latency_s
-        self._bytes_per_s = self.channel._per_direction_bw
+        self._bytes_per_s = self.channel.bandwidth_bytes_per_s
         self._command_serialization_s = COMMAND_BYTES / self._bytes_per_s
 
     # -- the access path ------------------------------------------------------
@@ -113,19 +111,19 @@ class MemoryController:
         start = admit_estimate
 
         # Channel: command goes out, then either the write data goes out or
-        # the read data comes back.  Half-duplex channels serialize the two.
-        # (MemoryChannel.send/receive, inlined onto the bound resources.)
+        # the read data comes back, all on the channel's one serial resource.
+        channel = self._channel_resource
         channel_latency = self._channel_latency_s
         if is_write:
             channel_done = (
-                self._outbound.reserve(
+                channel.reserve(
                     start, (COMMAND_BYTES + size_bytes) / self._bytes_per_s
                 )
                 + channel_latency
             )
         else:
             channel_done = (
-                self._outbound.reserve(start, self._command_serialization_s)
+                channel.reserve(start, self._command_serialization_s)
                 + channel_latency
             )
 
@@ -144,7 +142,7 @@ class MemoryController:
         else:
             # Read data returns over the channel.
             completion = (
-                self._inbound.reserve(data_ready, size_bytes / self._bytes_per_s)
+                channel.reserve(data_ready, size_bytes / self._bytes_per_s)
                 + channel_latency
             )
 
@@ -167,16 +165,3 @@ class MemoryController:
         return tuple.__new__(
             MemoryAccessResult, (completion, queue_wait, channel_delay, dram_delay)
         )
-
-    # -- reporting ------------------------------------------------------------
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes
-
-    def achieved_bandwidth_bytes_per_s(self, elapsed_seconds: float) -> float:
-        if elapsed_seconds <= 0:
-            return 0.0
-        return self.bytes_transferred / elapsed_seconds
-
-    def dram_energy_j(self) -> float:
-        return self.module.energy_j()

@@ -11,10 +11,6 @@ study depends on:
   bank can be accessed, so pathological traffic (Hot Spot) sees bank
   contention on top of channel contention.
 
-It also tracks activation energy at the mat level, which is what makes the
-OCM's "read only what you need" organization cheaper than a conventional
-page-open DRAM -- the comparison surfaced in the paper's power discussion.
-
 An :class:`OcmModule` keeps all of its dies' banks in one flat, die-major
 table of plain lists rather than one object per die and bank: a 64-cluster
 system has 2,048 banks, and per-bank objects would dominate the cost of
@@ -33,7 +29,7 @@ from repro.sim.resources import reserve_interval
 
 @dataclass(frozen=True)
 class DramTimings:
-    """Timing and energy parameters of one DRAM mat/bank.
+    """Timing parameters of one DRAM mat/bank.
 
     Parameters
     ----------
@@ -41,19 +37,10 @@ class DramTimings:
         Time from command arrival to data availability (the paper's 20 ns).
     cycle_time_s:
         Minimum spacing between successive accesses to the same bank.
-    activate_energy_j:
-        Energy to activate the bits needed for one cache-line access.
-    bits_activated_per_access:
-        How many bits the organization wakes up per 64-byte access; the OCM
-        organization activates roughly the line itself (512 bits plus
-        overhead), a conventional open-page DIMM activates an order of
-        magnitude more.
     """
 
     access_latency_s: float = 20e-9
     cycle_time_s: float = 20e-9
-    activate_energy_j: float = 2e-11
-    bits_activated_per_access: int = 640
 
     def __post_init__(self) -> None:
         if self.access_latency_s <= 0:
@@ -68,7 +55,8 @@ class OcmModule:
 
     One optical die plus several DRAM dies (Figure 6a).  Modules are daisy
     chained on the fiber loop; because light passes through without buffering
-    or retiming, each additional module adds only a small propagation delay.
+    or retiming, each additional module adds only a small propagation delay
+    (:func:`daisy_chain_delay`).
     The paper's OCM DRAM die has four independent quadrants, each of which
     could itself be four independent dies; what matters to the system model
     is the number of concurrently accessible banks.
@@ -78,15 +66,14 @@ class OcmModule:
     across a die's banks first.  The banks live in one table, bank ``b`` of
     die ``d`` at row ``d * banks_per_die + b`` -- which is ``line %
     total_banks``.  Per row the table holds the bank's committed busy
-    intervals (sorted ``starts``/``ends``), the latest request time seen (the
-    prune high-water mark) and an access count.
+    intervals (sorted ``starts``/``ends``) and the latest request time seen
+    (the prune high-water mark).
     """
 
     module_id: int
     num_dram_dies: int = 4
     banks_per_die: int = 8
     timings: DramTimings = field(default_factory=DramTimings)
-    pass_through_delay_s: float = 0.1e-9
 
     def __post_init__(self) -> None:
         if self.num_dram_dies < 1:
@@ -99,8 +86,6 @@ class OcmModule:
         self._starts: List[List[float]] = [[] for _ in range(banks)]
         self._ends: List[List[float]] = [[] for _ in range(banks)]
         self._high_water: List[float] = [0.0] * banks
-        #: Accesses served per bank, in table-row order.
-        self.accesses: List[int] = [0] * banks
         self._cycle_time_s = self.timings.cycle_time_s
         self._access_latency_s = self.timings.access_latency_s
 
@@ -122,14 +107,7 @@ class OcmModule:
         start = reserve_interval(
             self._starts[bank], self._ends[bank], now, self._cycle_time_s, high_water
         )
-        self.accesses[bank] += 1
         return start + self._access_latency_s
-
-    def total_accesses(self) -> int:
-        return sum(self.accesses)
-
-    def energy_j(self) -> float:
-        return self.total_accesses() * self.timings.activate_energy_j
 
 
 def daisy_chain_delay(module_index: int, pass_through_delay_s: float = 0.1e-9) -> float:

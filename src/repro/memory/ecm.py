@@ -32,7 +32,7 @@ def ecm_interconnect_summary(num_controllers: int = 64) -> Dict[str, object]:
     """The ECM column of Table 4, derived from the channel model."""
     channel = ElectricalMemoryChannel("ecm-summary")
     # Table 4 quotes the usable (per-direction) memory bandwidth.
-    total_bandwidth = num_controllers * channel.per_direction_bandwidth_bytes_per_s
+    total_bandwidth = num_controllers * channel.bandwidth_bytes_per_s
     # 12 bits in each direction -> 24 signal pins per channel, 1536 chip-wide.
     pins = num_controllers * channel.width_bits * 2
     return {

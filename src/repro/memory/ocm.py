@@ -34,7 +34,7 @@ def OpticallyConnectedMemory(
 def ocm_interconnect_summary(num_controllers: int = 64) -> Dict[str, object]:
     """The OCM column of Table 4, derived from the channel model."""
     channel = OpticalMemoryChannel("ocm-summary")
-    total_bandwidth = num_controllers * channel.peak_bandwidth_bytes_per_s
+    total_bandwidth = num_controllers * channel.bandwidth_bytes_per_s
     # Each controller uses a pair of fiber links, each of which is a loop
     # (outbound fiber returning as the inbound fiber): 4 fiber ends per
     # controller -> 256 fibers chip-wide.

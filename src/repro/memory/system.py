@@ -1,18 +1,20 @@
 """The full off-stack memory system: one controller per cluster.
 
-The system simulator talks to this object: given a home cluster, an access
-size and a direction, it performs the access at that cluster's controller and
-returns the completion time.  Aggregate statistics (achieved bandwidth, per
-controller utilization) feed Figures 9 and 10.
+A :class:`MemorySystem` builds the per-cluster controllers, each with its
+channel, its DRAM module and its request queue.  The system simulator binds
+the ``controllers`` table once and sends every access straight to the home
+cluster's :meth:`~repro.memory.controller.MemoryController.access`; the
+achieved bandwidth of Figures 9 and 10 comes from the replay's own byte
+count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.memory.channel import MemoryChannel
-from repro.memory.controller import MemoryAccessResult, MemoryController
+from repro.memory.controller import MemoryController
 from repro.memory.dram import DramTimings, OcmModule
 
 
@@ -64,48 +66,3 @@ class MemorySystem:
                 f"(system has {self.num_controllers})"
             )
         return self.controllers[cluster]
-
-    def access(
-        self,
-        home_cluster: int,
-        now: float,
-        size_bytes: int,
-        is_write: bool,
-        address: int = 0,
-    ) -> MemoryAccessResult:
-        """Perform a memory access at the home cluster's controller."""
-        return self.controller(home_cluster).access(
-            now=now, size_bytes=size_bytes, is_write=is_write, address=address
-        )
-
-    # -- aggregate properties --------------------------------------------------
-    @property
-    def peak_bandwidth_bytes_per_s(self) -> float:
-        """Aggregate peak memory bandwidth across all controllers."""
-        return sum(
-            c.channel.peak_bandwidth_bytes_per_s for c in self.controllers.values()
-        )
-
-    def interconnect_power_w(self) -> float:
-        """Total memory interconnect power at peak signalling rate."""
-        return sum(c.channel.interconnect_power_w for c in self.controllers.values())
-
-    def achieved_bandwidth_bytes_per_s(self, elapsed_seconds: float) -> float:
-        if elapsed_seconds <= 0:
-            return 0.0
-        total_bytes = sum(c.bytes_transferred for c in self.controllers.values())
-        return total_bytes / elapsed_seconds
-
-    def total_accesses(self) -> int:
-        return sum(c.accesses for c in self.controllers.values())
-
-    def busiest_controllers(self, count: int = 5) -> List[tuple[int, float]]:
-        ordered = sorted(
-            ((cid, c.bytes_transferred) for cid, c in self.controllers.items()),
-            key=lambda item: item[1],
-            reverse=True,
-        )
-        return ordered[:count]
-
-    def dram_energy_j(self) -> float:
-        return sum(c.dram_energy_j() for c in self.controllers.values())

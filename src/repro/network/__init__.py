@@ -8,37 +8,29 @@ Three interconnects are modelled, matching the paper's evaluation:
   side for invalidations.
 * :class:`~repro.network.mesh.ElectricalMesh` -- the HMesh and LMesh electrical
   baselines: 8x8 2D meshes with dimension-order wormhole routing.  Only link
-  contention is modelled; routers have no finite buffers and exert no
-  back-pressure.
+  contention is modelled, one serial resource per directed link; routers have
+  no finite buffers and exert no back-pressure.
 
 All interconnects implement the :class:`~repro.network.topology.Interconnect`
 interface so the system simulator can swap them freely.
 """
 
-from repro.network.arbitration import TokenChannelArbiter, TokenRingArbiter
+from repro.network.arbitration import TokenRingArbiter
 from repro.network.broadcast import OpticalBroadcastBus
 from repro.network.crossbar import OpticalCrossbar
-from repro.network.interface import MultiStackFabric, NetworkInterface
-from repro.network.link import Link
 from repro.network.mesh import ElectricalMesh, high_performance_mesh, low_performance_mesh
-from repro.network.message import Message, MessageType, message_size_bytes
-from repro.network.topology import Interconnect, MeshCoordinates, TransferResult
+from repro.network.message import Message, MessageType
+from repro.network.topology import Interconnect, TransferResult
 
 __all__ = [
     "Message",
     "MessageType",
-    "message_size_bytes",
     "Interconnect",
     "TransferResult",
-    "MeshCoordinates",
-    "Link",
     "ElectricalMesh",
     "high_performance_mesh",
     "low_performance_mesh",
     "OpticalCrossbar",
     "OpticalBroadcastBus",
     "TokenRingArbiter",
-    "TokenChannelArbiter",
-    "NetworkInterface",
-    "MultiStackFabric",
 ]

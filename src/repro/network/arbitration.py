@@ -10,7 +10,7 @@ ring to the next requester.
 The model tracks, per channel, where and when the token was last released.
 A request from cluster ``c`` at time ``t`` is granted at::
 
-    grant = max(t, release_time) + travel_time(release_position -> c)
+    grant = max(t, release_time) + travel(release_position -> c)
 
 where travel time is the serpentine propagation delay between the two
 clusters (a full revolution takes ``ring_round_trip_cycles``, 8 processor
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 
 @functools.lru_cache(maxsize=8)
@@ -90,11 +90,6 @@ class TokenChannelArbiter:
         self._travel = token_travel_times(self.num_clusters, self.ring_round_trip_s)
         self.handoff_s = self.ring_round_trip_s / self.num_clusters
 
-    def travel_time(self, from_cluster: int, to_cluster: int) -> float:
-        """Token propagation time from one cluster to another along the ring
-        (a full revolution back to the same cluster)."""
-        return self._travel[(to_cluster - from_cluster) % self.num_clusters]
-
     def acquire(self, cluster: int, now: float) -> float:
         """Request the token from ``cluster`` at time ``now``; returns grant time."""
         if not 0 <= cluster < self.num_clusters:
@@ -136,12 +131,6 @@ class TokenChannelArbiter:
         self.release_position = cluster
         self.release_time = release_time
 
-    @property
-    def average_wait_s(self) -> float:
-        if self.grants == 0:
-            return 0.0
-        return self.total_wait_s / self.grants
-
 
 class TokenRingArbiter:
     """The full arbitration subsystem: one token per crossbar channel.
@@ -163,9 +152,6 @@ class TokenRingArbiter:
             raise ValueError(f"need at least one channel, got {num_channels}")
         if clock_hz <= 0:
             raise ValueError(f"clock must be positive, got {clock_hz}")
-        self.num_clusters = num_clusters
-        self.num_channels = num_channels
-        self.clock_hz = clock_hz
         self.ring_round_trip_s = ring_round_trip_cycles / clock_hz
         self.channels: Dict[int, TokenChannelArbiter] = {
             channel: TokenChannelArbiter(
@@ -179,31 +165,9 @@ class TokenRingArbiter:
             for channel in range(num_channels)
         }
 
-    def acquire(self, channel: int, cluster: int, now: float) -> float:
-        """Acquire the token of ``channel`` for ``cluster``; returns grant time."""
-        return self._channel(channel).acquire(cluster, now)
-
-    def release(self, channel: int, cluster: int, release_time: float) -> None:
-        """Release the token of ``channel`` from ``cluster`` at ``release_time``."""
-        self._channel(channel).release(cluster, release_time)
-
-    def worst_case_uncontested_wait_s(self) -> float:
-        """An uncontested requester may wait a full token revolution."""
-        return self.ring_round_trip_s
-
     def average_wait_s(self) -> float:
         """Mean token wait over every grant, from the per-channel counters."""
         grants = sum(c.grants for c in self.channels.values())
         if grants == 0:
             return 0.0
         return sum(c.total_wait_s for c in self.channels.values()) / grants
-
-    def per_channel_waits(self) -> List[float]:
-        return [self.channels[c].average_wait_s for c in sorted(self.channels)]
-
-    def _channel(self, channel: int) -> TokenChannelArbiter:
-        if channel not in self.channels:
-            raise ValueError(
-                f"channel {channel} outside arbiter with {self.num_channels} channels"
-            )
-        return self.channels[channel]

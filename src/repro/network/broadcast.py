@@ -18,7 +18,7 @@ from typing import List
 
 from repro.network.arbitration import TokenChannelArbiter
 from repro.network.message import Message, MessageType
-from repro.network.topology import Interconnect, MulticastResult, TransferResult
+from repro.network.topology import Interconnect, TransferResult
 from repro.photonics.splitter import splitter_chain_losses
 
 
@@ -52,11 +52,8 @@ class OpticalBroadcastBus(Interconnect):
         self.broadcasts_sent = 0
         self.unicast_messages_avoided = 0
         #: Seconds the single shared channel spent modulating messages; the
-        #: basis of the bus-occupancy statistic in coherence-enabled replays.
+        #: basis of ``CoherenceEngine.broadcast_occupancy``.
         self.busy_seconds = 0.0
-
-    def bisection_bandwidth_bytes_per_s(self) -> float:
-        return self.bandwidth_bytes_per_s
 
     def serialization_delay_s(self, size_bytes: float) -> float:
         return size_bytes / self.bandwidth_bytes_per_s
@@ -102,36 +99,6 @@ class OpticalBroadcastBus(Interconnect):
         message = Message(src=src, dst=src, message_type=MessageType.INVALIDATE)
         self.unicast_messages_avoided += max(sharers - 1, 0)
         return self.transfer(message, now)
-
-    def multicast(
-        self, message: Message, destinations: List[int], now: float
-    ) -> MulticastResult:
-        """Deliver ``message`` to every destination with ONE bus message.
-
-        Every cluster taps the light on the coil's second pass, so the
-        fan-out degree costs nothing: one transfer, zero hops, and
-        ``len(destinations)`` - 1 unicasts avoided relative to a
-        point-to-point network.
-        """
-        remote = [dst for dst in destinations if dst != message.src]
-        if not remote:
-            return MulticastResult(
-                last_arrival=now, queueing_delay=0.0, hops=0, messages=0
-            )
-        result = self.transfer(message, now)
-        self.unicast_messages_avoided += len(remote) - 1
-        return MulticastResult(
-            last_arrival=result.arrival_time,
-            queueing_delay=result.queueing_delay,
-            hops=0,
-            messages=1,
-        )
-
-    def occupancy(self, elapsed_s: float) -> float:
-        """Fraction of ``elapsed_s`` the bus channel spent modulating."""
-        if elapsed_s <= 0:
-            return 0.0
-        return self.busy_seconds / elapsed_s
 
     def listener_losses_db(self, tap_excess_loss_db: float = 0.1) -> List[float]:
         """Optical loss seen by each listening cluster's splitter tap.

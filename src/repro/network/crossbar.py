@@ -26,7 +26,11 @@ from typing import Dict, Optional
 from repro.network.arbitration import TokenRingArbiter
 from repro.network.message import Message
 from repro.network.topology import Interconnect, TransferResult
-from repro.photonics.dwdm import DwdmChannel, corona_crossbar_channel
+
+#: Continuous crossbar power (laser, ring trimming and clocking) charged
+#: against the on-chip network in the paper's evaluation (Section 4): 26 W,
+#: constant because that power does not scale down with traffic.
+STATIC_POWER_W = 26.0
 
 
 class OpticalCrossbar(Interconnect):
@@ -35,12 +39,9 @@ class OpticalCrossbar(Interconnect):
     __slots__ = (
         "channel_bandwidth_bytes_per_s",
         "max_propagation_s",
-        "_static_power_w",
         "energy_per_bit_j",
         "arbiter",
-        "channel_messages",
         "channel_bytes",
-        "photonic_channels",
         "_fault_channel_bw",
     )
 
@@ -51,17 +52,14 @@ class OpticalCrossbar(Interconnect):
         channel_bandwidth_bytes_per_s: float = 320e9,
         max_propagation_cycles: float = 8.0,
         ring_round_trip_cycles: float = 8.0,
-        static_power_w: float = 26.0,
         energy_per_bit_j: float = 100e-15,
         name: str = "XBar",
-        build_photonic_channels: bool = False,
     ) -> None:
         super().__init__(name=name, num_clusters=num_clusters, clock_hz=clock_hz)
         if channel_bandwidth_bytes_per_s <= 0:
             raise ValueError("channel bandwidth must be positive")
         self.channel_bandwidth_bytes_per_s = channel_bandwidth_bytes_per_s
         self.max_propagation_s = max_propagation_cycles / clock_hz
-        self._static_power_w = static_power_w
         self.energy_per_bit_j = energy_per_bit_j
         self.arbiter = TokenRingArbiter(
             num_clusters=num_clusters,
@@ -69,8 +67,7 @@ class OpticalCrossbar(Interconnect):
             clock_hz=clock_hz,
             ring_round_trip_cycles=ring_round_trip_cycles,
         )
-        #: Per-channel counters: messages and bytes delivered to each home.
-        self.channel_messages: Dict[int, int] = {c: 0 for c in range(num_clusters)}
+        #: Bytes delivered to each home, per channel.
         self.channel_bytes: Dict[int, float] = {c: 0.0 for c in range(num_clusters)}
         #: Fault injection hook (:mod:`repro.faults.inject`): a per-channel
         #: bandwidth table replacing the uniform channel bandwidth when rings
@@ -79,32 +76,11 @@ class OpticalCrossbar(Interconnect):
         #: computes bit-identical results.  Token loss hooks into the
         #: channel arbiters (``TokenChannelArbiter.token_loss``).
         self._fault_channel_bw: Optional[list] = None
-        #: Optional detailed photonic channel models (device-level view).
-        self.photonic_channels: Optional[Dict[int, DwdmChannel]] = None
-        if build_photonic_channels:
-            self.photonic_channels = {
-                c: corona_crossbar_channel(name=f"xbar-ch{c}")
-                for c in range(num_clusters)
-            }
 
     # -- Interconnect interface ---------------------------------------------
-    def bisection_bandwidth_bytes_per_s(self) -> float:
-        """All channels can be driven across any bisection simultaneously."""
-        return self.num_clusters * self.channel_bandwidth_bytes_per_s
-
     def static_power_w(self) -> float:
         """Laser, ring-trimming and clocking power; constant by construction."""
-        return self._static_power_w
-
-    def propagation_delay_s(self, src: int, dst: int) -> float:
-        """Serpentine flight time from the modulating cluster to the home."""
-        if src == dst:
-            return 0.0
-        distance = (dst - src) % self.num_clusters
-        return self.max_propagation_s * distance / self.num_clusters
-
-    def serialization_delay_s(self, size_bytes: float) -> float:
-        return size_bytes / self.channel_bandwidth_bytes_per_s
+        return STATIC_POWER_W
 
     def transfer(self, message: Message, now: float) -> TransferResult:
         src = message.src
@@ -130,7 +106,7 @@ class OpticalCrossbar(Interconnect):
         modulation_done = grant_time + serialization
         # The token is re-injected with the tail of the message.
         channel_arbiter.release(src, modulation_done)
-        # Serpentine flight time, inlined from propagation_delay_s.
+        # Serpentine flight time from the modulating cluster to the home.
         propagation = (
             self.max_propagation_s * ((channel - src) % self.num_clusters)
             / self.num_clusters
@@ -138,7 +114,6 @@ class OpticalCrossbar(Interconnect):
         arrival = modulation_done + propagation
 
         energy = size * 8.0 * self.energy_per_bit_j
-        self.channel_messages[channel] += 1
         self.channel_bytes[channel] += size
         # record_transfer, inlined.
         self.messages_sent += 1
@@ -152,38 +127,8 @@ class OpticalCrossbar(Interconnect):
         )
 
     # -- reporting ------------------------------------------------------------
-    def channel_utilization(self, elapsed_seconds: float) -> Dict[int, float]:
-        """Fraction of each channel's bandwidth used over the run."""
-        if elapsed_seconds <= 0:
-            return {c: 0.0 for c in self.channel_bytes}
-        return {
-            c: self.channel_bytes[c]
-            / (self.channel_bandwidth_bytes_per_s * elapsed_seconds)
-            for c in self.channel_bytes
-        }
-
     def busiest_channels(self, count: int = 5) -> list[tuple[int, float]]:
         ordered = sorted(
             self.channel_bytes.items(), key=lambda item: item[1], reverse=True
         )
         return ordered[:count]
-
-    def total_ring_resonators(self) -> int:
-        """Ring count implied by the crossbar geometry (Table 2 cross-check)."""
-        channel_width = 256
-        return self.num_clusters * self.num_clusters * channel_width
-
-    def reset_statistics(self) -> None:
-        super().reset_statistics()
-        self.channel_messages = {c: 0 for c in range(self.num_clusters)}
-        self.channel_bytes = {c: 0.0 for c in range(self.num_clusters)}
-        # Fresh tokens, with the installed token-loss hook carried over.
-        token_loss = self.arbiter.channels[0].token_loss
-        self.arbiter = TokenRingArbiter(
-            num_clusters=self.num_clusters,
-            num_channels=self.num_clusters,
-            clock_hz=self.clock_hz,
-            ring_round_trip_cycles=self.arbiter.ring_round_trip_s * self.clock_hz,
-        )
-        for channel_arbiter in self.arbiter.channels.values():
-            channel_arbiter.token_loss = token_loss

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.network.link import Link
 from repro.network.message import Message
 from repro.network.topology import (
     Interconnect,
@@ -46,14 +45,12 @@ class ElectricalMesh(Interconnect):
 
     __slots__ = (
         "coordinates",
-        "_bisection_bandwidth",
         "hop_latency_s",
         "energy_per_hop_j",
         "link_bandwidth_bytes_per_s",
         "links",
         "_link_table",
         "_routes",
-        "hop_count_total",
         "_fault_link_slow",
     )
 
@@ -67,8 +64,15 @@ class ElectricalMesh(Interconnect):
         energy_per_hop_j: float = 196e-12,
     ) -> None:
         super().__init__(name=name, num_clusters=num_clusters, clock_hz=clock_hz)
+        if bisection_bandwidth_bytes_per_s <= 0:
+            raise ValueError(
+                f"bisection bandwidth must be positive, got {bisection_bandwidth_bytes_per_s}"
+            )
+        if hop_latency_cycles < 0:
+            raise ValueError(
+                f"hop latency must be non-negative, got {hop_latency_cycles}"
+            )
         self.coordinates = MeshCoordinates.square(num_clusters)
-        self._bisection_bandwidth = bisection_bandwidth_bytes_per_s
         self.hop_latency_s = hop_latency_cycles / clock_hz
         self.energy_per_hop_j = energy_per_hop_j
 
@@ -79,38 +83,25 @@ class ElectricalMesh(Interconnect):
             bisection_bandwidth_bytes_per_s / bisection_links
         )
 
-        #: In :meth:`MeshCoordinates.all_links` order, the order the route
+        #: One serial resource per directed link, keyed ``(src, dst)`` in
+        #: :meth:`MeshCoordinates.all_links` order, the order the route
         #: table's link indices refer to.
-        self.links: Dict[Tuple[int, int], Link] = {
-            (src, dst): Link(
-                src=src,
-                dst=dst,
-                bandwidth_bytes_per_s=self.link_bandwidth_bytes_per_s,
-                latency_s=self.hop_latency_s,
-            )
+        self.links: Dict[Tuple[int, int], SerialResource] = {
+            (src, dst): SerialResource(name=f"link-{src}-{dst}")
             for src, dst in self.coordinates.all_links()
         }
         #: Hot-path view of the links, by route-table index: each link's
         #: serial resource, its interval lists and its fault-table key
-        #: ``src * num_clusters + dst``.  The Link objects stay
-        #: authoritative for reporting; both views share the resources, and
-        #: ``SerialResource.reset`` clears the lists in place, so the view
-        #: survives :meth:`reset_statistics`.
+        #: ``src * num_clusters + dst``.
         self._link_table: List[
             Tuple[SerialResource, List[float], List[float], int]
         ] = [
-            (
-                link._resource,
-                link._resource._starts,
-                link._resource._ends,
-                src * num_clusters + dst,
-            )
+            (link, link._starts, link._ends, src * num_clusters + dst)
             for (src, dst), link in self.links.items()
         ]
         self._routes = xy_route_table(
             self.coordinates.radix_x, self.coordinates.radix_y
         )
-        self.hop_count_total = 0
         #: Fault injection hook (:mod:`repro.faults.inject`): serialization
         #: multipliers for partially dead links, keyed
         #: ``src * num_clusters + dst``.  ``None`` on fault-free builds, so
@@ -119,9 +110,6 @@ class ElectricalMesh(Interconnect):
         self._fault_link_slow: Optional[Dict[int, float]] = None
 
     # -- Interconnect interface ---------------------------------------------
-    def bisection_bandwidth_bytes_per_s(self) -> float:
-        return self._bisection_bandwidth
-
     def transfer(self, message: Message, now: float) -> TransferResult:
         src = message.src
         dst = message.dst
@@ -158,7 +146,6 @@ class ElectricalMesh(Interconnect):
                 resource._high_water_request = high_water = head_time
             start = reserve(starts, ends, head_time, hop_serialization, high_water)
             resource.busy_time += hop_serialization
-            resource.reservations += 1
             queueing += start - head_time
             # Head flit crosses this hop; body/tail pipeline behind it.
             head_time = start + hop_latency
@@ -167,7 +154,6 @@ class ElectricalMesh(Interconnect):
         hops = len(route)
         arrival = head_time + hop_serialization
         energy = hops * self.energy_per_hop_j
-        self.hop_count_total += hops
 
         # record_transfer, inlined.
         self.messages_sent += 1
@@ -180,13 +166,6 @@ class ElectricalMesh(Interconnect):
         )
 
     # -- reporting ------------------------------------------------------------
-    def average_link_utilization(self, elapsed_seconds: float) -> float:
-        if not self.links or elapsed_seconds <= 0:
-            return 0.0
-        return sum(
-            link.utilization(elapsed_seconds) for link in self.links.values()
-        ) / len(self.links)
-
     def most_utilized_links(
         self, elapsed_seconds: float, count: int = 5
     ) -> List[Tuple[Tuple[int, int], float]]:
@@ -197,12 +176,6 @@ class ElectricalMesh(Interconnect):
         ]
         utilizations.sort(key=lambda item: item[1], reverse=True)
         return utilizations[:count]
-
-    def reset_statistics(self) -> None:
-        super().reset_statistics()
-        for link in self.links.values():
-            link.reset()
-        self.hop_count_total = 0
 
 
 def high_performance_mesh(num_clusters: int = 64, clock_hz: float = 5e9) -> ElectricalMesh:

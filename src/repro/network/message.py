@@ -9,8 +9,7 @@ address/coherence messages, and line-sized data messages with a small header.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.units import CACHE_LINE_BYTES
 
@@ -53,9 +52,6 @@ def message_size_bytes(message_type: MessageType) -> int:
     return _MESSAGE_SIZES[message_type]
 
 
-_message_ids = itertools.count()
-
-
 @dataclass(slots=True)
 class Message:
     """A single interconnect message.
@@ -74,7 +70,6 @@ class Message:
     dst: int
     message_type: MessageType
     size_bytes: int = 0
-    message_id: int = field(default_factory=lambda: next(_message_ids))
 
     def __post_init__(self) -> None:
         if self.src < 0 or self.dst < 0:
@@ -90,19 +85,3 @@ class Message:
     def is_local(self) -> bool:
         """Whether the message never needs the interconnect."""
         return self.src == self.dst
-
-    @property
-    def carries_data(self) -> bool:
-        return self.size_bytes > CONTROL_MESSAGE_BYTES
-
-    def flit_count(self, flit_bytes: int) -> int:
-        """Number of flits at the given flit width (mesh wormhole routing)."""
-        if flit_bytes <= 0:
-            raise ValueError(f"flit size must be positive, got {flit_bytes}")
-        return -(-self.size_bytes // flit_bytes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Message(#{self.message_id} {self.message_type.value} "
-            f"{self.src}->{self.dst} {self.size_bytes}B)"
-        )

@@ -100,29 +100,23 @@ class Interconnect(abc.ABC):
         self.bytes_sent = 0.0
         self.total_dynamic_energy_j = 0.0
 
-    @property
-    def cycle_time(self) -> float:
-        return 1.0 / self.clock_hz
-
     @abc.abstractmethod
     def transfer(self, message: Message, now: float) -> TransferResult:
         """Move ``message`` starting no earlier than ``now``."""
-
-    @abc.abstractmethod
-    def bisection_bandwidth_bytes_per_s(self) -> float:
-        """Bisection bandwidth of the interconnect."""
 
     def multicast(
         self, message: Message, destinations: List[int], now: float
     ) -> MulticastResult:
         """Deliver ``message`` to every cluster in ``destinations``.
 
-        The default implementation is a unicast fan-out: one :meth:`transfer`
-        per destination (``message.dst`` is mutated in place, matching the
-        replay engine's reusable-message convention), each reserving its own
-        links/channels.  Broadcast-capable interconnects override this with a
-        single-message delivery.  Destinations equal to ``message.src`` are
-        skipped -- a cluster never needs the network to invalidate itself.
+        A unicast fan-out: one :meth:`transfer` per destination
+        (``message.dst`` is mutated in place, matching the replay engine's
+        reusable-message convention), each reserving its own links/channels.
+        Corona's invalidations skip it: the coherence engine sends them as
+        one :meth:`~repro.network.broadcast.OpticalBroadcastBus.
+        broadcast_invalidate` when the design has the bus.  Destinations
+        equal to ``message.src`` are skipped -- a cluster never needs the
+        network to invalidate itself.
         """
         last_arrival = now
         slowest_queueing = 0.0
@@ -163,11 +157,6 @@ class Interconnect(abc.ABC):
             return 0.0
         return self.total_dynamic_energy_j / elapsed_seconds
 
-    def reset_statistics(self) -> None:
-        self.messages_sent = 0
-        self.bytes_sent = 0.0
-        self.total_dynamic_energy_j = 0.0
-
 
 @dataclass(frozen=True)
 class MeshCoordinates:
@@ -204,12 +193,6 @@ class MeshCoordinates:
         if not (0 <= x < self.radix_x and 0 <= y < self.radix_y):
             raise ValueError(f"position ({x}, {y}) outside mesh")
         return y * self.radix_x + x
-
-    def hop_distance(self, src: int, dst: int) -> int:
-        """Manhattan distance between two clusters."""
-        sx, sy = self.position(src)
-        dx, dy = self.position(dst)
-        return abs(sx - dx) + abs(sy - dy)
 
     def dimension_order_route(self, src: int, dst: int) -> List[Tuple[int, int]]:
         """The XY (dimension-order) route as a list of directed node pairs.
@@ -254,18 +237,6 @@ class MeshCoordinates:
         # A vertical cut between column radix_x/2 - 1 and radix_x/2 severs one
         # link pair per row.
         return 2 * self.radix_y
-
-    def average_hops(self) -> float:
-        """Average Manhattan distance over all source/destination pairs."""
-        total = 0
-        pairs = 0
-        for src in range(self.num_nodes):
-            for dst in range(self.num_nodes):
-                if src == dst:
-                    continue
-                total += self.hop_distance(src, dst)
-                pairs += 1
-        return total / pairs if pairs else 0.0
 
 
 @functools.lru_cache(maxsize=8)

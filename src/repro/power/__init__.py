@@ -2,14 +2,14 @@
 
 The paper's power story has four pieces, each reproduced here:
 
-* :mod:`repro.power.electrical` -- dynamic energy of the electrical meshes
-  (196 pJ per transaction per hop) and electrical off-stack signalling
-  (~2 mW/Gb/s), the numbers behind Figure 11 and the ">160 W for an
-  electrically connected 10 TB/s memory" claim.
-* :mod:`repro.power.optical` -- the photonic interconnect power budget: 26 W
-  of continuous crossbar power, 39 W for the full photonic subsystem
-  (laser + ring trimming + analog drive), and 0.078 mW/Gb/s optical memory
-  links totalling ~6.4 W.
+* :mod:`repro.power.electrical` -- electrical off-stack signalling
+  (~2 mW/Gb/s), the ">160 W for an electrically connected 10 TB/s memory"
+  claim; the meshes' 196 pJ per transaction per hop, behind Figure 11, is
+  charged by the mesh model itself.
+* :mod:`repro.power.optical` -- the photonic interconnect power budget: 39 W
+  for the full photonic subsystem (laser + ring trimming + analog drive), of
+  which the crossbar model charges 26 W of continuous power, and
+  0.078 mW/Gb/s optical memory links totalling ~6.4 W.
 * :mod:`repro.power.cacti` -- a simplified CACTI-style cache/directory energy
   and area model used for the L2/directory estimates.
 * :mod:`repro.power.chip` -- the chip-level roll-up reproducing the paper's
@@ -20,20 +20,16 @@ from repro.power.cacti import CacheGeometry, CachePowerArea, cache_power_area
 from repro.power.chip import ChipPowerReport, corona_chip_power
 from repro.power.electrical import (
     ElectricalLinkPower,
-    MeshPowerModel,
     electrical_memory_interconnect_power_w,
 )
 from repro.power.optical import (
     OpticalMemoryPower,
-    PhotonicPowerBudget,
     optical_memory_interconnect_power_w,
 )
 
 __all__ = [
-    "MeshPowerModel",
     "ElectricalLinkPower",
     "electrical_memory_interconnect_power_w",
-    "PhotonicPowerBudget",
     "OpticalMemoryPower",
     "optical_memory_interconnect_power_w",
     "CacheGeometry",

@@ -4,7 +4,9 @@ Two electrical power figures drive the paper's comparison:
 
 * the on-chip meshes dissipate **196 pJ per transaction per hop** (an
   aggressive low-swing estimate that ignores leakage), so their power grows
-  linearly with traffic and hop count -- this is Figure 11's mesh curves;
+  linearly with traffic and hop count -- this is Figure 11's mesh curves.
+  The replay charges it per transfer
+  (:class:`~repro.network.mesh.ElectricalMesh`'s ``energy_per_hop_j``);
 * off-stack electrical signalling costs about **2 mW/Gb/s** (Palmer et al.),
   which is why a 10 TB/s electrically connected memory would need over 160 W
   of interconnect power alone.
@@ -14,48 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: The paper's per-transaction-per-hop mesh energy (includes router overhead).
-MESH_ENERGY_PER_HOP_J = 196e-12
-
-#: Electrical off-stack signalling power per Gb/s (Palmer et al. [25]).
-ELECTRICAL_SIGNALLING_W_PER_GBPS = 2e-3
-
-
-@dataclass(frozen=True)
-class MeshPowerModel:
-    """Dynamic power of an electrical mesh under a given traffic load."""
-
-    energy_per_hop_j: float = MESH_ENERGY_PER_HOP_J
-
-    def transaction_energy_j(self, hops: int) -> float:
-        """Energy of one message traversing ``hops`` router-to-router hops."""
-        if hops < 0:
-            raise ValueError(f"hop count must be non-negative, got {hops}")
-        return hops * self.energy_per_hop_j
-
-    def dynamic_power_w(self, hop_traversals_per_second: float) -> float:
-        """Power at a sustained rate of message-hop traversals per second."""
-        if hop_traversals_per_second < 0:
-            raise ValueError("traversal rate must be non-negative")
-        return hop_traversals_per_second * self.energy_per_hop_j
-
-    def power_for_bandwidth_w(
-        self,
-        delivered_bytes_per_s: float,
-        average_hops: float,
-        bytes_per_message: float = 72.0,
-    ) -> float:
-        """Power needed to deliver a payload bandwidth at a mean hop count.
-
-        This is the back-of-envelope form of Figure 11: messages per second
-        times hops times 196 pJ.
-        """
-        if delivered_bytes_per_s < 0 or average_hops < 0:
-            raise ValueError("bandwidth and hops must be non-negative")
-        if bytes_per_message <= 0:
-            raise ValueError("message size must be positive")
-        messages_per_s = delivered_bytes_per_s / bytes_per_message
-        return messages_per_s * average_hops * self.energy_per_hop_j
+from repro.memory.channel import ELECTRICAL_SIGNALLING_W_PER_GBPS
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ The paper's optical power figures:
   dissipates about **39 W**;
 * of that, the crossbar's share charged against the on-chip network budget is
   a **26 W continuous** draw (Section 4), constant because laser and trimming
-  power do not scale down with traffic;
+  power do not scale down with traffic
+  (:data:`repro.network.crossbar.STATIC_POWER_W`);
 * optically connected memory signalling costs about **0.078 mW/Gb/s**, so the
   10 TB/s OCM interconnect needs only **~6.4 W**.
 """
@@ -16,43 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Continuous crossbar power assumed by the paper's evaluation.
-CROSSBAR_CONTINUOUS_POWER_W = 26.0
+from repro.memory.channel import OPTICAL_SIGNALLING_W_PER_GBPS
 
 #: Total photonic interconnect power (laser + trimming + analog layer).
 PHOTONIC_SUBSYSTEM_POWER_W = 39.0
-
-#: Optical off-stack signalling power per Gb/s.
-OPTICAL_SIGNALLING_W_PER_GBPS = 0.078e-3
-
-
-@dataclass(frozen=True)
-class PhotonicPowerBudget:
-    """Breakdown of the 39 W photonic subsystem power.
-
-    The split between laser, trimming and analog electronics is not given
-    explicitly in the paper; the defaults below apportion the total in the
-    proportions implied by its component discussion and can be overridden for
-    sensitivity studies.
-    """
-
-    laser_power_w: float = 13.0
-    ring_trimming_power_w: float = 10.0
-    analog_circuitry_power_w: float = 16.0
-
-    @property
-    def total_w(self) -> float:
-        return (
-            self.laser_power_w
-            + self.ring_trimming_power_w
-            + self.analog_circuitry_power_w
-        )
-
-    def crossbar_share_w(self, fraction: float = CROSSBAR_CONTINUOUS_POWER_W / PHOTONIC_SUBSYSTEM_POWER_W) -> float:
-        """The crossbar's share of the photonic budget (26 W of 39 W)."""
-        if not 0 <= fraction <= 1:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        return self.total_w * fraction
 
 
 @dataclass(frozen=True)

@@ -2,79 +2,28 @@
 
 The kernel is intentionally small and dependency free.  It provides:
 
-* :mod:`repro.sim.units` -- time, frequency, bandwidth and data-size units so
-  that the rest of the code can speak in the paper's terms (5 GHz clocks,
-  TB/s, cache lines) without sprinkling conversion constants everywhere.
+* :mod:`repro.sim.units` -- the unit convention (seconds, bytes, bytes per
+  second, anything else named by its suffix) and the cache-line size.
 * :mod:`repro.sim.engine` -- a classic event-calendar simulator built on a
-  binary heap, plus process-free helper primitives.
-* :mod:`repro.sim.resources` -- serial resources (channels, links, ports,
-  queues) that model bandwidth occupancy and back-pressure.
-* :mod:`repro.sim.stats` -- counters, histograms and time-weighted statistics
-  used by every experiment.
+  binary heap.
+* :mod:`repro.sim.resources` -- the busy-interval reservation behind links,
+  channels and DRAM banks, plus the bounded queues and token pools that model
+  back-pressure.
+* :mod:`repro.sim.stats` -- the running mean, latency histogram and geometric
+  mean the replay's results are computed with.
 """
 
-from repro.sim.engine import Event, EventQueue, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.resources import BoundedQueue, SerialResource, TokenPool
-from repro.sim.stats import (
-    Counter,
-    Histogram,
-    RunningStats,
-    StatGroup,
-    TimeWeightedAverage,
-)
-from repro.sim.units import (
-    BYTE,
-    CACHE_LINE_BYTES,
-    GHZ,
-    GB,
-    GBPS,
-    KB,
-    MB,
-    MHZ,
-    NS,
-    PS,
-    TB,
-    TBPS,
-    US,
-    Bandwidth,
-    Frequency,
-    Time,
-    bits_to_bytes,
-    bytes_to_bits,
-    cycles_to_seconds,
-    seconds_to_cycles,
-)
+from repro.sim.stats import Histogram, RunningStats
+from repro.sim.units import CACHE_LINE_BYTES
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "Simulator",
     "BoundedQueue",
     "SerialResource",
     "TokenPool",
-    "Counter",
     "Histogram",
     "RunningStats",
-    "StatGroup",
-    "TimeWeightedAverage",
-    "Time",
-    "Frequency",
-    "Bandwidth",
-    "NS",
-    "PS",
-    "US",
-    "GHZ",
-    "MHZ",
-    "BYTE",
-    "KB",
-    "MB",
-    "GB",
-    "TB",
-    "GBPS",
-    "TBPS",
     "CACHE_LINE_BYTES",
-    "bits_to_bytes",
-    "bytes_to_bits",
-    "cycles_to_seconds",
-    "seconds_to_cycles",
 ]

@@ -13,10 +13,11 @@ reservations are requested slightly out of time order (for example a
 data-return reserved 20 ns ahead of commands that arrive in between).
 
 :func:`reserve_interval` is the one reservation on such a timeline.
-:class:`SerialResource` (links, channels, ports) wraps one timeline with
-argument checks and counters.  Two hot paths call the kernel directly: each
-hop of the electrical mesh, on its link's lists, and each access to the DRAM
-bank table of :class:`~repro.memory.dram.OcmModule`, on the bank's row.
+:class:`SerialResource` (a mesh link, a memory channel) wraps one timeline
+with argument checks and a busy-time counter.  Two hot paths call the kernel
+directly: each hop of the electrical mesh, on its link's lists, and each
+access to the DRAM bank table of :class:`~repro.memory.dram.OcmModule`, on
+the bank's row.
 
 :class:`BoundedQueue` adds finite capacity (back-pressure) on top, and
 :class:`TokenPool` models a counted resource such as MSHRs; both book their
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 import heapq
-from typing import List, Optional
+from typing import List
 
 #: Gaps shorter than this are considered zero (floating-point noise guard).
 _EPSILON = 1e-15
@@ -107,17 +108,10 @@ def reserve_interval(
 
 
 class SerialResource:
-    """A single-server resource (a link, a channel, a port) with gap
-    backfill: one :func:`reserve_interval` timeline plus its counters."""
+    """A single-server resource (a link, a channel) with gap backfill: one
+    :func:`reserve_interval` timeline plus its busy time."""
 
-    __slots__ = (
-        "name",
-        "_starts",
-        "_ends",
-        "busy_time",
-        "reservations",
-        "_high_water_request",
-    )
+    __slots__ = ("name", "_starts", "_ends", "busy_time", "_high_water_request")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -125,29 +119,7 @@ class SerialResource:
         self._starts: List[float] = []
         self._ends: List[float] = []
         self.busy_time: float = 0.0
-        self.reservations: int = 0
         self._high_water_request: float = 0.0
-
-    def next_available(self, now: float) -> float:
-        """Earliest time a zero-length reservation made at ``now`` could start.
-
-        Expired intervals (older than the prune horizon behind the newest
-        reservation request) are dropped first, as :meth:`reserve` drops
-        them, and because committed intervals are disjoint, a single bisect
-        answers the query -- ``now`` itself when no interval covers it,
-        otherwise the covering interval's end.
-        """
-        prune_before = self._high_water_request - _PRUNE_HORIZON
-        starts = self._starts
-        ends = self._ends
-        if prune_before > 0 and ends and ends[0] <= prune_before:
-            cut = bisect_right(ends, prune_before)
-            del ends[:cut]
-            del starts[:cut]
-        index = bisect_right(ends, now)
-        if index >= len(starts) or now <= starts[index] + _EPSILON:
-            return now
-        return ends[index]
 
     def reserve(self, now: float, duration: float) -> float:
         """Reserve the resource for ``duration`` seconds starting no earlier than ``now``.
@@ -165,30 +137,13 @@ class SerialResource:
             self._starts, self._ends, now, duration, self._high_water_request
         )
         self.busy_time += duration
-        self.reservations += 1
         return start + duration
-
-    def queue_delay(self, now: float) -> float:
-        """How long a zero-length reservation made at ``now`` would wait."""
-        return self.next_available(now) - now
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of capacity used over ``elapsed`` seconds of simulated time."""
         if elapsed <= 0:
             return 0.0
         return self.busy_time / elapsed
-
-    def reset(self) -> None:
-        # In place: the electrical mesh binds each link's interval lists
-        # once, at construction.
-        self._starts.clear()
-        self._ends.clear()
-        self.busy_time = 0.0
-        self.reservations = 0
-        self._high_water_request = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SerialResource({self.name!r})"
 
 
 class AdmissionHeaps:
@@ -210,7 +165,7 @@ class AdmissionHeaps:
     booked too (see :class:`BoundedQueue`).
     """
 
-    __slots__ = ("capacity", "latest", "earlier", "pushes", "peak")
+    __slots__ = ("capacity", "latest", "earlier", "peak")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -218,8 +173,7 @@ class AdmissionHeaps:
         self.capacity = capacity
         self.latest: List[float] = []
         self.earlier: List[float] = []
-        #: Departures booked so far, and the most booked at one time.
-        self.pushes: int = 0
+        #: The most departures booked at one time.
         self.peak: int = 0
 
     def __len__(self) -> int:
@@ -249,7 +203,6 @@ class AdmissionHeaps:
             heapq.heappush(earlier, heapq.heapreplace(latest, departure))
         else:
             heapq.heappush(earlier, departure)
-        self.pushes += 1
         booked = len(latest) + len(earlier)
         if booked > self.peak:
             self.peak = booked
@@ -259,20 +212,14 @@ class AdmissionHeaps:
         admission may ask at an earlier ``now``."""
         return sum(1 for departure in self.latest + self.earlier if departure > now)
 
-    def clear(self) -> None:
-        self.latest.clear()
-        self.earlier.clear()
-        self.pushes = 0
-        self.peak = 0
-
 
 class BoundedQueue:
     """A finite-capacity FIFO used to model buffers with back-pressure.
 
     The queue is analytic: an entry books a slot from the moment it is
-    pushed until its announced departure time, and ``admission_time`` says
-    when a new entry gets a slot (:class:`AdmissionHeaps`), which is how
-    upstream senders experience back-pressure.  The rule is the same as an
+    pushed until its announced departure time, and :meth:`admit` returns
+    when it gets a slot (:class:`AdmissionHeaps`), which is how upstream
+    senders experience back-pressure.  The rule is the same as an
     explicit FIFO waiting room in front of ``capacity`` slots, and the
     booked entries are that room's resident *and* waiting ones: so
     :meth:`occupancy` and ``max_occupancy_seen`` can exceed ``capacity``
@@ -290,10 +237,6 @@ class BoundedQueue:
         return self.heaps.capacity
 
     @property
-    def total_admitted(self) -> int:
-        return self.heaps.pushes
-
-    @property
     def max_occupancy_seen(self) -> int:
         """The most entries booked at one time, resident or waiting."""
         return self.heaps.peak
@@ -302,10 +245,6 @@ class BoundedQueue:
         """Entries booked to depart after ``now``: those resident at ``now``
         plus those still waiting for a slot.  Expires nothing."""
         return self.heaps.count_after(now)
-
-    def admission_time(self, now: float) -> float:
-        """Earliest time at which a new entry could be admitted."""
-        return self.heaps.admission(now)
 
     def admit(self, now: float, departure_time: float) -> float:
         """Admit an entry that will depart at ``departure_time``.
@@ -322,12 +261,6 @@ class BoundedQueue:
         heaps.push(departure_time)
         return admit_at
 
-    def reset(self) -> None:
-        self.heaps.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BoundedQueue({self.name!r}, capacity={self.capacity})"
-
 
 class TokenPool:
     """A counted resource (e.g. MSHRs): acquire blocks until a token frees up.
@@ -338,13 +271,12 @@ class TokenPool:
     booked tokens have been released.
     """
 
-    __slots__ = ("name", "tokens", "heaps", "acquisitions", "total_wait")
+    __slots__ = ("name", "heaps", "acquisitions", "total_wait")
 
     def __init__(self, name: str, tokens: int) -> None:
         if tokens < 1:
             raise ValueError(f"tokens must be >= 1, got {tokens}")
         self.name = name
-        self.tokens = tokens
         self.heaps = AdmissionHeaps(tokens)
         self.acquisitions: int = 0
         self.total_wait: float = 0.0
@@ -353,37 +285,14 @@ class TokenPool:
         """Tokens booked to be released after ``now``.  Expires nothing."""
         return self.heaps.count_after(now)
 
-    def acquire(self, now: float, release_time_hint: Optional[float] = None) -> float:
-        """Acquire a token at or after ``now``; returns the grant time.
-
-        ``release_time_hint`` may be provided when the release time is already
-        known.  If omitted, the token must be released later via
-        :meth:`release_at`.
-        """
+    def acquire(self, now: float) -> float:
+        """Acquire a token at or after ``now``; returns the grant time.  The
+        holder books the token's release with :meth:`release_at`."""
         grant = self.heaps.admission(now)
         self.acquisitions += 1
         self.total_wait += grant - now
-        if release_time_hint is not None:
-            if release_time_hint < grant:
-                raise ValueError(
-                    f"release {release_time_hint} precedes grant {grant}"
-                )
-            self.heaps.push(release_time_hint)
         return grant
 
     def release_at(self, release_time: float) -> None:
-        """Register the release time for a token acquired without a hint."""
+        """Book the release time of a token acquired earlier."""
         self.heaps.push(release_time)
-
-    def average_wait(self) -> float:
-        if self.acquisitions == 0:
-            return 0.0
-        return self.total_wait / self.acquisitions
-
-    def reset(self) -> None:
-        self.heaps.clear()
-        self.acquisitions = 0
-        self.total_wait = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TokenPool({self.name!r}, tokens={self.tokens})"

@@ -1,198 +1,15 @@
-"""Units and conversions used throughout the Corona reproduction.
+"""Unit conventions used throughout the Corona reproduction.
 
 All simulation time is kept in *seconds* (floats).  All data sizes are kept in
 *bytes* unless a name explicitly says bits.  Bandwidth is bytes per second.
-The constants below exist so that configuration code reads like the paper:
-``5 * GHZ``, ``20 * TBPS``, ``64 * BYTE`` and so on.
-
-The module also provides tiny value helpers (``cycles_to_seconds``) and thin
-``NamedTuple``-style wrappers (:class:`Time`, :class:`Frequency`,
-:class:`Bandwidth`) for the places where carrying the unit with the value makes
-interfaces clearer -- most of the code simply uses plain floats with the
-conventions above.
+A name that holds a quantity in any other unit says so in its suffix
+(``latency_ns``, ``ring_round_trip_cycles``, ``offered_rps``), and a
+conversion is written as the multiplication or division it is
+(``cycles / clock_hz``, ``seconds * 1e9``); the ``unit-*`` lint rules
+(:mod:`repro.analysis.unitflow`) check the suffixes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-# ---------------------------------------------------------------------------
-# Time units (seconds)
-# ---------------------------------------------------------------------------
-SECOND = 1.0
-MS = 1e-3
-US = 1e-6
-NS = 1e-9
-PS = 1e-12
-
-# ---------------------------------------------------------------------------
-# Frequency units (hertz)
-# ---------------------------------------------------------------------------
-HZ = 1.0
-KHZ = 1e3
-MHZ = 1e6
-GHZ = 1e9
-
-# ---------------------------------------------------------------------------
-# Data size units (bytes)
-# ---------------------------------------------------------------------------
-BIT = 1.0 / 8.0
-BYTE = 1.0
-KB = 1024.0
-MB = 1024.0 * KB
-GB = 1024.0 * MB
-TB = 1024.0 * GB
-
 #: Size of a Corona cache line (Table 1 of the paper).
 CACHE_LINE_BYTES = 64
-
-# ---------------------------------------------------------------------------
-# Bandwidth units (bytes per second).  The paper uses decimal prefixes for
-# bandwidth (10 Gb/s signalling, 20 TB/s aggregate), so bandwidth constants are
-# decimal while storage-capacity constants above are binary.
-# ---------------------------------------------------------------------------
-BPS = 1.0 / 8.0
-GBPS = 1e9
-TBPS = 1e12
-GBITPS = 1e9 / 8.0
-
-
-def bytes_to_bits(num_bytes: float) -> float:
-    """Convert a byte count to bits."""
-    return num_bytes * 8.0
-
-
-def bits_to_bytes(num_bits: float) -> float:
-    """Convert a bit count to bytes."""
-    return num_bits / 8.0
-
-
-def cycles_to_seconds(cycles: float, frequency_hz: float) -> float:
-    """Convert a cycle count at ``frequency_hz`` into seconds."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return cycles / frequency_hz
-
-
-def seconds_to_cycles(seconds: float, frequency_hz: float) -> float:
-    """Convert a duration in seconds into (fractional) cycles."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return seconds * frequency_hz
-
-
-def transfer_time(num_bytes: float, bandwidth_bytes_per_s: float) -> float:
-    """Serialization time of ``num_bytes`` over a channel of the given bandwidth."""
-    if bandwidth_bytes_per_s <= 0:
-        raise ValueError(
-            f"bandwidth must be positive, got {bandwidth_bytes_per_s}"
-        )
-    if num_bytes < 0:
-        raise ValueError(f"byte count must be non-negative, got {num_bytes}")
-    return num_bytes / bandwidth_bytes_per_s
-
-
-@dataclass(frozen=True)
-class Time:
-    """A duration carrying its own unit (seconds)."""
-
-    seconds: float
-
-    @classmethod
-    def from_ns(cls, value: float) -> "Time":
-        return cls(value * NS)
-
-    @classmethod
-    def from_cycles(cls, cycles: float, frequency_hz: float) -> "Time":
-        return cls(cycles_to_seconds(cycles, frequency_hz))
-
-    @property
-    def ns(self) -> float:
-        return self.seconds / NS
-
-    @property
-    def us(self) -> float:
-        return self.seconds / US
-
-    def cycles(self, frequency_hz: float) -> float:
-        return seconds_to_cycles(self.seconds, frequency_hz)
-
-    def __add__(self, other: "Time") -> "Time":
-        return Time(self.seconds + other.seconds)
-
-    def __sub__(self, other: "Time") -> "Time":
-        return Time(self.seconds - other.seconds)
-
-    def __lt__(self, other: "Time") -> bool:
-        return self.seconds < other.seconds
-
-    def __le__(self, other: "Time") -> bool:
-        return self.seconds <= other.seconds
-
-
-@dataclass(frozen=True)
-class Frequency:
-    """A clock frequency in hertz with convenience accessors."""
-
-    hertz: float
-
-    @classmethod
-    def from_ghz(cls, value: float) -> "Frequency":
-        return cls(value * GHZ)
-
-    @property
-    def ghz(self) -> float:
-        return self.hertz / GHZ
-
-    @property
-    def period(self) -> Time:
-        """One clock period."""
-        if self.hertz <= 0:
-            raise ValueError("frequency must be positive to have a period")
-        return Time(1.0 / self.hertz)
-
-    def cycles(self, seconds: float) -> float:
-        return seconds_to_cycles(seconds, self.hertz)
-
-
-@dataclass(frozen=True)
-class Bandwidth:
-    """A bandwidth in bytes per second with convenience accessors."""
-
-    bytes_per_second: float
-
-    @classmethod
-    def from_tbps(cls, value: float) -> "Bandwidth":
-        """Construct from terabytes per second (decimal)."""
-        return cls(value * TBPS)
-
-    @classmethod
-    def from_gbps(cls, value: float) -> "Bandwidth":
-        """Construct from gigabytes per second (decimal)."""
-        return cls(value * GBPS)
-
-    @classmethod
-    def from_gbit_per_s(cls, value: float) -> "Bandwidth":
-        """Construct from gigabits per second (decimal)."""
-        return cls(value * GBITPS)
-
-    @property
-    def tbps(self) -> float:
-        return self.bytes_per_second / TBPS
-
-    @property
-    def gbps(self) -> float:
-        return self.bytes_per_second / GBPS
-
-    @property
-    def gbit_per_s(self) -> float:
-        return self.bytes_per_second / GBITPS
-
-    def transfer_time(self, num_bytes: float) -> float:
-        """Seconds needed to move ``num_bytes`` at this bandwidth."""
-        return transfer_time(num_bytes, self.bytes_per_second)
-
-    def __mul__(self, factor: float) -> "Bandwidth":
-        return Bandwidth(self.bytes_per_second * factor)
-
-    __rmul__ = __mul__

@@ -24,7 +24,6 @@ from repro.coherence import (
 from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator, simulate_workload
 from repro.harness.parallel import run_pairs
-from repro.network.broadcast import OpticalBroadcastBus
 from repro.network.mesh import low_performance_mesh
 from repro.network.message import Message, MessageType
 from repro.sweeps import coherence_sweep_spec, run_sweep
@@ -111,24 +110,6 @@ class TestInterconnectMulticast:
         assert result.messages == 3
         assert result.hops > 0
         assert result.last_arrival > 0.0
-
-    def test_broadcast_bus_multicast_is_one_message(self):
-        bus = OpticalBroadcastBus(num_clusters=16)
-        message = Message(src=0, dst=0, message_type=MessageType.INVALIDATE)
-        result = bus.multicast(message, list(range(1, 16)), now=0.0)
-        assert result.messages == 1
-        assert result.hops == 0
-        assert bus.broadcasts_sent == 1
-        assert bus.unicast_messages_avoided == 14
-        assert bus.busy_seconds > 0.0
-        assert bus.occupancy(1e-6) == pytest.approx(bus.busy_seconds / 1e-6)
-
-    def test_broadcast_bus_multicast_all_local_is_free(self):
-        bus = OpticalBroadcastBus(num_clusters=16)
-        message = Message(src=3, dst=3, message_type=MessageType.INVALIDATE)
-        result = bus.multicast(message, [3], now=1e-9)
-        assert result.messages == 0
-        assert result.last_arrival == 1e-9
 
 
 class TestCoherentReplay:

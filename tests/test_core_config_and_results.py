@@ -96,7 +96,7 @@ class TestSystemConfigurations:
         corona = corona_configuration()
         assert corona.name == "XBar/OCM"
         assert corona.is_corona
-        assert corona.network_static_power_w == pytest.approx(26.0)
+        assert corona.build_network().static_power_w() == pytest.approx(26.0)
 
     def test_lookup_unknown_name(self):
         with pytest.raises(KeyError):
@@ -115,16 +115,22 @@ class TestSystemConfigurations:
         lmesh = configuration_by_name("LMesh/ECM").build_network(small_config)
         hmesh = configuration_by_name("HMesh/ECM").build_network(small_config)
         xbar = configuration_by_name("XBar/OCM").build_network(small_config)
-        assert (
-            lmesh.bisection_bandwidth_bytes_per_s()
-            < hmesh.bisection_bandwidth_bytes_per_s()
-            < xbar.bisection_bandwidth_bytes_per_s()
-        )
+
+        def mesh_bisection(mesh):
+            return mesh.link_bandwidth_bytes_per_s * mesh.coordinates.bisection_link_count()
+
+        # Every crossbar channel can be driven across any bisection at once.
+        xbar_bisection = xbar.num_clusters * xbar.channel_bandwidth_bytes_per_s
+        assert mesh_bisection(lmesh) < mesh_bisection(hmesh) < xbar_bisection
 
     def test_memory_bandwidth_ordering(self, small_config):
         ecm = configuration_by_name("LMesh/ECM").build_memory(small_config)
         ocm = configuration_by_name("XBar/OCM").build_memory(small_config)
-        assert ocm.peak_bandwidth_bytes_per_s > 10 * ecm.peak_bandwidth_bytes_per_s
+
+        def aggregate(memory):
+            return sum(c.channel.bandwidth_bytes_per_s for c in memory.controllers.values())
+
+        assert aggregate(ocm) > 10 * aggregate(ecm)
 
 
 def _result(workload, configuration, execution_time, bandwidth=1e12, latency=50e-9,

@@ -7,14 +7,8 @@ from repro.cores.core import CoreParameters, CorePowerAreaModel
 from repro.cores.hub import Hub
 from repro.power.cacti import CacheGeometry, cache_power_area
 from repro.power.chip import corona_chip_power
-from repro.power.electrical import (
-    MeshPowerModel,
-    electrical_memory_interconnect_power_w,
-)
-from repro.power.optical import (
-    PhotonicPowerBudget,
-    optical_memory_interconnect_power_w,
-)
+from repro.power.electrical import electrical_memory_interconnect_power_w
+from repro.power.optical import optical_memory_interconnect_power_w
 
 
 class TestCore:
@@ -49,9 +43,10 @@ class TestCluster:
 class TestHub:
     def test_mshr_allocation_waits_when_full(self):
         hub = Hub(cluster_id=0, mshrs=2)
-        hub.mshr_pool.acquire(0.0, release_time_hint=100e-9)
-        hub.mshr_pool.acquire(0.0, release_time_hint=200e-9)
-        grant = hub.mshr_pool.acquire(0.0, release_time_hint=300e-9)
+        for release in (100e-9, 200e-9):
+            hub.mshr_pool.acquire(0.0)
+            hub.mshr_pool.release_at(release)
+        grant = hub.mshr_pool.acquire(0.0)
         assert grant == pytest.approx(100e-9)
 
     def test_injection_queue_pushes_back_when_full(self):
@@ -105,30 +100,13 @@ class TestCactiModel:
 
 
 class TestPowerModels:
-    def test_mesh_energy_per_hop(self):
-        model = MeshPowerModel()
-        assert model.transaction_energy_j(5) == pytest.approx(5 * 196e-12)
-
-    def test_mesh_power_for_bandwidth(self):
-        model = MeshPowerModel()
-        # ~1 TB/s of 72-byte messages over ~5.3 hops is tens of watts.
-        power = model.power_for_bandwidth_w(1e12, average_hops=5.33)
-        assert 10 < power < 30
-
     def test_electrical_memory_power_exceeds_160w_at_10tbps(self):
         assert electrical_memory_interconnect_power_w(10.24e12) > 160.0
 
     def test_optical_memory_power_is_about_6w(self):
         assert optical_memory_interconnect_power_w(10.24e12) == pytest.approx(6.4, rel=0.05)
 
-    def test_photonic_budget_total(self):
-        budget = PhotonicPowerBudget()
-        assert budget.total_w == pytest.approx(39.0)
-        assert budget.crossbar_share_w() == pytest.approx(26.0, rel=0.01)
-
     def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            MeshPowerModel().transaction_energy_j(-1)
         with pytest.raises(ValueError):
             electrical_memory_interconnect_power_w(-1.0)
 

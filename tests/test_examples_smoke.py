@@ -114,3 +114,18 @@ class TestExampleSmoke:
         # One row per swept channel width (80-640 GB/s).
         for bandwidth in ("8e+10", "1.6e+11", "3.2e+11", "6.4e+11"):
             assert f" {bandwidth} " in result.stdout
+
+    def test_ocm_scaling_runs_end_to_end(self):
+        result = _run_example("ocm_scaling.py")
+        assert result.returncode == 0, result.stderr
+        assert "Daisy-chain expansion" in result.stdout
+
+    def test_photonic_design_runs_end_to_end(self):
+        result = _run_example("photonic_design.py")
+        assert result.returncode == 0, result.stderr
+        assert "Table 2: optical resource inventory" in result.stdout
+
+    def test_splash2_study_runs_end_to_end(self):
+        result = _run_example("splash2_study.py", "600", "FFT", "LU")
+        assert result.returncode == 0, result.stderr
+        assert "Per-class geometric-mean speedup" in result.stdout

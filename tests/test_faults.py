@@ -21,8 +21,6 @@ from repro.api import (
 from repro.faults import FaultSpec
 from repro.faults.determinism import stable_uniform
 from repro.faults.inject import FaultInjector, build_injector
-from repro.network.crossbar import OpticalCrossbar
-from repro.network.message import Message, MessageType
 from repro.sweeps import SweepAxis, SweepSpec, run_sweep
 
 #: A spec exercising every fault model at once.
@@ -158,42 +156,6 @@ class TestDeterministicDraws:
         assert build_injector(FaultSpec()) is None
         assert isinstance(
             build_injector(FaultSpec(token_loss_rate=0.1)), FaultInjector
-        )
-
-
-class TestCrossbarTokenLoss:
-    @staticmethod
-    def _faulted_crossbar():
-        crossbar = OpticalCrossbar()
-        injector = FaultInjector(FaultSpec(seed=3, token_loss_rate=0.1))
-        injector.install(crossbar, None)
-        return crossbar, injector
-
-    @staticmethod
-    def _transfers():
-        """1,600 grants: two senders per channel per step on two channels,
-        so most grants are contested."""
-        for step in range(400):
-            kind = MessageType.READ_RESPONSE if step % 2 else MessageType.READ_REQUEST
-            for src in range(8, 12):
-                message = Message(src=src, dst=(step + src) % 2, message_type=kind)
-                yield message, step * 0.4e-9
-
-    def test_token_loss_survives_reset_statistics(self):
-        """A faulted crossbar reset mid-life replays like a freshly faulted
-        one: same results, and the same tokens lost after the reset."""
-        used, used_injector = self._faulted_crossbar()
-        for message, now in self._transfers():
-            used.transfer(message, now)
-        used.reset_statistics()
-        lost_before = used_injector.stats.tokens_lost
-        fresh, fresh_injector = self._faulted_crossbar()
-        for message, now in self._transfers():
-            assert used.transfer(message, now) == fresh.transfer(message, now)
-        assert fresh_injector.stats.tokens_lost > 0
-        assert (
-            used_injector.stats.tokens_lost - lost_before
-            == fresh_injector.stats.tokens_lost
         )
 
 

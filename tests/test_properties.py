@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
 import heapq
-import math
 import random
 import time
 from bisect import bisect_left, bisect_right
@@ -115,7 +114,7 @@ class TestAdmissionHeapsProperties:
         peak = 0
         for operation, at in operations:
             if operation == "admission":
-                assert queue.admission_time(at) == _scan_admission(oracle, capacity, at)
+                assert heaps.admission(at) == _scan_admission(oracle, capacity, at)
             elif operation == "push":
                 heaps.push(at)
                 oracle.append(at)
@@ -199,7 +198,6 @@ class _OracleResource:
         self._ends: List[List[float]] = [[]]
         self._high_water_request = 0.0
         self.busy_time = 0.0
-        self.reservations = 0
 
     def _insert(self, server: int, start: float, end: float) -> None:
         starts = self._starts[server]
@@ -236,7 +234,6 @@ class _OracleBank:
         self._resource = _OracleResource()
         self._cycle_time_s = timings.cycle_time_s
         self._access_latency_s = timings.access_latency_s
-        self.accesses = 0
         self.interior_inserts = 0
         self.prunes = 0
 
@@ -275,8 +272,6 @@ class _OracleBank:
             resource._insert(0, start, end)
             self.interior_inserts += 1
         resource.busy_time += cycle
-        resource.reservations += 1
-        self.accesses += 1
         return start + self._access_latency_s
 
 
@@ -285,7 +280,6 @@ class _OracleModule:
 
     def __init__(self, num_dram_dies: int, banks_per_die: int, timings: DramTimings) -> None:
         self.banks_per_die = banks_per_die
-        self.timings = timings
         self.dies = [
             [_OracleBank(timings) for _ in range(banks_per_die)]
             for _ in range(num_dram_dies)
@@ -295,15 +289,6 @@ class _OracleModule:
         line = address >> 6
         die = self.dies[(line // self.banks_per_die) % len(self.dies)]
         return die[line % len(die)].access(now)
-
-    def total_accesses(self) -> int:
-        return sum(bank.accesses for die in self.dies for bank in die)
-
-    def energy_j(self) -> float:
-        return sum(
-            sum(bank.accesses * self.timings.activate_energy_j for bank in die)
-            for die in self.dies
-        )
 
 
 #: One DRAM access: ``(line, offset byte, epoch, slot)``.  The request time
@@ -337,8 +322,7 @@ class TestOcmModuleBankTableProperties:
     def test_matches_per_bank_object_model(
         self, num_dram_dies, banks_per_die, cycle_time_s, accesses
     ):
-        """Same data-ready time for every access, same access count, and the
-        same energy up to summation order."""
+        """Same data-ready time for every access."""
         timings = DramTimings(access_latency_s=20e-9, cycle_time_s=cycle_time_s)
         module = OcmModule(
             module_id=0,
@@ -351,8 +335,6 @@ class TestOcmModuleBankTableProperties:
             address = (line << 6) | offset
             now = epoch * 6e-6 + slot * 5e-9
             assert module.access(address, now) == oracle.access(address, now)
-        assert module.total_accesses() == oracle.total_accesses() == len(accesses)
-        assert math.isclose(module.energy_j(), oracle.energy_j(), rel_tol=1e-12)
 
     def test_example_runs_the_interior_insert_and_prune_branches(self):
         """The pinned example above reaches both rare branches of the
@@ -386,7 +368,6 @@ class _ReferenceMesh:
             for src, dst in self.coordinates.all_links()
         }
         self._fault_link_slow = None
-        self.hop_count_total = 0
         self.messages_sent = 0
         self.bytes_sent = 0.0
         self.total_dynamic_energy_j = 0.0
@@ -397,18 +378,6 @@ class _ReferenceMesh:
         self.messages_sent += 1
         self.bytes_sent += message.size_bytes
         self.total_dynamic_energy_j += result.dynamic_energy_j
-
-    def reset_statistics(self) -> None:
-        self.messages_sent = 0
-        self.bytes_sent = 0.0
-        self.total_dynamic_energy_j = 0.0
-        for resource in self._link_resources.values():
-            resource._starts = [[]]
-            resource._ends = [[]]
-            resource.busy_time = 0.0
-            resource.reservations = 0
-            resource._high_water_request = 0.0
-        self.hop_count_total = 0
 
     def transfer(self, message: Message, now: float) -> TransferResult:
         if message.src >= self.num_clusters or message.dst >= self.num_clusters:
@@ -497,7 +466,6 @@ class _ReferenceMesh:
                     del starts[following]
                     del ends[following]
             resource.busy_time += hop_serialization
-            resource.reservations += 1
 
             queueing += start - head_time
             head_time = start + hop_latency
@@ -505,7 +473,6 @@ class _ReferenceMesh:
             hops += 1
         arrival = head_time + hop_serialization
         energy = hops * self.energy_per_hop_j
-        self.hop_count_total += hops
 
         self.messages_sent += 1
         self.bytes_sent += message.size_bytes
@@ -523,14 +490,12 @@ def _mesh_under_test(num_clusters: int) -> ElectricalMesh:
 
 def _assert_same_mesh_state(mesh: ElectricalMesh, reference: _ReferenceMesh) -> None:
     for src, dst in mesh.coordinates.all_links():
-        real = mesh.links[(src, dst)]._resource
+        real = mesh.links[(src, dst)]
         oracle = reference._link_resources[src * mesh.num_clusters + dst]
         assert real._starts == oracle._starts[0], (src, dst)
         assert real._ends == oracle._ends[0], (src, dst)
         assert real.busy_time == oracle.busy_time, (src, dst)
-        assert real.reservations == oracle.reservations, (src, dst)
         assert real._high_water_request == oracle._high_water_request, (src, dst)
-    assert mesh.hop_count_total == reference.hop_count_total
     assert mesh.total_dynamic_energy_j == reference.total_dynamic_energy_j
     assert mesh.messages_sent == reference.messages_sent
     assert mesh.bytes_sent == reference.bytes_sent
@@ -560,13 +525,9 @@ _MESH_INTERIOR_THEN_PRUNE = [
 ]
 
 
-def _replay_mesh_transfers(mesh, reference, transfers, reset_at=None) -> None:
+def _replay_mesh_transfers(mesh, reference, transfers) -> None:
     nodes = mesh.num_clusters
-    for position, (src, dst, data, epoch, slot) in enumerate(transfers):
-        if position == reset_at:
-            mesh.reset_statistics()
-            reference.reset_statistics()
-            _assert_same_mesh_state(mesh, reference)
+    for src, dst, data, epoch, slot in transfers:
         kind = MessageType.READ_RESPONSE if data else MessageType.READ_REQUEST
         message = Message(src=src % nodes, dst=dst % nodes, message_type=kind)
         now = epoch * 6e-6 + slot * 0.5e-9
@@ -578,19 +539,15 @@ class TestMeshTransferProperties:
     @given(
         st.sampled_from((16, 64)),
         st.booleans(),
-        st.one_of(st.none(), st.integers(min_value=0, max_value=150)),
         st.lists(_MESH_TRANSFER, max_size=150),
     )
-    @example(64, False, None, _MESH_INTERIOR_THEN_PRUNE)
-    @example(16, True, 2, _MESH_INTERIOR_THEN_PRUNE + _MESH_INTERIOR_THEN_PRUNE)
+    @example(64, False, _MESH_INTERIOR_THEN_PRUNE)
+    @example(16, True, _MESH_INTERIOR_THEN_PRUNE + _MESH_INTERIOR_THEN_PRUNE)
     @settings(max_examples=200, deadline=None)
-    def test_matches_inline_route_walk(
-        self, num_clusters, with_faults, reset_at, transfers
-    ):
-        """Same result for every transfer; same intervals, busy time,
-        reservation count and high-water mark on every link; same hop
-        count, energy and message counters -- with and without a table of
-        degraded links, and across a mid-sequence ``reset_statistics``."""
+    def test_matches_inline_route_walk(self, num_clusters, with_faults, transfers):
+        """Same result for every transfer; same intervals, busy time and
+        high-water mark on every link; same energy and message counters --
+        with and without a table of degraded links."""
         mesh = _mesh_under_test(num_clusters)
         reference = _ReferenceMesh(mesh)
         if with_faults:
@@ -601,7 +558,7 @@ class TestMeshTransferProperties:
             }
             mesh._fault_link_slow = dict(slow)
             reference._fault_link_slow = dict(slow)
-        _replay_mesh_transfers(mesh, reference, transfers, reset_at)
+        _replay_mesh_transfers(mesh, reference, transfers)
 
     @pytest.mark.parametrize("num_clusters", [16, 64])
     def test_route_table_is_dimension_order_routing(self, num_clusters):
@@ -657,14 +614,10 @@ class _ReferenceCrossbar:
         self._ring_round_trip_s = crossbar.arbiter.ring_round_trip_s
         self._fault_channel_bw = None
         self._fault_injector = None
-        self.reset_statistics()
-
-    def reset_statistics(self) -> None:
         num_clusters = self.num_clusters
         self.messages_sent = 0
         self.bytes_sent = 0.0
         self.total_dynamic_energy_j = 0.0
-        self.channel_messages = {c: 0 for c in range(num_clusters)}
         self.channel_bytes = {c: 0.0 for c in range(num_clusters)}
         # Tokens start spread around the ring, one per channel.
         self.channels = {
@@ -733,7 +686,6 @@ class _ReferenceCrossbar:
         arrival = modulation_done + propagation
 
         energy = size * 8.0 * self.energy_per_bit_j
-        self.channel_messages[channel] += 1
         self.channel_bytes[channel] += size
         self.messages_sent += 1
         self.bytes_sent += size
@@ -773,7 +725,6 @@ def _assert_same_crossbar_state(
         assert real.grants == oracle.grants, channel
         assert real.total_wait_s == oracle.total_wait_s, channel
     assert crossbar.arbiter.average_wait_s() == reference.average_wait_s()
-    assert crossbar.channel_messages == reference.channel_messages
     assert crossbar.channel_bytes == reference.channel_bytes
     assert crossbar.messages_sent == reference.messages_sent
     assert crossbar.bytes_sent == reference.bytes_sent
@@ -805,13 +756,9 @@ _XBAR_TOKEN_LOST = [
 ]
 
 
-def _replay_crossbar_transfers(crossbar, reference, transfers, reset_at=None) -> None:
+def _replay_crossbar_transfers(crossbar, reference, transfers) -> None:
     nodes = crossbar.num_clusters
-    for position, (src, dst, data, epoch, slot) in enumerate(transfers):
-        if position == reset_at:
-            crossbar.reset_statistics()
-            reference.reset_statistics()
-            _assert_same_crossbar_state(crossbar, reference)
+    for src, dst, data, epoch, slot in transfers:
         kind = MessageType.READ_RESPONSE if data else MessageType.READ_REQUEST
         message = Message(src=src % nodes, dst=dst % nodes, message_type=kind)
         now = epoch * 20e-9 + slot * 0.1e-9
@@ -822,22 +769,20 @@ def _replay_crossbar_transfers(crossbar, reference, transfers, reset_at=None) ->
 class TestCrossbarTransferProperties:
     @given(
         st.booleans(),
-        st.one_of(st.none(), st.integers(min_value=0, max_value=150)),
         st.lists(_XBAR_TRANSFER, max_size=150),
     )
-    @example(True, None, _XBAR_TOKEN_LOST)
-    @example(True, 4, _XBAR_TOKEN_LOST + _XBAR_TOKEN_LOST)
+    @example(True, _XBAR_TOKEN_LOST)
+    @example(True, _XBAR_TOKEN_LOST + _XBAR_TOKEN_LOST)
     @settings(max_examples=200, deadline=None)
-    def test_matches_inline_token_arbitration(self, with_faults, reset_at, transfers):
+    def test_matches_inline_token_arbitration(self, with_faults, transfers):
         """Same result for every transfer; same token release time and
         position, grant count and summed wait on every channel; same
         average wait, and the same tokens lost and regeneration wait --
-        with and without faults, and across a mid-sequence
-        ``reset_statistics``."""
+        with and without faults."""
         crossbar = OpticalCrossbar()
         reference = _ReferenceCrossbar(crossbar)
         injectors = _faulted_pair(crossbar, reference) if with_faults else None
-        _replay_crossbar_transfers(crossbar, reference, transfers, reset_at)
+        _replay_crossbar_transfers(crossbar, reference, transfers)
         if injectors is not None:
             real, oracle = (injector.stats for injector in injectors)
             assert real.tokens_lost == oracle.tokens_lost
@@ -863,22 +808,6 @@ class TestStatisticsProperties:
         assert stats.mean == sum(values) / len(values) or abs(
             stats.mean - sum(values) / len(values)
         ) < 1e-6 * max(1.0, abs(sum(values)))
-        assert stats.minimum == min(values)
-        assert stats.maximum == max(values)
-
-    @given(
-        st.lists(st.floats(min_value=-1e5, max_value=1e5), min_size=1, max_size=100),
-        st.lists(st.floats(min_value=-1e5, max_value=1e5), min_size=1, max_size=100),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_merge_is_equivalent_to_concatenation(self, left_values, right_values):
-        left, right, combined = RunningStats(), RunningStats(), RunningStats()
-        left.extend(left_values)
-        right.extend(right_values)
-        combined.extend(left_values + right_values)
-        left.merge(right)
-        assert left.count == combined.count
-        assert abs(left.mean - combined.mean) < 1e-6 * max(1.0, abs(combined.mean))
 
     @given(st.lists(st.floats(min_value=0.1, max_value=100.0), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
@@ -893,7 +822,8 @@ class TestTopologyProperties:
     def test_route_length_equals_manhattan_distance(self, src, dst):
         mesh = MeshCoordinates.square(64)
         route = mesh.dimension_order_route(src, dst)
-        assert len(route) == mesh.hop_distance(src, dst)
+        (sx, sy), (dx, dy) = mesh.position(src), mesh.position(dst)
+        assert len(route) == abs(sx - dx) + abs(sy - dy)
         # The route is connected and ends at the destination.
         if route:
             assert route[0][0] == src

@@ -53,7 +53,6 @@ class TestSerialResource:
         resource.reserve(0.0, 1.5)
         resource.reserve(0.0, 0.5)
         assert resource.busy_time == pytest.approx(2.0)
-        assert resource.reservations == 2
 
     def test_utilization(self):
         resource = SerialResource("link")
@@ -62,11 +61,6 @@ class TestSerialResource:
 
     def test_utilization_zero_elapsed(self):
         assert SerialResource("x").utilization(0.0) == 0.0
-
-    def test_queue_delay(self):
-        resource = SerialResource("link")
-        resource.reserve(0.0, 3.0)
-        assert resource.queue_delay(1.0) == pytest.approx(2.0)
 
     def test_zero_duration_reservation(self):
         resource = SerialResource("link")
@@ -79,13 +73,6 @@ class TestSerialResource:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             SerialResource("link").reserve(-1.0, 1.0)
-
-    def test_reset(self):
-        resource = SerialResource("link")
-        resource.reserve(0.0, 5.0)
-        resource.reset()
-        assert resource.busy_time == 0.0
-        assert resource.reserve(0.0, 1.0) == pytest.approx(1.0)
 
     def test_zero_length_reservation_inside_the_tail_interval(self):
         # A zero-length reservation fits "before" the busy interval within
@@ -109,13 +96,13 @@ class TestSerialResource:
 class TestBoundedQueue:
     def test_admission_is_immediate_when_space(self):
         queue = BoundedQueue("q", capacity=2)
-        assert queue.admission_time(0.0) == 0.0
+        assert queue.admit(0.0, departure_time=5.0) == 0.0
 
     def test_admission_waits_when_full(self):
         queue = BoundedQueue("q", capacity=2)
         queue.admit(0.0, departure_time=5.0)
         queue.admit(0.0, departure_time=3.0)
-        assert queue.admission_time(1.0) == pytest.approx(3.0)
+        assert queue.admit(1.0, departure_time=10.0) == pytest.approx(3.0)
 
     def test_occupancy_decreases_after_departures(self):
         queue = BoundedQueue("q", capacity=4)
@@ -141,128 +128,52 @@ class TestBoundedQueue:
         with pytest.raises(ValueError):
             BoundedQueue("q", capacity=0)
 
-    def test_reset(self):
-        queue = BoundedQueue("q", capacity=1)
-        queue.admit(0.0, departure_time=10.0)
-        queue.reset()
-        assert queue.occupancy(0.0) == 0
-        assert queue.total_admitted == 0
-
 
 class TestTokenPool:
     def test_grant_immediate_when_tokens_available(self):
         pool = TokenPool("mshrs", tokens=2)
-        assert pool.acquire(0.0, release_time_hint=5.0) == 0.0
+        assert pool.acquire(0.0) == 0.0
 
     def test_grant_waits_when_exhausted(self):
         pool = TokenPool("mshrs", tokens=2)
-        pool.acquire(0.0, release_time_hint=4.0)
-        pool.acquire(0.0, release_time_hint=6.0)
-        assert pool.acquire(1.0, release_time_hint=10.0) == pytest.approx(4.0)
+        pool.acquire(0.0)
+        pool.release_at(4.0)
+        pool.acquire(0.0)
+        pool.release_at(6.0)
+        assert pool.acquire(1.0) == pytest.approx(4.0)
 
     def test_tokens_free_after_release_time(self):
         pool = TokenPool("mshrs", tokens=1)
-        pool.acquire(0.0, release_time_hint=2.0)
-        assert pool.acquire(3.0, release_time_hint=5.0) == pytest.approx(3.0)
+        pool.acquire(0.0)
+        pool.release_at(2.0)
+        assert pool.acquire(3.0) == pytest.approx(3.0)
 
     def test_acquire_without_hint_and_release_at(self):
         pool = TokenPool("mshrs", tokens=1)
         grant = pool.acquire(0.0)
         pool.release_at(4.0)
         assert grant == 0.0
-        assert pool.acquire(1.0, release_time_hint=8.0) == pytest.approx(4.0)
+        assert pool.acquire(1.0) == pytest.approx(4.0)
 
     def test_in_use_counts_outstanding(self):
         pool = TokenPool("mshrs", tokens=4)
-        pool.acquire(0.0, release_time_hint=10.0)
-        pool.acquire(0.0, release_time_hint=20.0)
+        for release in (10.0, 20.0):
+            pool.acquire(0.0)
+            pool.release_at(release)
         assert pool.in_use(5.0) == 2
         assert pool.in_use(15.0) == 1
 
-    def test_average_wait(self):
+    def test_total_wait(self):
         pool = TokenPool("mshrs", tokens=1)
-        pool.acquire(0.0, release_time_hint=4.0)
-        pool.acquire(0.0, release_time_hint=8.0)
-        assert pool.average_wait() == pytest.approx(2.0)
-
-    def test_release_hint_before_grant_rejected(self):
-        pool = TokenPool("mshrs", tokens=1)
-        pool.acquire(0.0, release_time_hint=10.0)
-        with pytest.raises(ValueError):
-            pool.acquire(0.0, release_time_hint=5.0)
+        for release in (4.0, 8.0):
+            pool.acquire(0.0)
+            pool.release_at(release)
+        assert pool.acquisitions == 2
+        assert pool.total_wait == pytest.approx(4.0)
 
     def test_rejects_zero_tokens(self):
         with pytest.raises(ValueError):
             TokenPool("x", tokens=0)
-
-    def test_reset(self):
-        pool = TokenPool("mshrs", tokens=1)
-        pool.acquire(0.0, release_time_hint=100.0)
-        pool.reset()
-        assert pool.acquire(0.0, release_time_hint=1.0) == 0.0
-
-
-class TestNextAvailablePrunedFastPath:
-    """Regression tests for the pruned next_available fast path.
-
-    next_available used to call the generic gap scan over every committed
-    interval; it now prunes as reserve does and answers with a single
-    bisect, so long replays keep the query O(log pruned-intervals) and the
-    interval lists bounded.
-    """
-
-    def test_idle_resource_returns_now(self):
-        assert SerialResource("link").next_available(3.0) == 3.0
-
-    def test_covered_instant_returns_interval_end(self):
-        resource = SerialResource("link")
-        resource.reserve(2.0, 3.0)  # busy [2, 5)
-        assert resource.next_available(3.0) == pytest.approx(5.0)
-
-    def test_instant_in_gap_returns_now(self):
-        resource = SerialResource("link")
-        resource.reserve(0.0, 1.0)
-        resource.reserve(4.0, 1.0)
-        assert resource.next_available(2.0) == pytest.approx(2.0)
-
-    def test_queue_delay_consistency(self):
-        resource = SerialResource("link")
-        resource.reserve(0.0, 3.0)
-        assert resource.queue_delay(1.0) == pytest.approx(2.0)
-
-    def test_long_run_stays_pruned_and_correct(self):
-        # 2000 disjoint reservations spanning 40 us against the 5 us prune
-        # horizon: the committed-interval list must stay bounded, and
-        # next_available must keep answering from the pruned tail.
-        ns = 1e-9
-        resource = SerialResource("link")
-        for index in range(2000):
-            resource.reserve(index * 20 * ns, 10 * ns)
-        assert len(resource._ends) < 600
-        tail_end = 1999 * 20 * ns + 10 * ns
-        # Covered instant inside the last interval -> that interval's end.
-        assert resource.next_available(tail_end - 5 * ns) == pytest.approx(
-            tail_end
-        )
-        # Instant in the gap before the last interval -> itself.
-        gap_instant = 1999 * 20 * ns - 5 * ns
-        assert resource.next_available(gap_instant) == pytest.approx(gap_instant)
-        # Instant beyond every reservation -> itself.
-        assert resource.next_available(2 * tail_end) == pytest.approx(
-            2 * tail_end
-        )
-
-    def test_next_available_itself_prunes(self):
-        # A backfilled reservation can commit an interval that is already
-        # behind the prune horizon (reserve prunes *before* inserting);
-        # next_available must shed it rather than scan past it forever.
-        us = 1e-6
-        resource = SerialResource("link")
-        resource.reserve(100.0 * us, 1.0 * us)  # high water at 100 us
-        resource.reserve(0.0, 0.5 * us)  # backfill, expired on arrival
-        assert len(resource._ends) == 2
-        assert resource.next_available(100.5 * us) == pytest.approx(101.0 * us)
-        assert len(resource._ends) == 1
 
 
 class TestResourceEdgeCases:
@@ -271,7 +182,7 @@ class TestResourceEdgeCases:
 
     def test_bounded_queue_admission_overflow_path(self):
         # Occupancy can exceed capacity because admit() books future-time
-        # admissions; admission_time must then wait for enough departures
+        # admissions; a new entry must then wait for enough departures
         # (the capacity-th latest one), not just the earliest one.
         queue = BoundedQueue("q", capacity=2)
         queue.admit(0.0, departure_time=10.0)
@@ -280,8 +191,8 @@ class TestResourceEdgeCases:
         assert queue.admit(0.0, departure_time=40.0) == pytest.approx(20.0)
         # Four residents, capacity 2: a fifth entry needs three departures.
         assert queue.occupancy(5.0) == 4
-        assert queue.admission_time(5.0) == pytest.approx(30.0)
-        assert queue.max_occupancy_seen == 4
+        assert queue.admit(5.0, departure_time=50.0) == pytest.approx(30.0)
+        assert queue.max_occupancy_seen == 5
 
     def test_token_pool_release_at_out_of_order(self):
         pool = TokenPool("mshrs", tokens=2)
@@ -292,7 +203,8 @@ class TestResourceEdgeCases:
         pool.release_at(40.0)
         pool.release_at(10.0)
         assert pool.in_use(0.0) == 2
-        assert pool.acquire(0.0, release_time_hint=50.0) == pytest.approx(10.0)
+        assert pool.acquire(0.0) == pytest.approx(10.0)
+        pool.release_at(50.0)
         assert pool.in_use(20.0) == 2  # 10.0 expired; 40.0 and 50.0 remain
         assert pool.in_use(60.0) == 0
 
@@ -389,10 +301,17 @@ class TestBackfillScanIndex:
                 now, duration
             )
 
-    def test_reset_clears_scan_state(self):
+    def test_long_run_stays_pruned(self):
+        # 2000 disjoint reservations spanning 40 us against the 5 us prune
+        # horizon: the committed-interval lists stay bounded, and a
+        # backfill into the pruned past still lands at the request time.
+        ns = 1e-9
         resource = SerialResource("link")
-        for i in range(50):
-            resource.reserve(i * 1e-9, 0.6e-9)
-        resource.reserve(0.0, 0.5e-9)
-        resource.reset()
-        assert resource.reserve(0.0, 1e-9) == pytest.approx(1e-9)
+        for index in range(2000):
+            resource.reserve(index * 20 * ns, 10 * ns)
+        assert len(resource._ends) < 600
+        assert len(resource._starts) == len(resource._ends)
+        gap_instant = 1999 * 20 * ns - 5 * ns
+        assert resource.reserve(gap_instant, 2 * ns) == pytest.approx(
+            gap_instant + 2 * ns
+        )

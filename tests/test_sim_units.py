@@ -1,119 +1,9 @@
 """Tests for repro.sim.units."""
 
 
-import pytest
-
 from repro.sim import units
-
-
-class TestConversions:
-    def test_bytes_to_bits(self):
-        assert units.bytes_to_bits(64) == 512
-
-    def test_bits_to_bytes(self):
-        assert units.bits_to_bytes(512) == 64
-
-    def test_bits_bytes_roundtrip(self):
-        assert units.bits_to_bytes(units.bytes_to_bits(123.5)) == pytest.approx(123.5)
-
-    def test_cycles_to_seconds_at_5ghz(self):
-        assert units.cycles_to_seconds(5, 5e9) == pytest.approx(1e-9)
-
-    def test_seconds_to_cycles_at_5ghz(self):
-        assert units.seconds_to_cycles(1e-9, 5e9) == pytest.approx(5.0)
-
-    def test_cycles_roundtrip(self):
-        seconds = units.cycles_to_seconds(17, 3.3e9)
-        assert units.seconds_to_cycles(seconds, 3.3e9) == pytest.approx(17.0)
-
-    def test_cycles_to_seconds_rejects_nonpositive_frequency(self):
-        with pytest.raises(ValueError):
-            units.cycles_to_seconds(1, 0.0)
-
-    def test_seconds_to_cycles_rejects_nonpositive_frequency(self):
-        with pytest.raises(ValueError):
-            units.seconds_to_cycles(1, -1.0)
-
-    def test_transfer_time(self):
-        assert units.transfer_time(64, 320e9) == pytest.approx(0.2e-9)
-
-    def test_transfer_time_rejects_bad_bandwidth(self):
-        with pytest.raises(ValueError):
-            units.transfer_time(64, 0.0)
-
-    def test_transfer_time_rejects_negative_bytes(self):
-        with pytest.raises(ValueError):
-            units.transfer_time(-1, 1e9)
-
-
-class TestTime:
-    def test_from_ns(self):
-        assert units.Time.from_ns(20).seconds == pytest.approx(20e-9)
-
-    def test_ns_property(self):
-        assert units.Time(5e-9).ns == pytest.approx(5.0)
-
-    def test_from_cycles(self):
-        assert units.Time.from_cycles(5, 5e9).ns == pytest.approx(1.0)
-
-    def test_cycles_method(self):
-        assert units.Time(2e-9).cycles(5e9) == pytest.approx(10.0)
-
-    def test_addition_and_subtraction(self):
-        total = units.Time(1e-9) + units.Time(2e-9)
-        assert total.seconds == pytest.approx(3e-9)
-        assert (total - units.Time(1e-9)).seconds == pytest.approx(2e-9)
-
-    def test_ordering(self):
-        assert units.Time(1e-9) < units.Time(2e-9)
-        assert units.Time(1e-9) <= units.Time(1e-9)
-
-
-class TestFrequency:
-    def test_from_ghz(self):
-        assert units.Frequency.from_ghz(5).hertz == pytest.approx(5e9)
-
-    def test_period_of_5ghz_clock(self):
-        assert units.Frequency.from_ghz(5).period.seconds == pytest.approx(0.2e-9)
-
-    def test_period_rejects_zero_frequency(self):
-        with pytest.raises(ValueError):
-            _ = units.Frequency(0.0).period
-
-    def test_cycles(self):
-        assert units.Frequency.from_ghz(5).cycles(1e-9) == pytest.approx(5.0)
-
-
-class TestBandwidth:
-    def test_from_tbps(self):
-        assert units.Bandwidth.from_tbps(20).bytes_per_second == pytest.approx(20e12)
-
-    def test_gbps_accessor(self):
-        assert units.Bandwidth.from_gbps(160).gbps == pytest.approx(160.0)
-
-    def test_gbit_per_s(self):
-        bandwidth = units.Bandwidth.from_gbit_per_s(10)
-        assert bandwidth.bytes_per_second == pytest.approx(1.25e9)
-        assert bandwidth.gbit_per_s == pytest.approx(10.0)
-
-    def test_transfer_time_for_cache_line_on_crossbar_channel(self):
-        # 64 bytes over a 320 GB/s channel is one 5 GHz clock (0.2 ns).
-        channel = units.Bandwidth.from_gbps(320)
-        assert channel.transfer_time(64) == pytest.approx(0.2e-9)
-
-    def test_scaling(self):
-        doubled = 2 * units.Bandwidth.from_gbps(160)
-        assert doubled.gbps == pytest.approx(320.0)
 
 
 class TestPaperConstants:
     def test_cache_line_size(self):
         assert units.CACHE_LINE_BYTES == 64
-
-    def test_time_constant_ordering(self):
-        assert units.PS < units.NS < units.US < units.MS < units.SECOND
-
-    def test_data_size_constants(self):
-        assert units.KB == 1024
-        assert units.MB == 1024 ** 2
-        assert units.GB == 1024 ** 3
