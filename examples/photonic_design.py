@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Photonic design walk-through: devices, inventory, link budget and power.
+"""Photonic design walk-through: laser, channels, inventory, link budget and power.
 
-Builds the Corona photonic subsystem bottom-up the way Sections 2 and 3 of the
-paper do: a 64-wavelength comb laser, ring modulators/detectors, 4-waveguide
-crossbar channels, the Table 2 device inventory, the worst-case crossbar loss
-budget, and the power comparison that motivates the whole design (optical vs
-electrical signalling for a 10 TB/s memory system).
+Walks the Corona photonic subsystem bottom-up the way Sections 2 and 3 of the
+paper do: a 64-wavelength comb laser, the 4-waveguide crossbar channel and the
+OCM link as the replayed system derives them (``CORONA_DEFAULT``), the Table 2
+device inventory, the worst-case crossbar loss budget, and the power
+comparison that motivates the whole design (optical vs electrical signalling
+for a 10 TB/s memory system).
 
 Run with::
 
@@ -14,8 +15,8 @@ Run with::
 
 from __future__ import annotations
 
+from repro.core.config import CORONA_DEFAULT
 from repro.harness.tables import format_table, table2_optical_inventory
-from repro.photonics.dwdm import corona_crossbar_channel, corona_memory_link
 from repro.photonics.laser import ModeLockedLaser
 from repro.photonics.power_budget import PowerBudget, crossbar_worst_case_budget
 from repro.power.electrical import electrical_memory_interconnect_power_w
@@ -30,21 +31,25 @@ def main() -> None:
           f"{laser.total_optical_power_w * 1e3:.1f} mW optical, "
           f"{laser.electrical_power_w:.2f} W wall-plug")
 
-    print("\n2. A crossbar channel: 4 waveguides x 64 wavelengths")
-    channel = corona_crossbar_channel("xbar-ch0")
-    print(f"   phit width: {channel.phit_bits} bits, "
-          f"bandwidth: {channel.bandwidth_bytes_per_s / 1e9:.0f} GB/s, "
-          f"cache line in {channel.serialization_time_s(64) * 1e12:.0f} ps, "
-          f"rings: {channel.total_rings}")
+    config = CORONA_DEFAULT
+    inventory = table2_optical_inventory(config)
+    crossbar_rings = next(rings for name, _, rings in inventory if name == "Crossbar")
+    print(f"\n2. A crossbar channel: {config.crossbar_waveguides_per_channel} "
+          f"waveguides x {config.crossbar_wavelengths_per_waveguide} wavelengths")
+    bandwidth = config.crossbar_channel_bandwidth_bytes_per_s
+    print(f"   phit width: {config.crossbar_channel_width_bits} bits, "
+          f"bandwidth: {bandwidth / 1e9:.0f} GB/s, "
+          f"cache line in {config.cluster.l2_line_bytes / bandwidth * 1e12:.0f} ps, "
+          f"rings: {crossbar_rings // config.num_clusters}")
 
-    link = corona_memory_link("ocm-link")
-    print(f"   one OCM fiber link: {link.bandwidth_bytes_per_s / 1e9:.0f} GB/s "
-          f"(each controller uses a pair -> 160 GB/s)")
+    per_controller = config.memory_bandwidth_per_controller_bytes_per_s
+    link = per_controller / config.memory_links_per_controller
+    print(f"   one OCM fiber link: {link / 1e9:.0f} GB/s "
+          f"(each controller uses a pair -> {per_controller / 1e9:.0f} GB/s)")
 
     print("\n3. Table 2: optical resource inventory")
     print(format_table(
-        ["Photonic Subsystem", "Waveguides", "Ring Resonators"],
-        table2_optical_inventory(),
+        ["Photonic Subsystem", "Waveguides", "Ring Resonators"], inventory
     ))
 
     print("\n4. Worst-case crossbar link budget")

@@ -7,12 +7,13 @@ Run from the repository root, with no arguments::
 Seven sections -- scenario, sweep, chaos, obs, saturation, diff and bench --
 each run in their own directory under ``smoke-out/``, which is wiped first (a
 stale sweep directory would turn a first ``sweep run`` into a resume).  Each
-``corona-repro`` call is a subprocess (``PYTHONPATH=src python -m
-repro.cli``), so exit codes, stderr progress and the ``CORONA_CHAOS`` hook
-are exercised as a user meets them, and every check is an assertion that
-names what failed.  A failed section does not stop the others; the script
-prints each section's seconds and exits 1 if any section failed.  It needs
-nothing outside the standard library and ``src/``.
+``corona-repro`` call is a subprocess (``python -m repro.cli``, with ``src``
+prepended to the inherited ``PYTHONPATH``), so exit codes, stderr progress
+and the ``CORONA_CHAOS`` hook are exercised as a user meets them, and every
+check is an assertion that names what failed.  A failed section does not
+stop the others; the script prints each section's seconds and exits 1 if
+any section failed.  It needs nothing outside the standard library and
+``src/``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 OUT = REPO_ROOT / "smoke-out"
-ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+_INHERITED_PATH = os.environ.get("PYTHONPATH")
+ENV = {
+    **os.environ,
+    "PYTHONPATH": str(SRC) + (os.pathsep + _INHERITED_PATH if _INHERITED_PATH else ""),
+}
 
 GAP_AXIS = {
     "name": "gap",

@@ -3,7 +3,8 @@ Nanophotonic Technology" (Vantrease et al., ISCA 2008).
 
 The package implements the Corona many-core architecture study end to end:
 
-* nanophotonic device and budget models (:mod:`repro.photonics`);
+* the Table 2 optical inventory and the photonic link and power budgets
+  (:mod:`repro.photonics`);
 * the optical crossbar, optical token arbitration, broadcast bus and the
   electrical mesh baselines (:mod:`repro.network`);
 * optically and electrically connected memory systems (:mod:`repro.memory`);

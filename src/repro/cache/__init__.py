@@ -17,26 +17,10 @@ this package implements them functionally:
   raw address trace into the L2-miss stream the network simulator consumes.
 """
 
-from repro.cache.cache import CacheLineState, SetAssociativeCache, CacheStats
-from repro.cache.coherence import (
-    CoherenceController,
-    DirectoryEntry,
-    DirectoryState,
-    MoesiState,
-)
-from repro.cache.hierarchy import CacheHierarchy, HierarchyAccessResult
-from repro.cache.mshr import MshrEntry, MshrFile
+from repro.cache.coherence import CoherenceController
+from repro.cache.hierarchy import CacheHierarchy
 
 __all__ = [
-    "SetAssociativeCache",
-    "CacheLineState",
-    "CacheStats",
-    "MshrFile",
-    "MshrEntry",
-    "MoesiState",
-    "DirectoryState",
-    "DirectoryEntry",
     "CoherenceController",
     "CacheHierarchy",
-    "HierarchyAccessResult",
 ]

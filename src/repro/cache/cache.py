@@ -1,9 +1,9 @@
 """Set-associative cache model.
 
 A functional (hit/miss/replacement) cache with LRU replacement, write-back /
-write-allocate behaviour and per-line coherence state.  It is used by the
+write-allocate behaviour and a per-line MOESI state.  It is used by the
 cluster hierarchy (:mod:`repro.cache.hierarchy`) to turn address traces into
-L2-miss streams, and by the coherence controller to hold MOESI state.
+L2-miss streams.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ class CacheLine:
     tag: int
     state: CacheLineState = CacheLineState.EXCLUSIVE
     dirty: bool = False
-
-    @property
-    def valid(self) -> bool:
-        return self.state is not CacheLineState.INVALID
 
 
 @dataclass
@@ -105,17 +101,14 @@ class SetAssociativeCache:
         return (tag * self.num_sets + set_index) * self.line_bytes
 
     # -- lookups ----------------------------------------------------------------
-    def lookup(self, address: int, touch: bool = True) -> Optional[CacheLine]:
+    def lookup(self, address: int) -> Optional[CacheLine]:
         """Return the resident line for ``address`` (or ``None``), updating LRU."""
         cache_set = self._sets[self.set_index(address)]
         tag = self.tag(address)
         line = cache_set.get(tag)
-        if line is not None and touch:
+        if line is not None:
             cache_set.move_to_end(tag)
         return line
-
-    def contains(self, address: int) -> bool:
-        return self.lookup(address, touch=False) is not None
 
     # -- accesses ----------------------------------------------------------------
     def access(
@@ -165,30 +158,3 @@ class SetAssociativeCache:
             tag=self.tag(address), state=state, dirty=is_write
         )
         return victim
-
-    # -- coherence hooks -----------------------------------------------------------
-    def set_state(self, address: int, state: CacheLineState) -> None:
-        """Force the coherence state of a resident line."""
-        line = self.lookup(address, touch=False)
-        if line is None:
-            raise KeyError(f"address {address:#x} not resident in {self.name}")
-        line.state = state
-        if state is CacheLineState.INVALID:
-            cache_set = self._sets[self.set_index(address)]
-            del cache_set[self.tag(address)]
-
-    def invalidate(self, address: int) -> bool:
-        """Invalidate a line if present; returns whether it was resident."""
-        cache_set = self._sets[self.set_index(address)]
-        tag = self.tag(address)
-        if tag in cache_set:
-            del cache_set[tag]
-            return True
-        return False
-
-    def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-    def occupancy(self) -> float:
-        total_lines = self.num_sets * self.associativity
-        return self.resident_lines() / total_lines

@@ -183,24 +183,6 @@ class CoherenceController:
             data_from_owner=data_from_owner,
         )
 
-    def handle_eviction(self, address: int, cluster: int, dirty: bool) -> int:
-        """A cluster evicts its copy; returns the number of messages generated."""
-        entry = self._entry(address)
-        messages = 1  # notification / writeback
-        if entry.owner == cluster:
-            entry.owner = None
-            if not entry.sharers:
-                entry.state = DirectoryState.UNCACHED
-            else:
-                entry.state = DirectoryState.SHARED
-        else:
-            entry.sharers.discard(cluster)
-            if not entry.sharers and entry.owner is None:
-                entry.state = DirectoryState.UNCACHED
-        if dirty:
-            messages += 1  # data writeback to memory
-        return messages
-
     # -- reporting ----------------------------------------------------------------
     def sharer_histogram(self) -> Dict[int, int]:
         """Distribution of sharer counts across tracked lines."""

@@ -27,10 +27,6 @@ class HierarchyAccessResult:
     coalesced: bool
     writeback_generated: bool
 
-    @property
-    def goes_to_memory(self) -> bool:
-        return self.l2_miss_generated
-
 
 @dataclass
 class CacheHierarchy:
@@ -168,6 +164,3 @@ class CacheHierarchy:
 
     def l2_miss_rate(self) -> float:
         return self.l2_cache.stats.miss_rate
-
-    def misses_to_memory(self) -> int:
-        return len(self.l2_misses)

@@ -52,15 +52,8 @@ class MshrFile:
         return address // self.line_bytes
 
     @property
-    def outstanding(self) -> int:
-        return len(self._entries)
-
-    @property
     def full(self) -> bool:
         return len(self._entries) >= self.capacity
-
-    def lookup(self, address: int) -> Optional[MshrEntry]:
-        return self._entries.get(self._line(address))
 
     def allocate(
         self, address: int, thread_id: int, is_write: bool, now: float
@@ -96,13 +89,3 @@ class MshrFile:
         if line not in self._entries:
             raise KeyError(f"no outstanding MSHR for address {address:#x}")
         return self._entries.pop(line)
-
-    def outstanding_lines(self) -> List[int]:
-        return sorted(self._entries)
-
-    def coalescing_rate(self) -> float:
-        """Fraction of misses that were merged onto an existing entry."""
-        total = self.allocations + self.coalesced
-        if total == 0:
-            return 0.0
-        return self.coalesced / total

@@ -16,26 +16,14 @@ of a synthetic workload's misses as shared, and
 protocol on a :class:`~repro.core.system.SystemSimulator`.
 """
 
-from repro.coherence.engine import (
-    CoherenceConfig,
-    CoherenceEngine,
-    CoherenceStats,
-    CoherentMiss,
-)
-from repro.coherence.sharing import (
-    SHARED_REGION_BIT,
-    SharingProfile,
-    home_for_line,
-    shared_line_address,
-)
+from repro.coherence.engine import CoherenceConfig, CoherenceEngine, CoherentMiss
+from repro.coherence.sharing import SharingProfile, home_for_line, shared_line_address
 
 __all__ = [
     "CoherenceConfig",
     "CoherenceEngine",
-    "CoherenceStats",
     "CoherentMiss",
     "SharingProfile",
-    "SHARED_REGION_BIT",
     "home_for_line",
     "shared_line_address",
 ]

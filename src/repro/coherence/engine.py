@@ -346,14 +346,3 @@ class CoherenceEngine:
         if self.broadcast_bus is None or elapsed_s <= 0:
             return 0.0
         return self.broadcast_bus.busy_seconds / elapsed_s
-
-    def sharer_histogram(self) -> dict:
-        """Sharer-count distribution merged across every home directory."""
-        merged: dict = {}
-        for directory in self.directories:
-            for count, lines in directory.sharer_histogram().items():
-                merged[count] = merged.get(count, 0) + lines
-        return merged
-
-    def total_directory_invalidations(self) -> int:
-        return sum(d.invalidations_sent for d in self.directories)

@@ -357,7 +357,9 @@ class SystemSimulator:
         self.fault_spec = faults
         self.fault_injector = build_injector(faults)
         if self.fault_injector is not None:
-            self.fault_injector.install(self.network, self.memory)
+            self.fault_injector.install(
+                self.network, self.memory, corona_config.crossbar_channel_width_bits
+            )
         # Observability (opt-in, same zero-overhead discipline): with
         # ``observability=None`` -- or a spec with no sinks -- neither the
         # sampler nor the recorder is constructed and the stage handlers'
@@ -423,6 +425,9 @@ class SystemSimulator:
                 OpticalBroadcastBus(
                     num_clusters=corona_config.num_clusters,
                     clock_hz=corona_config.clock_hz,
+                    wavelengths=corona_config.crossbar_wavelengths_per_waveguide,
+                    bit_rate_per_wavelength_bps=corona_config.signalling_rate_bps,
+                    ring_round_trip_cycles=corona_config.token_ring_round_trip_cycles,
                 )
                 if configuration.has_broadcast_bus
                 else None

@@ -9,7 +9,9 @@ memory system:
   ``_fault_channel_bw`` table the transfer hot path consults), and a
   per-grant token-loss draw, installed as each channel arbiter's
   ``token_loss`` hook, adds the regeneration timeout to the grant time.
-  A partially detuned channel keeps the bandwidth of its surviving
+  A channel is as many wavelengths wide as the system's
+  ``CoronaConfig.crossbar_channel_width_bits`` (256 by default), and a
+  partially detuned channel keeps the bandwidth of its surviving
   wavelengths, each at its full per-wavelength rate.
 * **Electrical mesh** -- per-link dead draws install serialization
   multipliers (``_fault_link_slow``); a degraded link still delivers, just
@@ -31,10 +33,6 @@ from repro.faults.determinism import stable_uniform
 from repro.faults.spec import FaultSpec
 from repro.network.crossbar import OpticalCrossbar
 from repro.network.mesh import ElectricalMesh
-
-#: Wavelengths per crossbar channel (4 waveguides x 64-wavelength combs),
-#: matching :func:`repro.photonics.dwdm.corona_crossbar_channel`.
-CROSSBAR_CHANNEL_WAVELENGTHS = 256
 
 # Static site codes keying stable_uniform draws; one per decision class.
 _SITE_DETUNING = 1
@@ -81,28 +79,28 @@ class FaultInjector:
         self.on_fault = None
 
     # -- installation --------------------------------------------------------
-    def install(self, network, memory) -> None:
+    def install(self, network, memory, channel_wavelengths: int) -> None:
         """Degrade ``network`` and ``memory`` according to the spec.
 
-        Interconnect types the injector does not model (user-registered
-        networks) are left untouched; their runs simply report zero fault
-        counters.
+        ``channel_wavelengths`` is the width of one crossbar channel, the
+        number of wavelengths that can detune.  Interconnect types the
+        injector does not model (user-registered networks) are left
+        untouched; their runs simply report zero fault counters.
         """
         if isinstance(network, OpticalCrossbar):
-            self._install_crossbar(network)
+            self._install_crossbar(network, channel_wavelengths)
         elif isinstance(network, ElectricalMesh):
             self._install_mesh(network)
         if memory is not None and self.spec.dram_timeout_rate > 0.0:
             for controller in memory.controllers.values():
                 controller.fault_dram = self.dram_extra_delay
 
-    def _install_crossbar(self, network: OpticalCrossbar) -> None:
+    def _install_crossbar(self, network: OpticalCrossbar, wavelengths: int) -> None:
         spec = self.spec
         detune = spec.ring_detuning_fraction
         dead = spec.dead_link_fraction
         if detune > 0.0 or dead > 0.0:
             base = network.channel_bandwidth_bytes_per_s
-            wavelengths = CROSSBAR_CHANNEL_WAVELENGTHS
             table = []
             degraded = False
             for channel in range(network.num_clusters):

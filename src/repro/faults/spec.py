@@ -15,7 +15,9 @@ The four fault models map to the failure modes of the paper's hardware:
 ``ring_detuning_fraction``
     Probability that any one DWDM wavelength of an optical channel is
     thermally detuned and carries no data, shrinking that channel's usable
-    phit width (the crossbar channel is 256 wavelengths wide).
+    phit width (a crossbar channel is ``crossbar_channel_width_bits``
+    wavelengths wide: 256 in the paper's design, more or fewer under
+    ``system.overrides``).
 ``token_loss_rate`` / ``token_regeneration_cycles``
     Probability that a channel's arbitration token is lost when re-injected
     after a grant; the home cluster regenerates it after the configured

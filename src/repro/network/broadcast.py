@@ -9,7 +9,12 @@ light; on the second pass every cluster taps a fraction of the light with a
 broadband splitter and reads the message, snooping its caches.
 
 The bus is a single shared channel arbitrated by one token (one extra
-wavelength on the arbitration waveguide), 64 wavelengths wide.
+wavelength on the arbitration waveguide), one waveguide's comb wide (64
+wavelengths in the paper's design).  A replayed system builds it from its
+:class:`~repro.core.config.CoronaConfig`: the comb width
+(``crossbar_wavelengths_per_waveguide``), the per-wavelength rate
+(``signalling_rate_bps``) and the token ring's round trip
+(``token_ring_round_trip_cycles``).
 """
 
 from __future__ import annotations

@@ -144,9 +144,13 @@ class MetricsSampler:
                     network.channel_bandwidth_bytes_per_s * len(channel_bytes)
                 )
                 add(rows, t_ns, "crossbar", "utilization", delta_channel / (dt * capacity))
-            # Each channel is a 256-wavelength DWDM bundle; a channel that
-            # moved bytes this interval had its comb lit.
-            add(rows, t_ns, "wavelengths", "active", active_channels * 256)
+            # Each channel is a DWDM bundle of crossbar_channel_width_bits
+            # wavelengths; a channel that moved bytes this interval had its
+            # comb lit.
+            add(
+                rows, t_ns, "wavelengths", "active",
+                active_channels * system.corona_config.crossbar_channel_width_bits,
+            )
             arbiter = getattr(network, "arbiter", None)
             if arbiter is not None and hasattr(arbiter, "channels"):
                 channels = arbiter.channels.values()

@@ -1,88 +1,22 @@
-"""Physical and technology constants used by the photonic models.
+"""Technology constants and the dB conversion used by the photonic models.
 
-Values come from Section 2 of the Corona paper and the device literature it
-cites: silicon-on-insulator waveguides with ~2-3 dB/cm loss and ~10 um bend
-radii, ring resonators of 3-5 um diameter modulating at 10 Gb/s, germanium
-detectors absorbing between 1.1 and 1.5 um, and mode-locked comb lasers
-providing 64 wavelengths per waveguide.
+The paper facts behind them are collected in the :mod:`repro.photonics`
+docstring.
 """
 
 from __future__ import annotations
 
-#: Speed of light in vacuum (m/s).
-LIGHT_SPEED_VACUUM_M_PER_S = 299_792_458.0
-
-#: Group index of a silicon waveguide; the paper quotes light propagation of
-#: roughly 2 cm per 5 GHz clock, i.e. an effective speed of ~1e8 m/s, which
-#: corresponds to a group index of ~3.
-SILICON_GROUP_INDEX = 3.0
-
-#: Effective speed of light in a silicon waveguide (m/s).
-LIGHT_SPEED_WAVEGUIDE_M_PER_S = LIGHT_SPEED_VACUUM_M_PER_S / SILICON_GROUP_INDEX
-
-#: Refractive indices of the waveguide core and cladding materials.
-SILICON_REFRACTIVE_INDEX = 3.5
-SILICON_OXIDE_REFRACTIVE_INDEX = 1.45
-
-#: Waveguide propagation loss (dB per centimetre); the paper quotes 2-3 dB/cm.
-WAVEGUIDE_LOSS_DB_PER_CM = 2.5
-
-#: Minimum waveguide bend radius (metres); the paper quotes ~10 um.
-WAVEGUIDE_BEND_RADIUS_M = 10e-6
-
-#: Waveguide cross-section dimension (metres); the paper quotes ~500 nm.
-WAVEGUIDE_CORE_DIMENSION_M = 500e-9
-
-#: Waveguide wall (cladding) thickness (metres); at least 1 um per the paper.
-WAVEGUIDE_WALL_THICKNESS_M = 1e-6
-
-#: Pitch between adjacent waveguides in a bundle (core + 2 walls, metres).
-WAVEGUIDE_PITCH_M = WAVEGUIDE_CORE_DIMENSION_M + 2 * WAVEGUIDE_WALL_THICKNESS_M
-
-#: Germanium photo-absorption window (metres): 1.1 um to 1.5 um.
-GE_ABSORPTION_WINDOW_M = (1.1e-6, 1.5e-6)
+import math
 
 #: Operating wavelength used by Corona (metres): ~1.3 um for unstrained Ge.
 OPERATING_WAVELENGTH_M = 1.3e-6
 
-#: Ring resonator diameter range (metres): 3-5 um.
-RING_DIAMETER_RANGE_M = (3e-6, 5e-6)
-
-#: Default ring resonator diameter used by the models (metres).
-RING_DIAMETER_M = 3e-6
-
-#: Detector capacitance (farads): the paper quotes ~1 fF, which is what makes
-#: receivers work without trans-impedance amplifiers.
-DETECTOR_CAPACITANCE_F = 1e-15
-
-#: Per-wavelength modulation rate (bits per second): 10 Gb/s, achieved by
-#: signalling on both edges of the 5 GHz clock.
-MODULATION_RATE_BPS = 10e9
-
 #: Number of wavelengths provided by one mode-locked comb laser.
 WAVELENGTHS_PER_LASER = 64
-
-#: Maximum detector absorption per pass (fraction); the paper notes that less
-#: than 1% per pass suffices because the resonant wavelength recirculates.
-DETECTOR_ABSORPTION_PER_PASS = 0.01
-
-
-def db_to_fraction(loss_db: float) -> float:
-    """Convert a loss in dB to the transmitted power fraction."""
-    return 10.0 ** (-loss_db / 10.0)
 
 
 def fraction_to_db(fraction: float) -> float:
     """Convert a transmitted power fraction to a loss in dB."""
     if fraction <= 0:
         raise ValueError(f"power fraction must be positive, got {fraction}")
-    import math
-
     return -10.0 * math.log10(fraction)
-
-
-def propagation_delay(distance_m: float) -> float:
-    """Time for light to traverse ``distance_m`` of silicon waveguide (seconds)."""
-    if distance_m < 0:
-        raise ValueError(f"distance must be non-negative, got {distance_m}")
-    return distance_m / LIGHT_SPEED_WAVEGUIDE_M_PER_S

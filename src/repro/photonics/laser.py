@@ -3,21 +3,16 @@
 Corona uses off-stack (or mezzanine-attached) mode-locked lasers that each
 emit a comb of 64 equally spaced, phase-coherent wavelengths.  The laser is a
 continuous-wave source: data is encoded downstream by ring modulators.  The
-model tracks the comb definition and the wall-plug electrical power needed to
-deliver a required optical power at the detectors given the network's worst
-case loss.
+model tracks the comb (line count and center wavelength) and its optical and
+wall-plug electrical power; the per-wavelength power the worst-case path needs
+comes from :class:`~repro.photonics.power_budget.PowerBudget`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.photonics.constants import (
-    LIGHT_SPEED_VACUUM_M_PER_S,
-    OPERATING_WAVELENGTH_M,
-    WAVELENGTHS_PER_LASER,
-    db_to_fraction,
-)
+from repro.photonics.constants import OPERATING_WAVELENGTH_M, WAVELENGTHS_PER_LASER
 
 
 @dataclass
@@ -32,8 +27,6 @@ class ModeLockedLaser:
         Comb lines emitted (64 in the paper).
     center_wavelength_m:
         Center of the comb; ~1.3 um for unstrained germanium detection.
-    channel_spacing_hz:
-        Frequency spacing between adjacent comb lines.
     power_per_wavelength_w:
         Optical power emitted per comb line.
     wall_plug_efficiency:
@@ -43,7 +36,6 @@ class ModeLockedLaser:
     name: str = "laser"
     num_wavelengths: int = WAVELENGTHS_PER_LASER
     center_wavelength_m: float = OPERATING_WAVELENGTH_M
-    channel_spacing_hz: float = 80e9
     power_per_wavelength_w: float = 1e-3
     wall_plug_efficiency: float = 0.1
 
@@ -58,20 +50,6 @@ class ModeLockedLaser:
             )
 
     @property
-    def center_frequency_hz(self) -> float:
-        return LIGHT_SPEED_VACUUM_M_PER_S / self.center_wavelength_m
-
-    def wavelength_m(self, index: int) -> float:
-        """Wavelength of comb line ``index`` (0-based, centered on the comb)."""
-        if not 0 <= index < self.num_wavelengths:
-            raise ValueError(
-                f"index must be in [0, {self.num_wavelengths}), got {index}"
-            )
-        offset = index - (self.num_wavelengths - 1) / 2.0
-        frequency = self.center_frequency_hz + offset * self.channel_spacing_hz
-        return LIGHT_SPEED_VACUUM_M_PER_S / frequency
-
-    @property
     def total_optical_power_w(self) -> float:
         """Total optical power emitted across the comb."""
         return self.num_wavelengths * self.power_per_wavelength_w
@@ -80,39 +58,3 @@ class ModeLockedLaser:
     def electrical_power_w(self) -> float:
         """Wall-plug electrical power drawn by the laser."""
         return self.total_optical_power_w / self.wall_plug_efficiency
-
-    def detector_power_w(self, path_loss_db: float) -> float:
-        """Optical power arriving at a detector after ``path_loss_db`` of loss."""
-        if path_loss_db < 0:
-            raise ValueError(f"loss must be non-negative, got {path_loss_db}")
-        return self.power_per_wavelength_w * db_to_fraction(path_loss_db)
-
-    def required_power_per_wavelength_w(
-        self, detector_sensitivity_w: float, path_loss_db: float
-    ) -> float:
-        """Laser power per comb line needed to reach ``detector_sensitivity_w``."""
-        if detector_sensitivity_w <= 0:
-            raise ValueError(
-                f"sensitivity must be positive, got {detector_sensitivity_w}"
-            )
-        return detector_sensitivity_w / db_to_fraction(path_loss_db)
-
-
-def lasers_required(total_wavelength_feeds: int, wavelengths_per_laser: int = WAVELENGTHS_PER_LASER) -> int:
-    """Number of comb lasers needed to source ``total_wavelength_feeds`` comb copies.
-
-    Each crossbar channel home cluster and each memory link needs a comb of
-    wavelengths; one laser comb can be split (with a power penalty) across
-    several consumers, but this helper gives the count when each consumer gets
-    a dedicated comb.
-    """
-    if total_wavelength_feeds < 0:
-        raise ValueError(
-            f"feed count must be non-negative, got {total_wavelength_feeds}"
-        )
-    if wavelengths_per_laser < 1:
-        raise ValueError(
-            f"wavelengths per laser must be >= 1, got {wavelengths_per_laser}"
-        )
-    full, rem = divmod(total_wavelength_feeds, wavelengths_per_laser)
-    return full + (1 if rem else 0)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.photonics.constants import db_to_fraction
-
 
 @dataclass(frozen=True)
 class LossElement:
@@ -50,10 +48,6 @@ class LossBudget:
     @property
     def total_db(self) -> float:
         return sum(element.total_db for element in self.elements)
-
-    @property
-    def transmitted_fraction(self) -> float:
-        return db_to_fraction(self.total_db)
 
     def report(self) -> str:
         lines = [f"Loss budget: {self.name}"]
@@ -111,14 +105,6 @@ class PowerBudget:
     @staticmethod
     def dbm_to_watts(dbm: float) -> float:
         return 1e-3 * 10.0 ** (dbm / 10.0)
-
-    @staticmethod
-    def watts_to_dbm(watts: float) -> float:
-        if watts <= 0:
-            raise ValueError(f"power must be positive, got {watts}")
-        import math
-
-        return 10.0 * math.log10(watts / 1e-3)
 
     def required_laser_power_w(self) -> float:
         return self.dbm_to_watts(self.required_laser_power_dbm)

@@ -1,10 +1,10 @@
-"""Broadband splitters and star couplers.
+"""Broadband splitters and the broadcast bus's tap chain.
 
 A broadband splitter diverts a fixed fraction of *all* wavelengths from one
-waveguide onto another.  Corona uses splitters to (a) tap the power waveguide
-at each crossbar channel's home cluster, (b) let every cluster listen to the
-broadcast bus on its second pass, and (c) distribute laser light through a
-star coupler to the power waveguides.
+waveguide onto another.  Corona uses splitters to tap the power waveguide at
+each crossbar channel's home cluster (the ``home splitter`` of the crossbar
+link budget) and to let every cluster listen to the broadcast bus on its
+second pass (:func:`splitter_chain_losses`).
 """
 
 from __future__ import annotations
@@ -46,54 +46,6 @@ class BroadbandSplitter:
     def through_loss_db(self) -> float:
         """Loss seen by light continuing on the main waveguide."""
         return fraction_to_db(1.0 - self.tap_fraction) + self.excess_loss_db
-
-    def split_power(self, input_power_w: float) -> tuple[float, float]:
-        """Return ``(tap_power, through_power)`` for ``input_power_w`` in."""
-        if input_power_w < 0:
-            raise ValueError(
-                f"input power must be non-negative, got {input_power_w}"
-            )
-        excess = 10.0 ** (-self.excess_loss_db / 10.0)
-        usable = input_power_w * excess
-        return usable * self.tap_fraction, usable * (1.0 - self.tap_fraction)
-
-
-@dataclass
-class StarCoupler:
-    """A 1-to-N broadband power distributor.
-
-    The star coupler divides the laser comb equally among N power waveguides;
-    each output sees the 1/N splitting loss plus an excess loss.
-    """
-
-    name: str
-    outputs: int
-    excess_loss_db: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.outputs < 1:
-            raise ValueError(f"outputs must be >= 1, got {self.outputs}")
-        if self.excess_loss_db < 0:
-            raise ValueError(
-                f"excess loss must be non-negative, got {self.excess_loss_db}"
-            )
-
-    @property
-    def splitting_loss_db(self) -> float:
-        return fraction_to_db(1.0 / self.outputs)
-
-    @property
-    def per_output_loss_db(self) -> float:
-        return self.splitting_loss_db + self.excess_loss_db
-
-    def output_power_w(self, input_power_w: float) -> float:
-        """Optical power delivered to each output."""
-        if input_power_w < 0:
-            raise ValueError(
-                f"input power must be non-negative, got {input_power_w}"
-            )
-        excess = 10.0 ** (-self.excess_loss_db / 10.0)
-        return input_power_w * excess / self.outputs
 
 
 def splitter_chain_losses(

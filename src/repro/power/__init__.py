@@ -16,25 +16,12 @@ The paper's power story has four pieces, each reproduced here:
   82-155 W processor power range and 423-491 mm^2 die area range.
 """
 
-from repro.power.cacti import CacheGeometry, CachePowerArea, cache_power_area
-from repro.power.chip import ChipPowerReport, corona_chip_power
-from repro.power.electrical import (
-    ElectricalLinkPower,
-    electrical_memory_interconnect_power_w,
-)
-from repro.power.optical import (
-    OpticalMemoryPower,
-    optical_memory_interconnect_power_w,
-)
+from repro.power.chip import corona_chip_power
+from repro.power.electrical import electrical_memory_interconnect_power_w
+from repro.power.optical import optical_memory_interconnect_power_w
 
 __all__ = [
-    "ElectricalLinkPower",
     "electrical_memory_interconnect_power_w",
-    "OpticalMemoryPower",
     "optical_memory_interconnect_power_w",
-    "CacheGeometry",
-    "CachePowerArea",
-    "cache_power_area",
-    "ChipPowerReport",
     "corona_chip_power",
 ]

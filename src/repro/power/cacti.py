@@ -35,14 +35,6 @@ class CacheGeometry:
         if self.banks < 1:
             raise ValueError("banks must be >= 1")
 
-    @property
-    def lines(self) -> int:
-        return self.capacity_bytes // self.line_bytes
-
-    @property
-    def sets(self) -> int:
-        return max(self.lines // self.associativity, 1)
-
 
 @dataclass(frozen=True)
 class CachePowerArea:

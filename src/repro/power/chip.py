@@ -15,7 +15,6 @@ so the whole budget is auditable and re-parameterizable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.core.config import CoronaConfig, CORONA_DEFAULT
 from repro.cores.core import CorePowerAreaModel
@@ -58,21 +57,6 @@ class ChipPowerReport:
             + self.photonic_power_w
             + self.memory_interconnect_power_w
         )
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "anchor": self.anchor,
-            "core_power_w": self.core_power_w,
-            "l1_power_w": self.l1_power_w,
-            "l2_power_w": self.l2_power_w,
-            "directory_power_w": self.directory_power_w,
-            "hub_mc_power_w": self.hub_mc_power_w,
-            "processor_power_w": self.processor_power_w,
-            "photonic_power_w": self.photonic_power_w,
-            "memory_interconnect_power_w": self.memory_interconnect_power_w,
-            "total_power_w": self.total_power_w,
-            "core_die_area_mm2": self.core_die_area_mm2,
-        }
 
 
 #: Fraction of peak access rate assumed for cache dynamic power sizing.

@@ -15,24 +15,10 @@ The paper's optical power figures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.memory.channel import OPTICAL_SIGNALLING_W_PER_GBPS
 
 #: Total photonic interconnect power (laser + trimming + analog layer).
 PHOTONIC_SUBSYSTEM_POWER_W = 39.0
-
-
-@dataclass(frozen=True)
-class OpticalMemoryPower:
-    """Off-stack optical signalling power at a given data rate."""
-
-    power_w_per_gbps: float = OPTICAL_SIGNALLING_W_PER_GBPS
-
-    def power_w(self, data_rate_gbps: float) -> float:
-        if data_rate_gbps < 0:
-            raise ValueError("data rate must be non-negative")
-        return self.power_w_per_gbps * data_rate_gbps
 
 
 def optical_memory_interconnect_power_w(
@@ -43,4 +29,4 @@ def optical_memory_interconnect_power_w(
     if memory_bandwidth_bytes_per_s < 0:
         raise ValueError("bandwidth must be non-negative")
     gbps = memory_bandwidth_bytes_per_s * 8.0 / 1e9
-    return OpticalMemoryPower(power_w_per_gbps).power_w(gbps)
+    return power_w_per_gbps * gbps

@@ -16,11 +16,12 @@ import pytest
 from repro.api import OutputSpec, run
 from repro.coherence import (
     CoherenceConfig,
-    SHARED_REGION_BIT,
     SharingProfile,
     home_for_line,
     shared_line_address,
 )
+from repro.coherence.sharing import SHARED_REGION_BIT
+from repro.core.config import CORONA_DEFAULT
 from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator, simulate_workload
 from repro.harness.parallel import run_pairs
@@ -153,6 +154,26 @@ class TestCoherentReplay:
             < 0.5 * electrical.average_invalidation_latency_s
         )
 
+    def test_broadcast_bus_follows_overrides(self):
+        """The bus is built from the system's ``CoronaConfig``, like the
+        crossbar: one waveguide's comb at the signalling rate, its token on
+        the same ring round trip as the channel tokens."""
+        config = CORONA_DEFAULT.with_overrides(
+            {"signalling_rate_bps": 5e9, "token_ring_round_trip_cycles": 16}
+        )
+        simulator = SystemSimulator(
+            configuration=configuration_by_name("XBar/OCM"),
+            corona_config=config,
+            coherence=CoherenceConfig(),
+        )
+        bus = simulator.broadcast_bus
+        assert bus.bandwidth_bytes_per_s == pytest.approx(64 * 5e9 / 8)
+        assert bus.arbiter.ring_round_trip_s == pytest.approx(3.2e-9)
+        assert (
+            bus.arbiter.ring_round_trip_s
+            == simulator.network.arbiter.channels[0].ring_round_trip_s
+        )
+
     def test_directory_never_broadcasts_without_the_bus(self):
         workload = _sharing_workload(fraction=0.5, write_fraction=0.3)
         simulator = SystemSimulator(
@@ -168,17 +189,17 @@ class TestCoherentReplay:
         )
         assert simulator.coherence.stats.unicast_invalidations > 0
 
-    def test_sharer_histogram_merges_directories(self):
+    def test_directories_track_multi_sharer_lines(self):
         workload = _sharing_workload(fraction=0.5)
         simulator = SystemSimulator(
             configuration=configuration_by_name("XBar/OCM"),
             coherence=CoherenceConfig(),
         )
         simulator.run(workload.generate_packed(seed=1, num_requests=REQUESTS))
-        histogram = simulator.coherence.sharer_histogram()
-        assert sum(histogram.values()) > 0
+        histograms = [d.sharer_histogram() for d in simulator.coherence.directories]
+        assert sum(sum(h.values()) for h in histograms) > 0
         # Read-mostly sharing must produce multi-sharer lines.
-        assert any(count > 1 for count in histogram)
+        assert any(count > 1 for h in histograms for count in h)
 
     def test_execution_time_grows_with_sharing_on_electrical(self):
         """Coherence traffic is not free: invalidation fan-out plus gating

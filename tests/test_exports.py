@@ -17,7 +17,16 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CODE_DIRS = ("src", "examples", "scripts", "benchmarks", "perfbench")
-PACKAGES = ("repro.sim", "repro.network", "repro.memory")
+PACKAGES = (
+    "repro.sim",
+    "repro.network",
+    "repro.memory",
+    "repro.photonics",
+    "repro.cache",
+    "repro.power",
+    "repro.coherence",
+    "repro.cores",
+)
 
 
 def _referenced_names(path: Path) -> set:

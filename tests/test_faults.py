@@ -225,6 +225,31 @@ class TestFaultEffects:
             assert result.fault_dram_timeouts > 0
             assert result.fault_dram_retry_s > 0.0
 
+    def test_detuned_wavelengths_scale_with_channel_width(self):
+        """A crossbar channel is ``crossbar_channel_width_bits`` wavelengths
+        wide, so every wavelength of a wider channel can detune."""
+        disabled = {}
+        for waveguides in (2, 4, 8):
+            scenario = dataclasses.replace(
+                _scenario(
+                    configurations=("XBar/OCM",),
+                    faults=FaultSpec(ring_detuning_fraction=0.1, seed=3),
+                    num_requests=400,
+                    seed=1,
+                ),
+                system=SystemSpec(
+                    configurations=("XBar/OCM",),
+                    overrides={"crossbar_waveguides_per_channel": waveguides},
+                ),
+            )
+            (result,) = run(scenario, jobs=1).results
+            disabled[waveguides] = result.fault_wavelengths_disabled
+        # A wider channel keeps the narrower one's draws and adds its own.
+        assert disabled[2] < disabled[4] < disabled[8]
+        for waveguides, count in disabled.items():
+            wavelengths = 64 * 64 * waveguides  # channels x channel width
+            assert count == pytest.approx(0.1 * wavelengths, rel=0.1), waveguides
+
     def test_fault_seed_changes_the_schedule(self):
         one = run(
             _scenario(faults=FaultSpec(seed=1, token_loss_rate=0.05)), jobs=1

@@ -24,6 +24,7 @@ from repro.api import (
     build_workload,
     run,
 )
+from repro.core.config import CORONA_DEFAULT
 from repro.core.system import SystemSimulator
 from repro.faults import FaultSpec
 from repro.obs import (
@@ -243,6 +244,34 @@ class TestBitIdentity:
         assert busy[-1] == sum(
             link.busy_time for link in simulator.network.links.values()
         )
+
+
+    def test_active_wavelengths_count_the_channel_width(self, tmp_path):
+        """``wavelengths``/``active`` counts each channel that moved bytes at
+        the system's channel width: two waveguides per channel at twice the
+        rate replay the same channel bandwidth and light half the
+        wavelengths."""
+        active = {}
+        for waveguides, rate in ((4, 10e9), (2, 20e9)):
+            config = CORONA_DEFAULT.with_overrides(
+                {"crossbar_waveguides_per_channel": waveguides, "signalling_rate_bps": rate}
+            )
+            simulator = SystemSimulator(
+                build_configuration("XBar/OCM"),
+                config,
+                observability=ObservabilitySpec(
+                    metrics_path=str(tmp_path / "m.csv"), metrics_interval_ns=20.0
+                ),
+            )
+            workload = build_workload("Uniform")
+            simulator.run(workload.generate_packed(seed=1, num_requests=400))
+            active[waveguides] = [
+                value
+                for _, resource, metric, value in simulator._obs_metrics.rows
+                if (resource, metric) == ("wavelengths", "active")
+            ]
+        assert max(active[4]) > 0
+        assert active[2] == [value // 2 for value in active[4]]
 
 
 class TestTelemetryGoldens:

@@ -706,10 +706,10 @@ def _faulted_pair(crossbar: OpticalCrossbar, reference: _ReferenceCrossbar):
     reference's bandwidth table comes from installing its injector on a
     throwaway crossbar of the same shape."""
     injector = FaultInjector(_XBAR_FAULTS)
-    injector.install(crossbar, None)
+    injector.install(crossbar, None, 256)
     reference_injector = FaultInjector(_XBAR_FAULTS)
     template = OpticalCrossbar(num_clusters=crossbar.num_clusters)
-    reference_injector.install(template, None)
+    reference_injector.install(template, None, 256)
     reference._fault_channel_bw = template._fault_channel_bw
     reference._fault_injector = reference_injector
     return injector, reference_injector
@@ -931,7 +931,7 @@ class TestCacheProperties:
         cache = SetAssociativeCache("c", capacity_bytes=4096, associativity=4)
         for address, is_write in accesses:
             cache.access(address * 64, is_write)
-        assert cache.resident_lines() <= cache.num_sets * cache.associativity
+        assert all(len(cache_set) <= cache.associativity for cache_set in cache._sets)
         assert cache.stats.accesses == len(accesses)
         assert cache.stats.misses <= cache.stats.accesses
 
