@@ -75,9 +75,11 @@ def build_spec(num_requests: int) -> SweepSpec:
 
 def main() -> None:
     num_requests = int(sys.argv[1]) if len(sys.argv) > 1 else 4_000
-    spec = build_spec(num_requests)
-    directory = Path(tempfile.mkdtemp(prefix="corona-sweep-"))
+    with tempfile.TemporaryDirectory(prefix="corona-sweep-") as directory:
+        study(build_spec(num_requests), num_requests, Path(directory))
 
+
+def study(spec: SweepSpec, num_requests: int, directory: Path) -> None:
     print("Sweep study: offered load x interconnect")
     print("=" * 64)
     print(
@@ -136,8 +138,9 @@ def main() -> None:
     assert [r.result for r in resumed.records] == [
         r.result for r in outcome.records
     ]
+    # The study directory is removed on exit, so name the files within it.
     for kind in ("report", "json", "csv"):
-        print(f"{kind:>7}: {outcome.written[kind]}")
+        print(f"{kind:>7}: {outcome.written[kind].relative_to(directory)}")
 
 
 if __name__ == "__main__":

@@ -94,10 +94,9 @@ class CoherentMiss(NamedTuple):
     response_ready: float
     memory_queueing: float
     memory_latency: float
-    #: Queueing/network/hops of the extra coherence legs (forward,
-    #: invalidation fan-out), folded into the transaction's statistics.
+    #: Queueing/hops of the extra coherence legs (forward, invalidation
+    #: fan-out), folded into the transaction's statistics.
     extra_queueing: float
-    extra_network: float
     extra_hops: int
     #: Whether the response carries a cache line (data) or is a control ack.
     carries_data: bool
@@ -224,7 +223,6 @@ class CoherenceEngine:
             action = directory.handle_read(address, requester)
 
         extra_queueing = 0.0
-        extra_network = 0.0
         extra_hops = 0
 
         # -- invalidation fan-out ------------------------------------------
@@ -249,7 +247,6 @@ class CoherenceEngine:
                     stats.unicast_invalidations += result.messages
                     extra_hops += result.hops
             stats.invalidation_latency.add(inval_done - t_dir)
-            extra_network += inval_done - t_dir
 
         # -- data supply ----------------------------------------------------
         supplier = action.data_from_owner
@@ -267,7 +264,6 @@ class CoherenceEngine:
                 result = self.network.transfer(forward, t_dir)
                 forward_arrival = result.arrival_time
                 extra_queueing += result.queueing_delay
-                extra_network += result.network_latency
                 extra_hops += result.hops
             data_ready = forward_arrival + config.owner_l2_latency_s
             response_src = supplier
@@ -314,7 +310,6 @@ class CoherenceEngine:
             memory_queueing=memory_queueing,
             memory_latency=memory_latency,
             extra_queueing=extra_queueing,
-            extra_network=extra_network,
             extra_hops=extra_hops,
             carries_data=carries_data,
             is_c2c=is_c2c,

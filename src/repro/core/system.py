@@ -84,10 +84,18 @@ misses over most of the 1,024 threads, so per-thread and per-sample work
 outside the event loop is kept linear and lean as well:
 :meth:`SystemSimulator.run` builds each thread's state from positional
 arguments and seeds every first issue with one ``heapify``, and the result
-statistics fold their samples in the local-variable loops of
+statistics fold their sample columns in the local-variable loops of
 :meth:`RunningStats.extend <repro.sim.stats.RunningStats.extend>` and
-:meth:`Histogram.extend <repro.sim.stats.Histogram.extend>`, fed by
-``map``/``itemgetter`` so no per-sample frame or list is made.
+:meth:`Histogram.extend <repro.sim.stats.Histogram.extend>`, so no
+per-sample frame or list is made.
+
+A replay keeps little per miss until its simulator is dropped, which sets
+how long a trace fits in memory: :class:`TransactionStats` stores only the
+latency and queueing columns its result reads, as ``array('d')`` (16 bytes
+per miss), open-loop sojourns are one more column, and each thread's
+completion times fill a ring of ``window`` slots.  The rest is booking
+state -- busy-interval lists and admission heaps -- and
+``tests/test_core_system.py::TestRetainedBytesGate`` bounds the total.
 
 The replay consumes traces in packed columnar form
 (:class:`~repro.trace.packed.PackedTrace`, the only trace representation):
@@ -99,10 +107,11 @@ hot path allocates no per-record objects at all.
 from __future__ import annotations
 
 import gc
+from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappush
 from itertools import repeat
-from operator import itemgetter, mul
+from operator import mul
 from typing import Dict, List, Optional
 
 from repro.coherence.engine import CoherenceConfig, CoherenceEngine, CoherentMiss
@@ -133,63 +142,61 @@ from repro.trace.packed import (
 class TransactionStats:
     """Aggregate statistics over all replayed L2-miss transactions.
 
-    The hot path (:meth:`record`, once per miss) only appends raw samples and
-    bumps plain counters; the :class:`RunningStats` accumulators and the
-    latency :class:`Histogram` exposed as properties are materialized lazily
-    from the samples on first access (and cached until the next record).
-    The histogram auto-expands, so its percentiles are order-independent and
-    never clamp at the initial 2000 ns range.
+    The hot path (:meth:`record`, once per miss) appends latency and
+    queueing delay, the two samples a :class:`WorkloadResult` reads, to
+    ``array('d')`` columns (16 bytes per miss, exact doubles) and bumps
+    plain counters; the :class:`RunningStats` accumulators and the latency
+    :class:`Histogram` exposed as properties are folded from the columns on
+    first access (and cached until the next record).  The histogram
+    auto-expands, so its percentiles are order-independent and never clamp
+    at the initial 2000 ns range.
     """
 
-    __slots__ = ("_samples", "_derived", "requests", "memory_bytes", "network_hops")
+    __slots__ = (
+        "_latencies", "_queueing", "_derived", "requests", "memory_bytes", "network_hops"
+    )
 
     def __init__(self) -> None:
-        #: One (latency, queueing, network, memory) tuple per transaction.
-        self._samples: List[tuple] = []
+        self._latencies = array("d")
+        self._queueing = array("d")
         self._derived: Dict[str, object] = {}
         self.requests = 0
         self.memory_bytes = 0.0
         self.network_hops = 0
 
     def record(
-        self,
-        latency_s: float,
-        queueing_s: float,
-        network_s: float,
-        memory_s: float,
-        memory_bytes: int,
-        hops: int,
+        self, latency_s: float, queueing_s: float, memory_bytes: int, hops: int
     ) -> None:
         if self._derived:
             self._derived.clear()
-        self._samples.append((latency_s, queueing_s, network_s, memory_s))
+        self._latencies.append(latency_s)
+        self._queueing.append(queueing_s)
         self.requests += 1
         self.memory_bytes += memory_bytes
         self.network_hops += hops
 
-    def _running(self, key: str, column: int) -> RunningStats:
+    @property
+    def latency_samples(self) -> memoryview:
+        """Each transaction's latency in seconds, in completion order: a
+        read-only view of the column (the column cannot grow while a view
+        of it is alive)."""
+        return memoryview(self._latencies).toreadonly()
+
+    def _running(self, key: str, column: array) -> RunningStats:
         stats = self._derived.get(key)
         if stats is None:
             stats = RunningStats(key)
-            stats.extend(map(itemgetter(column), self._samples))
+            stats.extend(column)
             self._derived[key] = stats
         return stats
 
     @property
     def latency(self) -> RunningStats:
-        return self._running("latency", 0)
+        return self._running("latency", self._latencies)
 
     @property
     def queueing(self) -> RunningStats:
-        return self._running("queueing", 1)
-
-    @property
-    def network_latency(self) -> RunningStats:
-        return self._running("network-latency", 2)
-
-    @property
-    def memory_latency(self) -> RunningStats:
-        return self._running("memory-latency", 3)
+        return self._running("queueing", self._queueing)
 
     @property
     def latency_histogram(self) -> Histogram:
@@ -198,9 +205,7 @@ class TransactionStats:
             histogram = Histogram(
                 "latency-ns", lower=0.0, upper=2000.0, bins=200, auto_expand=True
             )
-            histogram.extend(
-                map(mul, map(itemgetter(0), self._samples), repeat(1e9))
-            )
+            histogram.extend(map(mul, self._latencies, repeat(1e9)))
             self._derived["histogram"] = histogram
         return histogram
 
@@ -278,6 +283,10 @@ class _ThreadState:
     slots instead of touching a record object.  Every field is passed
     positionally (no defaults): :meth:`SystemSimulator.run` builds one per
     thread.
+
+    ``completions`` is a ring of ``window`` slots: the issue gate of miss
+    ``i`` reads only slot ``i % window``, the completion of miss
+    ``i - window``, and clears it as it passes, for miss ``i`` to fill.
     """
 
     thread_id: int
@@ -372,7 +381,7 @@ class SystemSimulator:
         # the replay is bit-identical to builds without this machinery.
         self._open_loop = False
         self._offered_rps = 0.0
-        self._sojourns: Optional[List[float]] = None
+        self._sojourns: Optional[array] = None
         self.window_depth = window_depth
         self.hubs: Dict[int, Hub] = {
             cluster: Hub(
@@ -467,13 +476,14 @@ class SystemSimulator:
         # alongside the closed-loop latency statistics.
         self._open_loop = trace.arrival_process not in ("", "closed")
         self._offered_rps = trace.offered_rps if self._open_loop else 0.0
-        self._sojourns = [] if self._open_loop else None
+        self._sojourns = array("d") if self._open_loop else None
 
         # Seed every thread's first issue in one heapify rather than one
         # push each.  The (time, seq) keys are unique, so the calendar pops
         # them in the order per-thread pushes would have.
         clock = self._clock
         meta, addresses, gaps = trace.meta, trace.addresses, trace.gaps
+        window = self.window_depth
         on_issue = self._on_issue
         heap = self._eheap
         for thread_id, cluster_id, start, stop in trace.thread_segments():
@@ -484,8 +494,8 @@ class SystemSimulator:
             # last_issue_time, arrival_clock, completions.
             state = _ThreadState(
                 thread_id, cluster_id, meta, addresses, gaps, start, count,
-                self.window_depth, self.hubs[cluster_id],
-                0, True, 0.0, 0.0, [None] * count,
+                window, self.hubs[cluster_id],
+                0, True, 0.0, 0.0, [None] * window,
             )
             self._threads[thread_id] = state
             first_issue = gaps[start] / clock
@@ -567,13 +577,16 @@ class SystemSimulator:
             gap_ready = (
                 state.last_issue_time + state.gaps[state.base + index] / self._clock
             )
-        gate_index = index - state.window
-        if gate_index >= 0:
-            gate_completion = state.completions[gate_index]
+        window = state.window
+        if index >= window:
+            completions = state.completions
+            slot = index % window
+            gate_completion = completions[slot]
             if gate_completion is None:
                 # The window slot has not freed yet; the completion event of
                 # the gating miss will call back into this method.
                 return
+            completions[slot] = None
             issue_time = gap_ready if gap_ready > gate_completion else gate_completion
         else:
             issue_time = gap_ready
@@ -750,8 +763,8 @@ class SystemSimulator:
         same :meth:`_complete`: the response source comes from the
         directory's action, the response is data-sized whenever a cache line
         moves (including writes satisfied by a cache-to-cache forward), and
-        queueing/network/hop totals include the forward and invalidation
-        legs resolved in stage 2.
+        queueing and hop totals include the forward and invalidation legs
+        resolved in stage 2.
         """
         now = self._simulator.now
         miss = transaction.coherence
@@ -762,7 +775,6 @@ class SystemSimulator:
             # Home (or owner) is the requesting cluster: no response leg.
             arrival = now
             rsp_queue = 0.0
-            rsp_network = 0.0
             rsp_hops = 0
         else:
             if miss.carries_data:
@@ -773,8 +785,7 @@ class SystemSimulator:
             response.dst = src
             response_result = self._transfer(response, now)
             transaction.response_result = response_result
-            arrival, rsp_queue, rsp_serial, rsp_prop, rsp_hops, _ = response_result
-            rsp_network = rsp_queue + rsp_serial + rsp_prop
+            arrival, rsp_queue, _, _, rsp_hops, _ = response_result
 
         if miss.is_c2c:
             self.coherence.note_c2c_complete(miss, arrival)
@@ -782,11 +793,9 @@ class SystemSimulator:
         request_result = transaction.request_result
         if request_result is None:
             req_queue = 0.0
-            req_network = 0.0
             req_hops = 0
         else:
-            _, req_queue, req_serial, req_prop, req_hops, _ = request_result
-            req_network = req_queue + req_serial + req_prop
+            _, req_queue, _, _, req_hops, _ = request_result
 
         completion_time = arrival + self._hub_fwd[src]
         queueing = (
@@ -796,11 +805,8 @@ class SystemSimulator:
             + miss.memory_queueing
             + rsp_queue
         )
-        network_latency = req_network + miss.extra_network + rsp_network
         hops = req_hops + miss.extra_hops + rsp_hops
-        self._complete(
-            state, transaction, now, completion_time, queueing, network_latency, hops
-        )
+        self._complete(state, transaction, now, completion_time, queueing, hops)
 
     def _on_response(self, state: _ThreadState, transaction: _Transaction) -> None:
         """Stages 3+4: the response message returns to the requesting cluster
@@ -837,7 +843,6 @@ class SystemSimulator:
             # Local miss: no interconnect contribution on either leg.
             completion_time = now + self._hub_fwd[src]
             queueing = transaction.mshr_wait + transaction.memory_queueing
-            network_latency = 0.0
             hops = 0
         else:
             if transaction.is_write:
@@ -848,8 +853,8 @@ class SystemSimulator:
             response.dst = src
             response_result = self._transfer(response, now)
             transaction.response_result = response_result
-            arrival, rsp_queue, rsp_serial, rsp_prop, rsp_hops, _ = response_result
-            _, req_queue, req_serial, req_prop, req_hops, _ = request_result
+            arrival, rsp_queue, _, _, rsp_hops, _ = response_result
+            _, req_queue, _, _, req_hops, _ = request_result
             completion_time = arrival + self._hub_fwd[src]
             queueing = (
                 transaction.mshr_wait
@@ -857,13 +862,8 @@ class SystemSimulator:
                 + transaction.memory_queueing
                 + rsp_queue
             )
-            network_latency = (
-                req_queue + req_serial + req_prop + rsp_queue + rsp_serial + rsp_prop
-            )
             hops = req_hops + rsp_hops
-        self._complete(
-            state, transaction, now, completion_time, queueing, network_latency, hops
-        )
+        self._complete(state, transaction, now, completion_time, queueing, hops)
 
     def _complete(
         self,
@@ -872,22 +872,19 @@ class SystemSimulator:
         now: float,
         completion_time: float,
         queueing: float,
-        network_latency: float,
         hops: int,
     ) -> None:
         """Stage 4, shared by both response handlers: the transaction
-        completes at ``completion_time``.  Books the MSHR release, frees the
-        window slot, and records the transaction's statistics, sojourn and
-        timeline spans."""
+        completes at ``completion_time``.  Books the MSHR release, fills the
+        miss's window slot, and records the transaction's statistics,
+        sojourn and timeline spans."""
         state.hub.mshr_pool.release_at(completion_time)
-        state.completions[transaction.index] = completion_time
+        state.completions[transaction.index % state.window] = completion_time
         if completion_time > self._makespan:
             self._makespan = completion_time
         self.stats.record(
             completion_time - transaction.issue_time,
             queueing,
-            network_latency,
-            transaction.memory_latency,
             transaction.size_bytes,
             hops,
         )

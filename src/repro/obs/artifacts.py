@@ -124,8 +124,8 @@ def write_pair_artifacts(
         payload = samples_payload(
             configuration_name,
             workload_name,
-            latency_s=[sample[0] for sample in simulator.stats._samples],
-            sojourn_s=list(simulator._sojourns or ()),
+            latency_s=simulator.stats.latency_samples,
+            sojourn_s=simulator._sojourns or (),
         )
         with _open_sink(spec.samples_path) as handle:
             json.dump(payload, handle)

@@ -6,14 +6,16 @@ Each value is :func:`repro.analysis.runtime.result_digest` of one pair's
 matrix runner and the loop-based coherence sweep that the single
 ``run_pairs`` path replaced, so a test comparing today's results against
 them checks that every ``jobs`` value still reproduces those numbers bit
-for bit.  The address-level, trace-file and open-loop pairs were recorded
-before packed columns became the only trace representation, when those
-pairs still went through record-object traces or readers.  The faulted
-pairs and the telemetry artifact hashes (:data:`TELEMETRY`, sha256 of the
-files themselves) were recorded before the per-miss host-cost edits to the
-calendar, the result tuples and the token arbiter.  The scenarios and
-sweeps they describe are built by the helpers below; change one and its
-digests must be re-recorded.
+for bit.  The address-level, trace-file and XBar/OCM open-loop pairs were
+recorded before packed columns became the only trace representation, when
+those pairs still went through record-object traces or readers.  The
+faulted pairs and the telemetry artifact hashes (:data:`TELEMETRY`, sha256
+of the files themselves) were recorded before the per-miss host-cost edits
+to the calendar, the result tuples and the token arbiter, and the
+window-gated open-loop pair (:data:`POISSON_GATED`) before the completion
+ring replaced the per-record completion list.  The scenarios and sweeps
+they describe are built by the helpers below; change one and its digests
+must be re-recorded.
 """
 
 from __future__ import annotations
@@ -129,6 +131,23 @@ def poisson_uniform_scenario() -> Scenario:
             params={
                 "arrival": {"process": "poisson", "rate_rps": 2e10},
                 "window": 8,
+            },
+            num_requests=3_000,
+        ),
+    )
+
+
+def poisson_gated_scenario() -> Scenario:
+    """LMesh/ECM x open-loop (Poisson, 2e10 req/s) Uniform at 3,000
+    requests, window 2: the issue window holds 389 of the 3,000 misses
+    back past their arrival."""
+    return _one_configuration(
+        "LMesh/ECM",
+        WorkloadSpec(
+            name="Uniform",
+            params={
+                "arrival": {"process": "poisson", "rate_rps": 2e10},
+                "window": 2,
             },
             num_requests=3_000,
         ),
@@ -377,6 +396,11 @@ TRACE_FILES = {
 #: :func:`poisson_uniform_scenario`.
 POISSON_UNIFORM = {
     "XBar/OCM/Uniform": "6244c0641bbe88ee636a7e5a59448b094594716ffc4816f8bbca41324fa00cb9",
+}
+
+#: :func:`poisson_gated_scenario`.
+POISSON_GATED = {
+    "LMesh/ECM/Uniform": "428b01ff02e0d419a649ee8b4b7a810def8f0bb2a1588e5e57f1d8f69553db16",
 }
 
 #: :func:`hotspot_overflow_scenario`.

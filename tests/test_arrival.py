@@ -334,13 +334,23 @@ class TestOpenLoopGolden:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_open_loop_pair_matches_golden(self, jobs):
         """The arrival metadata rides the packed trace through the harness
-        (and through worker shipping), so the open-loop pair replays with
-        open-loop semantics and reproduces its pinned digest."""
+        (and through worker shipping), so the open-loop pairs replay with
+        open-loop semantics and reproduce their pinned digests: one whose
+        arrivals set every issue time, and one whose issue window holds
+        misses back past their arrival."""
         from repro.analysis.runtime import scenario_digests
-        from tests.golden import POISSON_UNIFORM, poisson_uniform_scenario
+        from tests.golden import (
+            POISSON_GATED,
+            POISSON_UNIFORM,
+            poisson_gated_scenario,
+            poisson_uniform_scenario,
+        )
 
         assert scenario_digests(poisson_uniform_scenario(), jobs=jobs) == (
             POISSON_UNIFORM
+        )
+        assert scenario_digests(poisson_gated_scenario(), jobs=jobs) == (
+            POISSON_GATED
         )
 
 

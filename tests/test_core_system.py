@@ -261,7 +261,7 @@ class TestWorkloadReplay:
         trace = small_uniform_workload.generate_packed(seed=1, num_requests=1000)
         simulator.run(trace)
         # No transaction can complete faster than the 20 ns DRAM access.
-        latencies = [sample[0] for sample in simulator.stats._samples]
+        latencies = simulator.stats.latency_samples
         assert len(latencies) == 1000
         assert min(latencies) >= 20e-9
 
@@ -272,27 +272,136 @@ class TestWorkloadReplay:
 
         stats = TransactionStats()
         for _ in range(99):
-            stats.record(100e-9, 0.0, 0.0, 0.0, 64, 0)
+            stats.record(100e-9, 0.0, 64, 0)
         for _ in range(3):
-            stats.record(9000e-9, 0.0, 0.0, 0.0, 64, 0)
+            stats.record(9000e-9, 0.0, 64, 0)
         p99_ns = stats.latency_histogram.percentile(0.99)
         assert p99_ns > 2000.0
         assert p99_ns == pytest.approx(9000.0, rel=0.05)
         # The raw samples agree that the tail is real.
-        assert max(sample[0] for sample in stats._samples) == pytest.approx(9000e-9)
+        assert max(stats.latency_samples) == pytest.approx(9000e-9)
 
     def test_transaction_stats_properties_track_new_samples(self):
         from repro.core.system import TransactionStats
 
         stats = TransactionStats()
-        stats.record(100e-9, 1e-9, 2e-9, 3e-9, 64, 2)
+        stats.record(100e-9, 1e-9, 64, 2)
         assert stats.latency.count == 1  # materializes the lazy view
-        stats.record(300e-9, 1e-9, 2e-9, 3e-9, 64, 2)
+        stats.record(300e-9, 3e-9, 64, 2)
         assert stats.latency.count == 2
         assert stats.latency.mean == pytest.approx(200e-9)
-        assert stats.queueing.mean == pytest.approx(1e-9)
-        assert stats.network_latency.mean == pytest.approx(2e-9)
-        assert stats.memory_latency.mean == pytest.approx(3e-9)
+        assert stats.queueing.mean == pytest.approx(2e-9)
+
+
+def _issue_and_completion_times(monkeypatch, tmp_path, simulator_options, trace):
+    """Replay ``trace`` with a timeline recorder installed, and return each
+    thread's ``(issue, completion)`` instants in issue order, as the replay
+    hands them to :meth:`TimelineRecorder.record_transaction` (exact floats,
+    not the timeline's microsecond spans)."""
+    from repro.obs import ObservabilitySpec
+    from repro.obs.timeline import TimelineRecorder
+
+    times = collections.defaultdict(dict)
+    record = TimelineRecorder.record_transaction
+
+    def capture(recorder, state, transaction, response_now, completion):
+        times[state.thread_id][transaction.index] = (
+            transaction.issue_time,
+            completion,
+        )
+        record(recorder, state, transaction, response_now, completion)
+
+    monkeypatch.setattr(TimelineRecorder, "record_transaction", capture)
+    simulator = SystemSimulator(
+        **simulator_options,
+        observability=ObservabilitySpec(timeline_path=str(tmp_path / "t.json")),
+    )
+    simulator.run(trace)
+    assert sum(len(misses) for misses in times.values()) == len(trace)
+    return {
+        thread: [misses[index] for index in sorted(misses)]
+        for thread, misses in times.items()
+    }
+
+
+def _peak_outstanding(misses):
+    """Most misses outstanding at once.  A miss is outstanding from its issue
+    until its completion; one that completes at ``t`` no longer counts for
+    a miss that issues at ``t``."""
+    steps = sorted(
+        [(completion, -1) for _, completion in misses]
+        + [(issue, 1) for issue, _ in misses]
+    )
+    outstanding = peak = 0
+    for _, step in steps:
+        outstanding += step
+        peak = max(peak, outstanding)
+    return peak
+
+
+class TestIssueWindow:
+    """No thread ever has more than ``window`` misses outstanding, checked
+    after the run from each transaction's issue and completion instants."""
+
+    WINDOW = 4
+
+    @pytest.mark.parametrize("mode", ["closed", "open", "coherent"])
+    @pytest.mark.parametrize("name", [c.name for c in all_configurations()])
+    def test_outstanding_misses_never_exceed_window(
+        self, monkeypatch, tmp_path, small_config, name, mode
+    ):
+        from repro.coherence.engine import CoherenceConfig
+        from repro.coherence.sharing import SharingProfile
+        from repro.trace.arrival import ArrivalSpec
+        from repro.trace.synthetic import uniform_workload
+
+        workload_options = {
+            "closed": {},
+            "open": {"arrival": ArrivalSpec(process="poisson", rate_rps=2e10)},
+            "coherent": {"sharing": SharingProfile(fraction=0.5)},
+        }[mode]
+        workload = uniform_workload(
+            num_clusters=16, threads_per_cluster=2, **workload_options
+        )
+        # 32 threads, about 12 misses each: every thread can fill its window.
+        trace = workload.generate_packed(seed=1, num_requests=400)
+        simulator_options = {
+            "configuration": configuration_by_name(name),
+            "corona_config": small_config,
+            "window_depth": self.WINDOW,
+        }
+        if mode == "coherent":
+            simulator_options["coherence"] = CoherenceConfig()
+        times = _issue_and_completion_times(
+            monkeypatch, tmp_path, simulator_options, trace
+        )
+        peaks = {thread: _peak_outstanding(misses) for thread, misses in times.items()}
+        assert max(peaks.values()) == self.WINDOW, peaks
+
+    @pytest.mark.parametrize("name", [c.name for c in all_configurations()])
+    def test_third_miss_issues_at_first_completion(
+        self, monkeypatch, tmp_path, small_config, name
+    ):
+        """Window 2, three misses with no compute gap: the third waits for
+        the first, the miss two places back, even though the second (a
+        local miss) completes sooner."""
+        builder = PackedTraceBuilder("window-2", num_clusters=16, threads_per_cluster=2)
+        for home in (15, 0, 7):
+            builder.append(0, home, False, False, (home << 26) | 0x40, 0.0)
+        times = _issue_and_completion_times(
+            monkeypatch,
+            tmp_path,
+            {
+                "configuration": configuration_by_name(name),
+                "corona_config": small_config,
+                "window_depth": 2,
+            },
+            builder.build(),
+        )
+        (first, second, third) = times[0]
+        assert first[0] == second[0] == 0.0
+        assert second[1] < first[1]
+        assert third[0] == first[1]
 
 
 class TestReplayOnce:
@@ -363,6 +472,38 @@ class TestHostCostGate:
             f"miss, bound {max_frames_per_miss}; re-measure with "
             f"`python -m pytest tests/test_core_system.py -k HostCostGate`. "
             f"Per miss: {busiest}"
+        )
+
+
+class TestRetainedBytesGate:
+    """Bytes a replay keeps per miss until its simulator is dropped, which
+    sets how long a trace fits in memory: ``tracemalloc``'s traced memory
+    after ``SystemSimulator.run`` at 8,000 requests minus that at 2,000
+    (seed 1), divided by 6,000 (:mod:`tests.retained_bytes`).
+
+    Each bound is the count this replay core measured plus 10%: 148.8 B on
+    XBar/OCM Uniform and 75.0 B on LMesh/ECM Hot Spot under Python 3.11 and
+    3.12 (147.3 and 74.7 B under 3.10).  Two doubles per miss are the
+    statistics; about 24 B are completion rings still filling, because
+    8,000 requests give the 1,024 threads fewer misses each than their
+    window of 8; the rest is busy-interval lists and admission heaps.  A
+    change that keeps more per miss on purpose re-measures and moves the
+    bound with it.
+    """
+
+    @pytest.mark.parametrize(
+        ("name", "workload_name", "max_bytes_per_miss"),
+        [("XBar/OCM", "Uniform", 164.0), ("LMesh/ECM", "Hot Spot", 82.5)],
+    )
+    def test_retained_bytes_per_miss(self, name, workload_name, max_bytes_per_miss):
+        from tests.retained_bytes import LONG, SHORT, retained_bytes_per_miss
+
+        per_miss, top = retained_bytes_per_miss(name, workload_name)
+        assert per_miss <= max_bytes_per_miss, (
+            f"{name} {workload_name}: {per_miss:.1f} B retained per miss "
+            f"({SHORT:,} -> {LONG:,} requests), bound {max_bytes_per_miss}; "
+            f"re-measure with `PYTHONPATH=src python -m tests.retained_bytes`. "
+            f"Top sites per miss: {', '.join(top)}"
         )
 
 

@@ -49,7 +49,8 @@ class TestExampleSmoke:
         assert "Shuffle" in result.stdout
         assert "crossbar alone buys" in result.stdout
 
-    def test_sweep_study_runs_end_to_end(self):
+    def test_sweep_study_runs_end_to_end(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
         result = _run_example("sweep_study.py", "1500")
         assert result.returncode == 0, result.stderr
         assert "Sweep study" in result.stdout
@@ -58,6 +59,8 @@ class TestExampleSmoke:
         # Resume skipped everything on the second run.
         assert "12 points skipped, 0 executed" in result.stdout
         assert "12/12 complete" in result.stdout
+        # The study directory goes away with the example.
+        assert not list(tmp_path.glob("corona-sweep-*"))
 
     def test_fault_study_runs_end_to_end(self):
         result = _run_example("fault_study.py", "1200")
