@@ -6,6 +6,7 @@ the architectural parameters and checks them against the paper's table
 2 / 8 K, Clock 1 / 64, total 388 / ~1056 K).
 """
 
+from repro.core.config import CORONA_DEFAULT
 from repro.harness.tables import format_table, table2_optical_inventory
 from repro.photonics.inventory import corona_inventory
 
@@ -20,7 +21,7 @@ PAPER_TABLE2 = {
 
 
 def test_table2_matches_paper(benchmark):
-    inventory = benchmark(corona_inventory)
+    inventory = benchmark(corona_inventory, CORONA_DEFAULT)
     by_name = inventory.by_name()
     for subsystem, (waveguides, rings) in PAPER_TABLE2.items():
         assert by_name[subsystem].waveguides == waveguides
@@ -44,7 +45,9 @@ def test_inventory_scaling_ablation(benchmark):
     """
     def sweep():
         return {
-            clusters: corona_inventory(clusters=clusters).total_ring_resonators
+            clusters: corona_inventory(
+                CORONA_DEFAULT.with_overrides({"num_clusters": clusters})
+            ).total_ring_resonators
             for clusters in (16, 32, 64, 128)
         }
 

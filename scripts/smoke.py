@@ -123,6 +123,17 @@ def scenario(d: Path) -> None:
     done = cli(d, "sweep", "expand", "bad-sweep.json", code=1)
     expect("base.system.overrides.cluster.l2_mshrs", done.stderr, "sweep expand")
     check("Traceback" not in done.stderr, "sweep expand printed a traceback")
+    # Bad counts on the command line fail on their flag: an inventory for a
+    # system no CoronaConfig accepts, and negative worker counts.
+    write_sweep(d / "sweep.json", "jobs-grid", "XBar/OCM", GAP_AXIS)
+    for code, flag, args in (
+        (1, "--clusters", ("inventory", "--clusters", "1")),
+        (2, "--jobs", ("run", "scenario.json", "--jobs", "-1")),
+        (2, "--jobs", ("sweep", "run", "sweep.json", "--jobs", "-1")),
+    ):
+        done = cli(d, *args, code=code)
+        expect(flag, done.stderr, " ".join(args))
+        check("Traceback" not in done.stderr, f"{' '.join(args)} printed a traceback")
 
 
 def sweep(d: Path) -> None:

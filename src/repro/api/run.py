@@ -374,7 +374,7 @@ def run(
 
     ``policy`` is the resilience contract
     (:class:`~repro.harness.resilience.RetryPolicy`): per-pair timeouts
-    (pool runs), bounded retries with backoff, and -- under
+    (pool runs), bounded retries of crashed and hung pairs, and -- under
     ``allow_failures`` -- partial results with the failed pairs recorded
     on :attr:`ScenarioResult.failures` instead of an exception.  ``None``
     is the default policy: crashes are recovered and the first pair that

@@ -8,13 +8,16 @@ this package implements them functionally:
 
 * :mod:`repro.cache.cache` -- set-associative caches with LRU replacement and
   write-back/write-allocate policies;
-* :mod:`repro.cache.mshr` -- miss-status holding registers with request
-  coalescing;
 * :mod:`repro.cache.coherence` -- a functional MOESI directory protocol,
   including the sharer tracking that generates the broadcast-bus invalidation
   traffic;
-* :mod:`repro.cache.hierarchy` -- a cluster's L1/L2 hierarchy that can turn a
-  raw address trace into the L2-miss stream the network simulator consumes.
+* :mod:`repro.cache.hierarchy` -- a cluster's L1/L2 hierarchy, at Table 1's
+  geometry, that can turn a raw address trace into the L2-miss stream the
+  network simulator consumes.
+
+Outstanding misses are a replay concern: the replayed hubs hold each
+cluster's ``cluster.l2_mshrs`` miss registers
+(:class:`~repro.cores.hub.Hub`), not this package.
 """
 
 from repro.cache.coherence import CoherenceController

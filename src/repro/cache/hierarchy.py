@@ -5,6 +5,12 @@ produces the stream of L2 misses -- exactly the records the network replay
 consumes -- so an external address trace (or a synthetic address-level
 workload) can be converted into a packed miss trace
 (:class:`~repro.trace.packed.PackedTrace`) without a full-system simulator.
+
+Its geometry is Table 1's, read from the cluster and core parameter blocks
+that :class:`~repro.core.config.CoronaConfig` nests: four cores, a 32 KB
+4-way L1 data cache each, a shared 4 MB 16-way L2 and 64-byte lines.  Every
+L2 miss becomes one record; the hierarchy is functional, with no notion of
+time, so no miss is outstanding when the next access arrives.
 """
 
 from __future__ import annotations
@@ -13,8 +19,13 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.cache.cache import SetAssociativeCache
-from repro.cache.mshr import MshrFile
+from repro.cores.cluster import ClusterParameters
+from repro.cores.core import CoreParameters
 from repro.trace.record import AccessKind, TraceRecord
+
+#: Table 1's cluster and core, the source of the hierarchy's geometry.
+_CLUSTER = ClusterParameters()
+_CORE = CoreParameters()
 
 
 @dataclass(frozen=True)
@@ -23,58 +34,45 @@ class HierarchyAccessResult:
 
     l1_hit: bool
     l2_hit: bool
-    l2_miss_generated: bool
-    coalesced: bool
     writeback_generated: bool
 
 
 @dataclass
 class CacheHierarchy:
-    """Four private L1 data caches over one shared L2."""
+    """Four private L1 data caches over one shared L2 (Table 1).
+
+    ``num_clusters`` is the home interleave: a line's home is its line
+    number modulo the cluster count.
+    """
 
     cluster_id: int
-    num_cores: int = 4
-    l1_capacity_bytes: int = 32 * 1024
-    l1_associativity: int = 4
-    l2_capacity_bytes: int = 4 * 1024 * 1024
-    l2_associativity: int = 16
-    line_bytes: int = 64
-    l2_mshrs: int = 64
     num_clusters: int = 64
-    l1_caches: List[SetAssociativeCache] = field(default_factory=list, repr=False)
+    l1_caches: List[SetAssociativeCache] = field(init=False, repr=False)
     l2_cache: SetAssociativeCache = field(init=False, repr=False)
-    mshrs: MshrFile = field(init=False, repr=False)
-    l2_misses: List[TraceRecord] = field(default_factory=list, repr=False)
+    l2_misses: List[TraceRecord] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.num_cores < 1:
-            raise ValueError("cluster needs at least one core")
-        if not self.l1_caches:
-            self.l1_caches = [
-                SetAssociativeCache(
-                    name=f"cluster{self.cluster_id}-l1d{i}",
-                    capacity_bytes=self.l1_capacity_bytes,
-                    associativity=self.l1_associativity,
-                    line_bytes=self.line_bytes,
-                )
-                for i in range(self.num_cores)
-            ]
+        self.l1_caches = [
+            SetAssociativeCache(
+                name=f"cluster{self.cluster_id}-l1d{i}",
+                capacity_bytes=_CORE.l1_dcache_bytes,
+                associativity=_CORE.l1_dcache_assoc,
+                line_bytes=_CORE.cache_line_bytes,
+            )
+            for i in range(_CLUSTER.cores)
+        ]
         self.l2_cache = SetAssociativeCache(
             name=f"cluster{self.cluster_id}-l2",
-            capacity_bytes=self.l2_capacity_bytes,
-            associativity=self.l2_associativity,
-            line_bytes=self.line_bytes,
+            capacity_bytes=_CLUSTER.l2_cache_bytes,
+            associativity=_CLUSTER.l2_associativity,
+            line_bytes=_CLUSTER.l2_line_bytes,
         )
-        self.mshrs = MshrFile(
-            name=f"cluster{self.cluster_id}-mshrs",
-            entries=self.l2_mshrs,
-            line_bytes=self.line_bytes,
-        )
+        self.l2_misses = []
 
     # -- address mapping ---------------------------------------------------------
     def home_cluster(self, address: int) -> int:
-        """Line-interleaved home mapping across the 64 memory controllers."""
-        return (address // self.line_bytes) % self.num_clusters
+        """Line-interleaved home mapping across the memory controllers."""
+        return (address // _CLUSTER.l2_line_bytes) % self.num_clusters
 
     # -- the access path -----------------------------------------------------------
     def access(
@@ -84,26 +82,21 @@ class CacheHierarchy:
         address: int,
         is_write: bool,
         gap_cycles: float = 0.0,
-        now: float = 0.0,
     ) -> HierarchyAccessResult:
         """Run one core access through L1 and L2.
 
-        L2 misses are appended to :attr:`l2_misses` as trace records ready for
-        the network replay.
+        An L2 miss appends a trace record for the access to
+        :attr:`l2_misses`, after the writeback of the dirty line it evicted,
+        if any.
         """
-        if not 0 <= core < self.num_cores:
-            raise ValueError(f"core {core} outside cluster of {self.num_cores}")
+        if not 0 <= core < _CLUSTER.cores:
+            raise ValueError(f"core {core} outside cluster of {_CLUSTER.cores}")
 
         l1 = self.l1_caches[core]
         l1_hit, l1_victim = l1.access(address, is_write)
-        writeback = False
         if l1_hit:
             return HierarchyAccessResult(
-                l1_hit=True,
-                l2_hit=True,
-                l2_miss_generated=False,
-                coalesced=False,
-                writeback_generated=False,
+                l1_hit=True, l2_hit=True, writeback_generated=False
             )
 
         # L1 victim writebacks land in the L2 (write-back hierarchy).
@@ -113,32 +106,18 @@ class CacheHierarchy:
         l2_hit, l2_victim = self.l2_cache.access(address, is_write)
         if l2_hit:
             return HierarchyAccessResult(
-                l1_hit=False,
-                l2_hit=True,
-                l2_miss_generated=False,
-                coalesced=False,
-                writeback_generated=False,
+                l1_hit=False, l2_hit=True, writeback_generated=False
             )
 
         # L2 victim writebacks become memory writes.
-        if l2_victim is not None and l2_victim[1].dirty:
-            writeback = True
+        writeback = l2_victim is not None and l2_victim[1].dirty
+        if writeback:
             self._record_miss(
                 thread_id, l2_victim[0], is_write=True, gap_cycles=0.0
             )
-
-        entry = self.mshrs.allocate(address, thread_id, is_write, now)
-        coalesced = entry is not None and entry.coalesced_count > 1
-        miss_generated = entry is not None and not coalesced
-        if miss_generated:
-            self._record_miss(thread_id, address, is_write, gap_cycles)
-            self.mshrs.release(address)
+        self._record_miss(thread_id, address, is_write, gap_cycles)
         return HierarchyAccessResult(
-            l1_hit=False,
-            l2_hit=False,
-            l2_miss_generated=miss_generated,
-            coalesced=coalesced,
-            writeback_generated=writeback,
+            l1_hit=False, l2_hit=False, writeback_generated=writeback
         )
 
     def _record_miss(
@@ -152,7 +131,7 @@ class CacheHierarchy:
                 kind=AccessKind.WRITE if is_write else AccessKind.READ,
                 address=address,
                 gap_cycles=gap_cycles,
-                size_bytes=self.line_bytes,
+                size_bytes=_CLUSTER.l2_line_bytes,
             )
         )
 

@@ -31,7 +31,8 @@ Installed as ``corona-repro`` (see ``pyproject.toml``).  Subcommands:
 ``tables``
     Print Tables 1-4 regenerated from the models.
 ``inventory``
-    Print the Table 2 optical inventory for an arbitrary cluster count.
+    Print the Table 2 optical inventory for any cluster count a
+    :class:`~repro.core.config.CoronaConfig` accepts.
 ``power``
     Print the chip-level power/area roll-up and the memory-interconnect power
     comparison.
@@ -60,6 +61,7 @@ from repro.api import (
 )
 from repro import __version__
 from repro.api import run as run_scenario
+from repro.core.config import CORONA_DEFAULT
 from repro.core.configs import CONFIGURATION_ORDER
 from repro.harness.parallel import WorkerSetupError
 from repro.harness.resilience import (
@@ -96,8 +98,11 @@ def _cmd_tables(_args: argparse.Namespace) -> int:
 
 
 def _cmd_inventory(args: argparse.Namespace) -> int:
-    inventory = corona_inventory(clusters=args.clusters)
-    print(inventory.report())
+    try:
+        config = CORONA_DEFAULT.with_overrides({"num_clusters": args.clusters})
+    except ScenarioError as exc:
+        raise SystemExit(f"--clusters: {exc.reason}") from None
+    print(corona_inventory(config).report())
     return 0
 
 
@@ -748,6 +753,19 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _jobs(text: str) -> int:
+    """The type of every ``--jobs`` flag: a worker count, 0 for every CPU.
+
+    A scenario or sweep file's ``jobs`` field is checked the same way."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {jobs}")
+    return jobs
+
+
 def _execution_parent() -> argparse.ArgumentParser:
     """The execution flags ``run`` and ``sweep run`` share, defined once and
     attached to both subparsers via ``parents=``: worker count, verbosity,
@@ -755,7 +773,7 @@ def _execution_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=None,
         help=(
             "override the scenario's/spec's worker count "
@@ -952,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", choices=("quick", "default", "full", "paper"),
         default="quick",
     )
-    init_p.add_argument("--jobs", type=int, default=1)
+    init_p.add_argument("--jobs", type=_jobs, default=1)
     init_p.add_argument(
         "--report", help="set the output report path (JSON/CSV derived)"
     )

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 from repro.sim.resources import BoundedQueue, TokenPool
 
+#: Store-and-forward latency of a message through a hub: 0.4 ns (2 clocks).
+FORWARDING_LATENCY_S = 0.4e-9
+
 
 @dataclass(slots=True)
 class Hub:
@@ -25,8 +28,6 @@ class Hub:
         The cluster this hub serves.
     queue_depth:
         Injection-queue capacity toward the interconnect (messages).
-    forwarding_latency_s:
-        Store-and-forward latency through the hub for each message.
     mshrs:
         Outstanding-miss registers shared by the cluster's L2; misses beyond
         this limit wait before they can even enter the hub.
@@ -34,14 +35,13 @@ class Hub:
 
     cluster_id: int
     queue_depth: int = 64
-    forwarding_latency_s: float = 0.4e-9
     mshrs: int = 64
+    #: :data:`FORWARDING_LATENCY_S`, read by the replay for each message.
+    forwarding_latency_s: float = field(default=FORWARDING_LATENCY_S, init=False)
     injection_queue: BoundedQueue = field(init=False, repr=False)
     mshr_pool: TokenPool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.forwarding_latency_s < 0:
-            raise ValueError("hub latency must be non-negative")
         self.injection_queue = BoundedQueue(
             name=f"hub{self.cluster_id}-inject", capacity=self.queue_depth
         )

@@ -115,20 +115,18 @@ def metric_deltas(
     baseline: Mapping[str, float],
     current: Mapping[str, float],
     threshold: float,
-    suffix: str = "_per_s",
-    higher_is_better: bool = True,
 ) -> List[MetricDelta]:
-    """Compare two flat metric mappings; one delta per current key.
+    """Compare two flat throughput mappings; one delta per current key.
 
-    Keys are filtered to ``suffix`` (empty matches everything) and walked in
-    sorted order.  With ``higher_is_better`` a drop below ``1 - threshold``
-    of the baseline regresses; without it, a rise above ``1 + threshold``.
-    Missing/zero baselines yield a delta with ``ratio=None`` that never
-    regresses -- exactly the bench tracker's ``(no baseline)`` lines.
+    Only the ``*_per_s`` keys (rates, where higher is better) are compared,
+    in sorted order: a drop below ``1 - threshold`` of the baseline
+    regresses.  Missing/zero baselines yield a delta with ``ratio=None``
+    that never regresses -- exactly the bench tracker's ``(no baseline)``
+    lines.
     """
     deltas: List[MetricDelta] = []
     for key in sorted(current):
-        if suffix and not key.endswith(suffix):
+        if not key.endswith("_per_s"):
             continue
         new = float(current[key])
         old = baseline.get(key)
@@ -141,14 +139,10 @@ def metric_deltas(
             )
             continue
         ratio = new / float(old)
-        if higher_is_better:
-            regressed = ratio < 1.0 - threshold
-        else:
-            regressed = ratio > 1.0 + threshold
         deltas.append(
             MetricDelta(
                 metric=key, baseline=float(old), current=new,
-                ratio=ratio, regressed=regressed,
+                ratio=ratio, regressed=ratio < 1.0 - threshold,
             )
         )
     return deltas

@@ -4,9 +4,9 @@ This is the *test* side of the resilience layer -- it never touches the
 simulation.  When the ``CORONA_CHAOS`` environment variable is set, worker
 processes consult it before replaying each pair and may deterministically
 crash (``os._exit``), hang (``time.sleep``) or raise, exercising the
-supervised pool's crash detection, timeouts and retries.  The chaos section
-of ``scripts/smoke.py`` and the resilience tests drive it; production runs
-never set the variable.
+supervised pool's crash detection, timeouts and retries, and the failure
+records of pairs that raise.  The chaos section of ``scripts/smoke.py`` and
+the resilience tests drive it; production runs never set the variable.
 
 Format (comma-separated ``key=value``)::
 
@@ -14,9 +14,11 @@ Format (comma-separated ``key=value``)::
 
 ``crash``/``hang``/``error`` are per-pair probabilities; ``seed`` keys the
 deterministic draws; ``attempts`` caps how many attempts of a pair are
-sabotaged (the default 1 means retries succeed); ``hang_s`` is the sleep of
-a hang.  Draws key :func:`~repro.faults.determinism.stable_uniform` with the
-pair's submission index, so the same pairs misbehave on every run.
+sabotaged, so with the default 1 a crashed or hung pair's retry succeeds
+(an error is never retried: an ``error`` draw fails its pair on the first
+attempt whatever ``attempts`` says); ``hang_s`` is the sleep of a hang.
+Draws key :func:`~repro.faults.determinism.stable_uniform` with the pair's
+submission index, so the same pairs misbehave on every run.
 """
 
 from __future__ import annotations
@@ -122,9 +124,10 @@ def maybe_sabotage(pair_index: int, attempt: int, in_process: bool) -> None:
     """Possibly sabotage this attempt of pair ``pair_index``.
 
     Crash and hang sabotage only apply to pool workers (``in_process``
-    False); the error kind applies everywhere, so serial retry paths are
-    testable too.  Attempts at or beyond the spec's ``attempts`` are always
-    left alone, which is what lets retried pairs complete bit-identically.
+    False); the error kind applies everywhere, so the in-process failure
+    path is testable too.  Attempts at or beyond the spec's ``attempts`` are
+    always left alone, which is what lets retried pairs complete
+    bit-identically.
     """
     spec = active_chaos()
     if spec is None or attempt >= spec.attempts:

@@ -38,10 +38,10 @@ therefore detected immediately, respawned, and its pending pair re-dispatched
 -- the retried replay is bit-identical because pairs are pure functions of
 their shipped arguments.  A :class:`~repro.harness.resilience.RetryPolicy`
 adds per-pair wall-clock timeouts (hung workers are killed and their pair
-retried), bounded retries with exponential backoff, and a partial-results
-mode in which pairs that stay broken become structured
-:class:`~repro.harness.resilience.PairFailure` records instead of aborting
-the run.
+retried), a bound on the retries (which wait 0.25 s, doubling with each
+retry), and a partial-results mode in which pairs that stay broken become
+structured :class:`~repro.harness.resilience.PairFailure` records instead of
+aborting the run.
 
 Determinism
 -----------
@@ -90,6 +90,7 @@ from repro.harness.resilience import (
     PairFailure,
     PairFailureError,
     RetryPolicy,
+    retry_delay_s,
 )
 from repro.obs.artifacts import write_pair_artifacts
 from repro.obs.log import configure_worker_logging, get_logger
@@ -463,7 +464,8 @@ def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
     silent means the worker died mid-pair (it is respawned and the pair
     retried); a passed deadline means the pair hung (the worker is killed,
     respawned, and the pair retried).  Retries obey the policy's bounds and
-    exponential backoff; pairs that stay broken yield a :class:`_RawFailure`
+    wait :func:`~repro.harness.resilience.retry_delay_s`; an error is never
+    retried, and pairs that stay broken yield a :class:`_RawFailure`
     instead of a result.  Completions arriving out of submission order are
     buffered so the yield order matches :func:`_serial_fan_out` exactly.
     """
@@ -493,7 +495,7 @@ def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
                 "pair %d failed (%s); scheduling retry %d",
                 index, kind, attempt + 1,
             )
-            eligible = time.monotonic() + policy.retry_delay_s(attempt + 1)
+            eligible = time.monotonic() + retry_delay_s(attempt + 1)
             heappush(retry_heap, (eligible, index, attempt + 1, args))
         else:
             outcomes[index] = (
@@ -656,34 +658,24 @@ def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
             _retire_worker(worker, kill=worker.task is not None)
 
 
-def _serial_fan_out(pairs: Iterable[tuple], policy: RetryPolicy):
+def _serial_fan_out(pairs: Iterable[tuple]):
     """In-process fan-out with the same outcome shape as the pool.
 
-    Crashes and hangs cannot occur in-process; errors are retried per the
-    policy's ``retry_errors`` (``timeout_s`` is ignored -- a replay cannot be
-    preempted from its own thread) and then yielded as failures, exactly
-    like the pool's.
+    Crashes and hangs cannot occur in process, and errors are never
+    retried, so each pair is attempted once (the policy's ``timeout_s`` is
+    ignored -- a replay cannot be preempted from its own thread); an error
+    is yielded as a failure, exactly like the pool's.
     """
     for index, args in enumerate(pairs):
-        attempt = 0
-        while True:
-            replayed, raw = (None, 0.0, 0.0), None
-            try:
-                _chaos.maybe_sabotage(index, attempt, in_process=True)
-                replayed = _replay_pair(*args)
-            except WorkerSetupError as exc:
-                raw = _RawFailure("setup", str(exc))
-            except Exception as exc:  # noqa: BLE001 - policy decides
-                if attempt < policy.retries_for("error"):
-                    attempt += 1
-                    _log.info("pair %d failed in process; retry %d", index, attempt)
-                    delay = policy.retry_delay_s(attempt)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                raw = _RawFailure("error", exc)
-            yield (*replayed, raw, attempt + 1, "in-process")
-            break
+        replayed, raw = (None, 0.0, 0.0), None
+        try:
+            _chaos.maybe_sabotage(index, 0, in_process=True)
+            replayed = _replay_pair(*args)
+        except WorkerSetupError as exc:
+            raw = _RawFailure("setup", str(exc))
+        except Exception as exc:  # noqa: BLE001 - yielded as a failure
+            raw = _RawFailure("error", exc)
+        yield (*replayed, raw, 1, "in-process")
 
 
 def run_pairs(
@@ -745,7 +737,7 @@ def run_pairs(
             yield (configuration_name, trace, *rest)
 
     outcomes = (
-        _serial_fan_out(calls(), policy)
+        _serial_fan_out(calls())
         if jobs == 1
         else _pool_fan_out(calls(), jobs, count, policy)
     )

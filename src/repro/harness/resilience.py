@@ -2,9 +2,11 @@
 
 A :class:`RetryPolicy` tells :func:`~repro.harness.parallel.run_pairs` (the
 worker pool and the in-process ``jobs=1`` loop alike) how to treat
-misbehaving pairs: how long one pair may run, how many
-times to retry after a crash/timeout, how the backoff between attempts
-grows, and whether the run as a whole tolerates pairs that stay broken.
+misbehaving pairs: how long one pair may run, how many times to retry after
+a crash/timeout, and whether the run as a whole tolerates pairs that stay
+broken.  An exception raised by a replay is never retried: a pair is a pure
+function of its arguments, so it would raise again.  Retries wait
+:func:`retry_delay_s`, a fixed schedule of 0.25 s doubling with each retry.
 A :class:`PairFailure` is the structured record of one pair that exhausted
 its retries -- it flows into long-form sinks, the sweep ``points.jsonl``
 checkpoint and ``sweep status`` instead of vanishing into a traceback.
@@ -12,7 +14,8 @@ checkpoint and ``sweep status`` instead of vanishing into a traceback.
 Crash and timeout recovery is *unconditional*: a dead or hung worker is
 always detected, respawned and its pair re-dispatched (the old pool hung
 forever).  The policy only decides how many re-dispatches to attempt and
-what happens when they run out.
+what happens when they run out.  In process (``jobs=1``) neither can occur,
+so there an error is the only failure and nothing is retried.
 """
 
 from __future__ import annotations
@@ -22,6 +25,14 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 #: The failure kinds a pair can be quarantined with.
 FAILURE_KINDS = ("crash", "timeout", "error", "setup")
+
+#: Delay before the first retry of a pair; each further retry doubles it.
+RETRY_BACKOFF_S = 0.25
+
+
+def retry_delay_s(retry_number: int) -> float:
+    """Backoff before retry ``retry_number`` (1-based): 0.25 s, 0.5 s, 1 s..."""
+    return RETRY_BACKOFF_S * 2.0 ** max(retry_number - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -36,15 +47,8 @@ class RetryPolicy:
         ``timeout`` failure.  Ignored on the in-process (``jobs=1``) path,
         which cannot preempt a replay.
     max_retries:
-        Re-dispatches after the first failed attempt (so a pair runs at
-        most ``1 + max_retries`` times).
-    backoff_s / backoff_factor:
-        Delay before retry ``n`` is ``backoff_s * backoff_factor**(n-1)``.
-    retry_errors:
-        Whether deterministic in-worker exceptions are retried too.  Off by
-        default: a pair that raises will raise again, so retrying only
-        delays the verdict (chaos-injected errors are the exception, which
-        is what the flag is for).
+        Re-dispatches of a crashed or timed-out pair after its first attempt
+        (so such a pair runs at most ``1 + max_retries`` times).
     allow_failures:
         When True, pairs that exhaust retries become :class:`PairFailure`
         records and the run continues (partial-results mode).  When False,
@@ -55,9 +59,6 @@ class RetryPolicy:
 
     timeout_s: Optional[float] = None
     max_retries: int = 2
-    backoff_s: float = 0.25
-    backoff_factor: float = 2.0
-    retry_errors: bool = False
     allow_failures: bool = False
 
     def __post_init__(self) -> None:
@@ -65,24 +66,15 @@ class RetryPolicy:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-
-    def retry_delay_s(self, retry_number: int) -> float:
-        """Backoff before retry ``retry_number`` (1-based)."""
-        return self.backoff_s * self.backoff_factor ** max(retry_number - 1, 0)
 
     def retries_for(self, kind: str) -> int:
-        """How many retries a failure of ``kind`` earns under this policy."""
-        if kind == "setup":
-            return 0  # a missing module/configuration never heals on retry
-        if kind == "error" and not self.retry_errors:
-            return 0
-        return self.max_retries
+        """How many retries a failure of ``kind`` earns under this policy:
+        ``max_retries`` for a crash or a timeout, none for an error (it
+        would raise again) or a setup failure (a missing module or
+        configuration never heals)."""
+        if kind in ("crash", "timeout"):
+            return self.max_retries
+        return 0
 
 
 #: The default policy: recover crashes and hung-pool bugs, no per-pair

@@ -53,13 +53,7 @@ def table2_optical_inventory(
     config: CoronaConfig = CORONA_DEFAULT,
 ) -> List[Tuple[str, int, int]]:
     """Table 2: optical resource inventory (waveguides, ring resonators)."""
-    inventory = corona_inventory(
-        clusters=config.num_clusters,
-        wavelengths_per_waveguide=config.crossbar_wavelengths_per_waveguide,
-        crossbar_waveguides_per_channel=config.crossbar_waveguides_per_channel,
-        memory_waveguides_per_controller=config.memory_links_per_controller,
-    )
-    return inventory.as_rows()
+    return corona_inventory(config).as_rows()
 
 
 def table3_benchmarks() -> List[Tuple[str, str, str]]:

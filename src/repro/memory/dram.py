@@ -110,14 +110,19 @@ class OcmModule:
         return start + self._access_latency_s
 
 
-def daisy_chain_delay(module_index: int, pass_through_delay_s: float = 0.1e-9) -> float:
+#: One-way delay of light passing through one OCM module of the chain.
+PASS_THROUGH_DELAY_S = 0.1e-9
+
+
+def daisy_chain_delay(module_index: int) -> float:
     """Extra one-way delay to reach module ``module_index`` in the chain.
 
     The first module (index 0) is adjacent to the processor stack; each
-    subsequent module adds one optical pass-through.  The paper's point is
-    that this increment is small (no resampling/retiming as FBDIMM needs), so
-    access latency stays nearly uniform across modules.
+    subsequent module adds one optical pass-through of
+    :data:`PASS_THROUGH_DELAY_S`.  The paper's point is that this increment
+    is small (no resampling/retiming as FBDIMM needs), so access latency
+    stays nearly uniform across modules.
     """
     if module_index < 0:
         raise ValueError(f"module index must be non-negative, got {module_index}")
-    return module_index * pass_through_delay_s
+    return module_index * PASS_THROUGH_DELAY_S

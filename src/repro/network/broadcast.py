@@ -14,7 +14,8 @@ wavelengths in the paper's design).  A replayed system builds it from its
 :class:`~repro.core.config.CoronaConfig`: the comb width
 (``crossbar_wavelengths_per_waveguide``), the per-wavelength rate
 (``signalling_rate_bps``) and the token ring's round trip
-(``token_ring_round_trip_cycles``).
+(``token_ring_round_trip_cycles``).  The coil's round trip, the splitter
+taps' excess loss and the energy per bit are constants of the design.
 """
 
 from __future__ import annotations
@@ -22,9 +23,15 @@ from __future__ import annotations
 from typing import List
 
 from repro.network.arbitration import TokenChannelArbiter
+from repro.network.crossbar import ENERGY_PER_BIT_J
 from repro.network.message import Message, MessageType
 from repro.network.topology import Interconnect, TransferResult
 from repro.photonics.splitter import splitter_chain_losses
+
+#: Clocks for light to traverse the two-pass coil end to end.
+COIL_ROUND_TRIP_CYCLES = 16.0
+#: Excess loss of each listener's broadband splitter tap.
+TAP_EXCESS_LOSS_DB = 0.1
 
 
 class OpticalBroadcastBus(Interconnect):
@@ -36,19 +43,17 @@ class OpticalBroadcastBus(Interconnect):
         clock_hz: float = 5e9,
         wavelengths: int = 64,
         bit_rate_per_wavelength_bps: float = 10e9,
-        coil_round_trip_cycles: float = 16.0,
         ring_round_trip_cycles: float = 8.0,
-        energy_per_bit_j: float = 100e-15,
-        name: str = "BroadcastBus",
     ) -> None:
-        super().__init__(name=name, num_clusters=num_clusters, clock_hz=clock_hz)
+        super().__init__(
+            name="BroadcastBus", num_clusters=num_clusters, clock_hz=clock_hz
+        )
         if wavelengths < 1:
             raise ValueError(f"need at least one wavelength, got {wavelengths}")
         self.wavelengths = wavelengths
         self.bandwidth_bytes_per_s = wavelengths * bit_rate_per_wavelength_bps / 8.0
-        #: Time for light to traverse the two-pass coil end to end.
-        self.coil_round_trip_s = coil_round_trip_cycles / clock_hz
-        self.energy_per_bit_j = energy_per_bit_j
+        self.coil_round_trip_s = COIL_ROUND_TRIP_CYCLES / clock_hz
+        self.energy_per_bit_j = ENERGY_PER_BIT_J
         self.arbiter = TokenChannelArbiter(
             channel_id=0,
             num_clusters=num_clusters,
@@ -105,7 +110,7 @@ class OpticalBroadcastBus(Interconnect):
         self.unicast_messages_avoided += max(sharers - 1, 0)
         return self.transfer(message, now)
 
-    def listener_losses_db(self, tap_excess_loss_db: float = 0.1) -> List[float]:
+    def listener_losses_db(self) -> List[float]:
         """Optical loss seen by each listening cluster's splitter tap.
 
         Exposes the broadcast bus's main physical-design challenge: the light
@@ -113,5 +118,5 @@ class OpticalBroadcastBus(Interconnect):
         power than the first unless tap fractions are graded.
         """
         return splitter_chain_losses(
-            num_taps=self.num_clusters, excess_loss_db=tap_excess_loss_db
+            num_taps=self.num_clusters, excess_loss_db=TAP_EXCESS_LOSS_DB
         )

@@ -32,6 +32,10 @@ from repro.network.topology import Interconnect, TransferResult
 #: constant because that power does not scale down with traffic.
 STATIC_POWER_W = 26.0
 
+#: Dynamic energy of one optically sent bit, on the crossbar and on the
+#: broadcast bus alike: 100 fJ/bit.
+ENERGY_PER_BIT_J = 100e-15
+
 
 class OpticalCrossbar(Interconnect):
     """The Corona DWDM crossbar with optical token arbitration."""
@@ -52,15 +56,13 @@ class OpticalCrossbar(Interconnect):
         channel_bandwidth_bytes_per_s: float = 320e9,
         max_propagation_cycles: float = 8.0,
         ring_round_trip_cycles: float = 8.0,
-        energy_per_bit_j: float = 100e-15,
-        name: str = "XBar",
     ) -> None:
-        super().__init__(name=name, num_clusters=num_clusters, clock_hz=clock_hz)
+        super().__init__(name="XBar", num_clusters=num_clusters, clock_hz=clock_hz)
         if channel_bandwidth_bytes_per_s <= 0:
             raise ValueError("channel bandwidth must be positive")
         self.channel_bandwidth_bytes_per_s = channel_bandwidth_bytes_per_s
         self.max_propagation_s = max_propagation_cycles / clock_hz
-        self.energy_per_bit_j = energy_per_bit_j
+        self.energy_per_bit_j = ENERGY_PER_BIT_J
         self.arbiter = TokenRingArbiter(
             num_clusters=num_clusters,
             num_channels=num_clusters,

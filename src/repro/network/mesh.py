@@ -39,6 +39,9 @@ from repro.network.topology import (
 )
 from repro.sim.resources import SerialResource, reserve_interval
 
+#: Dynamic energy of one message crossing one mesh hop: 196 pJ.
+ENERGY_PER_HOP_J = 196e-12
+
 
 class ElectricalMesh(Interconnect):
     """A 2D mesh with dimension-order wormhole routing."""
@@ -61,7 +64,6 @@ class ElectricalMesh(Interconnect):
         clock_hz: float = 5e9,
         bisection_bandwidth_bytes_per_s: float = 1.28e12,
         hop_latency_cycles: float = 5.0,
-        energy_per_hop_j: float = 196e-12,
     ) -> None:
         super().__init__(name=name, num_clusters=num_clusters, clock_hz=clock_hz)
         if bisection_bandwidth_bytes_per_s <= 0:
@@ -74,7 +76,7 @@ class ElectricalMesh(Interconnect):
             )
         self.coordinates = MeshCoordinates.square(num_clusters)
         self.hop_latency_s = hop_latency_cycles / clock_hz
-        self.energy_per_hop_j = energy_per_hop_j
+        self.energy_per_hop_j = ENERGY_PER_HOP_J
 
         # Per-link bandwidth is set so that the links crossing the bisection
         # add up to the configured bisection bandwidth.

@@ -13,16 +13,27 @@ Clock       1           64
 Total       388         ~1056 K
 ==========  ==========  ===============
 
-This module derives those counts from the architectural parameters (64
-clusters, 64-wavelength combs, 4-waveguide crossbar bundles, one memory
-controller per cluster with a two-fiber link), so the inventory scales
-correctly when the architecture is re-parameterized.
+This module derives those counts from a
+:class:`~repro.core.config.CoronaConfig` (64 clusters, 64-wavelength combs,
+4-waveguide crossbar bundles, one memory controller per cluster with a
+two-fiber link), so the inventory scales correctly when the architecture is
+re-parameterized.  The broadcast, arbitration and clock waveguide counts are
+fixed by the design, whatever the cluster count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
+
+if TYPE_CHECKING:  # the config package imports the replay, which imports us
+    from repro.core.config import CoronaConfig
+
+#: Table 2's waveguide counts of the broadcast bus (Section 3.2.2), the
+#: token arbitration and the clock distribution.
+BROADCAST_WAVEGUIDES = 1
+ARBITRATION_WAVEGUIDES = 2
+CLOCK_WAVEGUIDES = 1
 
 
 @dataclass(frozen=True)
@@ -80,28 +91,20 @@ class OpticalResourceInventory:
         return "\n".join(lines)
 
 
-def corona_inventory(
-    clusters: int = 64,
-    wavelengths_per_waveguide: int = 64,
-    crossbar_waveguides_per_channel: int = 4,
-    memory_waveguides_per_controller: int = 2,
-    broadcast_waveguides: int = 1,
-    arbitration_waveguides: int = 2,
-    clock_waveguides: int = 1,
-) -> OpticalResourceInventory:
-    """Derive the Table 2 inventory from architectural parameters.
+def corona_inventory(config: "CoronaConfig") -> OpticalResourceInventory:
+    """Derive the Table 2 inventory from ``config``.
 
     Ring counting rules (per the paper's component descriptions):
 
-    * **Crossbar**: each of the ``clusters`` channels is a bundle of
+    * **Crossbar**: each of the ``num_clusters`` channels is a bundle of
       ``crossbar_waveguides_per_channel`` waveguides carrying
-      ``wavelengths_per_waveguide`` wavelengths each.  Every cluster sits on
-      every channel with a full-width ring bank (modulators on the 63 channels
-      it may write, detectors on its own channel), so the ring count is
-      ``clusters * clusters * channel_width``.
-    * **Memory**: each cluster's memory controller drives a pair of
-      waveguides/fibers, with a modulator bank on the outbound fiber and a
-      detector bank on the return fiber.
+      ``crossbar_wavelengths_per_waveguide`` wavelengths each.  Every
+      cluster sits on every channel with a full-width ring bank (modulators
+      on the 63 channels it may write, detectors on its own channel), so
+      the ring count is ``clusters * clusters * channel_width``.
+    * **Memory**: each cluster's memory controller drives
+      ``memory_links_per_controller`` waveguides/fibers, with a modulator
+      bank on the outbound fiber and a detector bank on the return fiber.
     * **Broadcast**: a single waveguide passing every cluster twice; each
       cluster has a modulator bank (first pass) and a detector bank (second
       pass).
@@ -110,9 +113,9 @@ def corona_inventory(
       bank.
     * **Clock**: one detector ring per cluster on the clock waveguide.
     """
-    if clusters < 1:
-        raise ValueError(f"cluster count must be >= 1, got {clusters}")
-    channel_width = wavelengths_per_waveguide * crossbar_waveguides_per_channel
+    clusters = config.num_clusters
+    wavelengths_per_waveguide = config.crossbar_wavelengths_per_waveguide
+    memory_waveguides_per_controller = config.memory_links_per_controller
 
     inventory = OpticalResourceInventory()
 
@@ -129,27 +132,27 @@ def corona_inventory(
         ring_resonators=memory_rings,
     )
 
-    crossbar_rings = clusters * clusters * channel_width
+    crossbar_rings = clusters * clusters * config.crossbar_channel_width_bits
     inventory.add(
         "Crossbar",
-        waveguides=clusters * crossbar_waveguides_per_channel,
+        waveguides=clusters * config.crossbar_waveguides_per_channel,
         ring_resonators=crossbar_rings,
     )
 
     broadcast_rings = clusters * 2 * wavelengths_per_waveguide
     inventory.add(
         "Broadcast",
-        waveguides=broadcast_waveguides,
+        waveguides=BROADCAST_WAVEGUIDES,
         ring_resonators=broadcast_rings,
     )
 
     arbitration_rings = clusters * 2 * wavelengths_per_waveguide
     inventory.add(
         "Arbitration",
-        waveguides=arbitration_waveguides,
+        waveguides=ARBITRATION_WAVEGUIDES,
         ring_resonators=arbitration_rings,
     )
 
-    inventory.add("Clock", waveguides=clock_waveguides, ring_resonators=clusters)
+    inventory.add("Clock", waveguides=CLOCK_WAVEGUIDES, ring_resonators=clusters)
 
     return inventory

@@ -122,33 +122,40 @@ class PowerBudget:
         )
 
 
+#: The fixed elements of the worst-case crossbar path: the 16 cm serpentine
+#: (8 clocks of flight at ~2 cm per clock) and the insertion losses of the
+#: star coupler, the home splitter, the modulator and the detector drop.
+SERPENTINE_LENGTH_CM = 16
+COUPLER_LOSS_DB = 1.0
+SPLITTER_LOSS_DB = 3.5
+MODULATOR_INSERTION_DB = 0.5
+DETECTOR_DROP_DB = 0.5
+
+
 def crossbar_worst_case_budget(
-    serpentine_length_cm: float = 16.0,
     waveguide_loss_db_per_cm: float = 0.3,
     ring_passes: int = 64 * 64,
     ring_through_loss_db: float = 0.0001,
-    splitter_loss_db: float = 3.5,
-    coupler_loss_db: float = 1.0,
-    modulator_insertion_db: float = 0.5,
-    detector_drop_db: float = 0.5,
 ) -> LossBudget:
     """The worst-case crossbar path loss budget.
 
     Note: this budget uses optimistic 2017-era projections for waveguide loss
     (0.3 dB/cm rather than today's 2-3 dB/cm) and very low per-ring through
     loss, following the assumption in the paper that device quality improves
-    by the 16 nm node.  The knobs are exposed so sensitivity studies can
-    explore how much device improvement the architecture actually needs.
+    by the 16 nm node.  Those two projections are the parameters: the
+    sensitivity studies (:mod:`repro.harness.sensitivity`) sweep them to
+    show how much device improvement the architecture actually needs.  The
+    path's other elements are the constants above.
     """
     budget = LossBudget(name="crossbar worst-case path")
-    budget.add("star coupler", coupler_loss_db)
-    budget.add("home splitter", splitter_loss_db)
+    budget.add("star coupler", COUPLER_LOSS_DB)
+    budget.add("home splitter", SPLITTER_LOSS_DB)
     budget.add(
         "waveguide propagation",
         waveguide_loss_db_per_cm,
-        count=int(round(serpentine_length_cm)),
+        count=SERPENTINE_LENGTH_CM,
     )
     budget.add("off-resonance ring passes", ring_through_loss_db, count=ring_passes)
-    budget.add("modulator insertion", modulator_insertion_db)
-    budget.add("detector drop", detector_drop_db)
+    budget.add("modulator insertion", MODULATOR_INSERTION_DB)
+    budget.add("detector drop", DETECTOR_DROP_DB)
     return budget

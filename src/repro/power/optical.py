@@ -23,10 +23,9 @@ PHOTONIC_SUBSYSTEM_POWER_W = 39.0
 
 def optical_memory_interconnect_power_w(
     memory_bandwidth_bytes_per_s: float,
-    power_w_per_gbps: float = OPTICAL_SIGNALLING_W_PER_GBPS,
 ) -> float:
     """Interconnect power for the OCM memory system (~6.4 W at 10.24 TB/s)."""
     if memory_bandwidth_bytes_per_s < 0:
         raise ValueError("bandwidth must be non-negative")
     gbps = memory_bandwidth_bytes_per_s * 8.0 / 1e9
-    return power_w_per_gbps * gbps
+    return OPTICAL_SIGNALLING_W_PER_GBPS * gbps

@@ -42,7 +42,6 @@ def coherence_sweep_spec(
     num_requests: int = 8_000,
     seed: int = 1,
     coherence: Optional[CoherenceConfig] = None,
-    sharing_kwargs: Optional[Mapping[str, object]] = None,
     overrides: Optional[Mapping[str, object]] = None,
     modules: Sequence[str] = (),
     jobs: int = 1,
@@ -73,9 +72,7 @@ def coherence_sweep_spec(
             WorkloadSpec(
                 name="Uniform",
                 params=params,
-                sharing=SharingProfile(
-                    fraction=fractions[0], **dict(sharing_kwargs or {})
-                ),
+                sharing=SharingProfile(fraction=fractions[0]),
                 num_requests=num_requests,
             ),
         ),

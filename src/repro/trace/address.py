@@ -18,9 +18,10 @@ import enum
 import random
 from array import array
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
+from repro.cores.cluster import ClusterParameters
 from repro.trace.packed import PackedTrace, PackedTraceBuilder
 
 
@@ -33,8 +34,6 @@ class AccessPattern(enum.Enum):
     RESIDENT = "resident"
     #: Uniform random accesses over a large shared region (pointer chasing).
     RANDOM_SHARED = "random_shared"
-    #: Mostly-private accesses with occasional touches of a hot shared block.
-    PRODUCER_CONSUMER = "producer_consumer"
 
 
 @dataclass
@@ -58,9 +57,6 @@ class AddressWorkload:
         Compute cycles between consecutive accesses of a thread; carried onto
         the miss records (misses inherit the gaps accumulated since the
         previous miss).
-    shared_fraction:
-        For PRODUCER_CONSUMER: fraction of accesses that touch the hot shared
-        block.
     """
 
     name: str
@@ -69,7 +65,6 @@ class AddressWorkload:
     working_set_bytes: int = 1 << 20
     write_fraction: float = 0.3
     mean_gap_cycles: float = 4.0
-    shared_fraction: float = 0.05
     num_clusters: int = 64
     threads_per_cluster: int = 16
     line_bytes: int = 64
@@ -102,23 +97,12 @@ class AddressWorkload:
             for _ in range(self.accesses_per_thread):
                 line = rng.randrange(lines_in_set)
                 yield shared_base + line * self.line_bytes
-        elif self.pattern is AccessPattern.PRODUCER_CONSUMER:
-            hot_base = 1 << 41
-            hot_lines = 64
-            for i in range(self.accesses_per_thread):
-                if rng.random() < self.shared_fraction:
-                    yield hot_base + rng.randrange(hot_lines) * self.line_bytes
-                else:
-                    yield base + (i % lines_in_set) * self.line_bytes
         else:  # pragma: no cover - exhaustive enum
             raise ValueError(f"unknown pattern {self.pattern}")
 
     # -- trace generation ----------------------------------------------------------
     def generate(
-        self,
-        seed: int = 1,
-        clusters: Optional[int] = None,
-        hierarchy_kwargs: Optional[Dict] = None,
+        self, seed: int = 1, clusters: Optional[int] = None
     ) -> Tuple[PackedTrace, List[CacheHierarchy]]:
         """Run the address streams through per-cluster cache hierarchies.
 
@@ -133,8 +117,6 @@ class AddressWorkload:
             raise ValueError(
                 f"clusters must be in [1, {self.num_clusters}], got {populated}"
             )
-        hierarchy_kwargs = dict(hierarchy_kwargs or {})
-        hierarchy_kwargs.setdefault("num_clusters", self.num_clusters)
 
         builder = PackedTraceBuilder(
             name=self.name,
@@ -143,11 +125,13 @@ class AddressWorkload:
             description=f"address-level {self.pattern.value} workload",
         )
         hierarchies: List[CacheHierarchy] = []
-        cores_per_cluster = 4
+        cores_per_cluster = ClusterParameters().cores
         threads_per_core = self.threads_per_cluster // cores_per_cluster
 
         for cluster in range(populated):
-            hierarchy = CacheHierarchy(cluster_id=cluster, **hierarchy_kwargs)
+            hierarchy = CacheHierarchy(
+                cluster_id=cluster, num_clusters=self.num_clusters
+            )
             hierarchies.append(hierarchy)
             for local_thread in range(self.threads_per_cluster):
                 thread_id = cluster * self.threads_per_cluster + local_thread
@@ -165,7 +149,7 @@ class AddressWorkload:
                         is_write=is_write,
                         gap_cycles=pending_gap,
                     )
-                    if result.l2_miss_generated:
+                    if not result.l2_hit:
                         pending_gap = 0.0
             # Threads run one after another, so each thread's misses are
             # contiguous, as the builder requires.

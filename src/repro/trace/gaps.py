@@ -17,16 +17,10 @@ import random
 GAP_GAMMA_SHAPE = 3.0
 
 
-def draw_gap(
-    rng: random.Random,
-    mean_gap_cycles: float,
-    shape: float = GAP_GAMMA_SHAPE,
-) -> float:
+def draw_gap(rng: random.Random, mean_gap_cycles: float) -> float:
     """Draw one compute gap (in core cycles) with the given mean."""
     if mean_gap_cycles < 0:
         raise ValueError(f"mean gap must be non-negative, got {mean_gap_cycles}")
-    if shape <= 0:
-        raise ValueError(f"gamma shape must be positive, got {shape}")
     if mean_gap_cycles == 0:
         return 0.0
-    return rng.gammavariate(shape, mean_gap_cycles / shape)
+    return rng.gammavariate(GAP_GAMMA_SHAPE, mean_gap_cycles / GAP_GAMMA_SHAPE)

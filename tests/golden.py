@@ -13,9 +13,12 @@ faulted pairs and the telemetry artifact hashes (:data:`TELEMETRY`, sha256
 of the files themselves) were recorded before the per-miss host-cost edits
 to the calendar, the result tuples and the token arbiter, and the
 window-gated open-loop pair (:data:`POISSON_GATED`) before the completion
-ring replaced the per-record completion list.  The scenarios and sweeps
-they describe are built by the helpers below; change one and its digests
-must be re-recorded.
+ring replaced the per-record completion list.  The address-level miss
+streams (:data:`ADDRESS_STREAMS`) and their two further pairs
+(:data:`ADDR_RESIDENT`, :data:`ADDR_RANDOM_SHARED`) were recorded while the
+cache hierarchy still took its geometry as parameters and drove an MSHR
+file.  The scenarios and sweeps they describe are built by the helpers
+below; change one and its digests must be re-recorded.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ from repro.coherence import CoherenceConfig, SharingProfile
 from repro.core.results import WorkloadResult
 from repro.faults import FaultSpec
 from repro.obs import ObservabilitySpec
+from repro.trace.address import (
+    random_shared_workload,
+    resident_workload,
+    streaming_workload,
+)
 from repro.trace.io import write_trace, write_trace_binary
+from repro.trace.packed import PackedTrace
 from repro.trace.synthetic import uniform_workload
 
 
@@ -88,12 +97,37 @@ def _one_configuration(configuration: str, *workloads: WorkloadSpec) -> Scenario
     )
 
 
-def addr_streaming_scenario() -> Scenario:
-    """XBar/OCM x ``addr-streaming`` at 1,500 requests: the cache
-    hierarchy's miss stream, cut to its first 1,500 records."""
+def addr_scenario(name: str) -> Scenario:
+    """XBar/OCM x the address-level workload ``name`` at 1,500 requests:
+    the cache hierarchy's miss stream, cut to its first 1,500 records."""
     return _one_configuration(
-        "XBar/OCM", WorkloadSpec(name="addr-streaming", num_requests=1_500)
+        "XBar/OCM", WorkloadSpec(name=name, num_requests=1_500)
     )
+
+
+#: The address-level factories, by registry kind.
+ADDRESS_FACTORIES = {
+    "streaming": streaming_workload,
+    "resident": resident_workload,
+    "random-shared": random_shared_workload,
+}
+
+
+def address_stream(kind: str):
+    """One cluster of the ``kind`` factory's workload at 4,500 accesses
+    per thread, seed 1: ``(trace, l2_writebacks)``.  At that length the
+    streaming and random-shared L2s evict dirty lines, so the writeback
+    records are part of the stream."""
+    workload = ADDRESS_FACTORIES[kind](accesses_per_thread=4_500)
+    trace, hierarchies = workload.generate(seed=1, clusters=1)
+    return trace, hierarchies[0].l2_cache.stats.writebacks
+
+
+def packed_digest(trace: PackedTrace) -> str:
+    """sha256 of ``trace``'s packed columns, laid out back to back."""
+    buffer = bytearray(trace.nbytes())
+    trace.copy_into(buffer)
+    return hashlib.sha256(buffer).hexdigest()
 
 
 def write_trace_files(directory: Path) -> Tuple[Path, Path]:
@@ -382,9 +416,36 @@ SWEEP_1500 = {
     "LMesh/ECM/Uniform s=0.2": "9a30a3f2cba6093e53e9a9479cbb67ade90978aa103f59fd31b8cc125018012e",
 }
 
-#: :func:`addr_streaming_scenario`.
+#: :func:`addr_scenario` of ``addr-streaming``.
 ADDR_STREAMING = {
     "XBar/OCM/AddressStreaming": "e27144611d38eb092aaaca148344cbae513a93be581ddeb840d738731c464e3b",
+}
+
+#: :func:`addr_scenario` of ``addr-resident``.
+ADDR_RESIDENT = {
+    "XBar/OCM/AddressResident": "61862e4742a9cc9555dbb78c83600954ea284efc868c184c21679112caf0b3ab",
+}
+
+#: :func:`addr_scenario` of ``addr-random-shared``.
+ADDR_RANDOM_SHARED = {
+    "XBar/OCM/AddressRandomShared": "1429089c11146b3021790f5618900cf399c606155fccf324f381c8a0485f51bb",
+}
+
+#: :func:`address_stream` by kind: ``(records, dirty L2 writebacks,
+#: packed_digest)``.
+ADDRESS_STREAMS = {
+    "streaming": (
+        73_926, 1_926,
+        "1e619cbe717663c39e0a76ab72fb708bdd35fe705ee9047f8484e462f7e92c77",
+    ),
+    "resident": (
+        4_096, 0,
+        "2e9e86d498b3352cf48f5755552cee74ad58e42a3231dd24b6fbddc13394ccf1",
+    ),
+    "random-shared": (
+        72_240, 2_600,
+        "c80f0ea4158725d207a190ef454778d827bc524f45ae2916028fdb2179c9d2fd",
+    ),
 }
 
 #: :func:`trace_file_scenario` over :func:`write_trace_files`.

@@ -1,4 +1,4 @@
-"""Tests for the cache, MSHR, coherence and hierarchy substrate."""
+"""Tests for the cache, coherence and hierarchy substrate."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.cache.coherence import (
     MoesiState,
 )
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.mshr import MshrFile
 from repro.trace.record import AccessKind
 
 
@@ -84,73 +83,6 @@ class TestSetAssociativeCache:
             SetAssociativeCache("bad", capacity_bytes=100, associativity=3)
 
 
-class TestMshrFile:
-    def test_allocate_and_release(self):
-        mshrs = MshrFile("m", entries=1)
-        entry = mshrs.allocate(0x1000, thread_id=1, is_write=False, now=0.0)
-        assert entry is not None
-        assert mshrs.full
-        assert mshrs.release(0x1000) is entry
-        assert not mshrs.full
-
-    def test_coalescing_same_line(self):
-        mshrs = MshrFile("m", entries=4)
-        first = mshrs.allocate(0x1000, thread_id=1, is_write=False, now=0.0)
-        entry = mshrs.allocate(0x1020, thread_id=2, is_write=True, now=1.0)
-        assert entry is first
-        assert entry.coalesced_count == 2
-        assert entry.is_write
-        assert mshrs.allocations == 1
-        assert mshrs.coalesced == 1
-
-    def test_full_file_rejects(self):
-        mshrs = MshrFile("m", entries=2)
-        mshrs.allocate(0x0, 1, False, 0.0)
-        mshrs.allocate(0x40, 1, False, 0.0)
-        assert mshrs.full
-        assert mshrs.allocate(0x80, 1, False, 0.0) is None
-        assert mshrs.rejections == 1
-
-    def test_release_unknown_raises(self):
-        with pytest.raises(KeyError):
-            MshrFile("m", entries=2).release(0x40)
-
-    def test_release_frees_slot_after_rejection(self):
-        """Back-pressure edge: a full file rejects, then accepts again as
-        soon as any outstanding entry retires."""
-        mshrs = MshrFile("m", entries=2)
-        mshrs.allocate(0x0, 1, False, 0.0)
-        mshrs.allocate(0x40, 1, False, 0.0)
-        assert mshrs.allocate(0x80, 1, False, 0.0) is None
-        mshrs.release(0x0)
-        entry = mshrs.allocate(0x80, 1, False, 1.0)
-        assert entry is not None
-        assert mshrs.full
-        assert mshrs.allocations == 3
-        assert mshrs.rejections == 1
-
-    def test_full_file_still_coalesces_outstanding_lines(self):
-        """A full file only rejects misses to NEW lines; a miss to a line
-        already outstanding merges without needing a free entry."""
-        mshrs = MshrFile("m", entries=1)
-        mshrs.allocate(0x0, 1, False, 0.0)
-        assert mshrs.full
-        entry = mshrs.allocate(0x20, 2, is_write=True, now=1.0)
-        assert entry is not None
-        assert entry.coalesced_count == 2
-        # The merge upgrades the entry to a write.
-        assert entry.is_write
-        assert entry.waiting_threads == [1, 2]
-        assert mshrs.rejections == 0
-
-    def test_lookup_is_line_granular(self):
-        mshrs = MshrFile("m", entries=2, line_bytes=64)
-        entry = mshrs.allocate(0x40, 1, False, 0.0)
-        assert mshrs.allocate(0x7F, 2, False, 0.0) is entry  # same line as 0x40
-        assert mshrs.allocate(0x80, 3, False, 0.0) is not entry
-        assert (mshrs.allocations, mshrs.coalesced) == (2, 1)
-
-
 class TestCoherenceController:
     def test_first_read_gets_exclusive_from_memory(self):
         directory = CoherenceController(home_cluster=0)
@@ -223,6 +155,23 @@ class TestCoherenceController:
 
 
 class TestCacheHierarchy:
+    def test_geometry_is_table_1(self):
+        """The hierarchy reads its geometry from the Table 1 blocks that
+        CoronaConfig nests: four 32 KB 4-way L1s over a 4 MB 16-way L2."""
+        from repro.core.config import CORONA_DEFAULT
+
+        core, cluster = CORONA_DEFAULT.core, CORONA_DEFAULT.cluster
+        hierarchy = CacheHierarchy(cluster_id=0)
+        assert len(hierarchy.l1_caches) == cluster.cores == 4
+        for l1 in hierarchy.l1_caches:
+            assert (l1.capacity_bytes, l1.associativity, l1.line_bytes) == (
+                core.l1_dcache_bytes, core.l1_dcache_assoc, core.cache_line_bytes
+            ) == (32 * 1024, 4, 64)
+        l2 = hierarchy.l2_cache
+        assert (l2.capacity_bytes, l2.associativity, l2.line_bytes) == (
+            cluster.l2_cache_bytes, cluster.l2_associativity, cluster.l2_line_bytes
+        ) == (4 * 1024 * 1024, 16, 64)
+
     def test_l1_hit_after_first_access(self):
         hierarchy = CacheHierarchy(cluster_id=0)
         first = hierarchy.access(core=0, thread_id=0, address=0x1000, is_write=False)
@@ -267,11 +216,11 @@ class TestCacheHierarchy:
     def test_only_l2_misses_reach_memory(self):
         hierarchy = CacheHierarchy(cluster_id=0)
         miss = hierarchy.access(core=0, thread_id=0, address=0x2000, is_write=False)
-        assert miss.l2_miss_generated
+        assert not miss.l2_hit
         l1_hit = hierarchy.access(core=0, thread_id=0, address=0x2000, is_write=False)
-        assert not l1_hit.l2_miss_generated
+        assert l1_hit.l1_hit and l1_hit.l2_hit
         l2_hit = hierarchy.access(core=1, thread_id=4, address=0x2000, is_write=False)
-        assert l2_hit.l2_hit and not l2_hit.l2_miss_generated
+        assert l2_hit.l2_hit and not l2_hit.l1_hit
         assert len(hierarchy.l2_misses) == 1
 
     def test_home_cluster_wraps_line_interleaving(self):
@@ -285,21 +234,18 @@ class TestCacheHierarchy:
     def test_dirty_l2_victim_generates_homed_writeback(self):
         """An evicted dirty L2 line becomes a memory write homed by the
         victim's own address, not the access that displaced it."""
-        hierarchy = CacheHierarchy(
-            cluster_id=2,
-            l1_capacity_bytes=4 * 64,
-            l1_associativity=4,
-            l2_capacity_bytes=16 * 64,  # a single 16-way set
-            l2_associativity=16,
-            num_clusters=8,
-        )
+        hierarchy = CacheHierarchy(cluster_id=2, num_clusters=8)
+        # Table 1's L2 (4 MB, 16-way, 64 B lines) has 4,096 sets, so lines
+        # 256 KB apart share one set and the 17th of them evicts the first.
+        stride = 4096 * 64
+        assert hierarchy.l2_cache.num_sets * 64 == stride
         hierarchy.access(core=0, thread_id=0, address=0, is_write=True)
         # Fill the L2 set from another core so core 0's L1 never writes the
         # dirty line back (which would refresh its LRU position in the L2).
         evicting = None
         for line in range(1, 17):
             evicting = hierarchy.access(
-                core=1, thread_id=4, address=line * 64, is_write=False
+                core=1, thread_id=4, address=line * stride, is_write=False
             )
         assert evicting.writeback_generated
         # Two records for address 0: the original demand write miss and the

@@ -2,6 +2,10 @@
 workloads and the command-line interface."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,16 @@ from repro.trace.address import (
     streaming_workload,
 )
 from tests.golden import tiny_scenario
+
+
+def _cli_process(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """``corona-repro ARGS`` in a fresh interpreter on this tree's ``src``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *args],
+        capture_output=True, text=True, timeout=120, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
 
 
 class TestReport:
@@ -286,23 +300,59 @@ class TestScenarioCli:
         """Overrides that reach the replay are range-checked when the file
         loads: both commands exit 1 with the field path, no traceback."""
         import json
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
 
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"system": {"overrides": overrides}}))
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
         for command in (["scenario", "validate"], ["run"]):
-            completed = subprocess.run(
-                [sys.executable, "-m", "repro.cli", *command, str(path)],
-                capture_output=True, text=True, timeout=120, env=env,
-            )
+            completed = _cli_process(*command, str(path))
             assert completed.returncode == 1, completed.stdout
             assert f"{path}: system.overrides.{field}: " in completed.stderr
             assert "Traceback" not in completed.stderr
+
+    @pytest.mark.parametrize("clusters", ["0", "-5", "1"])
+    def test_inventory_cluster_count_below_two_fails_cleanly(
+        self, tmp_path, clusters
+    ):
+        """The inventory is built from a CoronaConfig, so a count it
+        refuses exits 1 naming the flag, with no traceback."""
+        completed = _cli_process("inventory", "--clusters", clusters, cwd=tmp_path)
+        assert completed.returncode == 1, completed.stdout
+        assert completed.stderr.startswith("--clusters: need at least two clusters")
+        assert "Traceback" not in completed.stderr
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["scenario", "init", "new.json", "--jobs", "-2"],
+            ["run", "scenario.json", "--jobs", "-2"],
+            ["sweep", "run", "sweep.json", "--jobs", "-1"],
+        ],
+        ids=["scenario-init", "run", "sweep-run"],
+    )
+    def test_negative_jobs_flag_fails_cleanly(self, tmp_path, command):
+        """Every --jobs flag rejects a negative count as a usage error
+        (exit 2, naming the flag) instead of running on every CPU."""
+        import json
+
+        scenario = {
+            "system": {"configurations": ["XBar/OCM"]},
+            "workloads": [{"name": "Uniform", "num_requests": 200}],
+        }
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        (tmp_path / "sweep.json").write_text(json.dumps({
+            "name": "jobs-grid",
+            "base": scenario,
+            "axes": [{
+                "name": "gap",
+                "path": "workloads[0].params.mean_gap_cycles",
+                "values": [20.0, 40.0],
+            }],
+        }))
+        completed = _cli_process(*command, cwd=tmp_path)
+        assert completed.returncode == 2, completed.stdout
+        assert "argument --jobs: must be >= 0" in completed.stderr
+        assert "Traceback" not in completed.stderr
+        assert not (tmp_path / "new.json").exists()
 
     @pytest.mark.parametrize(
         "text", ["{}", '{"workloads": []}'], ids=["empty", "no-workloads"]

@@ -503,6 +503,28 @@ class TestAddressWorkloadRegistry:
 
     def test_streaming_pair_matches_golden(self):
         from repro.analysis.runtime import scenario_digests
-        from tests.golden import ADDR_STREAMING, addr_streaming_scenario
+        from tests.golden import ADDR_STREAMING, addr_scenario
 
-        assert scenario_digests(addr_streaming_scenario(), jobs=1) == ADDR_STREAMING
+        assert scenario_digests(addr_scenario("addr-streaming"), jobs=1) == ADDR_STREAMING
+
+    @pytest.mark.parametrize(
+        "name, golden",
+        [("addr-resident", "ADDR_RESIDENT"),
+         ("addr-random-shared", "ADDR_RANDOM_SHARED")],
+    )
+    def test_pair_matches_golden(self, name, golden):
+        from repro.analysis.runtime import scenario_digests
+        from tests import golden as goldens
+
+        assert scenario_digests(goldens.addr_scenario(name), jobs=1) == getattr(
+            goldens, golden
+        )
+
+    @pytest.mark.parametrize("kind", ["streaming", "resident", "random-shared"])
+    def test_miss_stream_matches_golden(self, kind):
+        """The hierarchy's whole miss stream, dirty-victim writebacks
+        included, is pinned record for record."""
+        from tests.golden import ADDRESS_STREAMS, address_stream, packed_digest
+
+        trace, writebacks = address_stream(kind)
+        assert (len(trace), writebacks, packed_digest(trace)) == ADDRESS_STREAMS[kind]

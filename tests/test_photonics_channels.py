@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import CORONA_DEFAULT
 from repro.photonics.inventory import corona_inventory
 from repro.photonics.power_budget import (
     LossBudget,
@@ -74,43 +75,46 @@ class TestPowerBudget:
 
 class TestInventory:
     def test_table2_totals(self):
-        inventory = corona_inventory()
+        inventory = corona_inventory(CORONA_DEFAULT)
         assert inventory.total_waveguides == 388
         assert inventory.total_ring_resonators == pytest.approx(1_081_408)
 
     def test_table2_crossbar_row(self):
-        by_name = corona_inventory().by_name()
+        by_name = corona_inventory(CORONA_DEFAULT).by_name()
         assert by_name["Crossbar"].waveguides == 256
         assert by_name["Crossbar"].ring_resonators == 1024 * 1024
 
     def test_table2_memory_row(self):
-        by_name = corona_inventory().by_name()
+        by_name = corona_inventory(CORONA_DEFAULT).by_name()
         assert by_name["Memory"].waveguides == 128
         assert by_name["Memory"].ring_resonators == 16 * 1024
 
     def test_table2_broadcast_and_arbitration_rows(self):
-        by_name = corona_inventory().by_name()
+        by_name = corona_inventory(CORONA_DEFAULT).by_name()
         assert by_name["Broadcast"].ring_resonators == 8 * 1024
         assert by_name["Arbitration"].ring_resonators == 8 * 1024
         assert by_name["Arbitration"].waveguides == 2
 
     def test_table2_clock_row(self):
-        by_name = corona_inventory().by_name()
+        by_name = corona_inventory(CORONA_DEFAULT).by_name()
         assert by_name["Clock"].waveguides == 1
         assert by_name["Clock"].ring_resonators == 64
 
     def test_inventory_scales_with_cluster_count(self):
-        small = corona_inventory(clusters=16)
+        small = corona_inventory(
+            CORONA_DEFAULT.with_overrides({"num_clusters": 16})
+        )
         assert small.by_name()["Crossbar"].ring_resonators == 16 * 16 * 256
 
     def test_as_rows_ends_with_total(self):
-        rows = corona_inventory().as_rows()
+        rows = corona_inventory(CORONA_DEFAULT).as_rows()
         assert rows[-1][0] == "Total"
 
     def test_report_is_renderable(self):
-        report = corona_inventory().report()
+        report = corona_inventory(CORONA_DEFAULT).report()
         assert "Crossbar" in report and "Total" in report
 
     def test_rejects_zero_clusters(self):
-        with pytest.raises(ValueError):
-            corona_inventory(clusters=0)
+        """The inventory's configuration refuses fewer than two clusters."""
+        with pytest.raises(ValueError, match="at least two clusters"):
+            corona_inventory(CORONA_DEFAULT.with_overrides({"num_clusters": 0}))

@@ -21,6 +21,7 @@ from repro.network.crossbar import OpticalCrossbar
 from repro.network.mesh import ElectricalMesh, high_performance_mesh
 from repro.network.message import Message, MessageType
 from repro.network.topology import MeshCoordinates, TransferResult, xy_route_table
+from repro.core.config import CORONA_DEFAULT
 from repro.photonics.inventory import corona_inventory
 from repro.sim.engine import Simulator
 from repro.sim.resources import BoundedQueue, SerialResource, TokenPool
@@ -854,7 +855,9 @@ class TestInventoryProperties:
     @given(st.integers(min_value=2, max_value=16).map(lambda radix: radix * radix))
     @settings(max_examples=10, deadline=None)
     def test_crossbar_rings_scale_quadratically(self, clusters):
-        inventory = corona_inventory(clusters=clusters)
+        inventory = corona_inventory(
+            CORONA_DEFAULT.with_overrides({"num_clusters": clusters})
+        )
         assert inventory.by_name()["Crossbar"].ring_resonators == clusters * clusters * 256
 
     @given(
@@ -864,7 +867,12 @@ class TestInventoryProperties:
     @settings(max_examples=40, deadline=None)
     def test_inventory_counts_are_never_negative(self, clusters, wavelengths):
         inventory = corona_inventory(
-            clusters=clusters, wavelengths_per_waveguide=wavelengths
+            CORONA_DEFAULT.with_overrides(
+                {
+                    "num_clusters": clusters,
+                    "crossbar_wavelengths_per_waveguide": wavelengths,
+                }
+            )
         )
         assert inventory.total_waveguides > 0
         assert inventory.total_ring_resonators > 0

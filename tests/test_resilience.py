@@ -1,35 +1,35 @@
 """Tests for the resilient execution harness: retry policies and failure
-records, the chaos injection hooks, crash/hang/error recovery in the
-supervised worker pool (bit-identical retried results), the in-process
-retry path and the strict-failure rule shared by every ``jobs`` value, sweep
-failure checkpoints with retry-only resume, `sweep status` resilience
-counters, the failure CSV sink, and the CLI exit codes."""
+records, the chaos injection hooks, crash/hang recovery in the supervised
+worker pool (bit-identical retried results), errors attempted once and the
+strict-failure rule shared by every ``jobs`` value, sweep failure
+checkpoints with retry-only resume, `sweep status` resilience counters, the
+failure CSV sink, and the CLI exit codes."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import replace
 
 import pytest
 
 from repro.api import ScaleSpec, Scenario, SystemSpec, WorkloadSpec, run
 from repro.cli import EXIT_FAILURES, main
-from repro.faults.chaos import ChaosSpec, active_chaos
+from repro.faults.chaos import ChaosError, ChaosSpec, active_chaos
 from repro.harness.resilience import (
     DEFAULT_POLICY,
     FAILURE_CSV_COLUMNS,
     PairFailure,
     PairFailureError,
     RetryPolicy,
+    retry_delay_s,
     summarize_failures,
 )
 from repro.sweeps import SweepAxis, SweepSpec, run_sweep, sweep_status
 
-#: Retries without wall-clock cost, failing the run on exhausted pairs.
-FAST_STRICT = RetryPolicy(max_retries=1, backoff_s=0.0, retry_errors=True)
+#: One retry per crashed or hung pair, failing the run on exhausted pairs.
+STRICT = RetryPolicy(max_retries=1)
 #: The same, but recording failures instead of aborting.
-FAST_LENIENT = replace(FAST_STRICT, allow_failures=True)
+LENIENT = RetryPolicy(max_retries=1, allow_failures=True)
 
 
 def _scenario(num_requests: int = 400, seed: int = 2) -> Scenario:
@@ -77,24 +77,17 @@ class TestRetryPolicy:
             RetryPolicy(timeout_s=0.0)
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_s=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
 
     def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(backoff_s=0.5, backoff_factor=2.0)
-        assert policy.retry_delay_s(1) == 0.5
-        assert policy.retry_delay_s(2) == 1.0
-        assert policy.retry_delay_s(3) == 2.0
+        """The one backoff schedule: 0.25 s, doubling with each retry."""
+        assert [retry_delay_s(n) for n in (1, 2, 3)] == [0.25, 0.5, 1.0]
 
     def test_retries_by_kind(self):
         policy = RetryPolicy(max_retries=3)
         assert policy.retries_for("crash") == 3
         assert policy.retries_for("timeout") == 3
-        assert policy.retries_for("error") == 0  # deterministic by default
+        assert policy.retries_for("error") == 0  # it would raise again
         assert policy.retries_for("setup") == 0  # never heals
-        assert replace(policy, retry_errors=True).retries_for("error") == 3
 
 
 class TestPairFailure:
@@ -194,7 +187,7 @@ class TestPoolRecovery:
         outcome = run(
             _scenario(),
             jobs=2,
-            policy=RetryPolicy(timeout_s=5.0, backoff_s=0.0),
+            policy=RetryPolicy(timeout_s=5.0),
         )
         assert not outcome.failures
         assert outcome.results == clean_run.results
@@ -205,7 +198,7 @@ class TestPoolRecovery:
             run(
                 _scenario(),
                 jobs=2,
-                policy=RetryPolicy(max_retries=1, backoff_s=0.0),
+                policy=STRICT,
             )
         assert all(f.kind == "crash" for f in err.value.failures)
         assert all(f.attempts == 2 for f in err.value.failures)
@@ -215,9 +208,7 @@ class TestPoolRecovery:
         outcome = run(
             _scenario(),
             jobs=2,
-            policy=RetryPolicy(
-                max_retries=1, backoff_s=0.0, allow_failures=True
-            ),
+            policy=LENIENT,
         )
         assert outcome.results == []
         assert len(outcome.failures) == 2
@@ -231,37 +222,31 @@ class TestPoolRecovery:
         """With chaos hitting only some pairs, surviving workloads with full
         configuration coverage still make it into the report."""
         monkeypatch.setenv("CORONA_CHAOS", "error=0.6,attempts=99,seed=11")
-        outcome = run(_scenario(), jobs=2, policy=FAST_LENIENT)
+        outcome = run(_scenario(), jobs=2, policy=LENIENT)
         assert outcome.failures
         assert len(outcome.results) + len(outcome.failures) == 2
 
 
 class TestSerialRetryPath:
-    def test_error_chaos_retried_bit_identically(self, monkeypatch, clean_run):
-        monkeypatch.setenv("CORONA_CHAOS", "error=1.0,attempts=1,seed=7")
-        outcome = run(
-            _scenario(), jobs=1, policy=replace(FAST_STRICT, max_retries=2)
-        )
-        assert not outcome.failures
-        assert outcome.results == clean_run.results
+    """Errors are never retried, in process or in the pool: an erroring
+    pair is attempted once, even when its chaos spares later attempts."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_exhausted_serial_retries_raise(self, monkeypatch, jobs):
-        """A pair that was retried and still fails raises PairFailureError
-        (CLI exit 3) whatever the jobs value -- never the worker's own
-        exception."""
-        monkeypatch.setenv("CORONA_CHAOS", "error=1.0,attempts=99,seed=7")
-        with pytest.raises(PairFailureError) as err:
-            run(_scenario(), jobs=jobs, policy=FAST_STRICT)
-        assert all(f.attempts == 2 for f in err.value.failures)
+    def test_strict_run_reraises_the_original_error(self, monkeypatch, jobs):
+        """A strict run re-raises the pair's own exception whatever the
+        jobs value, not a PairFailureError, because the pair had only
+        one attempt."""
+        monkeypatch.setenv("CORONA_CHAOS", "error=1.0,attempts=1,seed=7")
+        with pytest.raises(ChaosError, match="attempt 0"):
+            run(_scenario(), jobs=jobs, policy=STRICT)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_serial_allow_failures_records_errors(self, monkeypatch, jobs):
-        monkeypatch.setenv("CORONA_CHAOS", "error=1.0,attempts=99,seed=7")
-        outcome = run(_scenario(), jobs=jobs, policy=FAST_LENIENT)
+        monkeypatch.setenv("CORONA_CHAOS", "error=1.0,attempts=1,seed=7")
+        outcome = run(_scenario(), jobs=jobs, policy=LENIENT)
         assert outcome.results == []
         assert {f.kind for f in outcome.failures} == {"error"}
-        assert all(f.attempts == 2 for f in outcome.failures)
+        assert all(f.attempts == 1 for f in outcome.failures)
 
 
 class TestSweepFailureCheckpoints:
@@ -270,9 +255,11 @@ class TestSweepFailureCheckpoints:
     ):
         spec = _sweep_spec()
         directory = tmp_path / "sweep"
-        monkeypatch.setenv("CORONA_CHAOS", "error=0.6,attempts=99,seed=11")
+        # Crashes, not errors: only a crashed or hung pair is retried, and
+        # the retried-pair counter is part of what is checked.
+        monkeypatch.setenv("CORONA_CHAOS", "crash=0.6,attempts=99,seed=11")
         first = run_sweep(
-            spec, directory=directory, jobs=2, policy=FAST_LENIENT
+            spec, directory=directory, jobs=2, policy=LENIENT
         )
         assert first.failed_point_ids  # chaos actually hit something
         assert first.retried_pairs > 0
@@ -297,7 +284,7 @@ class TestSweepFailureCheckpoints:
             e for e in entries if e.get("status") == "failed"
         )
         for record in failed_entry["failures"]:
-            assert PairFailure.from_dict(record).kind == "error"
+            assert PairFailure.from_dict(record).kind == "crash"
 
         # The failure sink and manifest name the quarantined points.
         csv_text = (directory / "failures.csv").read_text()
@@ -338,10 +325,12 @@ class TestSweepFailureCheckpoints:
         self, monkeypatch, tmp_path
     ):
         directory = tmp_path / "sweep"
-        monkeypatch.setenv("CORONA_CHAOS", "error=0.6,attempts=99,seed=11")
+        # Crashes: the first two points crash on both attempts, the other
+        # two complete.
+        monkeypatch.setenv("CORONA_CHAOS", "crash=0.6,attempts=99,seed=11")
         with pytest.raises(PairFailureError):
             run_sweep(
-                _sweep_spec(), directory=directory, jobs=2, policy=FAST_STRICT
+                _sweep_spec(), directory=directory, jobs=2, policy=STRICT
             )
         # Completed points landed in the checkpoint before the raise, so a
         # strict re-run still resumes instead of starting over.
