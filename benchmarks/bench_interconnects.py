@@ -6,7 +6,7 @@ bandwidths of the crossbar and the meshes under light and heavy load.
 """
 
 
-from repro.network.arbitration import TokenRingArbiter
+from repro.core.config import CORONA_DEFAULT
 from repro.network.crossbar import OpticalCrossbar
 from repro.network.mesh import high_performance_mesh, low_performance_mesh
 from repro.network.message import Message, MessageType
@@ -18,7 +18,7 @@ def _line(src, dst):
 
 def test_crossbar_transfer_rate(benchmark):
     """Crossbar message transfers per second of host time."""
-    crossbar = OpticalCrossbar()
+    crossbar = OpticalCrossbar(CORONA_DEFAULT)
 
     def send_batch():
         now = 0.0
@@ -33,7 +33,7 @@ def test_crossbar_transfer_rate(benchmark):
 
 def test_hmesh_transfer_rate(benchmark):
     """Mesh message transfers per second of host time (dimension-order)."""
-    mesh = high_performance_mesh()
+    mesh = high_performance_mesh(CORONA_DEFAULT)
 
     def send_batch():
         now = 0.0
@@ -49,7 +49,7 @@ def test_hmesh_transfer_rate(benchmark):
 def test_token_arbitration_rate(benchmark):
     """Token acquire/release pairs per second of host time, on the channel
     arbiters the crossbar drives."""
-    arbiter = TokenRingArbiter()
+    arbiter = OpticalCrossbar(CORONA_DEFAULT).arbiter
     channels = arbiter.channels
 
     def arbitrate():
@@ -70,8 +70,8 @@ def test_unloaded_latency_gap_crossbar_vs_mesh(benchmark):
     """The crossbar's unloaded latency beats the mesh for distant clusters."""
 
     def measure():
-        crossbar = OpticalCrossbar()
-        mesh = high_performance_mesh()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
+        mesh = high_performance_mesh(CORONA_DEFAULT)
         xbar_latency = crossbar.transfer(_line(0, 63), 0.0).network_latency
         mesh_latency = mesh.transfer(_line(0, 63), 0.0).network_latency
         return xbar_latency, mesh_latency
@@ -85,7 +85,7 @@ def test_saturated_channel_bandwidth(benchmark):
     """A single crossbar channel under contention sustains most of 320 GB/s."""
 
     def saturate():
-        crossbar = OpticalCrossbar()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
         last = 0.0
         count = 500
         for i in range(count):
@@ -100,7 +100,7 @@ def test_mesh_bisection_limits_uniform_traffic(benchmark):
     """Uniform traffic across the LMesh saturates near its bisection bandwidth."""
 
     def saturate():
-        mesh = low_performance_mesh()
+        mesh = low_performance_mesh(CORONA_DEFAULT)
         import random
 
         rng = random.Random(1)

@@ -9,6 +9,7 @@ the ~0.078 vs ~2 mW/Gb/s interconnect power that yields ~6.4 W vs >160 W for a
 
 import pytest
 
+from repro.core.config import CORONA_DEFAULT
 from repro.harness.tables import format_table, table4_memory_interconnects
 from repro.memory.ecm import ElectricallyConnectedMemory, ecm_interconnect_summary
 from repro.memory.ocm import OpticallyConnectedMemory, ocm_interconnect_summary
@@ -16,7 +17,7 @@ from repro.power.electrical import electrical_memory_interconnect_power_w
 
 
 def test_table4_matches_paper(benchmark):
-    rows = benchmark(table4_memory_interconnects)
+    rows = benchmark(table4_memory_interconnects, CORONA_DEFAULT)
     by_key = {row[0]: (row[1], row[2]) for row in rows}
     assert by_key["Memory controllers"] == (64, 64)
     assert by_key["External connectivity"] == ("256 fibers", "1536 pins")
@@ -31,7 +32,10 @@ def test_table4_matches_paper(benchmark):
 
 def test_memory_power_claims(benchmark):
     summaries = benchmark(
-        lambda: (ocm_interconnect_summary(), ecm_interconnect_summary())
+        lambda: (
+            ocm_interconnect_summary(CORONA_DEFAULT),
+            ecm_interconnect_summary(CORONA_DEFAULT),
+        )
     )
     ocm, _ecm = summaries
     # Section 3.3: ~6.4 W for the optical memory interconnect; >160 W if the
@@ -44,8 +48,7 @@ def test_per_controller_bandwidth_gap(benchmark):
     """Micro-benchmark: sustained single-controller bandwidth, OCM vs ECM."""
 
     def saturate(system_factory):
-        system = system_factory(num_controllers=1)
-        controller = system.controller(0)
+        controller = system_factory(CORONA_DEFAULT).controller(0)
         finish = 0.0
         for i in range(600):
             result = controller.access(

@@ -23,6 +23,7 @@ import random
 
 from repro.cache.coherence import CoherenceController
 from repro.coherence import CoherenceConfig, SharingProfile
+from repro.core.config import CORONA_DEFAULT
 from repro.core.configs import configuration_by_name
 from repro.core.system import simulate_workload
 from repro.network.broadcast import OpticalBroadcastBus
@@ -32,7 +33,7 @@ from repro.trace.synthetic import uniform_workload
 def main() -> None:
     rng = random.Random(2008)
     directory = CoherenceController(home_cluster=0, broadcast_threshold=4)
-    bus = OpticalBroadcastBus()
+    bus = OpticalBroadcastBus(CORONA_DEFAULT)
 
     num_lines = 256
     now = 0.0

@@ -41,7 +41,9 @@ from repro.api import (
     register_workload,
     run,
 )
-from repro.core.configs import SystemConfiguration, crossbar_network, ecm_memory
+from repro.core.configs import SystemConfiguration
+from repro.memory.ecm import ElectricallyConnectedMemory
+from repro.network.crossbar import OpticalCrossbar
 from repro.trace.gaps import draw_gap
 from repro.trace.packed import PackedTrace, PackedTraceBuilder
 
@@ -56,10 +58,8 @@ def xbar_ecm() -> SystemConfiguration:
     """Optical crossbar on-stack, electrically connected memory off-stack."""
     return SystemConfiguration(
         name="XBar/ECM",
-        network_name="XBar",
-        memory_name="ECM",
-        network_factory=crossbar_network,
-        memory_factory=ecm_memory,
+        network_factory=OpticalCrossbar,
+        memory_factory=ElectricallyConnectedMemory,
         has_broadcast_bus=True,
     )
 

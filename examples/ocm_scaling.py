@@ -20,18 +20,25 @@ Run with::
 
 from __future__ import annotations
 
+from repro.core.config import CORONA_DEFAULT
 from repro.memory.channel import ElectricalMemoryChannel, OpticalMemoryChannel
 from repro.memory.controller import MemoryController
-from repro.memory.dram import daisy_chain_delay
+from repro.memory.dram import DramTimings, OcmModule, daisy_chain_delay
+
+
+def one_controller(channel) -> MemoryController:
+    """A controller on ``channel`` in front of one module of the paper's DRAM."""
+    timings = DramTimings(access_latency_s=CORONA_DEFAULT.memory_latency_s)
+    return MemoryController(
+        controller_id=0, channel=channel, module=OcmModule(module_id=0, timings=timings)
+    )
 
 
 def expansion_study() -> None:
     print("1. Daisy-chain expansion: latency vs modules on the loop")
     print(f"{'modules':>8}{'capacity (modules)':>20}{'avg read latency (ns)':>24}")
     # An idle read through the controller and the module next to it.
-    controller = MemoryController(
-        controller_id=0, channel=OpticalMemoryChannel("loop")
-    )
+    controller = one_controller(OpticalMemoryChannel(CORONA_DEFAULT, "loop"))
     nearest = controller.access(now=0.0, size_bytes=64, is_write=False).memory_latency
     for module_count in (1, 2, 4, 8):
         # Reads spread evenly over the chain: module k adds its pass-through
@@ -46,13 +53,11 @@ def hot_spot_study() -> None:
     print(f"{'requests':>10}{'OCM achieved (GB/s)':>22}{'ECM achieved (GB/s)':>22}")
     for count in (500, 2000, 8000):
         achieved = {}
-        for label, channel_factory in (
-            ("OCM", OpticalMemoryChannel),
-            ("ECM", ElectricalMemoryChannel),
+        for label, channel in (
+            ("OCM", OpticalMemoryChannel(CORONA_DEFAULT, "OCM-hot")),
+            ("ECM", ElectricalMemoryChannel("ECM-hot")),
         ):
-            controller = MemoryController(
-                controller_id=0, channel=channel_factory(f"{label}-hot")
-            )
+            controller = one_controller(channel)
             finish = 0.0
             for i in range(count):
                 result = controller.access(

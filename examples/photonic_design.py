@@ -54,7 +54,7 @@ def main() -> None:
 
     print("\n4. Worst-case crossbar link budget")
     budget = PowerBudget(
-        loss_budget=crossbar_worst_case_budget(),
+        loss_budget=crossbar_worst_case_budget(config),
         detector_sensitivity_dbm=-20.0,
         laser_power_per_wavelength_dbm=0.0,
         margin_db=3.0,

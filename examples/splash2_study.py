@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import all_configurations, simulate_workload, splash2_workload
+from repro import CORONA_DEFAULT, all_configurations, simulate_workload, splash2_workload
 from repro.trace.splash2 import SPLASH2_ORDER, SPLASH2_PROFILES
 
 #: The paper's qualitative grouping of the SPLASH-2 applications.
@@ -51,7 +51,7 @@ def main() -> None:
             for config, result in results.items()
         }
         print(
-            f"{name:<10} demand={profile.demand_bandwidth_tbps():5.2f} TB/s  "
+            f"{name:<10} demand={profile.demand_bandwidth_tbps(CORONA_DEFAULT):5.2f} TB/s  "
             + "  ".join(
                 f"{config}={speedups[name][config]:4.2f}x"
                 for config in ("HMesh/ECM", "HMesh/OCM", "XBar/OCM")

@@ -34,7 +34,6 @@ from repro.core.configs import (
     SystemConfiguration,
     all_configurations,
     configuration_by_name,
-    corona_configuration,
 )
 from repro.core.results import (
     WorkloadResult,
@@ -62,7 +61,6 @@ __all__ = [
     "SystemConfiguration",
     "all_configurations",
     "configuration_by_name",
-    "corona_configuration",
     "SystemSimulator",
     "simulate_workload",
     "WorkloadResult",

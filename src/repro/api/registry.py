@@ -18,10 +18,17 @@ Three tables make everything the harness can run addressable by name:
 User modules extend any table without touching repro source::
 
     from repro.api import register_configuration, register_workload
+    from repro.core.configs import SystemConfiguration
+    from repro.memory.ecm import ElectricallyConnectedMemory
+    from repro.network.crossbar import OpticalCrossbar
 
     @register_configuration("XBar/ECM")
     def xbar_ecm():
-        return SystemConfiguration(name="XBar/ECM", ...)
+        return SystemConfiguration(
+            name="XBar/ECM",
+            network_factory=OpticalCrossbar,
+            memory_factory=ElectricallyConnectedMemory,
+        )
 
     @register_workload("Ping-Pong")
     def ping_pong(**params):

@@ -17,7 +17,6 @@ from repro.core.configs import (
     SystemConfiguration,
     all_configurations,
     configuration_by_name,
-    corona_configuration,
 )
 from repro.core.results import WorkloadResult, speedup_table
 from repro.core.system import SystemSimulator, TransactionStats
@@ -28,7 +27,6 @@ __all__ = [
     "SystemConfiguration",
     "all_configurations",
     "configuration_by_name",
-    "corona_configuration",
     "SystemSimulator",
     "TransactionStats",
     "WorkloadResult",

@@ -28,12 +28,15 @@ class CoronaConfig:
     """Architecture-level configuration of a Corona system.
 
     It is the only way to set the parameters of a replayed system
-    (:class:`~repro.core.system.SystemSimulator`).  The fields that drive
-    the replay are ``num_clusters``, ``core.frequency_hz``, the
-    ``crossbar_*`` fields, ``signalling_rate_bps``,
-    ``token_ring_round_trip_cycles``, ``memory_latency_s``,
-    ``cluster.l2_mshrs`` and ``cluster.hub_queue_depth``.  The other fields
-    feed only the tables and the power roll-up.
+    (:class:`~repro.core.system.SystemSimulator`): every replayed model is
+    built from it and restates none of its values in a default.  The fields
+    that drive the replay are ``num_clusters``, ``core.frequency_hz``, the
+    ``crossbar_*`` fields, ``signalling_rate_bps`` (crossbar, broadcast bus
+    and OCM links), ``token_ring_round_trip_cycles``,
+    ``memory_links_per_controller`` and ``memory_wavelengths_per_link`` (the
+    OCM links), ``memory_latency_s``, ``cluster.l2_mshrs`` and
+    ``cluster.hub_queue_depth``.  The other fields feed only the tables and
+    the power roll-up.
     """
 
     num_clusters: int = 64
@@ -61,6 +64,8 @@ class CoronaConfig:
         for name in (
             "crossbar_wavelengths_per_waveguide",
             "crossbar_waveguides_per_channel",
+            "memory_links_per_controller",
+            "memory_wavelengths_per_link",
         ):
             if getattr(self, name) < 1:
                 raise ScenarioError(name, f"must be >= 1, got {getattr(self, name)}")

@@ -11,7 +11,11 @@ LMesh/ECM      Electrical mesh, 0.64 TB/s Electrical, 0.96 TB/s, 20 ns
 =============  =========================  ==========================
 
 ``XBar/OCM`` is the Corona design; ``LMesh/ECM`` is the all-electrical
-baseline every speedup in Figure 8 is normalized to.
+baseline every speedup in Figure 8 is normalized to.  The numbers are those
+of the default :class:`~repro.core.config.CoronaConfig`: a configuration
+only names its network and memory constructors, and
+:class:`~repro.core.system.SystemSimulator` calls them with the config it
+replays, so an override reaches every model.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from repro.core.config import CoronaConfig, CORONA_DEFAULT
+from repro.core.config import CoronaConfig
 from repro.memory.ecm import ElectricallyConnectedMemory
 from repro.memory.ocm import OpticallyConnectedMemory
 from repro.memory.system import MemorySystem
@@ -30,11 +34,15 @@ from repro.network.topology import Interconnect
 
 @dataclass(frozen=True)
 class SystemConfiguration:
-    """One evaluated system: an on-stack network plus a memory system."""
+    """One evaluated system: an on-stack network plus a memory system.
+
+    The factories are the model constructors themselves (``OpticalCrossbar``,
+    ``high_performance_mesh``, ``OpticallyConnectedMemory``, ...), each
+    called with the replayed :class:`~repro.core.config.CoronaConfig`; user
+    modules compose custom configurations from the same constructors.
+    """
 
     name: str
-    network_name: str
-    memory_name: str
     network_factory: Callable[[CoronaConfig], Interconnect]
     memory_factory: Callable[[CoronaConfig], MemorySystem]
     #: Whether the design includes the optical broadcast bus (Section 3.2.2).
@@ -42,99 +50,32 @@ class SystemConfiguration:
     #: coherence invalidations fall back to per-sharer unicasts.
     has_broadcast_bus: bool = False
 
-    def build_network(self, config: CoronaConfig = CORONA_DEFAULT) -> Interconnect:
-        return self.network_factory(config)
-
-    def build_memory(self, config: CoronaConfig = CORONA_DEFAULT) -> MemorySystem:
-        return self.memory_factory(config)
-
-    @property
-    def is_corona(self) -> bool:
-        return self.network_name == "XBar" and self.memory_name == "OCM"
-
-
-def crossbar_network(config: CoronaConfig) -> Interconnect:
-    """The Section 3.2 optical crossbar, sized from ``config``.
-
-    Public so user modules (scenario ``modules`` entries, the Scenario API's
-    ``@register_configuration`` factories) can compose custom
-    :class:`SystemConfiguration`s from the same building blocks the five
-    paper configurations use.
-    """
-    return OpticalCrossbar(
-        num_clusters=config.num_clusters,
-        clock_hz=config.clock_hz,
-        channel_bandwidth_bytes_per_s=config.crossbar_channel_bandwidth_bytes_per_s,
-        max_propagation_cycles=config.crossbar_max_propagation_cycles,
-        ring_round_trip_cycles=config.token_ring_round_trip_cycles,
-    )
-
-
-def hmesh_network(config: CoronaConfig) -> Interconnect:
-    """The high-performance (1.28 TB/s) electrical mesh baseline."""
-    return high_performance_mesh(
-        num_clusters=config.num_clusters, clock_hz=config.clock_hz
-    )
-
-
-def lmesh_network(config: CoronaConfig) -> Interconnect:
-    """The low-performance (0.64 TB/s) electrical mesh baseline."""
-    return low_performance_mesh(
-        num_clusters=config.num_clusters, clock_hz=config.clock_hz
-    )
-
-
-def ocm_memory(config: CoronaConfig) -> MemorySystem:
-    """Optically connected memory: 10.24 TB/s aggregate at 64 controllers."""
-    return OpticallyConnectedMemory(
-        num_controllers=config.num_clusters,
-        memory_latency_s=config.memory_latency_s,
-    )
-
-
-def ecm_memory(config: CoronaConfig) -> MemorySystem:
-    """Electrically connected memory: the 0.96 TB/s package-pin baseline."""
-    return ElectricallyConnectedMemory(
-        num_controllers=config.num_clusters,
-        memory_latency_s=config.memory_latency_s,
-    )
-
 
 _CONFIGURATIONS: List[SystemConfiguration] = [
     SystemConfiguration(
         name="LMesh/ECM",
-        network_name="LMesh",
-        memory_name="ECM",
-        network_factory=lmesh_network,
-        memory_factory=ecm_memory,
+        network_factory=low_performance_mesh,
+        memory_factory=ElectricallyConnectedMemory,
     ),
     SystemConfiguration(
         name="HMesh/ECM",
-        network_name="HMesh",
-        memory_name="ECM",
-        network_factory=hmesh_network,
-        memory_factory=ecm_memory,
+        network_factory=high_performance_mesh,
+        memory_factory=ElectricallyConnectedMemory,
     ),
     SystemConfiguration(
         name="LMesh/OCM",
-        network_name="LMesh",
-        memory_name="OCM",
-        network_factory=lmesh_network,
-        memory_factory=ocm_memory,
+        network_factory=low_performance_mesh,
+        memory_factory=OpticallyConnectedMemory,
     ),
     SystemConfiguration(
         name="HMesh/OCM",
-        network_name="HMesh",
-        memory_name="OCM",
-        network_factory=hmesh_network,
-        memory_factory=ocm_memory,
+        network_factory=high_performance_mesh,
+        memory_factory=OpticallyConnectedMemory,
     ),
     SystemConfiguration(
         name="XBar/OCM",
-        network_name="XBar",
-        memory_name="OCM",
-        network_factory=crossbar_network,
-        memory_factory=ocm_memory,
+        network_factory=OpticalCrossbar,
+        memory_factory=OpticallyConnectedMemory,
         has_broadcast_bus=True,
     ),
 ]
@@ -159,8 +100,3 @@ def configuration_by_name(name: str) -> SystemConfiguration:
             f"unknown configuration {name!r}; known: {sorted(table)}"
         )
     return table[name]
-
-
-def corona_configuration() -> SystemConfiguration:
-    """The Corona design point (XBar/OCM)."""
-    return configuration_by_name("XBar/OCM")

@@ -8,9 +8,11 @@ ports so that bandwidth, latency, back-pressure and capacity limits are
 enforced throughout.
 
 Every parameter of a replayed system comes from its
-:class:`~repro.core.config.CoronaConfig`: the configuration's factories build
-the interconnect and the memory system (DRAM latency included) from it, and
-the hubs read ``cluster.l2_mshrs`` and ``cluster.hub_queue_depth``.
+:class:`~repro.core.config.CoronaConfig`: the configuration's factories (the
+model constructors themselves) build the interconnect and the memory system from
+it -- cluster count, clock, crossbar channels, token ring, OCM links and DRAM
+latency -- as does the broadcast bus, and the hubs read ``cluster.l2_mshrs``
+and ``cluster.hub_queue_depth``.
 
 The replay is event driven.  Each L2 miss becomes a transaction with four
 stages -- issue (MSHR + hub + request message), memory access at the home
@@ -358,8 +360,8 @@ class SystemSimulator:
             raise ValueError(f"window depth must be >= 1, got {window_depth}")
         self.configuration = configuration
         self.corona_config = corona_config
-        self.network = configuration.build_network(corona_config)
-        self.memory = configuration.build_memory(corona_config)
+        self.network = configuration.network_factory(corona_config)
+        self.memory = configuration.memory_factory(corona_config)
         # Fault injection (opt-in, same discipline as coherence below): with
         # ``faults=None`` -- or an all-zero spec -- nothing is installed and
         # the replay is bit-identical to a fault-free build.
@@ -431,13 +433,7 @@ class SystemSimulator:
         self.coherence_config = coherence
         if coherence is not None:
             self.broadcast_bus = (
-                OpticalBroadcastBus(
-                    num_clusters=corona_config.num_clusters,
-                    clock_hz=corona_config.clock_hz,
-                    wavelengths=corona_config.crossbar_wavelengths_per_waveguide,
-                    bit_rate_per_wavelength_bps=corona_config.signalling_rate_bps,
-                    ring_round_trip_cycles=corona_config.token_ring_round_trip_cycles,
-                )
+                OpticalBroadcastBus(corona_config)
                 if configuration.has_broadcast_bus
                 else None
             )

@@ -27,15 +27,17 @@ class Hub:
     cluster_id:
         The cluster this hub serves.
     queue_depth:
-        Injection-queue capacity toward the interconnect (messages).
+        Injection-queue capacity toward the interconnect (messages):
+        ``ClusterParameters.hub_queue_depth``.
     mshrs:
         Outstanding-miss registers shared by the cluster's L2; misses beyond
-        this limit wait before they can even enter the hub.
+        this limit wait before they can even enter the hub:
+        ``ClusterParameters.l2_mshrs``.
     """
 
     cluster_id: int
-    queue_depth: int = 64
-    mshrs: int = 64
+    queue_depth: int
+    mshrs: int
     #: :data:`FORWARDING_LATENCY_S`, read by the replay for each message.
     forwarding_latency_s: float = field(default=FORWARDING_LATENCY_S, init=False)
     injection_queue: BoundedQueue = field(init=False, repr=False)

@@ -20,8 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.core.config import CORONA_DEFAULT
 from repro.photonics.power_budget import PowerBudget, crossbar_worst_case_budget
 from repro.power.optical import PHOTONIC_SUBSYSTEM_POWER_W
+
+#: Waveguide losses (dB/cm) swept for the link-budget margin: from the
+#: projected 0.1-0.5 dB/cm to today's demonstrated 2-3 dB/cm.
+WAVEGUIDE_LOSSES_DB_PER_CM = (0.1, 0.3, 0.5, 1.0, 2.0, 3.0)
+#: Per-ring through losses (dB) swept for the link-budget margin.
+RING_THROUGH_LOSSES_DB = (0.00005, 0.0001, 0.0005, 0.001, 0.005)
+#: Waveguide losses (dB/cm) swept for the crossbar's laser power.
+LASER_WAVEGUIDE_LOSSES_DB_PER_CM = (0.1, 0.3, 0.5, 1.0)
+#: Wall-plug efficiency of the comb laser.
+WALL_PLUG_EFFICIENCY = 0.1
 
 
 @dataclass(frozen=True)
@@ -33,12 +44,7 @@ class SweepPoint:
     feasible: bool = True
 
 
-def waveguide_loss_sensitivity(
-    losses_db_per_cm: Sequence[float] = (0.1, 0.3, 0.5, 1.0, 2.0, 3.0),
-    detector_sensitivity_dbm: float = -20.0,
-    laser_power_per_wavelength_dbm: float = 0.0,
-    margin_db: float = 3.0,
-) -> List[SweepPoint]:
+def waveguide_loss_sensitivity() -> List[SweepPoint]:
     """Link-budget margin of the worst-case crossbar path vs waveguide loss.
 
     Today's demonstrated waveguides (2-3 dB/cm) do not close a 16 cm
@@ -46,38 +52,10 @@ def waveguide_loss_sensitivity(
     order of magnitude improvement.  The sweep makes that requirement visible.
     """
     points: List[SweepPoint] = []
-    for loss in losses_db_per_cm:
-        budget = PowerBudget(
-            loss_budget=crossbar_worst_case_budget(waveguide_loss_db_per_cm=loss),
-            detector_sensitivity_dbm=detector_sensitivity_dbm,
-            laser_power_per_wavelength_dbm=laser_power_per_wavelength_dbm,
-            margin_db=margin_db,
-        )
-        points.append(
-            SweepPoint(
-                parameter=loss,
-                metric=budget.margin_achieved_db,
-                feasible=budget.closes,
-            )
-        )
-    return points
-
-
-def ring_through_loss_sensitivity(
-    through_losses_db: Sequence[float] = (0.00005, 0.0001, 0.0005, 0.001, 0.005),
-    ring_passes: int = 64 * 64,
-) -> List[SweepPoint]:
-    """Link-budget margin vs per-ring through loss.
-
-    A message on a crossbar channel passes every other cluster's ring bank, so
-    even tiny per-ring losses multiply by thousands of rings; this is the
-    device parameter the design is most sensitive to.
-    """
-    points: List[SweepPoint] = []
-    for loss in through_losses_db:
+    for loss in WAVEGUIDE_LOSSES_DB_PER_CM:
         budget = PowerBudget(
             loss_budget=crossbar_worst_case_budget(
-                ring_through_loss_db=loss, ring_passes=ring_passes
+                CORONA_DEFAULT, waveguide_loss_db_per_cm=loss
             ),
         )
         points.append(
@@ -90,24 +68,47 @@ def ring_through_loss_sensitivity(
     return points
 
 
-def required_laser_power_sensitivity(
-    losses_db_per_cm: Sequence[float] = (0.1, 0.3, 0.5, 1.0),
-    wavelengths: int = 64 * 4 * 64,
-    wall_plug_efficiency: float = 0.1,
-) -> List[SweepPoint]:
-    """Total wall-plug laser power for the crossbar vs waveguide loss.
+def ring_through_loss_sensitivity() -> List[SweepPoint]:
+    """Link-budget margin vs per-ring through loss.
 
-    The metric is watts for all crossbar wavelength feeds; infeasible points
-    are those whose laser power alone would exceed the paper's 39 W photonic
-    budget.
+    A message on a crossbar channel passes every other cluster's ring bank, so
+    even tiny per-ring losses multiply by thousands of rings; this is the
+    device parameter the design is most sensitive to.
     """
     points: List[SweepPoint] = []
-    for loss in losses_db_per_cm:
+    for loss in RING_THROUGH_LOSSES_DB:
         budget = PowerBudget(
-            loss_budget=crossbar_worst_case_budget(waveguide_loss_db_per_cm=loss),
+            loss_budget=crossbar_worst_case_budget(
+                CORONA_DEFAULT, ring_through_loss_db=loss
+            ),
+        )
+        points.append(
+            SweepPoint(
+                parameter=loss,
+                metric=budget.margin_achieved_db,
+                feasible=budget.closes,
+            )
+        )
+    return points
+
+
+def required_laser_power_sensitivity() -> List[SweepPoint]:
+    """Total wall-plug laser power for the crossbar vs waveguide loss.
+
+    The metric is watts for all crossbar wavelength feeds (every wavelength
+    of every channel); infeasible points are those whose laser power alone
+    would exceed the paper's 39 W photonic budget.
+    """
+    wavelengths = CORONA_DEFAULT.num_clusters * CORONA_DEFAULT.crossbar_channel_width_bits
+    points: List[SweepPoint] = []
+    for loss in LASER_WAVEGUIDE_LOSSES_DB_PER_CM:
+        budget = PowerBudget(
+            loss_budget=crossbar_worst_case_budget(
+                CORONA_DEFAULT, waveguide_loss_db_per_cm=loss
+            ),
         )
         per_wavelength_w = budget.required_laser_power_w()
-        total_w = per_wavelength_w * wavelengths / wall_plug_efficiency
+        total_w = per_wavelength_w * wavelengths / WALL_PLUG_EFFICIENCY
         points.append(
             SweepPoint(
                 parameter=loss,

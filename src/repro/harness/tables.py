@@ -71,11 +71,11 @@ def table3_benchmarks() -> List[Tuple[str, str, str]]:
 
 
 def table4_memory_interconnects(
-    num_controllers: int = 64,
+    config: CoronaConfig,
 ) -> List[Tuple[str, object, object]]:
-    """Table 4: optical vs electrical memory interconnects."""
-    ocm = ocm_interconnect_summary(num_controllers)
-    ecm = ecm_interconnect_summary(num_controllers)
+    """Table 4: optical vs electrical memory interconnects of ``config``."""
+    ocm = ocm_interconnect_summary(config)
+    ecm = ecm_interconnect_summary(config)
     rows: List[Tuple[str, object, object]] = []
     for key in ocm:
         if key == "Interconnect power (mW/Gb/s)":
@@ -110,7 +110,7 @@ def render_all_tables(config: CoronaConfig = CORONA_DEFAULT) -> str:
         ),
         format_table(
             ["Resource", "OCM", "ECM"],
-            table4_memory_interconnects(config.num_clusters),
+            table4_memory_interconnects(config),
             title="Table 4: Optical vs Electrical Memory Interconnects",
         ),
     ]

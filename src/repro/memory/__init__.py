@@ -14,7 +14,11 @@ Two memory interconnects are modelled:
 Both are built on the same substrate: a DRAM mat/bank timing model
 (:mod:`repro.memory.dram`), per-controller channels
 (:mod:`repro.memory.channel`) and memory controllers with finite queues
-(:mod:`repro.memory.controller`).
+(:mod:`repro.memory.controller`).  Both take the
+:class:`~repro.core.config.CoronaConfig` they model and read the controller
+count, the DRAM latency and (for OCM) the link width and rate from it; no
+module here imports :mod:`repro.core` at run time, because its package init
+loads the replay, which imports this package.
 """
 
 from repro.memory.channel import ElectricalMemoryChannel, OpticalMemoryChannel

@@ -20,14 +20,21 @@ cluster's achievable memory bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.sim.resources import SerialResource
+
+if TYPE_CHECKING:  # the config package imports the replay, which imports us
+    from repro.core.config import CoronaConfig
 
 #: Off-stack signalling power per Gb/s of peak bandwidth, the paper's figure
 #: of merit for memory-link power: optical (OCM) and electrical (ECM, Palmer
 #: et al. [25]).
 OPTICAL_SIGNALLING_W_PER_GBPS = 0.078e-3
 ELECTRICAL_SIGNALLING_W_PER_GBPS = 2e-3
+
+#: Flight latency of an OCM or ECM channel, included in every access.
+CHANNEL_LATENCY_S = 1e-9
 
 
 @dataclass
@@ -44,7 +51,8 @@ class MemoryChannel:
     data_rate_bps:
         Per-signal data rate (10 Gb/s in both designs).
     latency_s:
-        Flight latency of the channel (included in the memory access latency).
+        Flight latency of the channel (included in the memory access latency;
+        :data:`CHANNEL_LATENCY_S` in both designs).
     interconnect_power_w_per_gbps:
         Interconnect power per Gb/s of peak signalling bandwidth
         (:data:`OPTICAL_SIGNALLING_W_PER_GBPS` or
@@ -54,8 +62,8 @@ class MemoryChannel:
     name: str
     width_bits: int
     data_rate_bps: float
-    latency_s: float = 0.0
-    interconnect_power_w_per_gbps: float = 0.0
+    latency_s: float
+    interconnect_power_w_per_gbps: float
     #: The serial resource a :class:`~repro.memory.controller.MemoryController`
     #: reserves for every transfer over this channel.
     resource: SerialResource = field(init=False, repr=False)
@@ -81,19 +89,29 @@ class MemoryChannel:
         )
 
 
-def OpticalMemoryChannel(name: str = "ocm-channel") -> MemoryChannel:
-    """One OCM link pair: 128 bits half duplex at 10 Gb/s (160 GB/s)."""
+def OpticalMemoryChannel(config: "CoronaConfig", name: str) -> MemoryChannel:
+    """One controller's OCM links: ``memory_links_per_controller`` fibers of
+    ``memory_wavelengths_per_link`` wavelengths, half duplex at
+    ``signalling_rate_bps`` (Table 4: 2 x 64 at 10 Gb/s, 160 GB/s).  Its
+    bandwidth multiplies in the order ``CoronaConfig`` does, so the two
+    agree to the bit."""
     return MemoryChannel(
         name=name,
-        width_bits=128,
-        data_rate_bps=10e9,
-        latency_s=1e-9,
+        width_bits=config.memory_links_per_controller * config.memory_wavelengths_per_link,
+        data_rate_bps=config.signalling_rate_bps,
+        latency_s=CHANNEL_LATENCY_S,
         interconnect_power_w_per_gbps=OPTICAL_SIGNALLING_W_PER_GBPS,
     )
 
 
-def ElectricalMemoryChannel(name: str = "ecm-channel") -> MemoryChannel:
-    """One ECM channel: 12 signal bits per direction at 10 Gb/s.
+#: Table 4's ECM pins: 12 signal bits per direction at 10 Gb/s per pin.
+ECM_WIDTH_BITS = 12
+ECM_DATA_RATE_BPS = 10e9
+
+
+def ElectricalMemoryChannel(name: str) -> MemoryChannel:
+    """One ECM channel: :data:`ECM_WIDTH_BITS` signal bits per direction at
+    :data:`ECM_DATA_RATE_BPS`.
 
     The serial link itself is full duplex (12 bits each way, 24 pins per
     controller), but the DRAM data bus behind it is shared between reads and
@@ -103,8 +121,8 @@ def ElectricalMemoryChannel(name: str = "ecm-channel") -> MemoryChannel:
     """
     return MemoryChannel(
         name=name,
-        width_bits=12,
-        data_rate_bps=10e9,
-        latency_s=1e-9,
+        width_bits=ECM_WIDTH_BITS,
+        data_rate_bps=ECM_DATA_RATE_BPS,
+        latency_s=CHANNEL_LATENCY_S,
         interconnect_power_w_per_gbps=ELECTRICAL_SIGNALLING_W_PER_GBPS,
     )

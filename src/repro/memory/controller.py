@@ -20,6 +20,9 @@ from repro.sim.resources import BoundedQueue, SerialResource
 #: or pins and does not consume data-channel bandwidth).
 COMMAND_BYTES = 8
 
+#: Request-queue capacity of every controller, OCM and ECM alike.
+QUEUE_DEPTH = 64
+
 
 class MemoryAccessResult(NamedTuple):
     """Outcome of one memory access at a controller.
@@ -52,18 +55,16 @@ class MemoryController:
     module:
         The OCM module behind the channel (or the equivalent DRAM behind an
         ECM channel).
-    queue_depth:
-        Finite request queue; overflowing requests wait, creating
-        back-pressure into the hub.
 
-    The DRAM access latency (Table 4: 20 ns for both designs) and bank
-    occupancy come from the module's :class:`~repro.memory.dram.DramTimings`.
+    The request queue holds :data:`QUEUE_DEPTH` accesses; overflowing
+    requests wait, creating back-pressure into the hub.  The DRAM access
+    latency (Table 4: 20 ns for both designs) and bank occupancy come from
+    the module's :class:`~repro.memory.dram.DramTimings`.
     """
 
     controller_id: int
     channel: MemoryChannel
-    module: OcmModule = field(default_factory=lambda: OcmModule(module_id=0))
-    queue_depth: int = 256
+    module: OcmModule
     queue: BoundedQueue = field(init=False, repr=False)
     reads: int = field(default=0, repr=False)
     writes: int = field(default=0, repr=False)
@@ -79,10 +80,8 @@ class MemoryController:
     _command_serialization_s: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.queue_depth < 1:
-            raise ValueError(f"queue depth must be >= 1, got {self.queue_depth}")
         self.queue = BoundedQueue(
-            name=f"mc{self.controller_id}-queue", capacity=self.queue_depth
+            name=f"mc{self.controller_id}-queue", capacity=QUEUE_DEPTH
         )
         # Hot-path bindings: the channel's serial resource and serialization
         # constants, resolved once instead of per access.

@@ -21,7 +21,7 @@ building a system.  An access reserves its bank's row with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.sim.resources import reserve_interval
@@ -34,12 +34,13 @@ class DramTimings:
     Parameters
     ----------
     access_latency_s:
-        Time from command arrival to data availability (the paper's 20 ns).
+        Time from command arrival to data availability: the system's
+        ``CoronaConfig.memory_latency_s`` (the paper's 20 ns).
     cycle_time_s:
         Minimum spacing between successive accesses to the same bank.
     """
 
-    access_latency_s: float = 20e-9
+    access_latency_s: float
     cycle_time_s: float = 20e-9
 
     def __post_init__(self) -> None:
@@ -71,9 +72,9 @@ class OcmModule:
     """
 
     module_id: int
+    timings: DramTimings
     num_dram_dies: int = 4
     banks_per_die: int = 8
-    timings: DramTimings = field(default_factory=DramTimings)
 
     def __post_init__(self) -> None:
         if self.num_dram_dies < 1:

@@ -8,44 +8,48 @@ needed.  Light is supplied from the chip stack; each outward fiber loops back
 as the return fiber through a daisy chain of OCM modules, and because modules
 pass light through without retiming, expansion adds negligible latency and
 power.
+
+Those numbers are the paper's design point; the model reads them from a
+:class:`~repro.core.config.CoronaConfig` (``num_clusters``,
+``memory_links_per_controller``, ``memory_wavelengths_per_link``,
+``signalling_rate_bps`` and ``memory_latency_s``), so the replayed links,
+Table 4 and the power roll-up all follow an override of any of them.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from functools import partial
+from typing import TYPE_CHECKING, Dict
 
 from repro.memory.channel import OpticalMemoryChannel
-from repro.memory.dram import DramTimings
 from repro.memory.system import MemorySystem
 
-
-def OpticallyConnectedMemory(
-    num_controllers: int = 64, memory_latency_s: float = 20e-9
-) -> MemorySystem:
-    """Build the paper's OCM memory system (Table 4: 20 ns DRAM latency)."""
-    return MemorySystem(
-        name="OCM",
-        channel_factory=OpticalMemoryChannel,
-        num_controllers=num_controllers,
-        dram_timings=DramTimings(access_latency_s=memory_latency_s),
-    )
+if TYPE_CHECKING:  # the config package imports the replay, which imports us
+    from repro.core.config import CoronaConfig
 
 
-def ocm_interconnect_summary(num_controllers: int = 64) -> Dict[str, object]:
+def OpticallyConnectedMemory(config: "CoronaConfig") -> MemorySystem:
+    """Build the OCM memory system of ``config`` (Table 4: 160 GB/s per
+    controller, 20 ns DRAM latency)."""
+    return MemorySystem(config, "OCM", partial(OpticalMemoryChannel, config))
+
+
+def ocm_interconnect_summary(config: "CoronaConfig") -> Dict[str, object]:
     """The OCM column of Table 4, derived from the channel model."""
-    channel = OpticalMemoryChannel("ocm-summary")
-    total_bandwidth = num_controllers * channel.bandwidth_bytes_per_s
-    # Each controller uses a pair of fiber links, each of which is a loop
-    # (outbound fiber returning as the inbound fiber): 4 fiber ends per
-    # controller -> 256 fibers chip-wide.
-    fibers = num_controllers * 4
+    channel = OpticalMemoryChannel(config, "ocm-summary")
+    controllers = config.num_clusters
+    total_bandwidth = controllers * channel.bandwidth_bytes_per_s
+    # Each controller's fiber links are loops (the outbound fiber returns as
+    # the inbound fiber): two fiber ends per link, 4 per controller and 256
+    # chip-wide in the paper's design.
+    fibers = controllers * config.memory_links_per_controller * 2
     return {
-        "Memory controllers": num_controllers,
+        "Memory controllers": controllers,
         "External connectivity": f"{fibers} fibers",
-        "Channel width": "128 b half duplex",
-        "Channel data rate": "10 Gb/s",
+        "Channel width": f"{channel.width_bits} b half duplex",
+        "Channel data rate": f"{channel.data_rate_bps / 1e9:g} Gb/s",
         "Memory bandwidth (TB/s)": total_bandwidth / 1e12,
-        "Memory latency (ns)": 20.0,
-        "Interconnect power (W)": num_controllers * channel.interconnect_power_w,
+        "Memory latency (ns)": config.memory_latency_s * 1e9,
+        "Interconnect power (W)": controllers * channel.interconnect_power_w,
         "Interconnect power (mW/Gb/s)": channel.interconnect_power_w_per_gbps * 1e3,
     }

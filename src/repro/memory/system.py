@@ -1,8 +1,10 @@
 """The full off-stack memory system: one controller per cluster.
 
-A :class:`MemorySystem` builds the per-cluster controllers, each with its
-channel, its DRAM module and its request queue.  The system simulator binds
-the ``controllers`` table once and sends every access straight to the home
+A :class:`MemorySystem` builds the per-cluster controllers of a
+:class:`~repro.core.config.CoronaConfig`, each with its channel, its DRAM
+module and its request queue: ``num_clusters`` controllers whose DRAM
+answers in ``memory_latency_s``.  The system simulator binds the
+``controllers`` table once and sends every access straight to the home
 cluster's :meth:`~repro.memory.controller.MemoryController.access`; the
 achieved bandwidth of Figures 9 and 10 comes from the replay's own byte
 count.
@@ -11,11 +13,14 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict
 
 from repro.memory.channel import MemoryChannel
 from repro.memory.controller import MemoryController
 from repro.memory.dram import DramTimings, OcmModule
+
+if TYPE_CHECKING:  # the config package imports the replay, which imports us
+    from repro.core.config import CoronaConfig
 
 
 @dataclass
@@ -24,40 +29,35 @@ class MemorySystem:
 
     Parameters
     ----------
+    config:
+        The system's configuration: one controller per cluster
+        (``num_clusters``, numbered ``0..n-1``), each with DRAM of latency
+        ``memory_latency_s`` (Table 4: 20 ns for both designs).
     name:
         "OCM" or "ECM" in the paper's configuration names.
     channel_factory:
-        Builds the external channel for one controller.
-    num_controllers:
-        One per cluster (64).  The controllers are numbered ``0..n-1``.
-    queue_depth:
-        Request-queue capacity of each controller (64 for OCM and ECM).
-    dram_timings:
-        Timing of each controller's DRAM banks, the memory latency included
-        (Table 4: 20 ns for both designs).
+        Builds the external channel of one controller from its name.
     """
 
+    config: "CoronaConfig"
     name: str
     channel_factory: Callable[[str], MemoryChannel]
-    num_controllers: int = 64
-    queue_depth: int = 64
-    dram_timings: DramTimings = field(default_factory=DramTimings)
     controllers: Dict[int, MemoryController] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.num_controllers < 1:
-            raise ValueError(
-                f"need at least one controller, got {self.num_controllers}"
-            )
+        timings = DramTimings(access_latency_s=self.config.memory_latency_s)
         self.controllers = {
             controller_id: MemoryController(
                 controller_id=controller_id,
                 channel=self.channel_factory(f"{self.name}-ch{controller_id}"),
-                module=OcmModule(module_id=0, timings=self.dram_timings),
-                queue_depth=self.queue_depth,
+                module=OcmModule(module_id=0, timings=timings),
             )
-            for controller_id in range(self.num_controllers)
+            for controller_id in range(self.config.num_clusters)
         }
+
+    @property
+    def num_controllers(self) -> int:
+        return len(self.controllers)
 
     def controller(self, cluster: int) -> MemoryController:
         if cluster not in self.controllers:

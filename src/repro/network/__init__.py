@@ -12,10 +12,15 @@ Three interconnects are modelled, matching the paper's evaluation:
   no finite buffers and exert no back-pressure.
 
 All interconnects implement the :class:`~repro.network.topology.Interconnect`
-interface so the system simulator can swap them freely.
+interface so the system simulator can swap them freely, and each is built
+from the :class:`~repro.core.config.CoronaConfig` it models
+(``OpticalCrossbar(config)``, ``OpticalBroadcastBus(config)``,
+``high_performance_mesh(config)``, ``low_performance_mesh(config)``): no
+constructor restates the design point in a default.  No module here imports
+:mod:`repro.core` at run time, because its package init loads the replay,
+which imports this package.
 """
 
-from repro.network.arbitration import TokenRingArbiter
 from repro.network.broadcast import OpticalBroadcastBus
 from repro.network.crossbar import OpticalCrossbar
 from repro.network.mesh import ElectricalMesh, high_performance_mesh, low_performance_mesh
@@ -32,5 +37,4 @@ __all__ = [
     "low_performance_mesh",
     "OpticalCrossbar",
     "OpticalBroadcastBus",
-    "TokenRingArbiter",
 ]

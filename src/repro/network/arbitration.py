@@ -13,11 +13,12 @@ A request from cluster ``c`` at time ``t`` is granted at::
     grant = max(t, release_time) + travel(release_position -> c)
 
 where travel time is the serpentine propagation delay between the two
-clusters (a full revolution takes ``ring_round_trip_cycles``, 8 processor
-clocks in the paper).  This reproduces the paper's behaviour: under contention
-the token moves only a short distance between back-to-back holders so
-utilization is high, while an uncontested requester may wait up to a full
-revolution (8 cycles) for the token to come around.
+clusters (a full revolution takes
+``CoronaConfig.token_ring_round_trip_cycles``, 8 processor clocks in the
+paper).  This reproduces the paper's behaviour: under contention the token
+moves only a short distance between back-to-back holders so utilization is
+high, while an uncontested requester may wait up to a full revolution (8
+cycles) for the token to come around.
 """
 
 from __future__ import annotations
@@ -57,16 +58,16 @@ class TokenChannelArbiter:
     ring_round_trip_s: float
     #: Cluster just downstream of which the token was last released.
     release_position: int = 0
-    #: Time the token was last released (or created).
-    release_time: float = 0.0
-    grants: int = field(default=0, repr=False)
-    total_wait_s: float = field(default=0.0, repr=False)
+    #: Time the token was last released (or created): 0 at construction.
+    release_time: float = field(init=False)
+    grants: int = field(init=False, repr=False)
+    total_wait_s: float = field(init=False, repr=False)
     #: Fault injection hook (:mod:`repro.faults.inject`):
     #: ``token_loss(channel_id, grant_index)`` returns the extra delay of a
     #: grant whose token was lost.  ``None`` on fault-free builds, so a
     #: grant pays one ``is None`` check and computes bit-identical results.
     token_loss: Optional[Callable[[int, int], float]] = field(
-        default=None, repr=False, compare=False
+        init=False, repr=False, compare=False
     )
     #: :func:`token_travel_times` of this ring.
     _travel: Tuple[float, ...] = field(init=False, repr=False, compare=False)
@@ -87,6 +88,10 @@ class TokenChannelArbiter:
             raise ValueError(
                 f"round-trip time must be non-negative, got {self.ring_round_trip_s}"
             )
+        self.release_time = 0.0
+        self.grants = 0
+        self.total_wait_s = 0.0
+        self.token_loss = None
         self._travel = token_travel_times(self.num_clusters, self.ring_round_trip_s)
         self.handoff_s = self.ring_round_trip_s / self.num_clusters
 
@@ -136,33 +141,24 @@ class TokenRingArbiter:
     """The full arbitration subsystem: one token per crossbar channel.
 
     The paper uses 64 wavelengths on the arbitration waveguide, one per
-    crossbar channel, plus one wavelength for the broadcast bus; this class
-    manages any number of channels with independent tokens sharing a single
-    (logical) arbitration ring.
+    crossbar channel (one channel per cluster), plus one wavelength for the
+    broadcast bus; this class manages the channels' independent tokens,
+    which share a single (logical) arbitration ring of round trip
+    ``ring_round_trip_s``.
     """
 
-    def __init__(
-        self,
-        num_clusters: int = 64,
-        num_channels: int = 64,
-        clock_hz: float = 5e9,
-        ring_round_trip_cycles: float = 8.0,
-    ) -> None:
-        if num_channels < 1:
-            raise ValueError(f"need at least one channel, got {num_channels}")
-        if clock_hz <= 0:
-            raise ValueError(f"clock must be positive, got {clock_hz}")
-        self.ring_round_trip_s = ring_round_trip_cycles / clock_hz
+    def __init__(self, num_clusters: int, ring_round_trip_s: float) -> None:
+        self.ring_round_trip_s = ring_round_trip_s
         self.channels: Dict[int, TokenChannelArbiter] = {
             channel: TokenChannelArbiter(
                 channel_id=channel,
                 num_clusters=num_clusters,
-                ring_round_trip_s=self.ring_round_trip_s,
+                ring_round_trip_s=ring_round_trip_s,
                 # Tokens start spread around the ring, as they would be after
                 # the channels have been idle for a revolution.
-                release_position=channel % num_clusters,
+                release_position=channel,
             )
-            for channel in range(num_channels)
+            for channel in range(num_clusters)
         }
 
     def average_wait_s(self) -> float:

@@ -10,8 +10,9 @@ broadband splitter and reads the message, snooping its caches.
 
 The bus is a single shared channel arbitrated by one token (one extra
 wavelength on the arbitration waveguide), one waveguide's comb wide (64
-wavelengths in the paper's design).  A replayed system builds it from its
-:class:`~repro.core.config.CoronaConfig`: the comb width
+wavelengths in the paper's design).  It is built from a
+:class:`~repro.core.config.CoronaConfig`: the cluster count and clock
+(``num_clusters``, ``core.frequency_hz``), the comb width
 (``crossbar_wavelengths_per_waveguide``), the per-wavelength rate
 (``signalling_rate_bps``) and the token ring's round trip
 (``token_ring_round_trip_cycles``).  The coil's round trip, the splitter
@@ -20,13 +21,16 @@ taps' excess loss and the energy per bit are constants of the design.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from repro.network.arbitration import TokenChannelArbiter
 from repro.network.crossbar import ENERGY_PER_BIT_J
 from repro.network.message import Message, MessageType
 from repro.network.topology import Interconnect, TransferResult
 from repro.photonics.splitter import splitter_chain_losses
+
+if TYPE_CHECKING:  # the config package imports the replay, which imports us
+    from repro.core.config import CoronaConfig
 
 #: Clocks for light to traverse the two-pass coil end to end.
 COIL_ROUND_TRIP_CYCLES = 16.0
@@ -37,27 +41,20 @@ TAP_EXCESS_LOSS_DB = 0.1
 class OpticalBroadcastBus(Interconnect):
     """A single-channel, all-cluster optical broadcast bus."""
 
-    def __init__(
-        self,
-        num_clusters: int = 64,
-        clock_hz: float = 5e9,
-        wavelengths: int = 64,
-        bit_rate_per_wavelength_bps: float = 10e9,
-        ring_round_trip_cycles: float = 8.0,
-    ) -> None:
+    def __init__(self, config: "CoronaConfig") -> None:
+        clock_hz = config.clock_hz
         super().__init__(
-            name="BroadcastBus", num_clusters=num_clusters, clock_hz=clock_hz
+            name="BroadcastBus", num_clusters=config.num_clusters, clock_hz=clock_hz
         )
-        if wavelengths < 1:
-            raise ValueError(f"need at least one wavelength, got {wavelengths}")
-        self.wavelengths = wavelengths
-        self.bandwidth_bytes_per_s = wavelengths * bit_rate_per_wavelength_bps / 8.0
+        self.bandwidth_bytes_per_s = (
+            config.crossbar_wavelengths_per_waveguide * config.signalling_rate_bps / 8.0
+        )
         self.coil_round_trip_s = COIL_ROUND_TRIP_CYCLES / clock_hz
         self.energy_per_bit_j = ENERGY_PER_BIT_J
         self.arbiter = TokenChannelArbiter(
             channel_id=0,
-            num_clusters=num_clusters,
-            ring_round_trip_s=ring_round_trip_cycles / clock_hz,
+            num_clusters=config.num_clusters,
+            ring_round_trip_s=config.token_ring_round_trip_cycles / clock_hz,
         )
         self.broadcasts_sent = 0
         self.unicast_messages_avoided = 0

@@ -21,11 +21,14 @@ arbiter that guards the broadcast bus.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.network.arbitration import TokenRingArbiter
 from repro.network.message import Message
 from repro.network.topology import Interconnect, TransferResult
+
+if TYPE_CHECKING:  # the config package imports the replay, which imports us
+    from repro.core.config import CoronaConfig
 
 #: Continuous crossbar power (laser, ring trimming and clocking) charged
 #: against the on-chip network in the paper's evaluation (Section 4): 26 W,
@@ -38,7 +41,13 @@ ENERGY_PER_BIT_J = 100e-15
 
 
 class OpticalCrossbar(Interconnect):
-    """The Corona DWDM crossbar with optical token arbitration."""
+    """The Corona DWDM crossbar with optical token arbitration.
+
+    Built from a :class:`~repro.core.config.CoronaConfig`: one channel per
+    cluster (``num_clusters``) of ``crossbar_channel_bandwidth_bytes_per_s``,
+    a serpentine of ``crossbar_max_propagation_cycles`` and a token ring of
+    ``token_ring_round_trip_cycles``, both in clocks of ``clock_hz``.
+    """
 
     __slots__ = (
         "channel_bandwidth_bytes_per_s",
@@ -49,25 +58,17 @@ class OpticalCrossbar(Interconnect):
         "_fault_channel_bw",
     )
 
-    def __init__(
-        self,
-        num_clusters: int = 64,
-        clock_hz: float = 5e9,
-        channel_bandwidth_bytes_per_s: float = 320e9,
-        max_propagation_cycles: float = 8.0,
-        ring_round_trip_cycles: float = 8.0,
-    ) -> None:
+    def __init__(self, config: "CoronaConfig") -> None:
+        num_clusters = config.num_clusters
+        clock_hz = config.clock_hz
         super().__init__(name="XBar", num_clusters=num_clusters, clock_hz=clock_hz)
-        if channel_bandwidth_bytes_per_s <= 0:
-            raise ValueError("channel bandwidth must be positive")
-        self.channel_bandwidth_bytes_per_s = channel_bandwidth_bytes_per_s
-        self.max_propagation_s = max_propagation_cycles / clock_hz
+        self.channel_bandwidth_bytes_per_s = (
+            config.crossbar_channel_bandwidth_bytes_per_s
+        )
+        self.max_propagation_s = config.crossbar_max_propagation_cycles / clock_hz
         self.energy_per_bit_j = ENERGY_PER_BIT_J
         self.arbiter = TokenRingArbiter(
-            num_clusters=num_clusters,
-            num_channels=num_clusters,
-            clock_hz=clock_hz,
-            ring_round_trip_cycles=ring_round_trip_cycles,
+            num_clusters, config.token_ring_round_trip_cycles / clock_hz
         )
         #: Bytes delivered to each home, per channel.
         self.channel_bytes: Dict[int, float] = {c: 0.0 for c in range(num_clusters)}

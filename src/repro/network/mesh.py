@@ -5,7 +5,11 @@ dimension-order wormhole routing with a per-hop latency of 5 clocks
 (forwarding plus wire propagation) and bisection bandwidths of 1.28 TB/s
 (HMesh) and 0.64 TB/s (LMesh).  Dynamic energy is charged at 196 pJ per
 message per hop, the paper's aggressive low-swing estimate that ignores
-leakage.
+leakage.  A mesh takes its cluster count and clock from a
+:class:`~repro.core.config.CoronaConfig`; the hop latency
+(:data:`HOP_LATENCY_CYCLES`) and the two bisection bandwidths
+(:func:`high_performance_mesh`, :func:`low_performance_mesh`) are
+constants of the baselines.
 
 The transfer model is wormhole-accurate to first order: the head flit advances
 one hop every ``hop latency`` once each successive link is free, each link is
@@ -28,7 +32,7 @@ reservation behind every :class:`~repro.sim.resources.SerialResource`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.network.message import Message
 from repro.network.topology import (
@@ -39,12 +43,23 @@ from repro.network.topology import (
 )
 from repro.sim.resources import SerialResource, reserve_interval
 
+if TYPE_CHECKING:  # the config package imports the replay, which imports us
+    from repro.core.config import CoronaConfig
+
 #: Dynamic energy of one message crossing one mesh hop: 196 pJ.
 ENERGY_PER_HOP_J = 196e-12
 
+#: Clocks for a head flit to cross one hop (forwarding plus wire).
+HOP_LATENCY_CYCLES = 5.0
+
 
 class ElectricalMesh(Interconnect):
-    """A 2D mesh with dimension-order wormhole routing."""
+    """A 2D mesh with dimension-order wormhole routing.
+
+    A square mesh of the ``config``'s ``num_clusters``, clocked at its
+    ``clock_hz``, with :data:`HOP_LATENCY_CYCLES` per hop; its links share
+    ``bisection_bandwidth_bytes_per_s`` across the bisection.
+    """
 
     __slots__ = (
         "coordinates",
@@ -59,23 +74,18 @@ class ElectricalMesh(Interconnect):
 
     def __init__(
         self,
+        config: "CoronaConfig",
         name: str,
-        num_clusters: int = 64,
-        clock_hz: float = 5e9,
-        bisection_bandwidth_bytes_per_s: float = 1.28e12,
-        hop_latency_cycles: float = 5.0,
+        bisection_bandwidth_bytes_per_s: float,
     ) -> None:
-        super().__init__(name=name, num_clusters=num_clusters, clock_hz=clock_hz)
+        num_clusters = config.num_clusters
+        super().__init__(name=name, num_clusters=num_clusters, clock_hz=config.clock_hz)
         if bisection_bandwidth_bytes_per_s <= 0:
             raise ValueError(
                 f"bisection bandwidth must be positive, got {bisection_bandwidth_bytes_per_s}"
             )
-        if hop_latency_cycles < 0:
-            raise ValueError(
-                f"hop latency must be non-negative, got {hop_latency_cycles}"
-            )
         self.coordinates = MeshCoordinates.square(num_clusters)
-        self.hop_latency_s = hop_latency_cycles / clock_hz
+        self.hop_latency_s = HOP_LATENCY_CYCLES / config.clock_hz
         self.energy_per_hop_j = ENERGY_PER_HOP_J
 
         # Per-link bandwidth is set so that the links crossing the bisection
@@ -180,21 +190,11 @@ class ElectricalMesh(Interconnect):
         return utilizations[:count]
 
 
-def high_performance_mesh(num_clusters: int = 64, clock_hz: float = 5e9) -> ElectricalMesh:
+def high_performance_mesh(config: "CoronaConfig") -> ElectricalMesh:
     """The paper's HMesh: 1.28 TB/s bisection bandwidth, 5-clock hops."""
-    return ElectricalMesh(
-        name="HMesh",
-        num_clusters=num_clusters,
-        clock_hz=clock_hz,
-        bisection_bandwidth_bytes_per_s=1.28e12,
-    )
+    return ElectricalMesh(config, "HMesh", 1.28e12)
 
 
-def low_performance_mesh(num_clusters: int = 64, clock_hz: float = 5e9) -> ElectricalMesh:
+def low_performance_mesh(config: "CoronaConfig") -> ElectricalMesh:
     """The paper's LMesh: 0.64 TB/s bisection bandwidth, 5-clock hops."""
-    return ElectricalMesh(
-        name="LMesh",
-        num_clusters=num_clusters,
-        clock_hz=clock_hz,
-        bisection_bandwidth_bytes_per_s=0.64e12,
-    )
+    return ElectricalMesh(config, "LMesh", 0.64e12)

@@ -3,8 +3,9 @@
 The data channels themselves are not modelled here: the crossbar channel
 width and bandwidth (4 waveguides x 64 wavelengths at 10 Gb/s, 320 GB/s) and
 the OCM links (64 wavelengths, 80 GB/s each) are derived once, by
-:class:`~repro.core.config.CoronaConfig`, and the replayed networks are built
-from it.  This package holds what sits beside the replay:
+:class:`~repro.core.config.CoronaConfig`, and the replayed networks and
+memory channels are built from it.  This package holds what sits beside the
+replay:
 
 * :mod:`repro.photonics.inventory` -- the Table 2 waveguide and ring counts;
 * :mod:`repro.photonics.power_budget` -- the worst-case crossbar link budget

@@ -11,7 +11,10 @@ required laser power and checks margin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import TYPE_CHECKING, List
+
+if TYPE_CHECKING:  # the config package imports the replay, which imports us
+    from repro.core.config import CoronaConfig
 
 
 @dataclass(frozen=True)
@@ -133,11 +136,16 @@ DETECTOR_DROP_DB = 0.5
 
 
 def crossbar_worst_case_budget(
+    config: "CoronaConfig",
     waveguide_loss_db_per_cm: float = 0.3,
-    ring_passes: int = 64 * 64,
     ring_through_loss_db: float = 0.0001,
 ) -> LossBudget:
-    """The worst-case crossbar path loss budget.
+    """The worst-case crossbar path loss budget of ``config``.
+
+    The light passes one ring bank of ``crossbar_wavelengths_per_waveguide``
+    rings at each of the ``num_clusters`` clusters (64 x 64 ring passes in
+    the paper's design), as :func:`~repro.photonics.inventory.corona_inventory`
+    counts them.
 
     Note: this budget uses optimistic 2017-era projections for waveguide loss
     (0.3 dB/cm rather than today's 2-3 dB/cm) and very low per-ring through
@@ -147,6 +155,7 @@ def crossbar_worst_case_budget(
     show how much device improvement the architecture actually needs.  The
     path's other elements are the constants above.
     """
+    ring_passes = config.num_clusters * config.crossbar_wavelengths_per_waveguide
     budget = LossBudget(name="crossbar worst-case path")
     budget.add("star coupler", COUPLER_LOSS_DB)
     budget.add("home splitter", SPLITTER_LOSS_DB)

@@ -324,12 +324,6 @@ def axis_divergence_rows(
     return rows
 
 
-def relative_drift(ratio: float) -> float:
-    """``|ratio - 1|`` clipped at 0 -- the fractional drift a geomean ratio
-    represents (used by the diff report's axis table)."""
-    return abs(ratio - 1.0)
-
-
 __all__ = [
     "DEFAULT_METRIC",
     "aggregation_report_section",
@@ -337,5 +331,4 @@ __all__ = [
     "axis_value_geomeans",
     "coherence_report_section",
     "detect_crossovers",
-    "relative_drift",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.coherence.sharing import (
     SharingProfile,
@@ -40,6 +40,9 @@ from repro.coherence.sharing import (
 from repro.trace.arrival import ArrivalSpec, arrival_streams
 from repro.trace.gaps import draw_gap
 from repro.trace.packed import PackedTrace, PackedTraceBuilder
+
+if TYPE_CHECKING:  # the config package imports the replay, which imports us
+    from repro.core.config import CoronaConfig
 
 
 @dataclass(frozen=True)
@@ -101,16 +104,12 @@ class Splash2Profile:
         if self.window < 1:
             raise ValueError(f"{self.name}: window must be >= 1")
 
-    def demand_bandwidth_tbps(
-        self,
-        total_threads: int = 1024,
-        clock_hz: float = 5e9,
-        line_bytes: int = 64,
-    ) -> float:
-        """Offered main-memory bandwidth if no resource ever stalls a thread."""
-        gap_seconds = self.mean_gap_cycles / clock_hz
-        per_thread = line_bytes / gap_seconds
-        return per_thread * total_threads / 1e12
+    def demand_bandwidth_tbps(self, config: "CoronaConfig") -> float:
+        """Offered main-memory bandwidth if no resource ever stalls a thread:
+        one L2 line per mean gap from each of ``config``'s threads."""
+        gap_seconds = self.mean_gap_cycles / config.clock_hz
+        per_thread = config.cluster.l2_line_bytes / gap_seconds
+        return per_thread * config.num_threads / 1e12
 
 
 # ---------------------------------------------------------------------------

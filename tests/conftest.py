@@ -39,16 +39,6 @@ def small_splash_workload():
     return splash2_workload("FFT", num_clusters=16, threads_per_cluster=2)
 
 
-@pytest.fixture
-def corona_configuration():
-    return configuration_by_name("XBar/OCM")
-
-
-@pytest.fixture
-def baseline_configuration():
-    return configuration_by_name("LMesh/ECM")
-
-
 @pytest.fixture(params=[c.name for c in all_configurations()])
 def any_configuration(request):
     """Parametrized over all five evaluated configurations."""

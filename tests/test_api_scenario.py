@@ -248,20 +248,16 @@ class TestRegistry:
         assert "Water-Sp" in WORKLOADS
 
     def test_custom_registration_runs_end_to_end(self):
-        from repro.core.configs import (
-            crossbar_network,
-            ecm_memory,
-        )
+        from repro.memory.ecm import ElectricallyConnectedMemory
+        from repro.network.crossbar import OpticalCrossbar
 
         name = "Test/XBarECM"
         if name not in CONFIGURATIONS:
             CONFIGURATIONS.register(name)(
                 lambda: SystemConfiguration(
                     name=name,
-                    network_name="XBar",
-                    memory_name="ECM",
-                    network_factory=crossbar_network,
-                    memory_factory=ecm_memory,
+                    network_factory=OpticalCrossbar,
+                    memory_factory=ElectricallyConnectedMemory,
                 )
             )
         result = run(

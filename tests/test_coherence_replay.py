@@ -104,7 +104,7 @@ class TestCoherenceConfig:
 
 class TestInterconnectMulticast:
     def test_mesh_unicast_fanout_counts_messages_and_hops(self):
-        mesh = low_performance_mesh(num_clusters=16, clock_hz=5e9)
+        mesh = low_performance_mesh(CORONA_DEFAULT.with_overrides({"num_clusters": 16}))
         message = Message(src=0, dst=0, message_type=MessageType.INVALIDATE)
         result = mesh.multicast(message, [1, 5, 0, 15], now=0.0)
         # Destination 0 == src is skipped.

@@ -9,7 +9,6 @@ from repro.core.configs import (
     CONFIGURATION_ORDER,
     all_configurations,
     configuration_by_name,
-    corona_configuration,
 )
 from repro.core.results import (
     WorkloadResult,
@@ -93,10 +92,12 @@ class TestSystemConfigurations:
         assert BASELINE_CONFIGURATION_NAME == "LMesh/ECM"
 
     def test_corona_configuration_is_xbar_ocm(self):
-        corona = corona_configuration()
-        assert corona.name == "XBar/OCM"
-        assert corona.is_corona
-        assert corona.build_network().static_power_w() == pytest.approx(26.0)
+        corona = configuration_by_name("XBar/OCM")
+        assert corona.has_broadcast_bus
+        network = corona.network_factory(CORONA_DEFAULT)
+        assert network.name == "XBar"
+        assert network.static_power_w() == pytest.approx(26.0)
+        assert corona.memory_factory(CORONA_DEFAULT).name == "OCM"
 
     def test_lookup_unknown_name(self):
         with pytest.raises(KeyError):
@@ -104,17 +105,17 @@ class TestSystemConfigurations:
 
     def test_factories_build_consistent_components(self, small_config):
         for configuration in all_configurations():
-            network = configuration.build_network(small_config)
-            memory = configuration.build_memory(small_config)
+            network = configuration.network_factory(small_config)
+            memory = configuration.memory_factory(small_config)
             assert isinstance(network, Interconnect)
             assert isinstance(memory, MemorySystem)
             assert network.num_clusters == small_config.num_clusters
             assert memory.num_controllers == small_config.num_clusters
 
     def test_network_bandwidth_ordering(self, small_config):
-        lmesh = configuration_by_name("LMesh/ECM").build_network(small_config)
-        hmesh = configuration_by_name("HMesh/ECM").build_network(small_config)
-        xbar = configuration_by_name("XBar/OCM").build_network(small_config)
+        lmesh = configuration_by_name("LMesh/ECM").network_factory(small_config)
+        hmesh = configuration_by_name("HMesh/ECM").network_factory(small_config)
+        xbar = configuration_by_name("XBar/OCM").network_factory(small_config)
 
         def mesh_bisection(mesh):
             return mesh.link_bandwidth_bytes_per_s * mesh.coordinates.bisection_link_count()
@@ -124,8 +125,8 @@ class TestSystemConfigurations:
         assert mesh_bisection(lmesh) < mesh_bisection(hmesh) < xbar_bisection
 
     def test_memory_bandwidth_ordering(self, small_config):
-        ecm = configuration_by_name("LMesh/ECM").build_memory(small_config)
-        ocm = configuration_by_name("XBar/OCM").build_memory(small_config)
+        ecm = configuration_by_name("LMesh/ECM").memory_factory(small_config)
+        ocm = configuration_by_name("XBar/OCM").memory_factory(small_config)
 
         def aggregate(memory):
             return sum(c.channel.bandwidth_bytes_per_s for c in memory.controllers.values())

@@ -7,8 +7,13 @@ import weakref
 
 import pytest
 
-from repro.core.configs import all_configurations, configuration_by_name
+from repro.coherence import CoherenceConfig
+from repro.core.config import CORONA_DEFAULT
+from repro.core.configs import CONFIGURATION_ORDER, all_configurations, configuration_by_name
 from repro.core.system import SystemSimulator, simulate_workload
+from repro.memory.channel import CHANNEL_LATENCY_S, ECM_DATA_RATE_BPS, ECM_WIDTH_BITS
+from repro.memory.controller import COMMAND_BYTES
+from repro.network.mesh import HOP_LATENCY_CYCLES
 from repro.trace.packed import PackedTraceBuilder
 
 
@@ -419,6 +424,96 @@ class TestReplayOnce:
         assert simulator.stats.requests == 500
         fresh = SystemSimulator(configuration, corona_config=small_config)
         assert fresh.run(trace).to_dict() == first.to_dict()
+
+
+class TestFollowsCoronaConfig:
+    """Every replayed component reads its numbers from the simulator's
+    :class:`~repro.core.config.CoronaConfig`, none from a default of its
+    own: a config that moves every replay-driving field off the design
+    point reaches the network, the broadcast bus, each memory controller
+    and each hub."""
+
+    MOVED = {
+        "num_clusters": 16,
+        "core": {"frequency_hz": 2.5e9},
+        "cluster": {"l2_mshrs": 8, "hub_queue_depth": 8},
+        "crossbar_waveguides_per_channel": 2,
+        "crossbar_wavelengths_per_waveguide": 32,
+        "crossbar_max_propagation_cycles": 4,
+        "token_ring_round_trip_cycles": 16,
+        "memory_latency_s": 30e-9,
+    }
+
+    @pytest.mark.parametrize("name", CONFIGURATION_ORDER)
+    def test_components_follow_the_config(self, name):
+        config = CORONA_DEFAULT.with_overrides(self.MOVED)
+        configuration = configuration_by_name(name)
+        simulator = SystemSimulator(configuration, config, coherence=CoherenceConfig())
+        clock = config.clock_hz
+        ring_s = config.token_ring_round_trip_cycles / clock
+
+        network = simulator.network
+        assert (network.num_clusters, network.clock_hz) == (16, 2.5e9)
+        if name.startswith("XBar"):
+            assert network.channel_bandwidth_bytes_per_s == (
+                config.crossbar_channel_bandwidth_bytes_per_s
+            )
+            assert network.max_propagation_s == config.crossbar_max_propagation_cycles / clock
+            channels = network.arbiter.channels
+            assert sorted(channels) == list(range(16))
+            assert {c.ring_round_trip_s for c in channels.values()} == {ring_s}
+        else:
+            assert network.hop_latency_s == HOP_LATENCY_CYCLES / clock
+
+        bus = simulator.broadcast_bus
+        assert (bus is not None) == configuration.has_broadcast_bus
+        if bus is not None:
+            assert (bus.num_clusters, bus.clock_hz) == (16, 2.5e9)
+            assert bus.bandwidth_bytes_per_s == (
+                config.crossbar_wavelengths_per_waveguide * config.signalling_rate_bps / 8
+            )
+            assert bus.arbiter.ring_round_trip_s == ring_s
+
+        if name.endswith("OCM"):
+            channel_bandwidth = config.memory_bandwidth_per_controller_bytes_per_s
+        else:
+            channel_bandwidth = ECM_WIDTH_BITS * ECM_DATA_RATE_BPS / 8
+        controllers = simulator.memory.controllers
+        assert sorted(controllers) == list(range(16))
+        for controller in controllers.values():
+            assert controller.module.timings.access_latency_s == config.memory_latency_s
+            assert controller.channel.bandwidth_bytes_per_s == channel_bandwidth
+
+        assert sorted(simulator.hubs) == list(range(16))
+        for hub in simulator.hubs.values():
+            assert hub.mshr_pool.heaps.capacity == config.cluster.l2_mshrs
+            assert hub.injection_queue.capacity == config.cluster.hub_queue_depth
+
+    @pytest.mark.parametrize(
+        "override, per_controller",
+        [
+            ({"memory_links_per_controller": 1}, 80e9),
+            ({"memory_wavelengths_per_link": 16}, 40e9),
+            ({"signalling_rate_bps": 20e9}, 320e9),
+        ],
+        ids=["links", "wavelengths", "rate"],
+    )
+    def test_ocm_links_follow_the_config(self, override, per_controller):
+        """Each OCM link field reaches every replayed controller: its channel
+        carries the config's per-controller bandwidth, and an idle read
+        serializes its command and its line at that bandwidth."""
+        config = CORONA_DEFAULT.with_overrides(override)
+        assert config.memory_bandwidth_per_controller_bytes_per_s == per_controller
+        for name in ("LMesh/OCM", "HMesh/OCM", "XBar/OCM"):
+            simulator = SystemSimulator(configuration_by_name(name), config)
+            controllers = simulator.memory.controllers.values()
+            assert {c.channel.bandwidth_bytes_per_s for c in controllers} == {per_controller}
+            read = simulator.memory.controllers[0].access(
+                now=0.0, size_bytes=64, is_write=False
+            )
+            assert read.channel_delay == pytest.approx(
+                (COMMAND_BYTES + 64) / per_controller + 2 * CHANNEL_LATENCY_S
+            )
 
 
 class TestHostCostGate:

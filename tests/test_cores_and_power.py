@@ -42,7 +42,7 @@ class TestCluster:
 
 class TestHub:
     def test_mshr_allocation_waits_when_full(self):
-        hub = Hub(cluster_id=0, mshrs=2)
+        hub = Hub(cluster_id=0, queue_depth=64, mshrs=2)
         for release in (100e-9, 200e-9):
             hub.mshr_pool.acquire(0.0)
             hub.mshr_pool.release_at(release)
@@ -52,7 +52,7 @@ class TestHub:
     def test_injection_queue_pushes_back_when_full(self):
         """Each request leaving the core is admitted to the hub's injection
         queue, which holds it until the hub has forwarded it."""
-        hub = Hub(cluster_id=0, queue_depth=2)
+        hub = Hub(cluster_id=0, queue_depth=2, mshrs=64)
         forwarding = hub.forwarding_latency_s
         assert hub.injection_queue.admit(0.0, forwarding) == 0.0
         assert hub.injection_queue.admit(0.0, 2 * forwarding) == 0.0

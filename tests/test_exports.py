@@ -58,3 +58,31 @@ def test_every_export_is_used_outside_its_package():
         if missing:
             unused[package] = missing
     assert not unused, f"exported but used only inside their package or by tests: {unused}"
+
+
+#: Packages the replay imports: none may import ``repro.core`` at run time,
+#: because its package init loads the replay.  They annotate with a
+#: ``TYPE_CHECKING`` import instead.
+CONFIG_FREE_PACKAGES = ("network", "memory", "cores", "photonics", "trace")
+
+
+def _runtime_imports(node: ast.AST) -> set:
+    """Modules ``node`` imports outside ``if TYPE_CHECKING:`` blocks."""
+    if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+        return set().union(*(_runtime_imports(child) for child in node.orelse))
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return {node.module}
+    return set().union(*(_runtime_imports(child) for child in ast.iter_child_nodes(node)))
+
+
+def test_model_packages_do_not_import_the_config_package_at_run_time():
+    offenders = {}
+    for package in CONFIG_FREE_PACKAGES:
+        for path in sorted((REPO_ROOT / "src" / "repro" / package).rglob("*.py")):
+            imports = _runtime_imports(ast.parse(path.read_text(encoding="utf-8")))
+            core = sorted(m for m in imports if m == "repro.core" or m.startswith("repro.core."))
+            if core:
+                offenders[str(path.relative_to(REPO_ROOT))] = core
+    assert not offenders, f"run-time imports of repro.core: {offenders}"

@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 from repro.api import Scenario, WorkloadSpec, build_matrix, run
+from repro.core.config import CORONA_DEFAULT
 from repro.harness.experiments import (
     FULL_SCALE,
     QUICK_SCALE,
@@ -192,7 +193,7 @@ class TestTables:
         assert len(table3_benchmarks()) == 17
 
     def test_table4_columns(self):
-        rows = table4_memory_interconnects()
+        rows = table4_memory_interconnects(CORONA_DEFAULT)
         by_key = {row[0]: (row[1], row[2]) for row in rows}
         assert by_key["Memory controllers"] == (64, 64)
         assert float(by_key["Memory bandwidth (TB/s)"][0]) == pytest.approx(10.24)

@@ -283,6 +283,8 @@ class TestScenarioCli:
                 "crossbar_max_propagation_cycles",
             ),
             ({"token_ring_round_trip_cycles": -8}, "token_ring_round_trip_cycles"),
+            ({"memory_links_per_controller": 0}, "memory_links_per_controller"),
+            ({"memory_wavelengths_per_link": 0}, "memory_wavelengths_per_link"),
         ],
         ids=[
             "memory_latency_s",
@@ -292,6 +294,8 @@ class TestScenarioCli:
             "crossbar_waveguides_per_channel",
             "crossbar_max_propagation_cycles",
             "token_ring_round_trip_cycles",
+            "memory_links_per_controller",
+            "memory_wavelengths_per_link",
         ],
     )
     def test_out_of_range_replay_override_fails_cleanly(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import CORONA_DEFAULT
 from repro.memory.channel import (
     ElectricalMemoryChannel,
     MemoryChannel,
@@ -12,28 +13,38 @@ from repro.memory.dram import DramTimings, OcmModule, daisy_chain_delay
 from repro.memory.ecm import ElectricallyConnectedMemory, ecm_interconnect_summary
 from repro.memory.ocm import OpticallyConnectedMemory, ocm_interconnect_summary
 
+#: The paper's DRAM: 20 ns access latency.
+TIMINGS = DramTimings(access_latency_s=20e-9)
+
+
+def _controller(channel):
+    """A controller on ``channel`` in front of one module of the paper's DRAM."""
+    return MemoryController(
+        controller_id=0, channel=channel, module=OcmModule(module_id=0, timings=TIMINGS)
+    )
+
 
 class TestMemoryChannels:
     def test_ocm_channel_bandwidth_is_160_gbytes(self):
-        channel = OpticalMemoryChannel()
+        channel = OpticalMemoryChannel(CORONA_DEFAULT, "ocm")
         assert channel.bandwidth_bytes_per_s == pytest.approx(160e9)
 
     def test_ecm_channel_bandwidth_is_15_gbytes(self):
-        channel = ElectricalMemoryChannel()
+        channel = ElectricalMemoryChannel("ecm")
         assert channel.bandwidth_bytes_per_s == pytest.approx(15e9)
 
     def test_ocm_power_per_gbps(self):
-        channel = OpticalMemoryChannel()
+        channel = OpticalMemoryChannel(CORONA_DEFAULT, "ocm")
         assert channel.interconnect_power_w_per_gbps == pytest.approx(0.078e-3)
 
     def test_ecm_power_per_gbps(self):
-        assert ElectricalMemoryChannel().interconnect_power_w_per_gbps == pytest.approx(
+        assert ElectricalMemoryChannel("ecm").interconnect_power_w_per_gbps == pytest.approx(
             2e-3
         )
 
     def test_half_duplex_shares_capacity(self):
-        channel = OpticalMemoryChannel()
-        controller = MemoryController(controller_id=0, channel=channel)
+        channel = OpticalMemoryChannel(CORONA_DEFAULT, "ocm")
+        controller = _controller(channel)
         burst_end = 10e-9 + (8 + 16000) / channel.bandwidth_bytes_per_s
         controller.access(now=10e-9, size_bytes=16000, is_write=True, address=0)
         read = controller.access(now=0.0, size_bytes=64, is_write=False, address=64)
@@ -43,34 +54,40 @@ class TestMemoryChannels:
 
     def test_custom_channel_validation(self):
         with pytest.raises(ValueError):
-            MemoryChannel(name="bad", width_bits=0, data_rate_bps=1e9)
+            MemoryChannel(
+                name="bad",
+                width_bits=0,
+                data_rate_bps=1e9,
+                latency_s=0.0,
+                interconnect_power_w_per_gbps=0.0,
+            )
 
 
 class TestDram:
     def test_bank_access_latency(self):
-        module = OcmModule(module_id=0)
+        module = OcmModule(module_id=0, timings=TIMINGS)
         assert module.access(0, 0.0) == pytest.approx(20e-9)
 
     def test_bank_back_to_back_accesses_respect_cycle_time(self):
-        module = OcmModule(module_id=0)
+        module = OcmModule(module_id=0, timings=TIMINGS)
         module.access(0, 0.0)
         second = module.access(0, 0.0)
         assert second == pytest.approx(40e-9)
 
     def test_die_interleaves_banks(self):
-        module = OcmModule(module_id=0, num_dram_dies=1, banks_per_die=4)
+        module = OcmModule(module_id=0, timings=TIMINGS, num_dram_dies=1, banks_per_die=4)
         for line in range(4):
             module.access(line << 6, 0.0)
         # Line 4 maps back to line 0's bank, which is busy for its cycle.
         assert module.access(4 << 6, 0.0) == pytest.approx(40e-9)
 
     def test_die_parallel_banks_do_not_serialize(self):
-        module = OcmModule(module_id=0, num_dram_dies=1, banks_per_die=4)
+        module = OcmModule(module_id=0, timings=TIMINGS, num_dram_dies=1, banks_per_die=4)
         ready_times = [module.access(line << 6, 0.0) for line in range(4)]
         assert all(t == pytest.approx(20e-9) for t in ready_times)
 
     def test_module_total_banks(self):
-        module = OcmModule(module_id=0, num_dram_dies=4, banks_per_die=8)
+        module = OcmModule(module_id=0, timings=TIMINGS, num_dram_dies=4, banks_per_die=8)
         assert module.total_banks == 32
 
     def test_daisy_chain_delay_grows_linearly(self):
@@ -88,8 +105,11 @@ class TestDram:
 
 class TestMemoryController:
     def _controller(self, optical=True):
-        channel = OpticalMemoryChannel() if optical else ElectricalMemoryChannel()
-        return MemoryController(controller_id=0, channel=channel)
+        return _controller(
+            OpticalMemoryChannel(CORONA_DEFAULT, "ocm")
+            if optical
+            else ElectricalMemoryChannel("ecm")
+        )
 
     def test_read_latency_near_20ns_when_idle(self):
         controller = self._controller()
@@ -149,44 +169,46 @@ class TestMemorySystems:
         return sum(c.channel.bandwidth_bytes_per_s for c in system.controllers.values())
 
     def test_ocm_aggregate_bandwidth(self):
-        system = OpticallyConnectedMemory()
+        system = OpticallyConnectedMemory(CORONA_DEFAULT)
         assert self._aggregate_bandwidth(system) == pytest.approx(10.24e12)
 
     def test_ecm_aggregate_bandwidth(self):
-        system = ElectricallyConnectedMemory()
+        system = ElectricallyConnectedMemory(CORONA_DEFAULT)
         assert self._aggregate_bandwidth(system) == pytest.approx(0.96e12)
 
     def test_one_controller_per_cluster(self):
-        system = OpticallyConnectedMemory(num_controllers=16)
+        system = OpticallyConnectedMemory(CORONA_DEFAULT.with_overrides({"num_clusters": 16}))
         assert len(system.controllers) == 16
 
     def test_unknown_controller_rejected(self):
         with pytest.raises(ValueError):
-            OpticallyConnectedMemory(num_controllers=8).controller(9)
+            OpticallyConnectedMemory(
+                CORONA_DEFAULT.with_overrides({"num_clusters": 8})
+            ).controller(9)
 
     def test_interconnect_power_comparison(self):
         # OCM ~6.4 W vs ECM tens of watts for the same controller count.
-        ocm_power = 64 * OpticalMemoryChannel().interconnect_power_w
-        ecm_power = 64 * ElectricalMemoryChannel().interconnect_power_w
+        ocm_power = 64 * OpticalMemoryChannel(CORONA_DEFAULT, "ocm").interconnect_power_w
+        ecm_power = 64 * ElectricalMemoryChannel("ecm").interconnect_power_w
         assert ocm_power == pytest.approx(6.4, rel=0.05)
         assert ecm_power > ocm_power
 
 
 class TestTable4Summaries:
     def test_ocm_summary_values(self):
-        summary = ocm_interconnect_summary()
+        summary = ocm_interconnect_summary(CORONA_DEFAULT)
         assert summary["Memory controllers"] == 64
         assert summary["External connectivity"] == "256 fibers"
         assert summary["Memory bandwidth (TB/s)"] == pytest.approx(10.24)
         assert summary["Memory latency (ns)"] == 20.0
 
     def test_ecm_summary_values(self):
-        summary = ecm_interconnect_summary()
+        summary = ecm_interconnect_summary(CORONA_DEFAULT)
         assert summary["External connectivity"] == "1536 pins"
         assert summary["Memory bandwidth (TB/s)"] == pytest.approx(0.96)
 
     def test_power_figures_match_paper_claims(self):
-        ocm = ocm_interconnect_summary()
-        ecm = ecm_interconnect_summary()
+        ocm = ocm_interconnect_summary(CORONA_DEFAULT)
+        ecm = ecm_interconnect_summary(CORONA_DEFAULT)
         assert ocm["Interconnect power (W)"] == pytest.approx(6.4, rel=0.05)
         assert ecm["Interconnect power (W)"] > ocm["Interconnect power (W)"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import CORONA_DEFAULT
 from repro.network.arbitration import (
     TokenChannelArbiter,
     TokenRingArbiter,
@@ -68,11 +69,11 @@ class TestTokenChannelArbiter:
 
 class TestTokenRingArbiter:
     def test_one_token_per_channel(self):
-        arbiter = TokenRingArbiter(num_clusters=64, num_channels=64)
+        arbiter = TokenRingArbiter(num_clusters=64, ring_round_trip_s=1.6e-9)
         assert len(arbiter.channels) == 64
 
     def test_channels_are_independent(self):
-        arbiter = TokenRingArbiter(num_clusters=64, num_channels=64)
+        arbiter = TokenRingArbiter(num_clusters=64, ring_round_trip_s=1.6e-9)
         channel_a, channel_b = arbiter.channels[0], arbiter.channels[1]
         grant_a = channel_a.acquire(cluster=5, now=0.0)
         channel_a.release(cluster=5, release_time=grant_a + 100e-9)
@@ -81,7 +82,7 @@ class TestTokenRingArbiter:
         assert grant_b < grant_a + 100e-9
 
     def test_wait_statistics_accumulate(self):
-        arbiter = TokenRingArbiter()
+        arbiter = TokenRingArbiter(num_clusters=64, ring_round_trip_s=1.6e-9)
         first = arbiter.channels[0].acquire(cluster=1, now=0.0)
         second = arbiter.channels[1].acquire(cluster=2, now=0.0)
         assert [arbiter.channels[c].grants for c in range(3)] == [1, 1, 0]
@@ -90,22 +91,22 @@ class TestTokenRingArbiter:
 
 class TestOpticalCrossbar:
     def test_aggregate_bandwidth_is_20tbps(self):
-        crossbar = OpticalCrossbar()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
         aggregate = crossbar.num_clusters * crossbar.channel_bandwidth_bytes_per_s
         assert aggregate == pytest.approx(20.48e12)
 
     def test_static_power_is_26w(self):
-        assert OpticalCrossbar().static_power_w() == pytest.approx(26.0)
+        assert OpticalCrossbar(CORONA_DEFAULT).static_power_w() == pytest.approx(26.0)
 
     def test_cache_line_serialization_is_one_clock(self):
         line = Message(
             src=0, dst=1, message_type=MessageType.READ_RESPONSE, size_bytes=64
         )
-        result = OpticalCrossbar().transfer(line, now=0.0)
+        result = OpticalCrossbar(CORONA_DEFAULT).transfer(line, now=0.0)
         assert result.serialization_delay == pytest.approx(0.2e-9)
 
     def test_propagation_bounded_by_8_clocks(self):
-        crossbar = OpticalCrossbar()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
         delays = [
             crossbar.transfer(_line(src, dst), now=0.0).propagation_delay
             for src in range(0, 64, 7)
@@ -115,13 +116,13 @@ class TestOpticalCrossbar:
         assert min(delays) >= 0.0
 
     def test_local_transfer_is_free(self):
-        crossbar = OpticalCrossbar()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
         result = crossbar.transfer(_line(3, 3), now=0.0)
         assert result.arrival_time == 0.0
         assert result.hops == 0
 
     def test_remote_transfer_latency_components(self):
-        crossbar = OpticalCrossbar()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
         result = crossbar.transfer(_line(0, 32), now=0.0)
         assert result.hops == 0
         assert result.serialization_delay == pytest.approx(72 / 320e9)
@@ -131,12 +132,12 @@ class TestOpticalCrossbar:
         )
 
     def test_uncontested_queueing_at_most_one_revolution(self):
-        crossbar = OpticalCrossbar()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
         result = crossbar.transfer(_line(5, 20), now=100e-9)
         assert result.queueing_delay <= 1.6e-9
 
     def test_channel_contention_serializes_senders(self):
-        crossbar = OpticalCrossbar()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
         # Many clusters write to cluster 0's channel at the same instant.
         arrivals = [
             crossbar.transfer(_line(src, 0), now=0.0).arrival_time
@@ -146,7 +147,7 @@ class TestOpticalCrossbar:
         assert arrivals[-1] > arrivals[0]
 
     def test_contended_channel_sustains_near_peak_bandwidth(self):
-        crossbar = OpticalCrossbar()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
         count = 200
         last_arrival = 0.0
         for i in range(count):
@@ -156,13 +157,13 @@ class TestOpticalCrossbar:
         assert achieved > 0.5 * crossbar.channel_bandwidth_bytes_per_s
 
     def test_different_channels_do_not_interfere(self):
-        crossbar = OpticalCrossbar()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
         crossbar.transfer(_line(1, 0), now=0.0)
         result = crossbar.transfer(_line(2, 3), now=0.0)
         assert result.queueing_delay <= 1.6e-9
 
     def test_channel_statistics(self):
-        crossbar = OpticalCrossbar()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
         crossbar.transfer(_line(1, 0), now=0.0)
         crossbar.transfer(_line(2, 0), now=0.0)
         assert crossbar.channel_bytes[0] == pytest.approx(2 * 72)
@@ -171,36 +172,36 @@ class TestOpticalCrossbar:
 
     def test_out_of_range_endpoint_rejected(self):
         with pytest.raises(ValueError):
-            OpticalCrossbar().transfer(_line(0, 64), now=0.0)
+            OpticalCrossbar(CORONA_DEFAULT).transfer(_line(0, 64), now=0.0)
 
 
 class TestBroadcastBus:
     def test_bandwidth_is_64_wavelengths(self):
-        bus = OpticalBroadcastBus()
+        bus = OpticalBroadcastBus(CORONA_DEFAULT)
         assert bus.bandwidth_bytes_per_s == pytest.approx(80e9)
 
     def test_broadcast_reaches_everyone_after_coil(self):
-        bus = OpticalBroadcastBus()
+        bus = OpticalBroadcastBus(CORONA_DEFAULT)
         message = Message(src=3, dst=3, message_type=MessageType.INVALIDATE)
         result = bus.transfer(message, now=0.0)
         assert result.propagation_delay == pytest.approx(bus.coil_round_trip_s)
 
     def test_single_invalidate_replaces_many_unicasts(self):
-        bus = OpticalBroadcastBus()
+        bus = OpticalBroadcastBus(CORONA_DEFAULT)
         bus.broadcast_invalidate(src=0, sharers=40, now=0.0)
         assert bus.broadcasts_sent == 1
         assert bus.unicast_messages_avoided == 39
 
     def test_bus_serializes_concurrent_broadcasters(self):
-        bus = OpticalBroadcastBus()
+        bus = OpticalBroadcastBus(CORONA_DEFAULT)
         first = bus.broadcast_invalidate(src=0, sharers=10, now=0.0)
         second = bus.broadcast_invalidate(src=1, sharers=10, now=0.0)
         assert second.arrival_time > first.arrival_time
 
     def test_listener_losses_cover_all_clusters(self):
-        losses = OpticalBroadcastBus().listener_losses_db()
+        losses = OpticalBroadcastBus(CORONA_DEFAULT).listener_losses_db()
         assert len(losses) == 64
 
     def test_negative_sharers_rejected(self):
         with pytest.raises(ValueError):
-            OpticalBroadcastBus().broadcast_invalidate(src=0, sharers=-1, now=0.0)
+            OpticalBroadcastBus(CORONA_DEFAULT).broadcast_invalidate(src=0, sharers=-1, now=0.0)

@@ -250,12 +250,19 @@ class TestBitIdentity:
         """``wavelengths``/``active`` counts each channel that moved bytes at
         the system's channel width: two waveguides per channel at twice the
         rate replay the same channel bandwidth and light half the
-        wavelengths."""
+        wavelengths.  The OCM links run at the signalling rate too, so the
+        20 Gb/s side halves their wavelengths (2 links x 32) to replay the
+        same 160 GB/s per controller as the 10 Gb/s side (2 links x 64)."""
         active = {}
-        for waveguides, rate in ((4, 10e9), (2, 20e9)):
+        for waveguides, rate, link_wavelengths in ((4, 10e9, 64), (2, 20e9, 32)):
             config = CORONA_DEFAULT.with_overrides(
-                {"crossbar_waveguides_per_channel": waveguides, "signalling_rate_bps": rate}
+                {
+                    "crossbar_waveguides_per_channel": waveguides,
+                    "signalling_rate_bps": rate,
+                    "memory_wavelengths_per_link": link_wavelengths,
+                }
             )
+            assert config.memory_bandwidth_per_controller_bytes_per_s == 160e9
             simulator = SystemSimulator(
                 build_configuration("XBar/OCM"),
                 config,

@@ -62,7 +62,7 @@ class TestPowerBudget:
 
     def test_crossbar_worst_case_budget_closes_with_projected_devices(self):
         budget = PowerBudget(
-            loss_budget=crossbar_worst_case_budget(),
+            loss_budget=crossbar_worst_case_budget(CORONA_DEFAULT),
             detector_sensitivity_dbm=-20.0,
             laser_power_per_wavelength_dbm=0.0,
         )

@@ -340,7 +340,7 @@ class TestOcmModuleBankTableProperties:
     def test_example_runs_the_interior_insert_and_prune_branches(self):
         """The pinned example above reaches both rare branches of the
         reservation, so the equality check covers them on every run."""
-        oracle = _OracleModule(4, 8, DramTimings())
+        oracle = _OracleModule(4, 8, DramTimings(access_latency_s=20e-9))
         for line, offset, epoch, slot in _INTERIOR_THEN_PRUNE:
             oracle.access((line << 6) | offset, epoch * 6e-6 + slot * 5e-9)
         bank = oracle.dies[0][0]
@@ -485,8 +485,9 @@ class _ReferenceMesh:
 
 def _mesh_under_test(num_clusters: int) -> ElectricalMesh:
     if num_clusters == 64:
-        return high_performance_mesh()
-    return ElectricalMesh("small", num_clusters=num_clusters)
+        return high_performance_mesh(CORONA_DEFAULT)
+    config = CORONA_DEFAULT.with_overrides({"num_clusters": num_clusters})
+    return ElectricalMesh(config, "small", 1.28e12)
 
 
 def _assert_same_mesh_state(mesh: ElectricalMesh, reference: _ReferenceMesh) -> None:
@@ -709,7 +710,9 @@ def _faulted_pair(crossbar: OpticalCrossbar, reference: _ReferenceCrossbar):
     injector = FaultInjector(_XBAR_FAULTS)
     injector.install(crossbar, None, 256)
     reference_injector = FaultInjector(_XBAR_FAULTS)
-    template = OpticalCrossbar(num_clusters=crossbar.num_clusters)
+    template = OpticalCrossbar(
+        CORONA_DEFAULT.with_overrides({"num_clusters": crossbar.num_clusters})
+    )
     reference_injector.install(template, None, 256)
     reference._fault_channel_bw = template._fault_channel_bw
     reference._fault_injector = reference_injector
@@ -780,7 +783,7 @@ class TestCrossbarTransferProperties:
         position, grant count and summed wait on every channel; same
         average wait, and the same tokens lost and regeneration wait --
         with and without faults."""
-        crossbar = OpticalCrossbar()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
         reference = _ReferenceCrossbar(crossbar)
         injectors = _faulted_pair(crossbar, reference) if with_faults else None
         _replay_crossbar_transfers(crossbar, reference, transfers)
@@ -792,7 +795,7 @@ class TestCrossbarTransferProperties:
     def test_example_loses_a_token(self):
         """The pinned example above loses tokens, so the equality check
         covers the token-loss draw on every run."""
-        crossbar = OpticalCrossbar()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
         reference = _ReferenceCrossbar(crossbar)
         _, reference_injector = _faulted_pair(crossbar, reference)
         _replay_crossbar_transfers(crossbar, reference, _XBAR_TOKEN_LOST)
@@ -892,7 +895,7 @@ class TestInterconnectProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_crossbar_transfers_always_arrive_after_request(self, transfers):
-        crossbar = OpticalCrossbar()
+        crossbar = OpticalCrossbar(CORONA_DEFAULT)
         for src, dst, now in sorted(transfers, key=lambda item: item[2]):
             message = Message(src=src, dst=dst, message_type=MessageType.READ_RESPONSE)
             result = crossbar.transfer(message, now)
@@ -912,7 +915,7 @@ class TestInterconnectProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_mesh_energy_matches_hop_count(self, pairs):
-        mesh = high_performance_mesh()
+        mesh = high_performance_mesh(CORONA_DEFAULT)
         total_hops = 0
         for src, dst in pairs:
             message = Message(src=src, dst=dst, message_type=MessageType.READ_REQUEST)

@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro.core.config import CORONA_DEFAULT
 from repro.trace.gaps import draw_gap
 from repro.trace.io import read_trace, write_trace
 from repro.trace.packed import KIND_BIT, PackedTraceBuilder
@@ -227,12 +228,12 @@ class TestSplash2Workloads:
     def test_bandwidth_classes(self):
         # Low-bandwidth group demands less than ECM's 0.96 TB/s.
         for name in ("Barnes", "Radiosity", "Volrend", "Water-Sp"):
-            assert SPLASH2_PROFILES[name].demand_bandwidth_tbps() < 0.5
+            assert SPLASH2_PROFILES[name].demand_bandwidth_tbps(CORONA_DEFAULT) < 0.5
         # High-bandwidth group demands several TB/s.
         for name in ("FFT", "Radix", "Ocean"):
-            assert SPLASH2_PROFILES[name].demand_bandwidth_tbps() > 2.0
+            assert SPLASH2_PROFILES[name].demand_bandwidth_tbps(CORONA_DEFAULT) > 2.0
         # FMM sits just above what ECM provides.
-        assert 0.96 < SPLASH2_PROFILES["FMM"].demand_bandwidth_tbps() < 2.5
+        assert 0.96 < SPLASH2_PROFILES["FMM"].demand_bandwidth_tbps(CORONA_DEFAULT) < 2.5
 
     def test_bursty_benchmarks_have_burst_parameters(self):
         for name in ("LU", "Raytrace"):
